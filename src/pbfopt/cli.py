@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pipeline, risk
+from . import optimize, pipeline, risk
 from .surrogate import load_bundle
 from .thermal import DesignPoint, SimulationError
 
@@ -105,19 +105,6 @@ def _optimize_cfg(args) -> pipeline.PipelineConfig:
     return cfg
 
 
-def _feasible_history_rows(cfg: pipeline.PipelineConfig, history: np.ndarray):
-    opt = cfg.optimize
-    tol = opt.constraint_tol
-    lo, hi = opt.temp_window
-    scale = (hi - lo) if np.isfinite(hi - lo) else 1.0
-    lhs, t_hat = history[:, 4], history[:, 5]
-    return (
-        (lhs <= (1.0 - opt.alpha_t) + tol)
-        & (t_hat >= lo - tol * scale)
-        & (t_hat <= hi + tol * scale)
-    )
-
-
 def cmd_optimize(args) -> int:
     cfg = _optimize_cfg(args)
     out = Path(cfg.out_dir)
@@ -136,8 +123,9 @@ def cmd_optimize(args) -> int:
     if args.plot_data:
         rows = []
         for i, res in enumerate(results):
-            ok = _feasible_history_rows(cfg, res.history)
-            energies = res.history[:, 3]
+            h = res.history
+            ok = optimize.is_feasible(cfg.optimize, h[:, 4], h[:, 5])
+            energies = h[:, 3]
             best = np.inf
             for j in range(energies.size):
                 if ok[j] and energies[j] < best:

@@ -1,15 +1,19 @@
 """Risk-constrained scan-energy minimization on the surrogate bundle.
 
-Minimizes beam energy per scan over (v, P, zeta) subject to a buffered
-failure-probability budget on maximum residual stress and a melt-window
-band on the mean maximum temperature.  One frozen Monte Carlo sample set
-per solve turns the stochastic constraints into deterministic functions
-of the design (sample average approximation with common random numbers).
+Minimizes beam energy per scan over the design (v, P) subject to a
+buffered failure-probability budget on maximum residual stress and a
+melt-window band on the mean maximum temperature.  One frozen Monte Carlo
+sample set per solve turns the stochastic constraints into deterministic
+functions of the design (sample average approximation with common random
+numbers).  The buffered probability is the minimum over zeta < tau of
+mean((sigma - zeta)^+) / (tau - zeta); each evaluation solves that inner
+minimization exactly, so zeta is reported but never searched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +32,7 @@ __all__ = [
     "stress_max_samples",
     "temperature_max_samples",
     "evaluate_constraints",
+    "is_feasible",
     "solve",
 ]
 
@@ -139,40 +144,37 @@ def _samples_to_array(samples) -> np.ndarray:
     return z
 
 
-def _design_rows(b: surrogate.SurrogateBundle, d: DesignPoint, z: np.ndarray):
-    xi = np.column_stack(
-        [np.full(z.shape[0], d.v), np.full(z.shape[0], d.P), z]
-    )
-    return normalize_inputs(xi, b.input_bounds)
-
-
-def _rowwise_max(models, vectors, u: np.ndarray) -> np.ndarray:
-    out = np.empty(u.shape[0])
-    for start in range(0, u.shape[0], _CHUNK):
-        block = u[start : start + _CHUNK]
-        g = surrogate.feature_values(models, block)
-        out[start : start + _CHUNK] = (g @ vectors.T).max(axis=1)
-    return out
-
-
 def stress_max_samples(b: surrogate.SurrogateBundle, d: DesignPoint, samples):
     """Predicted maximum residual stress for each material sample."""
-    z = _samples_to_array(samples)
-    return _rowwise_max(b.stress_models, b.stress_vectors, _design_rows(b, d, z))
+    return _Evaluator(b, samples).stress_max(d)
 
 
 def temperature_max_samples(b: surrogate.SurrogateBundle, d: DesignPoint, samples):
     """Predicted per-sample maximum snapshot temperature."""
-    z = _samples_to_array(samples)
-    return _rowwise_max(
-        b.temperature_models, b.temperature_vectors, _design_rows(b, d, z)
-    )
+    return _Evaluator(b, samples).temperature_max(d)
 
 
 def _constraint_lhs(sigma: np.ndarray, zeta: float, cfg: OptimizeConfig) -> float:
     if cfg.constraint_kind == CONSTRAINT_POF:
         return float(np.mean(sigma > cfg.tau))
     return float(np.maximum(sigma - zeta, 0.0).mean() / (cfg.tau - zeta))
+
+
+def _risk_at_best_zeta(sigma: np.ndarray, cfg: OptimizeConfig):
+    """Risk constraint value and the exact buffered-ratio minimizer zeta.
+
+    zeta solves the inner minimization of the buffered exceedance ratio
+    exactly, so it never needs to be searched; in pof mode the value is
+    the plain exceedance frequency.
+    """
+    if not np.isfinite(cfg.tau):
+        return 0.0, float(sigma.max())
+    bpof, zeta = risk.estimate_bpof_minform(sigma, cfg.tau)
+    # tau equal to the sample maximum returns zeta = tau; zeta must stay below
+    zeta = min(zeta, float(np.nextafter(cfg.tau, -np.inf)))
+    if cfg.constraint_kind == CONSTRAINT_POF:
+        return float(np.mean(sigma > cfg.tau)), zeta
+    return bpof, zeta
 
 
 def evaluate_constraints(
@@ -190,8 +192,9 @@ def evaluate_constraints(
     """
     if not zeta < cfg.tau:
         raise ValueError(f"zeta must stay below tau={cfg.tau}, got {zeta}")
-    sigma = stress_max_samples(b, d, samples)
-    t_hat = float(temperature_max_samples(b, d, samples).mean())
+    ev = _Evaluator(b, samples)
+    sigma = ev.stress_max(d)
+    t_hat = float(ev.temperature_max(d).mean())
     return _constraint_lhs(sigma, zeta, cfg), t_hat
 
 
@@ -205,23 +208,27 @@ def _hull_columns(vectors: np.ndarray) -> np.ndarray:
     n, k = vectors.shape
     if k == 1:
         return np.unique([int(np.argmin(vectors)), int(np.argmax(vectors))])
-    try:
-        from scipy.spatial import ConvexHull
+    # imported here: scipy.spatial costs about 10 MB of resident memory
+    from scipy.spatial import ConvexHull, QhullError
 
+    try:
         return np.sort(ConvexHull(vectors).vertices)
-    except Exception:
+    except QhullError:
         return np.arange(n)
 
 
-class _FrozenEvaluator:
-    """Per-solve cache: fixed material draws with precomputed projections."""
+class _Evaluator:
+    """Per-sample surrogate maxima at any design on one fixed set of draws.
 
-    def __init__(self, b: surrogate.SurrogateBundle, z_raw: np.ndarray):
-        self.bundle = b
-        bounds = b.input_bounds
-        mid = 0.5 * (bounds[:, 0] + bounds[:, 1])
-        half = 0.5 * (bounds[:, 1] - bounds[:, 0])
-        u_z = (z_raw - mid[2:]) / half[2:]
+    A design only shifts each feature's active variables by u_d @ w1[:2],
+    so the material part u_z @ w1[2:] is projected once.  Only the convex
+    hull rows of the right vectors can win the row-wise max, so the others
+    are dropped; rows are processed in _CHUNK blocks to bound memory.
+    """
+
+    def __init__(self, b: surrogate.SurrogateBundle, samples):
+        self._design_bounds = b.input_bounds[:2]
+        u_z = normalize_inputs(_samples_to_array(samples), b.input_bounds[2:])
 
         def prepare(models, vectors):
             keep = _hull_columns(vectors)
@@ -234,21 +241,46 @@ class _FrozenEvaluator:
         self._stress = prepare(b.stress_models, b.stress_vectors)
         self._temp = prepare(b.temperature_models, b.temperature_vectors)
 
-    @staticmethod
-    def _max_rows(pre, vectors, u_d: np.ndarray) -> np.ndarray:
-        g = np.column_stack(
-            [
-                np.atleast_1d(surrogate.predict(poly, z_part + u_d @ w_d))
-                for w_d, z_part, poly in pre
-            ]
-        )
-        return (g @ vectors.T).max(axis=1)
+    def _max_rows(self, side, d: DesignPoint) -> np.ndarray:
+        pre, vectors = side
+        u_d = normalize_inputs(np.array([d.v, d.P]), self._design_bounds)
+        n = pre[0][1].shape[0]
+        out = np.empty(n)
+        for start in range(0, n, _CHUNK):
+            rows = slice(start, start + _CHUNK)
+            g = np.column_stack(
+                [
+                    np.atleast_1d(surrogate.predict(poly, z_part[rows] + u_d @ w_d))
+                    for w_d, z_part, poly in pre
+                ]
+            )
+            out[rows] = (g @ vectors.T).max(axis=1)
+        return out
 
-    def stress_max(self, u_d: np.ndarray) -> np.ndarray:
-        return self._max_rows(*self._stress, u_d)
+    def stress_max(self, d: DesignPoint) -> np.ndarray:
+        return self._max_rows(self._stress, d)
 
-    def temperature_mean_max(self, u_d: np.ndarray) -> float:
-        return float(self._max_rows(*self._temp, u_d).mean())
+    def temperature_max(self, d: DesignPoint) -> np.ndarray:
+        return self._max_rows(self._temp, d)
+
+
+def _temp_scale(cfg: OptimizeConfig) -> float:
+    lo, hi = cfg.temp_window
+    return (hi - lo) if np.isfinite(hi - lo) else 1.0
+
+
+def is_feasible(cfg: OptimizeConfig, lhs, t_hat):
+    """Whether risk values lhs and mean maximum temperatures t_hat meet
+    both constraints within cfg.constraint_tol; elementwise on arrays."""
+    tol = cfg.constraint_tol
+    lo, hi = cfg.temp_window
+    scale = _temp_scale(cfg)
+    lhs, t_hat = np.asarray(lhs), np.asarray(t_hat)
+    return (
+        (lhs <= (1.0 - cfg.alpha_t) + tol)
+        & (t_hat >= lo - tol * scale)
+        & (t_hat <= hi + tol * scale)
+    )
 
 
 def _nelder_mead(fun, x0: np.ndarray, step: float, max_iters: int):
@@ -298,44 +330,29 @@ def _nelder_mead(fun, x0: np.ndarray, step: float, max_iters: int):
 class _SolveState:
     """Shared bookkeeping across solver runs: history and incumbents."""
 
-    def __init__(self, b, cfg: OptimizeConfig, ev: _FrozenEvaluator):
+    def __init__(self, b, cfg: OptimizeConfig, ev: _Evaluator):
         self.bundle = b
         self.cfg = cfg
         self.ev = ev
         self.history: list[list[float]] = []
-        self.best_feasible: tuple[float, np.ndarray] | None = None
-        self.least_infeasible: tuple[float, float, np.ndarray] | None = None
+        # incumbents keep their clipped search point and their history row
+        self.best_feasible: tuple[float, np.ndarray, list] | None = None
+        self.least_infeasible: tuple[float, float, np.ndarray, list] | None = None
         box = np.array([cfg.v_bounds, cfg.p_bounds], dtype=float)
         self.box_mid = 0.5 * (box[:, 0] + box[:, 1])
         self.box_half = 0.5 * (box[:, 1] - box[:, 0])
-        tau = cfg.tau
-        self.zeta_lo = 0.0
-        self.zeta_hi = tau * (1.0 - 1e-9) if np.isfinite(tau) else 1.0
-        lo, hi = cfg.temp_window
-        self.temp_scale = (hi - lo) if np.isfinite(hi - lo) else 1.0
-        bounds = b.input_bounds
-        self.bundle_mid = 0.5 * (bounds[:2, 0] + bounds[:2, 1])
-        self.bundle_half = 0.5 * (bounds[:2, 1] - bounds[:2, 0])
-
-    def decode(self, x: np.ndarray):
-        xc = np.clip(x, -1.0, 1.0)
-        v, p = self.box_mid + self.box_half * xc[:2]
-        zeta = self.zeta_lo + 0.5 * (xc[2] + 1.0) * (self.zeta_hi - self.zeta_lo)
-        return v, p, zeta
-
-    def encode(self, v: float, p: float, zeta: float) -> np.ndarray:
-        u_z = 2.0 * (zeta - self.zeta_lo) / (self.zeta_hi - self.zeta_lo) - 1.0
-        d = (np.array([v, p]) - self.box_mid) / self.box_half
-        return np.append(d, np.clip(u_z, -1.0, 1.0))
+        self.temp_scale = _temp_scale(cfg)
 
     def assess(self, x: np.ndarray):
-        """Evaluate one solver point; records history and incumbents."""
+        """Evaluate one solver point (v, P) in box coordinates; records
+        history and incumbents.  Returns the energy, the scaled constraint
+        violations and the constraint values (lhs, t_hat)."""
         cfg = self.cfg
-        v, p, zeta = self.decode(x)
-        u_d = (np.array([v, p]) - self.bundle_mid) / self.bundle_half
-        sigma = self.ev.stress_max(u_d)
-        lhs = _constraint_lhs(sigma, zeta, cfg)
-        t_hat = self.ev.temperature_mean_max(u_d)
+        xc = np.clip(x, -1.0, 1.0)  # the evaluated design lives at the clip
+        v, p = self.box_mid + self.box_half * xc
+        d = DesignPoint(v=v, P=p)
+        lhs, zeta = _risk_at_best_zeta(self.ev.stress_max(d), cfg)
+        t_hat = float(self.ev.temperature_max(d).mean())
         e = p * cfg.scan_length / v
         budget = 1.0 - cfg.alpha_t
         lo, hi = cfg.temp_window
@@ -346,26 +363,19 @@ class _SolveState:
                 float(np.linalg.norm(np.maximum(np.abs(x) - 1.0, 0.0))),
             ]
         )
-        self.history.append([v, p, zeta, e, lhs, t_hat])
+        row = [v, p, zeta, e, lhs, t_hat]
+        self.history.append(row)
         total_viol = float(viol.sum())
-        xc = np.clip(x, -1.0, 1.0)  # the decoded design lives at the clip
         if self._is_feasible(lhs, t_hat):
             if self.best_feasible is None or e < self.best_feasible[0]:
-                self.best_feasible = (e, xc)
+                self.best_feasible = (e, xc, row)
         key = (total_viol, e)
         if self.least_infeasible is None or key < self.least_infeasible[:2]:
-            self.least_infeasible = (total_viol, e, xc)
-        return e, viol
+            self.least_infeasible = (total_viol, e, xc, row)
+        return e, viol, lhs, t_hat
 
-    def _is_feasible(self, lhs: float, t_hat: float) -> bool:
-        cfg = self.cfg
-        tol = cfg.constraint_tol
-        lo, hi = cfg.temp_window
-        return (
-            lhs <= (1.0 - cfg.alpha_t) + tol
-            and t_hat >= lo - tol * self.temp_scale
-            and t_hat <= hi + tol * self.temp_scale
-        )
+    def _is_feasible(self, lhs, t_hat):
+        return is_feasible(self.cfg, lhs, t_hat)
 
 
 def solve(
@@ -373,11 +383,11 @@ def solve(
 ) -> OptimizationResult:
     """Minimize scan energy subject to the risk and melt-window constraints.
 
-    Runs the configured derivative-free solver from d0 with seeded
-    restarts on one frozen sample set, then reports the best feasible
-    evaluated point (or the least-infeasible one with feasible=False).
-    The returned zeta is the exact minimizer of the buffered exceedance
-    ratio at the returned design, which never worsens the constraint.
+    Runs the configured derivative-free solver over (v, P) from d0 with
+    seeded restarts on one frozen sample set, then reports the best
+    feasible evaluated point (or the least-infeasible one with
+    feasible=False).  Every evaluation takes zeta as the exact minimizer
+    of the buffered exceedance ratio at its design.
     """
     if not (cfg.v_bounds[0] <= d0.v <= cfg.v_bounds[1]):
         raise ValueError(f"initial speed {d0.v} outside bounds {cfg.v_bounds}")
@@ -385,29 +395,18 @@ def solve(
         raise ValueError(f"initial power {d0.P} outside bounds {cfg.p_bounds}")
     rng = np.random.default_rng(cfg.seed)
     z_raw = draw_material_samples(b.input_bounds[2:], cfg.n_mc, rng)
-    ev = _FrozenEvaluator(b, z_raw)
-    state = _SolveState(b, cfg, ev)
-
-    # seed zeta with the exact buffered-ratio minimizer at the start point
-    u_d0 = (np.array([d0.v, d0.P]) - state.bundle_mid) / state.bundle_half
-    sigma0 = ev.stress_max(u_d0)
-    if np.isfinite(cfg.tau):
-        _, zeta0 = risk.estimate_bpof_minform(sigma0, cfg.tau)
-        zeta0 = min(max(zeta0, state.zeta_lo), state.zeta_hi)
-    else:
-        zeta0 = 0.5 * (state.zeta_lo + state.zeta_hi)
-    x0 = state.encode(d0.v, d0.P, zeta0)
+    state = _SolveState(b, cfg, _Evaluator(b, z_raw))
 
     iterations = 0
     weight = cfg.penalty_weight
     incumbent_energy = np.inf
-    start = x0
+    start = (np.array([d0.v, d0.P]) - state.box_mid) / state.box_half
     for attempt in range(1 + cfg.restarts):
         if cfg.solver == SOLVER_PENALTY_NM:
             w = weight
 
             def penalized(x):
-                e, viol = state.assess(x)
+                e, viol, _, _ = state.assess(x)
                 return e + w * float(viol @ viol)
 
             _, _, it = _nelder_mead(penalized, start, 0.25, cfg.max_iters)
@@ -420,26 +419,12 @@ def solve(
         else:
             weight *= 2.0  # stagnation: tighten the exterior penalty
         anchor = best[1] if best is not None else state.least_infeasible[2]
-        start = np.clip(anchor + rng.normal(0.0, 0.1, size=3), -1.0, 1.0)
+        start = np.clip(anchor + rng.normal(0.0, 0.1, size=2), -1.0, 1.0)
 
-    if state.best_feasible is not None:
-        x_best = state.best_feasible[1]
-        feasible_candidate = True
-    else:
-        x_best = state.least_infeasible[2]
-        feasible_candidate = False
-    v, p, _ = state.decode(x_best)
+    feasible = state.best_feasible is not None
+    row = state.best_feasible[2] if feasible else state.least_infeasible[3]
+    v, p, zeta_star, _, lhs, t_hat = row
     d_star = DesignPoint(v=v, P=p)
-
-    sigma_star = stress_max_samples(b, d_star, z_raw)
-    if np.isfinite(cfg.tau):
-        _, zeta_star = risk.estimate_bpof_minform(sigma_star, cfg.tau)
-        if not zeta_star < cfg.tau:
-            zeta_star = float(np.nextafter(cfg.tau, -np.inf))
-    else:
-        zeta_star = float(sigma_star.max())
-    lhs, t_hat = evaluate_constraints(d_star, zeta_star, b, z_raw, cfg)
-    feasible = feasible_candidate and state._is_feasible(lhs, t_hat)
     return OptimizationResult(
         d_star=d_star,
         zeta_star=float(zeta_star),
@@ -447,7 +432,7 @@ def solve(
         bpof_lhs=float(lhs),
         t_max_hat=float(t_hat),
         iterations=iterations,
-        feasible=bool(feasible),
+        feasible=feasible,
         history=np.asarray(state.history, dtype=float),
     )
 
@@ -455,45 +440,24 @@ def solve(
 def _cobyla_run(state: _SolveState, x0: np.ndarray, cfg: OptimizeConfig) -> int:
     from scipy.optimize import minimize
 
-    def objective(x):
-        e, _ = state.assess(x)
-        return e
+    # the objective and the constraints at one point share one evaluation
+    @lru_cache(maxsize=1)
+    def assessed(x: tuple):
+        return state.assess(np.array(x))
 
     budget = 1.0 - cfg.alpha_t
     lo, hi = cfg.temp_window
 
-    def risk_margin(x):
-        v, p, zeta = state.decode(x)
-        u_d = (np.array([v, p]) - state.bundle_mid) / state.bundle_half
-        return budget - _constraint_lhs(state.ev.stress_max(u_d), zeta, cfg)
+    def margins(x):
+        _, _, lhs, t_hat = assessed(tuple(x))
+        window = np.array([t_hat - lo, hi - t_hat]) / state.temp_scale
+        return np.concatenate([[budget - lhs], window, 1.0 - x, x + 1.0])
 
-    def window_low(x):
-        v, p, _ = state.decode(x)
-        u_d = (np.array([v, p]) - state.bundle_mid) / state.bundle_half
-        return (state.ev.temperature_mean_max(u_d) - lo) / state.temp_scale
-
-    def window_high(x):
-        v, p, _ = state.decode(x)
-        u_d = (np.array([v, p]) - state.bundle_mid) / state.bundle_half
-        return (hi - state.ev.temperature_mean_max(u_d)) / state.temp_scale
-
-    constraints = [
-        {"type": "ineq", "fun": risk_margin},
-        {"type": "ineq", "fun": window_low},
-        {"type": "ineq", "fun": window_high},
-    ]
-    for i in range(3):
-        constraints.append(
-            {"type": "ineq", "fun": (lambda x, i=i: 1.0 - x[i])}
-        )
-        constraints.append(
-            {"type": "ineq", "fun": (lambda x, i=i: x[i] + 1.0)}
-        )
     res = minimize(
-        objective,
+        lambda x: assessed(tuple(x))[0],
         x0,
         method="COBYLA",
-        constraints=constraints,
+        constraints=[{"type": "ineq", "fun": margins}],
         options={
             "maxiter": cfg.max_iters,
             "rhobeg": 0.25,

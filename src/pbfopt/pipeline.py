@@ -129,8 +129,13 @@ class PipelineConfig:
         object.__setattr__(
             self, "input_bounds", np.asarray(self.input_bounds, dtype=float)
         )
-        if self.M < 30:
-            raise ValueError("M must be at least 30 for a stable quadratic fit")
+        if self.M < 43:
+            raise ValueError(
+                "M must be at least 43: the symmetric DOE mirrors its points "
+                "in pairs, which share the 22 even terms of the quadratic "
+                "gradient fit, so fewer than 22 distinct pairs (the centre "
+                "point counts as one) leave that fit rank-deficient"
+            )
         if self.n_val < 10:
             raise ValueError("n_val must be at least 10")
         b = self.input_bounds

@@ -127,13 +127,7 @@ def start_is_feasible(bundle, d0, ocfg):
     sigma = optimize.stress_max_samples(bundle, d0, z)
     _, zeta0 = risk.estimate_bpof_minform(sigma, ocfg.tau)
     lhs, t_hat = optimize.evaluate_constraints(d0, zeta0, bundle, z, ocfg)
-    lo, hi = ocfg.temp_window
-    tol = ocfg.constraint_tol
-    scale = hi - lo
-    return (
-        lhs <= (1.0 - ocfg.alpha_t) + tol
-        and lo - tol * scale <= t_hat <= hi + tol * scale
-    )
+    return bool(optimize.is_feasible(ocfg, lhs, t_hat))
 
 
 @pytest.fixture(scope="module")

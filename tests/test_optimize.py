@@ -324,6 +324,17 @@ class TestRiskConstrainedSolve:
         assert lhs <= (1.0 - cfg.alpha_t) + 0.01
         assert cfg.temp_window[0] - 2.0 <= t_hat <= cfg.temp_window[1] + 2.0
 
+    def test_history_zeta_is_the_exact_minimizer_at_each_row(
+        self, risk_result, toy_bundle
+    ):
+        cfg, res = risk_result
+        rng = np.random.default_rng(cfg.seed)
+        z = draw_material_samples(toy_bundle.input_bounds[2:], cfg.n_mc, rng)
+        rows = np.random.default_rng(3).choice(res.history.shape[0], 12)
+        for v, p, zeta, _, lhs, _ in res.history[rows]:
+            sigma = stress_max_samples(toy_bundle, DesignPoint(v=v, P=p), z)
+            assert (lhs, zeta) == risk.estimate_bpof_minform(sigma, cfg.tau)
+
 
 class TestPofVersusBpof:
     def test_buffered_constraint_is_conservative(self, risk_result, toy_bundle):
@@ -420,6 +431,37 @@ class TestCobylaSolver:
         res = solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
         assert res.feasible
         assert res.energy == pytest.approx(RISK_ENERGY, rel=0.03)
+
+    def test_one_surrogate_evaluation_per_point(self, toy_bundle, monkeypatch):
+        calls = []
+        predict = surrogate.predict
+
+        def counting(s, eta):
+            calls.append(s)
+            return predict(s, eta)
+
+        monkeypatch.setattr(surrogate, "predict", counting)
+        cfg = OptimizeConfig(
+            tau=735.0, n_mc=2000, seed=7, restarts=1, max_iters=100, solver="cobyla"
+        )
+        res = solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
+        k = len(toy_bundle.stress_models) + len(toy_bundle.temperature_models)
+        assert len(calls) == k * res.history.shape[0]
+
+
+class TestFeasibilityRule:
+    def test_arrays_match_scalars(self):
+        cfg = OptimizeConfig()
+        lo, hi = cfg.temp_window
+        tol = cfg.constraint_tol * (hi - lo)
+        lhs = np.array([0.0, 0.05, 0.05009, 0.06, 0.01, 0.01, 0.01])
+        t_hat = np.array(
+            [1700.0, lo - 0.9 * tol, lo, lo, lo - 1.1 * tol, hi + tol, hi + 2 * tol]
+        )
+        want = [True, True, True, False, False, True, False]
+        assert optimize.is_feasible(cfg, lhs, t_hat).tolist() == want
+        for a, t, w in zip(lhs, t_hat, want):
+            assert bool(optimize.is_feasible(cfg, a, t)) is w
 
 
 class TestConfigValidation:

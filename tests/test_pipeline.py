@@ -251,11 +251,12 @@ class TestSyntheticTraining:
 
     def test_symmetric_doe_needs_more_than_the_config_floor(self, tmp_path):
         # mirrored pairs share their quadratic part, so the gradient-fit
-        # stage needs M/2 >= 22 even-space rows; below that it must fail
-        # loudly rather than fit through a rank-deficient basis
-        cfg = synthetic_config(tmp_path / "small", M=40)
-        with pytest.raises(ValueError, match="rank-deficient"):
-            run_training(cfg)
+        # stage needs ceil(M/2) >= 22 even-space rows; below that the
+        # configuration must fail before any simulation runs
+        for m in (40, 42):
+            with pytest.raises(ValueError, match="rank-deficient"):
+                synthetic_config(tmp_path / "small", M=m)
+        assert synthetic_config(tmp_path / "small", M=43).M == 43
 
     def test_workers_do_not_change_results(self, tmp_path, trained):
         cfg_ref, _ = trained
