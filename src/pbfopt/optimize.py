@@ -100,7 +100,11 @@ class OptimizeConfig:
 
 @dataclass(frozen=True, eq=False)
 class OptimizationResult:
-    """Solver outcome plus the full evaluation history."""
+    """Solver outcome plus the full evaluation history.
+
+    iterations counts surrogate evaluations over all restarts, one per
+    history row, for either solver.
+    """
 
     d_star: DesignPoint
     zeta_star: float
@@ -283,9 +287,10 @@ def is_feasible(cfg: OptimizeConfig, lhs, t_hat):
     )
 
 
-def _nelder_mead(fun, x0: np.ndarray, step: float, max_iters: int):
-    """Minimal Nelder-Mead; stops when the vertex spread per coordinate
-    drops below _SIMPLEX_TOL or the iteration budget runs out."""
+def _nelder_mead(fun, x0: np.ndarray, step: float, max_iters: int) -> None:
+    """Minimal Nelder-Mead over fun, which records its own evaluations;
+    stops when the vertex spread per coordinate drops below _SIMPLEX_TOL
+    or the iteration budget runs out."""
     n = x0.size
     simplex = [np.asarray(x0, dtype=float)]
     for i in range(n):
@@ -293,15 +298,13 @@ def _nelder_mead(fun, x0: np.ndarray, step: float, max_iters: int):
         v[i] += step
         simplex.append(v)
     values = [fun(v) for v in simplex]
-    iterations = 0
-    while iterations < max_iters:
+    for _ in range(max_iters):
         order = np.argsort(values)
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
         spread = np.ptp(np.vstack(simplex), axis=0).max()
         if spread < _SIMPLEX_TOL:
             break
-        iterations += 1
         centroid = np.mean(simplex[:-1], axis=0)
         reflected = centroid + (centroid - simplex[-1])
         f_r = fun(reflected)
@@ -323,8 +326,6 @@ def _nelder_mead(fun, x0: np.ndarray, step: float, max_iters: int):
                 for i in range(1, n + 1):
                     simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
                     values[i] = fun(simplex[i])
-    order = np.argsort(values)
-    return simplex[order[0]], values[order[0]], iterations
 
 
 class _SolveState:
@@ -397,7 +398,6 @@ def solve(
     z_raw = draw_material_samples(b.input_bounds[2:], cfg.n_mc, rng)
     state = _SolveState(b, cfg, _Evaluator(b, z_raw))
 
-    iterations = 0
     weight = cfg.penalty_weight
     incumbent_energy = np.inf
     start = (np.array([d0.v, d0.P]) - state.box_mid) / state.box_half
@@ -409,10 +409,9 @@ def solve(
                 e, viol, _, _ = state.assess(x)
                 return e + w * float(viol @ viol)
 
-            _, _, it = _nelder_mead(penalized, start, 0.25, cfg.max_iters)
-            iterations += it
+            _nelder_mead(penalized, start, 0.25, cfg.max_iters)
         else:
-            iterations += _cobyla_run(state, start, cfg)
+            _cobyla_run(state, start, cfg)
         best = state.best_feasible
         if best is not None and best[0] < incumbent_energy - 1e-9:
             incumbent_energy = best[0]
@@ -431,13 +430,13 @@ def solve(
         energy=energy(d_star, cfg.scan_length),
         bpof_lhs=float(lhs),
         t_max_hat=float(t_hat),
-        iterations=iterations,
+        iterations=len(state.history),
         feasible=feasible,
         history=np.asarray(state.history, dtype=float),
     )
 
 
-def _cobyla_run(state: _SolveState, x0: np.ndarray, cfg: OptimizeConfig) -> int:
+def _cobyla_run(state: _SolveState, x0: np.ndarray, cfg: OptimizeConfig) -> None:
     from scipy.optimize import minimize
 
     # the objective and the constraints at one point share one evaluation
@@ -453,7 +452,7 @@ def _cobyla_run(state: _SolveState, x0: np.ndarray, cfg: OptimizeConfig) -> int:
         window = np.array([t_hat - lo, hi - t_hat]) / state.temp_scale
         return np.concatenate([[budget - lhs], window, 1.0 - x, x + 1.0])
 
-    res = minimize(
+    minimize(
         lambda x: assessed(tuple(x))[0],
         x0,
         method="COBYLA",
@@ -464,4 +463,3 @@ def _cobyla_run(state: _SolveState, x0: np.ndarray, cfg: OptimizeConfig) -> int:
             "catol": 0.5 * cfg.constraint_tol,
         },
     )
-    return int(res.nfev)

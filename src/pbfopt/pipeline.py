@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -175,63 +175,80 @@ class ValidationReport:
 # configuration serialization
 
 
-def config_to_dict(cfg: PipelineConfig) -> dict:
-    b = cfg.input_bounds
-    opt = cfg.optimize
+# dataclass-valued fields, one JSON section each
+_NESTED = {"model": ModelParams, "grid": SimGridConfig, "optimize": OptimizeConfig}
+# JSON sections that regroup flat PipelineConfig fields: section -> {key: field}
+_GROUPS = {
+    "reduction": {
+        "err_threshold": "err_threshold",
+        "min_gain": "min_gain",
+        "k_max": "k_max",
+    },
+    "stress": {"c_r": "c_r"},
+    "seeds": {"doe": "seed_doe", "mc": "seed_mc", "validation": "seed_validation"},
+}
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _canonical(key: str, value, default):
+    """value checked against the type of its field's default, in canonical
+    JSON form.
+
+    int fields take integers (a bool is not one), float fields take any
+    number and store a float, bool fields take only booleans, str fields
+    take strings and pair fields take two numbers, stored as floats.  So
+    equal configurations have one canonical form and share a hash.
+    """
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        kind = "an integer"
+    elif isinstance(default, float):
+        ok, kind = _is_number(value), "a number"
+        value = float(value) if ok else value
+    elif isinstance(default, str):
+        ok, kind = isinstance(value, str), "a string"
+    else:  # a (lo, hi) pair
+        ok = (
+            isinstance(value, (list, tuple, np.ndarray))
+            and len(value) == 2
+            and all(map(_is_number, value))
+        )
+        kind = "two numbers"
+        value = [float(x) for x in value] if ok else value
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
+    return value
+
+
+def _fields_to_dict(obj, prefix: str = "") -> dict:
+    """Canonical values of a config dataclass's fields that have a plain
+    default; dataclass-valued fields use a default factory instead."""
     return {
-        "schema_version": _SCHEMA_VERSION,
-        "M": cfg.M,
-        "n_val": cfg.n_val,
-        "bounds": {
-            name: [float(b[i, 0]), float(b[i, 1])]
-            for i, name in enumerate(INPUT_NAMES)
-        },
-        "model": {
-            k: float(getattr(cfg.model, k))
-            for k in (
-                "a0", "a1", "a2", "b0", "b1", "b2",
-                "A", "r", "z0", "eps_s", "Tc", "Tliq", "l", "w", "h",
-            )
-        },
-        "grid": {
-            "cells_x": cfg.grid.cells_x,
-            "cells_z": cfg.grid.cells_z,
-            "cfl_factor": cfg.grid.cfl_factor,
-        },
-        "optimize": {
-            "alpha_t": opt.alpha_t,
-            "tau": opt.tau,
-            "n_mc": opt.n_mc,
-            "v_bounds": list(opt.v_bounds),
-            "p_bounds": list(opt.p_bounds),
-            "temp_window": list(opt.temp_window),
-            "seed": opt.seed,
-            "solver": opt.solver,
-            "constraint_kind": opt.constraint_kind,
-            "max_iters": opt.max_iters,
-            "constraint_tol": opt.constraint_tol,
-            "scan_length": opt.scan_length,
-            "restarts": opt.restarts,
-            "penalty_weight": opt.penalty_weight,
-        },
-        "reduction": {
-            "err_threshold": cfg.err_threshold,
-            "min_gain": cfg.min_gain,
-            "k_max": cfg.k_max,
-        },
-        "stress": {"c_r": cfg.c_r},
-        "seeds": {
-            "doe": cfg.seed_doe,
-            "mc": cfg.seed_mc,
-            "validation": cfg.seed_validation,
-        },
-        "out_dir": cfg.out_dir,
-        "workers": cfg.workers,
-        "synthetic": cfg.synthetic,
+        f.name: _canonical(prefix + f.name, getattr(obj, f.name), f.default)
+        for f in fields(obj)
+        if f.default is not MISSING
     }
 
 
+def config_to_dict(cfg: PipelineConfig) -> dict:
+    doc = _fields_to_dict(cfg)
+    for section, keys in _GROUPS.items():
+        doc[section] = {key: doc.pop(name) for key, name in keys.items()}
+    for section in _NESTED:
+        doc[section] = _fields_to_dict(getattr(cfg, section), f"{section}.")
+    doc["bounds"] = dict(zip(INPUT_NAMES, cfg.input_bounds.tolist()))
+    doc["schema_version"] = _SCHEMA_VERSION
+    return doc
+
+
 def _check_keys(given: dict, allowed, where: str) -> None:
+    if not isinstance(given, dict):
+        raise ValueError(f"{where} must be a JSON object")
     unknown = set(given) - set(allowed)
     if unknown:
         raise ValueError(f"unknown {where} key(s): {sorted(unknown)}")
@@ -241,57 +258,39 @@ def config_from_dict(d: dict) -> PipelineConfig:
     """Build a configuration from a (possibly partial) plain dictionary.
 
     Absent keys keep their defaults, so an empty document reproduces the
-    nominal published setup.
+    nominal published setup.  Every given value must have its field's
+    type (see _canonical); anything else raises a ValueError naming the
+    key.
     """
     base = config_to_dict(PipelineConfig())
     _check_keys(d, base, "config")
-    if d.get("schema_version", _SCHEMA_VERSION) != _SCHEMA_VERSION:
-        raise ValueError("unsupported config schema version")
 
     def merged(section: str) -> dict:
-        out = dict(base[section])
         given = d.get(section, {})
-        _check_keys(given, out, section)
-        out.update(given)
-        return out
+        _check_keys(given, base[section], section)
+        out = dict(base[section])
+        out.update(
+            {k: _canonical(f"{section}.{k}", v, out[k]) for k, v in given.items()}
+        )
+        # dataclass pair fields hold tuples
+        return {k: tuple(v) if isinstance(v, list) else v for k, v in out.items()}
 
-    bounds_map = merged("bounds")
-    bounds = np.array([bounds_map[name] for name in INPUT_NAMES], dtype=float)
-    opt = merged("optimize")
-    seeds = merged("seeds")
-    red = merged("reduction")
+    flat = {
+        k: _canonical(k, d.get(k, v), v)
+        for k, v in base.items()
+        if not isinstance(v, dict)
+    }
+    if flat.pop("schema_version") != _SCHEMA_VERSION:
+        raise ValueError("unsupported config schema version")
+    for section, keys in _GROUPS.items():
+        values = merged(section)
+        flat.update({name: values[key] for key, name in keys.items()})
+    nested = {section: cls(**merged(section)) for section, cls in _NESTED.items()}
+    bounds = merged("bounds")
     return PipelineConfig(
-        M=int(d.get("M", base["M"])),
-        n_val=int(d.get("n_val", base["n_val"])),
-        input_bounds=bounds,
-        model=ModelParams(**merged("model")),
-        grid=SimGridConfig(**merged("grid")),
-        optimize=OptimizeConfig(
-            alpha_t=opt["alpha_t"],
-            tau=opt["tau"],
-            n_mc=int(opt["n_mc"]),
-            v_bounds=tuple(opt["v_bounds"]),
-            p_bounds=tuple(opt["p_bounds"]),
-            temp_window=tuple(opt["temp_window"]),
-            seed=int(opt["seed"]),
-            solver=opt["solver"],
-            constraint_kind=opt["constraint_kind"],
-            max_iters=int(opt["max_iters"]),
-            constraint_tol=opt["constraint_tol"],
-            scan_length=opt["scan_length"],
-            restarts=int(opt["restarts"]),
-            penalty_weight=opt["penalty_weight"],
-        ),
-        err_threshold=red["err_threshold"],
-        min_gain=red["min_gain"],
-        k_max=int(red["k_max"]),
-        c_r=merged("stress")["c_r"],
-        seed_doe=int(seeds["doe"]),
-        seed_mc=int(seeds["mc"]),
-        seed_validation=int(seeds["validation"]),
-        out_dir=str(d.get("out_dir", base["out_dir"])),
-        workers=int(d.get("workers", base["workers"])),
-        synthetic=bool(d.get("synthetic", base["synthetic"])),
+        input_bounds=np.array([bounds[name] for name in INPUT_NAMES]),
+        **nested,
+        **flat,
     )
 
 
@@ -477,7 +476,7 @@ def _fit_output(cfg: PipelineConfig, u: np.ndarray, data: np.ndarray):
     models = []
     for j in range(k):
         f = dec.features[:, j]
-        sub = discover(estimate_gradients(u, f), cfg.input_bounds)
+        sub = discover(estimate_gradients(u, f))
         poly = fit_best_degree(u @ sub.w1, f)
         models.append(FeatureSurrogate(subspace=sub, poly=poly))
     return errs, dec, tuple(models)

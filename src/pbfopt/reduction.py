@@ -19,15 +19,12 @@ __all__ = [
     "QuadraticModel",
     "decompose",
     "reconstruct",
-    "truncation_error",
     "error_curve",
     "select_feature_count",
     "normalize_inputs",
-    "denormalize_inputs",
     "fit_quadratic",
     "estimate_gradients",
     "discover",
-    "active_vars",
 ]
 
 MAX_ACTIVE_DIM = 3
@@ -54,7 +51,6 @@ class ActiveSubspace:
     w1: np.ndarray  # n x r
     eigenvalues: np.ndarray  # all n, non-increasing
     r: int
-    input_bounds: np.ndarray | None = None  # n x 2 used for normalization
 
 
 def _check_matrix(data) -> np.ndarray:
@@ -126,11 +122,6 @@ def error_curve(data, k_max: int) -> np.ndarray:
     return errs.mean(axis=0)
 
 
-def truncation_error(data, k: int) -> float:
-    """Mean relative row error of the rank-k reconstruction."""
-    return float(error_curve(data, k)[-1])
-
-
 def select_feature_count(errs, threshold: float, min_gain: float) -> int:
     """Pick the retained feature count from an error curve.
 
@@ -177,15 +168,6 @@ def normalize_inputs(xi, bounds) -> np.ndarray:
         worst = float(np.max(np.abs(u)))
         raise ValueError(f"input outside bounds (|normalized| up to {worst:.3e})")
     return np.clip(u, -1.0, 1.0)
-
-
-def denormalize_inputs(u, bounds) -> np.ndarray:
-    """Inverse of normalize_inputs."""
-    b = _check_bounds(bounds)
-    u = np.asarray(u, dtype=float)
-    mid = 0.5 * (b[:, 0] + b[:, 1])
-    half = 0.5 * (b[:, 1] - b[:, 0])
-    return mid + half * u
 
 
 def _quad_exponent_pairs(n: int):
@@ -245,7 +227,7 @@ def estimate_gradients(inputs, values) -> np.ndarray:
     return fit_quadratic(x, values).gradient(x)
 
 
-def discover(gradients, input_bounds=None) -> ActiveSubspace:
+def discover(gradients) -> ActiveSubspace:
     """Active subspace from the gradient covariance (1/M) sum g g^T.
 
     The active dimension r maximizes the eigenvalue ratio lambda_r /
@@ -275,18 +257,4 @@ def discover(gradients, input_bounds=None) -> ActiveSubspace:
         floor = vals[0] * EIGENVALUE_FLOOR
         ratios = vals[:r_cap] / np.maximum(vals[1 : r_cap + 1], floor)
         r = int(np.argmax(ratios)) + 1
-    bounds = None if input_bounds is None else _check_bounds(input_bounds)
-    return ActiveSubspace(
-        w1=vecs[:, :r].copy(), eigenvalues=vals, r=r, input_bounds=bounds
-    )
-
-
-def active_vars(s: ActiveSubspace, xi) -> np.ndarray:
-    """Project normalized inputs onto the active directions: eta = w1^T xi."""
-    x = np.asarray(xi, dtype=float)
-    if x.shape[-1] != s.w1.shape[0]:
-        raise ValueError(
-            f"input dimension {x.shape[-1]} does not match subspace "
-            f"dimension {s.w1.shape[0]}"
-        )
-    return x @ s.w1
+    return ActiveSubspace(w1=vecs[:, :r].copy(), eigenvalues=vals, r=r)

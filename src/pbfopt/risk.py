@@ -10,6 +10,10 @@ Failure measures against a threshold ``tau``:
 * buffered probability of failure ``bpof``: the conservative envelope
   ``min over zeta < tau of mean((g - zeta)^+) / (tau - zeta)``,
   equivalently the tail level at which the superquantile equals tau.
+
+The minimization form is solved exactly (Mafusalov & Uryasev 2018):
+between consecutive samples the ratio is linear-fractional in zeta, so
+its minimum sits at a sample value and a scan of those values finds it.
 """
 
 from __future__ import annotations
@@ -24,12 +28,8 @@ __all__ = [
     "estimate_superquantile",
     "estimate_pof",
     "estimate_bpof_minform",
-    "estimate_bpof_tail",
-    "bpof_decomposition",
     "summarize",
 ]
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,11 @@ def estimate_bpof_minform(values, tau: float) -> tuple[float, float]:
     """Buffered probability of failure via the minimization form.
 
     Returns ``(bpof, zeta)`` where zeta attains the minimum of
-    ``mean((g - zeta)^+) / (tau - zeta)`` over zeta < tau.  The ratio is
-    piecewise monotone between sample values, so candidates are the
-    distinct sample values below tau plus one point a full span below the
-    minimum; a golden-section pass then refines around the best candidate.
-    Ties take the smallest zeta.
+    ``mean((g - zeta)^+) / (tau - zeta)`` over zeta < tau.  Between
+    consecutive sample values the ratio is linear-fractional in zeta, hence
+    monotone there, and it grows without bound as zeta approaches tau; so
+    the minimum sits at a candidate: a distinct sample value below tau, or
+    one point a full span below the minimum.  Ties take the smallest zeta.
 
     Boundary conventions: tau at or above the sample maximum gives
     ``(0.0, max)``; tau at or below the sample mean gives 1.0 with zeta
@@ -128,7 +128,6 @@ def estimate_bpof_minform(values, tau: float) -> tuple[float, float]:
         raise ValueError("tau must be finite")
     tau = float(tau)
     g = np.sort(vals)
-    m = g.size
     gmin, gmax = float(g[0]), float(g[-1])
     gmean = float(np.mean(g))
     if gmax == gmin:
@@ -147,74 +146,7 @@ def estimate_bpof_minform(values, tau: float) -> tuple[float, float]:
     ratios = _excess_ratio(g, suffix, tau, cand)
     best = int(np.argmin(ratios))
     zeta, bpof = float(cand[best]), float(ratios[best])
-    # golden-section refinement between the neighboring candidates
-    lo = cand[best - 1] if best > 0 else cand[0] - span
-    hi = cand[best + 1] if best + 1 < cand.size else tau
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = float(_excess_ratio(g, suffix, tau, c)[0])
-    fd = float(_excess_ratio(g, suffix, tau, d)[0])
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = float(_excess_ratio(g, suffix, tau, c)[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = float(_excess_ratio(g, suffix, tau, d)[0])
-        if b - a <= 1e-14 * max(1.0, abs(tau)):
-            break
-    # accept the refined point only on a real improvement so plateau ties
-    # keep the smallest scanned zeta
-    for z, f in ((c, fc), (d, fd)):
-        if f < bpof - 1e-12 and z < tau:
-            bpof, zeta = float(f), float(z)
     return float(min(max(bpof, 0.0), 1.0)), zeta
-
-
-def estimate_bpof_tail(values, alpha: float) -> tuple[float, float]:
-    """Tail-scanning estimate of the (bpof, threshold) pair at level alpha.
-
-    Sorts descending and grows the running mean of the top-k samples until
-    it drops below the empirical alpha-superquantile.  Returns
-    ``bpof = (k - 1) / m`` together with the mean of the top (k - 1)
-    samples, the last running mean still at or above the superquantile, so
-    the pair is consistent with the minimization form at the returned
-    threshold.  If even the full mean stays above (all-equal samples),
-    returns ``(1.0, mean)``.
-    """
-    vals = _as_samples(values)
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    sq = estimate_superquantile(vals, alpha)
-    g = np.sort(vals)[::-1]
-    m = g.size
-    run = np.cumsum(g) / np.arange(1, m + 1)
-    k = 1
-    c = float(run[0])
-    while c >= sq and k < m:
-        k += 1
-        c = float(run[k - 1])
-    if c >= sq:
-        # never dropped below: the whole set sits in the tail
-        return 1.0, float(run[-1])
-    return (k - 1) / m, float(run[k - 2])
-
-
-def bpof_decomposition(values, tau: float) -> tuple[float, float]:
-    """Split bpof at tau into (buffer, pof) with buffer + pof = bpof.
-
-    The buffer is the extra mass the buffered measure assigns at and below
-    tau, defined as the difference of the two estimates (clamped at zero)
-    so the identity holds exactly on atomic sample distributions.
-    """
-    vals = _as_samples(values)
-    bpof, _ = estimate_bpof_minform(vals, tau)
-    pof = estimate_pof(vals, tau)
-    return max(bpof - pof, 0.0), pof
 
 
 def summarize(values, alpha: float, tau: float) -> RiskEstimate:

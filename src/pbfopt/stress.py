@@ -17,7 +17,7 @@ import numpy as np
 
 from .thermal import STRESS_GRID_SHAPE, ModelParams, RandomInputs, TemperatureSnapshot
 
-__all__ = ["StressField", "residual_stress", "max_stress", "field_to_row", "row_to_field"]
+__all__ = ["StressField", "residual_stress", "field_to_row"]
 
 DEFAULT_ALPHA_T = 1e-5  # thermal expansion coefficient, 1/K
 
@@ -55,26 +55,9 @@ def residual_stress(snapshot: TemperatureSnapshot, z: RandomInputs,
     return StressField(grid=grid, sigma_max=float(grid.max()))
 
 
-def max_stress(f: StressField) -> float:
-    """Maximum entry of the stress grid."""
-    grid = np.asarray(f.grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty stress field")
-    return float(grid.max())
-
-
 def field_to_row(grid: np.ndarray) -> np.ndarray:
     """Flatten a (32, 14) field to a 448-row, length index fastest."""
     grid = np.asarray(grid, dtype=float)
     if grid.shape != STRESS_GRID_SHAPE:
         raise ValueError(f"expected {STRESS_GRID_SHAPE} grid, got {grid.shape}")
     return grid.T.reshape(-1)
-
-
-def row_to_field(row: np.ndarray) -> np.ndarray:
-    """Inverse of field_to_row."""
-    row = np.asarray(row, dtype=float)
-    n = STRESS_GRID_SHAPE[0] * STRESS_GRID_SHAPE[1]
-    if row.shape != (n,):
-        raise ValueError(f"expected a flat row of {n} values, got {row.shape}")
-    return row.reshape(STRESS_GRID_SHAPE[1], STRESS_GRID_SHAPE[0]).T

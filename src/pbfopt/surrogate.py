@@ -2,8 +2,8 @@
 
 Each retained feature gets a dense multivariate polynomial in its active
 variables; a bundle groups the temperature- and stress-side models with
-their right vectors so full snapshot rows and stress fields can be
-predicted from one raw design/material input vector.
+their right vectors, so a full output row is the feature predictions
+times the right vectors.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .reduction import ActiveSubspace, normalize_inputs
+from .reduction import ActiveSubspace
 
 __all__ = [
     "PolySurrogate",
@@ -29,9 +29,6 @@ __all__ = [
     "fit_best_degree",
     "predict",
     "r2_score",
-    "feature_values",
-    "predict_snapshot",
-    "predict_stress_field",
     "bundle_to_dict",
     "bundle_from_dict",
     "save_bundle",
@@ -210,10 +207,6 @@ class FeatureSurrogate:
         if self.poly.n_vars != self.subspace.r:
             raise ValueError("polynomial arity must equal the subspace dimension")
 
-    def evaluate(self, u: np.ndarray):
-        """Feature value(s) at normalized input row(s) u."""
-        return predict(self.poly, np.atleast_2d(u) @ self.subspace.w1)
-
 
 @dataclass(frozen=True)
 class SurrogateBundle:
@@ -252,29 +245,6 @@ class SurrogateBundle:
             for m in models:
                 if m.subspace.w1.shape[0] != n:
                     raise ValueError(f"{name} subspace dimension mismatch")
-
-
-def feature_values(models, u: np.ndarray) -> np.ndarray:
-    """Stack feature predictions at normalized inputs u into (n_pts, K)."""
-    return np.column_stack([np.atleast_1d(m.evaluate(u)) for m in models])
-
-
-def _normalize(b: SurrogateBundle, xi) -> np.ndarray:
-    return np.atleast_2d(normalize_inputs(xi, b.input_bounds))
-
-
-def predict_snapshot(b: SurrogateBundle, xi) -> np.ndarray:
-    """Predicted temperature snapshot row at one raw input vector."""
-    row = feature_values(b.temperature_models, _normalize(b, xi)) @ (
-        b.temperature_vectors.T
-    )
-    return row[0]
-
-
-def predict_stress_field(b: SurrogateBundle, xi):
-    """Predicted serialized stress field and its maximum entry."""
-    row = feature_values(b.stress_models, _normalize(b, xi)) @ b.stress_vectors.T
-    return row[0], float(row[0].max())
 
 
 def _subspace_to_dict(s: ActiveSubspace) -> dict:

@@ -29,7 +29,6 @@ __all__ = [
     "RANDOM_INPUT_BOUNDS",
     "STRESS_GRID_SHAPE",
     "snapshot_times",
-    "heat_flux",
     "material_props",
     "bulk_density",
     "simulate",
@@ -167,23 +166,6 @@ def snapshot_times(v: float, l: float) -> np.ndarray:
             np.linspace(0.55 * t, t, 11),
         ]
     )
-
-
-def heat_flux(x, y, z, t: float, d: DesignPoint, p: ModelParams):
-    """Volumetric beam flux (W/mm^3) at position (x, y, depth z) and time t.
-
-    z is measured downward from the irradiated surface; the cubic depth
-    profile (1/5)(-3(z/z0)^2 - 2(z/z0) + 5) reaches zero at z = z0 and the
-    flux vanishes outside [0, z0].
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(z, dtype=float) / p.z0
-    depth = (-3.0 * u**2 - 2.0 * u + 5.0) / 5.0
-    depth = np.where((u >= 0.0) & (u <= 1.0), depth, 0.0)
-    amp = 2.0 * p.A * d.P / (np.pi * p.r**2 * p.z0)
-    gauss = np.exp(-2.0 * ((x - d.v * t) ** 2 + np.asarray(y, float) ** 2) / p.r**2)
-    out = amp * gauss * depth
-    return float(out) if out.ndim == 0 else out
 
 
 def material_props(T, p: ModelParams):

@@ -1,0 +1,62 @@
+"""Reference implementations that tests compare the package against.
+
+None of these is part of the package: each is a direct, unoptimized
+statement of a quantity some package code computes another way.
+"""
+
+import numpy as np
+
+from pbfopt import risk, surrogate
+from pbfopt.reduction import normalize_inputs
+
+
+def heat_flux(x, y, z, t, d, p):
+    """Volumetric beam flux (W/mm^3) at position (x, y, depth z) and time t.
+
+    z is measured downward from the irradiated surface; the cubic depth
+    profile (1/5)(-3(z/z0)^2 - 2(z/z0) + 5) reaches zero at z = z0 and the
+    flux vanishes outside [0, z0].
+    """
+    u = np.asarray(z, dtype=float) / p.z0
+    depth = (-3.0 * u**2 - 2.0 * u + 5.0) / 5.0
+    depth = np.where((u >= 0.0) & (u <= 1.0), depth, 0.0)
+    amp = 2.0 * p.A * d.P / (np.pi * p.r**2 * p.z0)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return amp * np.exp(-2.0 * ((x - d.v * t) ** 2 + y**2) / p.r**2) * depth
+
+
+def estimate_bpof_tail(values, alpha):
+    """Tail-scanning estimate of the (bpof, threshold) pair at level alpha.
+
+    Sorts descending and grows the running mean of the top-k samples until
+    it drops below the empirical alpha-superquantile.  Returns
+    ``bpof = (k - 1) / m`` together with the mean of the top (k - 1)
+    samples, the last running mean still at or above the superquantile, so
+    the pair is consistent with the minimization form at the returned
+    threshold.  If even the full mean stays above (all-equal samples),
+    returns ``(1.0, mean)``.
+    """
+    vals = np.asarray(values, dtype=float).ravel()
+    sq = risk.estimate_superquantile(vals, alpha)
+    g = np.sort(vals)[::-1]
+    m = g.size
+    run = np.cumsum(g) / np.arange(1, m + 1)
+    k = 1
+    c = float(run[0])
+    while c >= sq and k < m:
+        k += 1
+        c = float(run[k - 1])
+    if c >= sq:
+        # never dropped below: the whole set sits in the tail
+        return 1.0, float(run[-1])
+    return (k - 1) / m, float(run[k - 2])
+
+
+def predict_row(bundle, side, xi):
+    """Full predicted output row of one side ("temperature" or "stress")
+    at one raw input vector: feature predictions times right vectors."""
+    u = normalize_inputs(xi, bundle.input_bounds)
+    models = getattr(bundle, f"{side}_models")
+    features = [surrogate.predict(m.poly, u @ m.subspace.w1) for m in models]
+    return getattr(bundle, f"{side}_vectors") @ np.array(features)

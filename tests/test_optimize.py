@@ -449,6 +449,15 @@ class TestCobylaSolver:
         assert len(calls) == k * res.history.shape[0]
 
 
+@pytest.mark.parametrize("solver", [optimize.SOLVER_PENALTY_NM, optimize.SOLVER_COBYLA])
+def test_iterations_count_every_evaluation(toy_bundle, solver):
+    cfg = OptimizeConfig(
+        tau=735.0, n_mc=500, seed=7, restarts=1, max_iters=100, solver=solver
+    )
+    res = solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
+    assert res.iterations == res.history.shape[0]
+
+
 class TestFeasibilityRule:
     def test_arrays_match_scalars(self):
         cfg = OptimizeConfig()

