@@ -30,8 +30,6 @@ __all__ = [
     "energy",
     "draw_material_samples",
     "stress_max_samples",
-    "temperature_max_samples",
-    "evaluate_constraints",
     "is_feasible",
     "solve",
 ]
@@ -153,17 +151,6 @@ def stress_max_samples(b: surrogate.SurrogateBundle, d: DesignPoint, samples):
     return _Evaluator(b, samples).stress_max(d)
 
 
-def temperature_max_samples(b: surrogate.SurrogateBundle, d: DesignPoint, samples):
-    """Predicted per-sample maximum snapshot temperature."""
-    return _Evaluator(b, samples).temperature_max(d)
-
-
-def _constraint_lhs(sigma: np.ndarray, zeta: float, cfg: OptimizeConfig) -> float:
-    if cfg.constraint_kind == CONSTRAINT_POF:
-        return float(np.mean(sigma > cfg.tau))
-    return float(np.maximum(sigma - zeta, 0.0).mean() / (cfg.tau - zeta))
-
-
 def _risk_at_best_zeta(sigma: np.ndarray, cfg: OptimizeConfig):
     """Risk constraint value and the exact buffered-ratio minimizer zeta.
 
@@ -179,27 +166,6 @@ def _risk_at_best_zeta(sigma: np.ndarray, cfg: OptimizeConfig):
     if cfg.constraint_kind == CONSTRAINT_POF:
         return float(np.mean(sigma > cfg.tau)), zeta
     return bpof, zeta
-
-
-def evaluate_constraints(
-    d: DesignPoint,
-    zeta: float,
-    b: surrogate.SurrogateBundle,
-    samples,
-    cfg: OptimizeConfig,
-):
-    """Constraint left-hand sides at one design on a frozen sample set.
-
-    Returns the risk constraint value (buffered exceedance ratio, or the
-    plain exceedance frequency in pof mode) and the mean per-sample
-    maximum temperature.
-    """
-    if not zeta < cfg.tau:
-        raise ValueError(f"zeta must stay below tau={cfg.tau}, got {zeta}")
-    ev = _Evaluator(b, samples)
-    sigma = ev.stress_max(d)
-    t_hat = float(ev.temperature_max(d).mean())
-    return _constraint_lhs(sigma, zeta, cfg), t_hat
 
 
 def _hull_columns(vectors: np.ndarray) -> np.ndarray:

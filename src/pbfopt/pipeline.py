@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,7 @@ from .reduction import (
     normalize_inputs,
     select_feature_count,
 )
+from .risk import buffered_superquantile
 from .stress import field_to_row, residual_stress
 from .surrogate import (
     FeatureSurrogate,
@@ -76,8 +79,6 @@ __all__ = [
     "run_training",
     "run_optimization",
     "simulate_stress_maxima",
-    "buffered_superquantile",
-    "buffered_superquantile_se",
     "validate",
     "report_to_dict",
 ]
@@ -420,33 +421,23 @@ def _simulate_rows(cfg: PipelineConfig, xi: np.ndarray):
 
 
 def _run_batch(cfg: PipelineConfig, rows: np.ndarray, what: str):
-    """Simulate every row; results ordered by run index regardless of
-    completion order."""
+    """Simulate every row, results in run-index order; with workers > 1
+    the runs are spread over a process pool."""
+    with ExitStack() as stack:
+        run_all = map
+        if cfg.workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-    def rewrap(i: int, e: SimulationError):
-        return SimulationError(
-            f"{what} run {i} failed for inputs {rows[i].tolist()}: {e}", e.step
-        )
-
-    if cfg.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
-
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_simulate_rows, cfg, row) for row in rows]
-            results = []
-            for i, fut in enumerate(futures):
-                try:
-                    results.append(fut.result())
-                except SimulationError as e:
-                    raise rewrap(i, e) from e
-            return results
-    results = []
-    for i, row in enumerate(rows):
+            run_all = stack.enter_context(ProcessPoolExecutor(cfg.workers)).map
+        results = []
         try:
-            results.append(_simulate_rows(cfg, row))
+            for result in run_all(partial(_simulate_rows, cfg), rows):
+                results.append(result)
         except SimulationError as e:
-            raise rewrap(i, e) from e
+            i = len(results)  # both maps yield in run order
+            raise SimulationError(
+                f"{what} run {i} failed for inputs {rows[i].tolist()}: {e}", e.step
+            ) from e
     return results
 
 
@@ -599,20 +590,6 @@ def simulate_stress_maxima(cfg: PipelineConfig, d: DesignPoint, samples) -> np.n
     )
     pairs = _run_batch(cfg, rows, "validation")
     return np.array([p[1].max() for p in pairs])
-
-
-def buffered_superquantile(values, zeta: float, alpha: float) -> float:
-    """Superquantile upper bound anchored at zeta:
-    zeta + mean[(x - zeta)+] / (1 - alpha)."""
-    vals = np.asarray(values, dtype=float)
-    return float(zeta + np.maximum(vals - zeta, 0.0).mean() / (1.0 - alpha))
-
-
-def buffered_superquantile_se(values, zeta: float, alpha: float) -> float:
-    """Monte Carlo standard error of the anchored superquantile."""
-    vals = np.asarray(values, dtype=float)
-    excess = np.maximum(vals - zeta, 0.0)
-    return float(excess.std(ddof=1) / ((1.0 - alpha) * np.sqrt(vals.size)))
 
 
 def validate(

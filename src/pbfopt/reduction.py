@@ -18,7 +18,6 @@ __all__ = [
     "ActiveSubspace",
     "QuadraticModel",
     "decompose",
-    "reconstruct",
     "error_curve",
     "select_feature_count",
     "normalize_inputs",
@@ -86,15 +85,6 @@ def decompose(data, k: int) -> FeatureDecomposition:
         right_vectors=vt.T,
         singular_values=s[:k].copy(),
     )
-
-
-def reconstruct(f: FeatureDecomposition) -> np.ndarray:
-    """Approximate snapshot matrix F V_k^T."""
-    feats = np.asarray(f.features, dtype=float)
-    vk = np.asarray(f.right_vectors, dtype=float)
-    if feats.ndim != 2 or vk.ndim != 2 or feats.shape[1] != vk.shape[1]:
-        raise ValueError("inconsistent feature/right-vector shapes")
-    return feats @ vk.T
 
 
 def error_curve(data, k_max: int) -> np.ndarray:

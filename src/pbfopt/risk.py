@@ -26,6 +26,7 @@ __all__ = [
     "RiskEstimate",
     "estimate_quantile",
     "estimate_superquantile",
+    "buffered_superquantile",
     "estimate_pof",
     "estimate_bpof_minform",
     "summarize",
@@ -86,9 +87,19 @@ def estimate_superquantile(values, alpha: float) -> float:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     if alpha == 0.0:
         return float(np.mean(vals))
-    q = estimate_quantile(vals, alpha)
-    excess = np.mean(np.maximum(vals - q, 0.0))
-    return float(q + excess / (1.0 - alpha))
+    return buffered_superquantile(vals, estimate_quantile(vals, alpha), alpha)
+
+
+def buffered_superquantile(values, zeta: float, alpha: float) -> float:
+    """Superquantile upper bound anchored at zeta:
+    ``zeta + mean((g - zeta)^+) / (1 - alpha)``.
+
+    Every zeta gives an upper bound on the alpha-superquantile and the
+    alpha-quantile attains it; estimate_superquantile anchors at the
+    empirical quantile, validation at the optimizer's zeta.
+    """
+    vals = _as_samples(values)
+    return float(zeta + np.maximum(vals - zeta, 0.0).mean() / (1.0 - alpha))
 
 
 def estimate_pof(values, tau: float) -> float:

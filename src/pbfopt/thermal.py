@@ -7,6 +7,10 @@ surface radiates per Stefan-Boltzmann (computed in Kelvin).  The beam is a
 volumetric Gaussian moving along the top surface at scanning speed v with
 a cubic depth profile vanishing at penetration depth z0.
 
+The probe at the center of the top surface is recorded after every step;
+the 31 snapshot instants are linear interpolation of that trace between
+step end times.
+
 Units: mm, s, W, degC internally.  Conductivity is supplied in W/(m*K)
 and converted by 1e-3; density in kg/m^3 converted by 1e-9.
 """
@@ -222,16 +226,22 @@ def _gauss_deposit(edges: np.ndarray, beam_x: float, r: float, dx: float) -> np.
     return np.sqrt(np.pi / 8.0) * (r / dx) * np.diff(s)
 
 
-def _bilinear(field: np.ndarray, x0: float, dx: float, z0c: float, dz: float,
-              xq: np.ndarray, zq: np.ndarray) -> np.ndarray:
-    """Sample a cell-centered field at (xq, zq) with clamped-edge bilinear."""
-    nx, nz = field.shape
+def _bilinear_cell(shape, x0: float, dx: float, z0c: float, dz: float, xq, zq):
+    """Clamped-edge bilinear lookup of the points (xq, zq) on a
+    cell-centered grid of the given shape: the lower corner (i0, j0) of
+    each point's cell and its fractional offsets (wx, wz) in [0, 1]."""
+    nx, nz = shape
     fx = np.clip((xq - x0) / dx, 0.0, nx - 1.0)
     fz = np.clip((zq - z0c) / dz, 0.0, nz - 1.0)
     i0 = np.minimum(fx.astype(int), nx - 2)
     j0 = np.minimum(fz.astype(int), nz - 2)
-    wx = fx - i0
-    wz = fz - j0
+    return i0, j0, fx - i0, fz - j0
+
+
+def _bilinear(field: np.ndarray, x0: float, dx: float, z0c: float, dz: float,
+              xq: np.ndarray, zq: np.ndarray) -> np.ndarray:
+    """Sample a cell-centered field at (xq, zq) with clamped-edge bilinear."""
+    i0, j0, wx, wz = _bilinear_cell(field.shape, x0, dx, z0c, dz, xq, zq)
     return (
         field[i0, j0] * (1 - wx) * (1 - wz)
         + field[i0 + 1, j0] * wx * (1 - wz)
@@ -268,11 +278,14 @@ def _solve_field(d: DesignPoint, z: RandomInputs, p: ModelParams,
     t_scan = p.l / d.v
     times = snapshot_times(d.v, p.l)
 
-    # stability bound from worst-case properties over the clamp range
-    t_lo = min(z.T0, p.Tc) - 50.0
-    t_hi = 3.0 * p.Tliq
-    cp_min, _ = _quad_extrema(p.a0, p.a1, p.a2, t_lo, t_hi)
-    _, kap_max = _quad_extrema(p.b0, p.b1, p.b2, t_lo, t_hi)
+    # temperature range a run may visit: the floor starts from the coldest
+    # legitimate state (preheat may sit below chamber), the ceiling is far
+    # above liquidus; the probe must stay inside it
+    clamp_lo = min(z.T0, p.Tc) - 50.0
+    clamp_hi = 3.0 * p.Tliq
+    # stability bound from worst-case properties over that range
+    cp_min, _ = _quad_extrema(p.a0, p.a1, p.a2, clamp_lo, clamp_hi)
+    _, kap_max = _quad_extrema(p.b0, p.b1, p.b2, clamp_lo, clamp_hi)
     kap_max *= 1e-3  # W/(mm K)
     if cp_min <= 0 or kap_max <= 0:
         raise ValueError("material properties non-positive over the run range")
@@ -287,20 +300,12 @@ def _solve_field(d: DesignPoint, z: RandomInputs, p: ModelParams,
     tc_k4 = (p.Tc + KELVIN_OFFSET) ** 4
     rad_coeff = STEFAN_BOLTZMANN_MM * p.eps_s
 
-    probe_x = np.array([p.l / 2.0])
-    probe_z = np.array([p.h])
-
-    def probe_value(field):
-        return float(_bilinear(field, xc[0], dx, zc[0], dz, probe_x, probe_z)[0])
-
-    temps = np.empty(31)
-    temps[0] = probe_value(T)
-    next_snap = 1
-    eps_t = dt * 1e-9
-    # floor from the coldest legitimate state: preheat may sit below chamber
-    clamp_lo = min(z.T0, p.Tc) - 50.0
-    clamp_hi = 3.0 * p.Tliq
-    probe_old = temps[0]
+    # the probe at the center of the top surface keeps one cell and one
+    # set of bilinear weights for the whole run
+    i, j, wx, wz = _bilinear_cell(T.shape, xc[0], dx, zc[0], dz, p.l / 2.0, p.h)
+    probe_w = np.outer([1 - wx, wx], [1 - wz, wz])
+    trace = np.empty(n_steps + 1)  # probe temperature at each step's end
+    trace[0] = np.vdot(probe_w, T[i : i + 2, j : j + 2])
 
     for step in range(1, n_steps + 1):
         t_old = (step - 1) * dt
@@ -324,29 +329,20 @@ def _solve_field(d: DesignPoint, z: RandomInputs, p: ModelParams,
         T = T + dt * rate / (rho * cp)
         np.maximum(peak, T, out=peak)
 
-        t_new = step * dt
-        probe_new = probe_value(T)
-        if not np.isfinite(probe_new):
+        probe = trace[step] = np.vdot(probe_w, T[i : i + 2, j : j + 2])
+        if not clamp_lo <= probe <= clamp_hi:  # also catches nan
             raise SimulationError(
-                f"probe temperature became non-finite at step {step}", step
-            )
-        if probe_new < clamp_lo or probe_new > clamp_hi:
-            raise SimulationError(
-                f"probe temperature {probe_new:.1f} degC outside "
+                f"probe temperature {probe:.1f} degC outside "
                 f"[{clamp_lo:.1f}, {clamp_hi:.1f}] at step {step}", step,
             )
-        while next_snap < 31 and times[next_snap] <= t_new + eps_t:
-            w = (times[next_snap] - t_old) / dt
-            temps[next_snap] = (1.0 - w) * probe_old + w * probe_new
-            next_snap += 1
-        probe_old = probe_new
 
-    if next_snap < 31:  # guard against fp shortfall on the last instant
-        temps[next_snap:] = probe_old
     if not np.isfinite(T).all():
         raise SimulationError(
             f"field became non-finite by step {n_steps}", n_steps
         )
+    # snapshots: linear interpolation of the trace between step ends; the
+    # last instant may exceed n_steps * dt by rounding, where interp clamps
+    temps = np.interp(times, np.arange(n_steps + 1) * dt, trace)
     return times, temps, peak, T, xc, zc
 
 

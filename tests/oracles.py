@@ -6,7 +6,7 @@ statement of a quantity some package code computes another way.
 
 import numpy as np
 
-from pbfopt import risk, surrogate
+from pbfopt import optimize, risk, surrogate
 from pbfopt.reduction import normalize_inputs
 
 
@@ -60,3 +60,42 @@ def predict_row(bundle, side, xi):
     models = getattr(bundle, f"{side}_models")
     features = [surrogate.predict(m.poly, u @ m.subspace.w1) for m in models]
     return getattr(bundle, f"{side}_vectors") @ np.array(features)
+
+
+def temperature_max_samples(bundle, d, samples):
+    """Per-sample maximum of the full predicted temperature row at design
+    d, one row per material sample (T0, Y, E, rho)."""
+    z = np.atleast_2d(np.asarray(samples, dtype=float))
+    xi = np.column_stack([np.full(len(z), d.v), np.full(len(z), d.P), z])
+    u = normalize_inputs(xi, bundle.input_bounds)
+    models = bundle.temperature_models
+    features = np.column_stack(
+        [surrogate.predict(m.poly, u @ m.subspace.w1) for m in models]
+    )
+    return (features @ bundle.temperature_vectors.T).max(axis=1)
+
+
+def evaluate_constraints(d, zeta, bundle, samples, cfg):
+    """Risk constraint value at a given zeta (buffered exceedance ratio,
+    or the plain exceedance frequency in pof mode) and the mean per-sample
+    maximum temperature at one design on a frozen sample set."""
+    if not zeta < cfg.tau:
+        raise ValueError(f"zeta must stay below tau={cfg.tau}, got {zeta}")
+    sigma = optimize.stress_max_samples(bundle, d, samples)
+    t_hat = float(temperature_max_samples(bundle, d, samples).mean())
+    if cfg.constraint_kind == "pof":
+        return float(np.mean(sigma > cfg.tau)), t_hat
+    return float(np.maximum(sigma - zeta, 0.0).mean() / (cfg.tau - zeta)), t_hat
+
+
+def buffered_superquantile_se(values, zeta, alpha):
+    """Monte Carlo standard error of the superquantile bound anchored at
+    zeta (risk.buffered_superquantile)."""
+    vals = np.asarray(values, dtype=float)
+    excess = np.maximum(vals - zeta, 0.0)
+    return float(excess.std(ddof=1) / ((1.0 - alpha) * np.sqrt(vals.size)))
+
+
+def reconstruct(decomposition):
+    """Rank-k approximation F V_k^T of the decomposed snapshot matrix."""
+    return decomposition.features @ decomposition.right_vectors.T

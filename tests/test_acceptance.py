@@ -18,7 +18,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import estimate_bpof_tail
+from oracles import (
+    buffered_superquantile_se,
+    estimate_bpof_tail,
+    evaluate_constraints,
+    reconstruct,
+)
 
 from pbfopt import optimize, pipeline, reduction, risk, thermal
 from pbfopt.optimize import OptimizeConfig
@@ -127,7 +132,7 @@ def start_is_feasible(bundle, d0, ocfg):
     )
     sigma = optimize.stress_max_samples(bundle, d0, z)
     _, zeta0 = risk.estimate_bpof_minform(sigma, ocfg.tau)
-    lhs, t_hat = optimize.evaluate_constraints(d0, zeta0, bundle, z, ocfg)
+    lhs, t_hat = evaluate_constraints(d0, zeta0, bundle, z, ocfg)
     return bool(optimize.is_feasible(ocfg, lhs, t_hat))
 
 
@@ -216,7 +221,7 @@ def test_criterion_04_svd_suite():
     rng = np.random.default_rng(104)
     data = rng.normal(size=(30, 12)) + 2.0
     full = reduction.decompose(data, 12)
-    rel = np.linalg.norm(data - reduction.reconstruct(full)) / np.linalg.norm(data)
+    rel = np.linalg.norm(data - reconstruct(full)) / np.linalg.norm(data)
     errs = reduction.error_curve(data, 10)
     k_t = reduction.select_feature_count(CURVE_TEMPERATURE, 0.05, 0.02)
     k_s = reduction.select_feature_count(CURVE_STRESS, 0.05, 0.02)
@@ -382,15 +387,15 @@ def test_criterion_09_validation_protocol(nominal_chain):
         ),
     )
     assert check.q_sim == pytest.approx(
-        pipeline.buffered_superquantile(sig_a, best.zeta_star, alpha), rel=1e-12
+        risk.buffered_superquantile(sig_a, best.zeta_star, alpha), rel=1e-12
     )
     assert check.q_surr == pytest.approx(
-        pipeline.buffered_superquantile(sig_b, best.zeta_star, alpha), rel=1e-12
+        risk.buffered_superquantile(sig_b, best.zeta_star, alpha), rel=1e-12
     )
     se = float(
         np.hypot(
-            pipeline.buffered_superquantile_se(sig_a, best.zeta_star, alpha),
-            pipeline.buffered_superquantile_se(sig_b, best.zeta_star, alpha),
+            buffered_superquantile_se(sig_a, best.zeta_star, alpha),
+            buffered_superquantile_se(sig_b, best.zeta_star, alpha),
         )
     )
     assert abs(check.q_sim - check.q_surr) <= 2.0 * se + 1e-9

@@ -22,6 +22,7 @@ P* = 50.38, E* = 0.21551.
 
 import numpy as np
 import pytest
+from oracles import evaluate_constraints, temperature_max_samples
 
 from pbfopt import optimize, risk, surrogate
 from pbfopt.optimize import (
@@ -29,10 +30,8 @@ from pbfopt.optimize import (
     OptimizeConfig,
     draw_material_samples,
     energy,
-    evaluate_constraints,
     solve,
     stress_max_samples,
-    temperature_max_samples,
 )
 from pbfopt.reduction import ActiveSubspace
 from pbfopt.surrogate import FeatureSurrogate, PolySurrogate, SurrogateBundle

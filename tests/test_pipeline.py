@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import predict_row
+from oracles import buffered_superquantile_se, predict_row
 
 from pbfopt import cli, pipeline, risk
 from pbfopt.optimize import OptimizeConfig, draw_material_samples
@@ -21,8 +21,6 @@ from pbfopt.pipeline import (
     DEFAULT_STARTS,
     INPUT_NAMES,
     PipelineConfig,
-    buffered_superquantile,
-    buffered_superquantile_se,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -36,7 +34,14 @@ from pbfopt.pipeline import (
     simulate_stress_maxima,
     validate,
 )
-from pbfopt.thermal import DESIGN_BOUNDS, RANDOM_INPUT_BOUNDS, DesignPoint
+from pbfopt.risk import buffered_superquantile
+from pbfopt.thermal import (
+    DESIGN_BOUNDS,
+    RANDOM_INPUT_BOUNDS,
+    DesignPoint,
+    ModelParams,
+    SimulationError,
+)
 
 WIDE_WINDOW = (-1.0e9, 1.0e9)
 
@@ -298,6 +303,39 @@ class TestSyntheticTraining:
         doe2, T2, S2 = run_simulations(cfg2)
         T1 = np.loadtxt(Path(cfg_ref.out_dir) / "T.csv", delimiter=",")
         assert np.array_equal(T2, T1)
+
+
+class TestSimulationBatch:
+    """The batch runs the real thermal solver here, not the synthetic rows."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_run_names_stage_index_and_inputs(self, tmp_path, workers):
+        # an absurdly concentrated beam drives the probe past its clamp
+        cfg = PipelineConfig(
+            model=ModelParams(r=0.02, z0=0.01), out_dir=str(tmp_path), workers=workers
+        )
+        z = [[650.0, 825.0, 110.0, 612.0], [700.0, 800.0, 105.0, 600.0]]
+        with pytest.raises(SimulationError) as info:
+            simulate_stress_maxima(cfg, DesignPoint(100.0, 200.0), z)
+        msg = str(info.value)
+        assert msg.startswith(
+            "validation run 0 failed for inputs "
+            "[100.0, 200.0, 650.0, 825.0, 110.0, 612.0]: "
+        )
+        assert "step" in msg
+        assert info.value.step > 0
+
+    def test_workers_match_serial_bit_for_bit(self, tmp_path):
+        z = draw_material_samples(
+            np.array(list(RANDOM_INPUT_BOUNDS.values())), 3, np.random.default_rng(8)
+        )
+        rows = np.column_stack([np.full(3, 1000.0), np.full(3, 20.0), z])
+        cfg = PipelineConfig(out_dir=str(tmp_path))
+        serial = pipeline._run_batch(cfg, rows, "training")
+        pooled = pipeline._run_batch(replace(cfg, workers=2), rows, "training")
+        for (t1, s1), (t2, s2) in zip(serial, pooled, strict=True):
+            assert np.array_equal(t1, t2)
+            assert np.array_equal(s1, s2)
 
 
 @pytest.fixture(scope="module")

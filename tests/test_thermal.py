@@ -186,6 +186,25 @@ class TestSimulate:
         assert np.array_equal(a.temps, b.temps)
         assert np.array_equal(a.peak_field, b.peak_field)
 
+    def test_one_step_snapshots_blend_first_and_last_probe(self):
+        # at this speed the scan is shorter than one stable step, so every
+        # snapshot lies on the line between the initial and final probe;
+        # a wide beam and preheat above chamber make the two differ
+        p = ModelParams(r=1.0)
+        d = DesignPoint(1.0e5, 200.0)
+        z = RandomInputs(T0=700.0, Y=825.0, E=110.0, rho=612.0)
+        grid = SimGridConfig(4, 4, cfl_factor=1.0)
+        times, temps, _, final, xc, zc = thermal._solve_field(d, z, p, grid)
+        dx, dz = p.l / 4, p.h / 4
+        xq, zq = np.array([p.l / 2]), np.array([p.h])
+        probe = [
+            thermal._bilinear(f, xc[0], dx, zc[0], dz, xq, zq)[0]
+            for f in (np.full_like(final, z.T0), final)
+        ]
+        assert abs(probe[1] - probe[0]) > 1e-3
+        s = times / (p.l / d.v)
+        assert temps == pytest.approx((1 - s) * probe[0] + s * probe[1], rel=1e-12)
+
     def test_clamp_aborts_with_step_index(self):
         # concentrate the beam absurdly so the probe overshoots the clamp
         p = ModelParams(r=0.02, z0=0.01)
