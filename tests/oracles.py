@@ -67,12 +67,7 @@ def temperature_max_samples(bundle, d, samples):
     d, one row per material sample (T0, Y, E, rho)."""
     z = np.atleast_2d(np.asarray(samples, dtype=float))
     xi = np.column_stack([np.full(len(z), d.v), np.full(len(z), d.P), z])
-    u = normalize_inputs(xi, bundle.input_bounds)
-    models = bundle.temperature_models
-    features = np.column_stack(
-        [surrogate.predict(m.poly, u @ m.subspace.w1) for m in models]
-    )
-    return (features @ bundle.temperature_vectors.T).max(axis=1)
+    return predict_row(bundle, "temperature", xi).max(axis=0)
 
 
 def evaluate_constraints(d, zeta, bundle, samples, cfg):

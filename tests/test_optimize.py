@@ -145,7 +145,7 @@ class TestSurrogateMaxima:
         rng = np.random.default_rng(43)
         z = draw_material_samples(physical_bounds()[2:], 300, rng)
         d = DesignPoint(v=950.0, P=25.0)
-        got = temperature_max_samples(toy_bundle, d, z)
+        got = optimize._Evaluator(toy_bundle, z).temperature_max(d)
         xi = np.column_stack([np.full(300, d.v), np.full(300, d.P), z])
         u = normalize_rows(xi, physical_bounds())
         assert got == pytest.approx(1690.0 + u @ TEMP_COEFFS, abs=1e-9)
@@ -175,6 +175,8 @@ class TestEvaluateConstraints:
         assert lhs == pytest.approx(want, rel=1e-12)
         temps = temperature_max_samples(toy_bundle, d, z)
         assert t_hat == pytest.approx(temps.mean(), rel=1e-12)
+        solver_temps = optimize._Evaluator(toy_bundle, z).temperature_max(d)
+        assert t_hat == pytest.approx(solver_temps.mean(), rel=1e-12)
 
     def test_pof_mode_counts_exceedances(self, toy_bundle):
         cfg = OptimizeConfig(tau=705.0, constraint_kind="pof")
@@ -185,6 +187,7 @@ class TestEvaluateConstraints:
         lhs, _ = evaluate_constraints(d, 0.0, toy_bundle, z, cfg)
         sigma = stress_max_samples(toy_bundle, d, z)
         assert lhs == pytest.approx(np.mean(sigma > 705.0))
+        assert optimize._risk_at_best_zeta(sigma, cfg)[0] == lhs
 
     def test_zeta_at_or_above_tau_rejected(self, toy_bundle):
         cfg = OptimizeConfig()
@@ -195,6 +198,13 @@ class TestEvaluateConstraints:
             evaluate_constraints(
                 DesignPoint(v=300.0, P=100.0), cfg.tau, toy_bundle, z, cfg
             )
+        # the solver clamps its zeta below tau when tau is the sample maximum
+        d = DesignPoint(v=300.0, P=100.0)
+        sigma = stress_max_samples(toy_bundle, d, z)
+        cfg = OptimizeConfig(tau=float(sigma.max()))
+        _, zeta = optimize._risk_at_best_zeta(sigma, cfg)
+        assert zeta < cfg.tau
+        evaluate_constraints(d, zeta, toy_bundle, z, cfg)
 
     def test_empty_samples_rejected(self, toy_bundle):
         with pytest.raises(ValueError, match="empty"):
