@@ -130,15 +130,7 @@ def draw_material_samples(bounds, n: int, rng) -> np.ndarray:
 
 
 def _samples_to_array(samples) -> np.ndarray:
-    if isinstance(samples, np.ndarray):
-        z = samples
-    else:
-        seq = list(samples)
-        if seq and hasattr(seq[0], "T0"):
-            z = np.array([[s.T0, s.Y, s.E, s.rho] for s in seq], dtype=float)
-        else:
-            z = np.asarray(seq, dtype=float)
-    z = np.atleast_2d(np.asarray(z, dtype=float))
+    z = np.atleast_2d(np.asarray(samples, dtype=float))
     if z.size == 0:
         raise ValueError("empty sample set")
     if z.ndim != 2 or z.shape[1] != 4:
@@ -220,7 +212,7 @@ class _Evaluator:
             rows = slice(start, start + _CHUNK)
             g = np.column_stack(
                 [
-                    np.atleast_1d(surrogate.predict(poly, z_part[rows] + u_d @ w_d))
+                    surrogate.predict(poly, z_part[rows] + u_d @ w_d)
                     for w_d, z_part, poly in pre
                 ]
             )
@@ -234,23 +226,26 @@ class _Evaluator:
         return self._max_rows(self._temp, d)
 
 
-def _temp_scale(cfg: OptimizeConfig) -> float:
+def _margins(cfg: OptimizeConfig, lhs, t_hat) -> np.ndarray:
+    """Scaled constraint slack, non-negative where a constraint holds: the
+    risk budget left over as a fraction of the budget, then the distances
+    of t_hat above the window's lower edge and below its upper edge in
+    window widths.  On arrays the three margins run along the last axis."""
+    budget = 1.0 - cfg.alpha_t
     lo, hi = cfg.temp_window
-    return (hi - lo) if np.isfinite(hi - lo) else 1.0
+    scale = (hi - lo) if np.isfinite(hi - lo) else 1.0
+    return np.stack(
+        [(budget - lhs) / budget, (t_hat - lo) / scale, (hi - t_hat) / scale],
+        axis=-1,
+    )
 
 
 def is_feasible(cfg: OptimizeConfig, lhs, t_hat):
     """Whether risk values lhs and mean maximum temperatures t_hat meet
-    both constraints within cfg.constraint_tol; elementwise on arrays."""
-    tol = cfg.constraint_tol
-    lo, hi = cfg.temp_window
-    scale = _temp_scale(cfg)
-    lhs, t_hat = np.asarray(lhs), np.asarray(t_hat)
-    return (
-        (lhs <= (1.0 - cfg.alpha_t) + tol)
-        & (t_hat >= lo - tol * scale)
-        & (t_hat <= hi + tol * scale)
-    )
+    both constraints within cfg.constraint_tol (absolute on lhs, in
+    window widths on t_hat); elementwise on arrays."""
+    tol = cfg.constraint_tol * np.array([1.0 / (1.0 - cfg.alpha_t), 1.0, 1.0])
+    return np.all(_margins(cfg, lhs, t_hat) >= -tol, axis=-1)
 
 
 def _nelder_mead(fun, x0: np.ndarray, step: float, max_iters: int) -> None:
@@ -308,28 +303,22 @@ class _SolveState:
         box = np.array([cfg.v_bounds, cfg.p_bounds], dtype=float)
         self.box_mid = 0.5 * (box[:, 0] + box[:, 1])
         self.box_half = 0.5 * (box[:, 1] - box[:, 0])
-        self.temp_scale = _temp_scale(cfg)
 
     def assess(self, x: np.ndarray):
         """Evaluate one solver point (v, P) in box coordinates; records
         history and incumbents.  Returns the energy, the scaled constraint
-        violations and the constraint values (lhs, t_hat)."""
+        violations (the negative part of _margins, then the distance
+        outside the box) and the constraint margins."""
         cfg = self.cfg
         xc = np.clip(x, -1.0, 1.0)  # the evaluated design lives at the clip
         v, p = self.box_mid + self.box_half * xc
         d = DesignPoint(v=v, P=p)
         lhs, zeta = _risk_at_best_zeta(self.ev.stress_max(d), cfg)
         t_hat = float(self.ev.temperature_max(d).mean())
-        e = p * cfg.scan_length / v
-        budget = 1.0 - cfg.alpha_t
-        lo, hi = cfg.temp_window
-        viol = np.array(
-            [
-                max(0.0, lhs - budget) / budget,
-                max(0.0, lo - t_hat, t_hat - hi) / self.temp_scale,
-                float(np.linalg.norm(np.maximum(np.abs(x) - 1.0, 0.0))),
-            ]
-        )
+        e = energy(d, cfg.scan_length)
+        margins = _margins(cfg, lhs, t_hat)
+        box = float(np.linalg.norm(np.maximum(np.abs(x) - 1.0, 0.0)))
+        viol = np.append(np.maximum(-margins, 0.0), box)
         row = [v, p, zeta, e, lhs, t_hat]
         self.history.append(row)
         total_viol = float(viol.sum())
@@ -339,7 +328,7 @@ class _SolveState:
         key = (total_viol, e)
         if self.least_infeasible is None or key < self.least_infeasible[:2]:
             self.least_infeasible = (total_viol, e, xc, row)
-        return e, viol, lhs, t_hat
+        return e, viol, margins
 
     def _is_feasible(self, lhs, t_hat):
         return is_feasible(self.cfg, lhs, t_hat)
@@ -372,7 +361,7 @@ def solve(
             w = weight
 
             def penalized(x):
-                e, viol, _, _ = state.assess(x)
+                e, viol, _ = state.assess(x)
                 return e + w * float(viol @ viol)
 
             _nelder_mead(penalized, start, 0.25, cfg.max_iters)
@@ -388,12 +377,11 @@ def solve(
 
     feasible = state.best_feasible is not None
     row = state.best_feasible[2] if feasible else state.least_infeasible[3]
-    v, p, zeta_star, _, lhs, t_hat = row
-    d_star = DesignPoint(v=v, P=p)
+    v, p, zeta_star, e, lhs, t_hat = row
     return OptimizationResult(
-        d_star=d_star,
+        d_star=DesignPoint(v=v, P=p),
         zeta_star=float(zeta_star),
-        energy=energy(d_star, cfg.scan_length),
+        energy=float(e),
         bpof_lhs=float(lhs),
         t_max_hat=float(t_hat),
         iterations=len(state.history),
@@ -410,13 +398,8 @@ def _cobyla_run(state: _SolveState, x0: np.ndarray, cfg: OptimizeConfig) -> None
     def assessed(x: tuple):
         return state.assess(np.array(x))
 
-    budget = 1.0 - cfg.alpha_t
-    lo, hi = cfg.temp_window
-
     def margins(x):
-        _, _, lhs, t_hat = assessed(tuple(x))
-        window = np.array([t_hat - lo, hi - t_hat]) / state.temp_scale
-        return np.concatenate([[budget - lhs], window, 1.0 - x, x + 1.0])
+        return np.concatenate([assessed(tuple(x))[2], 1.0 - x, x + 1.0])
 
     minimize(
         lambda x: assessed(tuple(x))[0],

@@ -71,7 +71,6 @@ __all__ = [
     "config_from_dict",
     "config_hash",
     "load_config",
-    "save_config",
     "default_input_bounds",
     "generate_doe",
     "run_simulations",
@@ -104,9 +103,7 @@ class PipelineConfig:
     """Full study configuration; the defaults reproduce the nominal setup.
 
     c_r scales the elastic stress estimate for the training and
-    validation simulations (the stress module's own default is a
-    standalone choice; the pipeline uses a softer value so the nominal
-    risk budget admits a feasible design region).
+    validation simulations.
     """
 
     M: int = 120
@@ -316,10 +313,6 @@ def load_config(path) -> PipelineConfig:
         return config_from_dict(json.load(f))
 
 
-def save_config(cfg: PipelineConfig, path) -> None:
-    _write_json(config_to_dict(cfg), path)
-
-
 def _write_json(doc: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
@@ -416,7 +409,7 @@ def _simulate_rows(cfg: PipelineConfig, xi: np.ndarray):
     d = DesignPoint(v=float(xi[0]), P=float(xi[1]))
     z = RandomInputs(T0=float(xi[2]), Y=float(xi[3]), E=float(xi[4]), rho=float(xi[5]))
     snap = simulate(d, z, cfg.model, cfg.grid)
-    stress = residual_stress(snap, z, cfg.model, c_r=cfg.c_r)
+    stress = residual_stress(snap, z, cfg.c_r)
     return snap.temps, field_to_row(stress.grid)
 
 
@@ -609,6 +602,9 @@ def validate(
     """
     if not np.array_equal(b.input_bounds, cfg.input_bounds):
         raise ValueError("bundle bounds do not match the configuration")
+    # the surrogate side rejects a design outside the training box; say so
+    # before the simulations run
+    normalize_inputs(np.array([d_star.v, d_star.P]), cfg.input_bounds[:2])
     alpha = cfg.optimize.alpha_t
     z_val = draw_material_samples(
         cfg.input_bounds[2:], cfg.n_val, np.random.default_rng(cfg.seed_validation)

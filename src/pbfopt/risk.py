@@ -48,7 +48,7 @@ class RiskEstimate:
 
 
 def _as_samples(values) -> np.ndarray:
-    vals = np.asarray(getattr(values, "values", values), dtype=float).ravel()
+    vals = np.asarray(values, dtype=float).ravel()
     if vals.size < 1:
         raise ValueError("sample set must contain at least one value")
     if not np.isfinite(vals).all():

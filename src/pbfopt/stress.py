@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .thermal import STRESS_GRID_SHAPE, ModelParams, RandomInputs, TemperatureSnapshot
+from .thermal import STRESS_GRID_SHAPE, RandomInputs, TemperatureSnapshot
 
 __all__ = ["StressField", "residual_stress", "field_to_row"]
 
-DEFAULT_ALPHA_T = 1e-5  # thermal expansion coefficient, 1/K
+ALPHA_T = 1e-5  # thermal expansion coefficient, 1/K
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,13 @@ class StressField:
 
 
 def residual_stress(snapshot: TemperatureSnapshot, z: RandomInputs,
-                    p: ModelParams, c_r: float = 0.8,
-                    alpha_t: float = DEFAULT_ALPHA_T) -> StressField:
+                    c_r: float) -> StressField:
     """Elastic-perfectly-plastic stress from the peak-temperature field.
 
-    Per grid point: sigma = min(Y, c_r * E_MPa * alpha_t * max(0, T_peak - T0)).
-    c_r is a configuration knob (not physics) scaling the elastic estimate.
+    Per grid point: sigma = min(Y, c_r * E_MPa * ALPHA_T * max(0, T_peak - T0)),
+    with the thermal expansion coefficient ALPHA_T fixed.  c_r is a
+    configuration knob (not physics) scaling the elastic estimate; the
+    pipeline passes PipelineConfig.c_r.
     """
     peak = np.asarray(snapshot.peak_field, dtype=float)
     if peak.shape != STRESS_GRID_SHAPE:
@@ -48,9 +49,7 @@ def residual_stress(snapshot: TemperatureSnapshot, z: RandomInputs,
         raise ValueError("yield strength and elastic modulus must be positive")
     if not 0.0 < c_r <= 1.0:
         raise ValueError("constraint factor c_r must lie in (0, 1]")
-    if alpha_t <= 0:
-        raise ValueError("thermal expansion coefficient must be positive")
-    elastic = c_r * (z.E * 1000.0) * alpha_t * np.maximum(peak - z.T0, 0.0)
+    elastic = c_r * (z.E * 1000.0) * ALPHA_T * np.maximum(peak - z.T0, 0.0)
     grid = np.minimum(z.Y, elastic)
     return StressField(grid=grid, sigma_max=float(grid.max()))
 

@@ -171,29 +171,17 @@ def fit_best_degree(etas, values, max_degree: int = MAX_DEGREE) -> PolySurrogate
     return fits[-1]
 
 
-def predict(s: PolySurrogate, eta):
-    """Evaluate the polynomial; scalar for one point, vector for a batch."""
-    e = np.asarray(eta, dtype=float)
-    single = e.ndim <= 1
-    if e.ndim == 0:
-        e = e[None, None]
-    elif e.ndim == 1:
-        # one r-vector, except in one variable where it may be a batch
-        e = e[:, None] if s.n_vars == 1 else e[None, :]
-        single = s.n_vars != 1 or e.shape[0] == 1
+def predict(s: PolySurrogate, eta) -> np.ndarray:
+    """Evaluate the polynomial at n points, given as fit takes them: an
+    (n, r) array, or a 1-D array of n points in one variable.  Always
+    returns an (n,) array."""
+    e = _check_etas(eta)
     if e.shape[1] != s.n_vars:
         raise ValueError(
             f"expected {s.n_vars} active variables, got {e.shape[1]}"
         )
-    if s.n_vars == 1:
-        # coefficients are ascending powers, so Horner applies directly
-        out = np.polynomial.polynomial.polyval(e[:, 0], s.coefficients)
-    else:
-        out = (
-            _design_matrix(e, monomial_exponents(s.n_vars, s.degree))
-            @ s.coefficients
-        )
-    return float(out[0]) if single and out.size == 1 else out
+    exps = monomial_exponents(s.n_vars, s.degree)
+    return _design_matrix(e, exps) @ s.coefficients
 
 
 @dataclass(frozen=True)

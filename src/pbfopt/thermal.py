@@ -177,8 +177,6 @@ def material_props(T, p: ModelParams):
     T = np.asarray(T, dtype=float)
     cp = p.a0 + p.a1 * T + p.a2 * T**2
     kap = p.b0 + p.b1 * T + p.b2 * T**2
-    if cp.ndim == 0:
-        return float(cp), float(kap)
     return cp, kap
 
 
@@ -238,10 +236,8 @@ def _bilinear_cell(shape, x0: float, dx: float, z0c: float, dz: float, xq, zq):
     return i0, j0, fx - i0, fz - j0
 
 
-def _bilinear(field: np.ndarray, x0: float, dx: float, z0c: float, dz: float,
-              xq: np.ndarray, zq: np.ndarray) -> np.ndarray:
-    """Sample a cell-centered field at (xq, zq) with clamped-edge bilinear."""
-    i0, j0, wx, wz = _bilinear_cell(field.shape, x0, dx, z0c, dz, xq, zq)
+def _bilinear(field: np.ndarray, i0, j0, wx, wz):
+    """Bilinear blend of a field at the points of a _bilinear_cell lookup."""
     return (
         field[i0, j0] * (1 - wx) * (1 - wz)
         + field[i0 + 1, j0] * wx * (1 - wz)
@@ -302,10 +298,9 @@ def _solve_field(d: DesignPoint, z: RandomInputs, p: ModelParams,
 
     # the probe at the center of the top surface keeps one cell and one
     # set of bilinear weights for the whole run
-    i, j, wx, wz = _bilinear_cell(T.shape, xc[0], dx, zc[0], dz, p.l / 2.0, p.h)
-    probe_w = np.outer([1 - wx, wx], [1 - wz, wz])
+    cell = _bilinear_cell(T.shape, xc[0], dx, zc[0], dz, p.l / 2.0, p.h)
     trace = np.empty(n_steps + 1)  # probe temperature at each step's end
-    trace[0] = np.vdot(probe_w, T[i : i + 2, j : j + 2])
+    trace[0] = _bilinear(T, *cell)
 
     for step in range(1, n_steps + 1):
         t_old = (step - 1) * dt
@@ -329,7 +324,7 @@ def _solve_field(d: DesignPoint, z: RandomInputs, p: ModelParams,
         T = T + dt * rate / (rho * cp)
         np.maximum(peak, T, out=peak)
 
-        probe = trace[step] = np.vdot(probe_w, T[i : i + 2, j : j + 2])
+        probe = trace[step] = _bilinear(T, *cell)
         if not clamp_lo <= probe <= clamp_hi:  # also catches nan
             raise SimulationError(
                 f"probe temperature {probe:.1f} degC outside "
@@ -363,8 +358,8 @@ def simulate(d: DesignPoint, z: RandomInputs, p: ModelParams | None = None,
     sz = np.linspace(0.0, p.h, nsz)
     xq, zq = np.meshgrid(sx, sz, indexing="ij")
     dx, dz = p.l / grid.cells_x, p.h / grid.cells_z
-    peak_field = _bilinear(peak, xc[0], dx, zc[0], dz, xq.ravel(), zq.ravel())
-    peak_field = peak_field.reshape(nsx, nsz)
+    cell = _bilinear_cell(peak.shape, xc[0], dx, zc[0], dz, xq, zq)
+    peak_field = _bilinear(peak, *cell)
     return TemperatureSnapshot(
         times=times, temps=temps, t_scan=p.l / d.v, peak_field=peak_field
     )

@@ -55,11 +55,14 @@ def estimate_bpof_tail(values, alpha):
 
 def predict_row(bundle, side, xi):
     """Full predicted output row of one side ("temperature" or "stress")
-    at one raw input vector: feature predictions times right vectors."""
-    u = normalize_inputs(xi, bundle.input_bounds)
+    at one raw input vector: feature predictions times right vectors.  An
+    (n, 6) batch of raw inputs gives one column per input."""
+    xi = np.asarray(xi, dtype=float)
+    u = normalize_inputs(np.atleast_2d(xi), bundle.input_bounds)
     models = getattr(bundle, f"{side}_models")
     features = [surrogate.predict(m.poly, u @ m.subspace.w1) for m in models]
-    return getattr(bundle, f"{side}_vectors") @ np.array(features)
+    rows = getattr(bundle, f"{side}_vectors") @ np.array(features)
+    return rows[:, 0] if xi.ndim == 1 else rows
 
 
 def temperature_max_samples(bundle, d, samples):

@@ -35,7 +35,7 @@ from pbfopt.optimize import (
 )
 from pbfopt.reduction import ActiveSubspace
 from pbfopt.surrogate import FeatureSurrogate, PolySurrogate, SurrogateBundle
-from pbfopt.thermal import DESIGN_BOUNDS, RANDOM_INPUT_BOUNDS, DesignPoint, RandomInputs
+from pbfopt.thermal import DESIGN_BOUNDS, RANDOM_INPUT_BOUNDS, DesignPoint
 
 WINDOW_ENERGY = 40.0 / (550.0 - 450.0 * 32.0 / 42.0)  # 0.193103...
 RISK_ENERGY = 2.0 * 50.375 / 467.5  # 0.215508...
@@ -149,16 +149,6 @@ class TestSurrogateMaxima:
         xi = np.column_stack([np.full(300, d.v), np.full(300, d.P), z])
         u = normalize_rows(xi, physical_bounds())
         assert got == pytest.approx(1690.0 + u @ TEMP_COEFFS, abs=1e-9)
-
-    def test_accepts_random_inputs_objects(self, toy_bundle):
-        rng = np.random.default_rng(44)
-        z = draw_material_samples(physical_bounds()[2:], 20, rng)
-        objs = [RandomInputs(T0=r[0], Y=r[1], E=r[2], rho=r[3]) for r in z]
-        d = DesignPoint(v=500.0, P=100.0)
-        assert np.array_equal(
-            stress_max_samples(toy_bundle, d, z),
-            stress_max_samples(toy_bundle, d, objs),
-        )
 
 
 class TestEvaluateConstraints:

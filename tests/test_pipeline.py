@@ -30,7 +30,6 @@ from pbfopt.pipeline import (
     run_optimization,
     run_simulations,
     run_training,
-    save_config,
     simulate_stress_maxima,
     validate,
 )
@@ -164,7 +163,7 @@ class TestConfigSerialization:
     def test_file_round_trip(self, tmp_path):
         cfg = PipelineConfig(M=50, seed_mc=77)
         path = tmp_path / "cfg.json"
-        save_config(cfg, path)
+        path.write_text(json.dumps(config_to_dict(cfg)))
         assert config_hash(load_config(path)) == config_hash(cfg)
 
     def test_malformed_file_raises(self, tmp_path):
@@ -449,6 +448,22 @@ class TestValidation:
                     "tau", "alpha_t", "n_val", "n_mc", "self_check",
                     "config_hash", "schema_version"):
             assert key in doc
+
+    def test_design_outside_training_box_rejected_before_simulating(
+        self, trained, monkeypatch
+    ):
+        cfg, bundle = trained
+        batches = []
+        run_batch = pipeline._run_batch
+
+        def counting(*args):
+            batches.append(args)
+            return run_batch(*args)
+
+        monkeypatch.setattr(pipeline, "_run_batch", counting)
+        with pytest.raises(ValueError, match="outside bounds"):
+            validate(DesignPoint(v=50.0, P=100.0), 600.0, bundle, cfg)
+        assert batches == []
 
     def test_bundle_config_mismatch_rejected(self, trained):
         cfg, bundle = trained

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pbfopt import stress, thermal
-from pbfopt.thermal import ModelParams, RandomInputs, TemperatureSnapshot
+from pbfopt.thermal import RandomInputs, TemperatureSnapshot
 
 
 def make_snapshot(peak):
@@ -15,13 +15,14 @@ def make_snapshot(peak):
 
 
 NX, NZ = thermal.STRESS_GRID_SHAPE
-P = ModelParams()
 
 
 class TestResidualStress:
     def test_uniform_peak_gives_zero(self):
         z = RandomInputs(650.0, 825.0, 110.0, 612.0)
-        f = stress.residual_stress(make_snapshot(np.full((NX, NZ), 650.0)), z, P)
+        f = stress.residual_stress(
+            make_snapshot(np.full((NX, NZ), 650.0)), z, c_r=0.8
+        )
         assert np.all(f.grid == 0.0)
         assert f.sigma_max == 0.0
 
@@ -30,10 +31,10 @@ class TestResidualStress:
         z = RandomInputs(650.0, 800.0, 110.0, 612.0)
         peak = np.full((NX, NZ), 650.0)
         peak[5, 3] = 1650.0
-        f = stress.residual_stress(make_snapshot(peak), z, P, c_r=0.8)
+        f = stress.residual_stress(make_snapshot(peak), z, c_r=0.8)
         assert f.grid[5, 3] == pytest.approx(800.0)  # capped at Y
         z_strong = RandomInputs(650.0, 907.5, 110.0, 612.0)
-        f2 = stress.residual_stress(make_snapshot(peak), z_strong, P, c_r=0.8)
+        f2 = stress.residual_stress(make_snapshot(peak), z_strong, c_r=0.8)
         assert f2.grid[5, 3] == pytest.approx(880.0)  # below yield now
 
     def test_linear_in_cr_below_yield(self):
@@ -41,15 +42,15 @@ class TestResidualStress:
         z = RandomInputs(650.0, 9000.0, 110.0, 612.0)  # yield far away
         peak = 650.0 + 500.0 * rng.uniform(size=(NX, NZ))
         snap = make_snapshot(peak)
-        f1 = stress.residual_stress(snap, z, P, c_r=0.3)
-        f2 = stress.residual_stress(snap, z, P, c_r=0.6)
+        f1 = stress.residual_stress(snap, z, c_r=0.3)
+        f2 = stress.residual_stress(snap, z, c_r=0.6)
         assert np.allclose(f2.grid, 2.0 * f1.grid, rtol=1e-12)
 
     def test_cap_never_exceeded(self):
         rng = np.random.default_rng(2)
         z = RandomInputs(600.0, 742.5, 120.0, 612.0)
         peak = 600.0 + 2000.0 * rng.uniform(size=(NX, NZ))
-        f = stress.residual_stress(make_snapshot(peak), z, P, c_r=1.0)
+        f = stress.residual_stress(make_snapshot(peak), z, c_r=1.0)
         assert np.all(f.grid <= z.Y + 1e-12)
         assert np.all(f.grid >= 0.0)
 
@@ -58,8 +59,8 @@ class TestResidualStress:
         z = RandomInputs(650.0, 825.0, 110.0, 612.0)
         peak = 650.0 + 1000.0 * rng.uniform(size=(NX, NZ))
         hotter = peak + 50.0 * rng.uniform(size=(NX, NZ))
-        f1 = stress.residual_stress(make_snapshot(peak), z, P)
-        f2 = stress.residual_stress(make_snapshot(hotter), z, P)
+        f1 = stress.residual_stress(make_snapshot(peak), z, c_r=0.8)
+        f2 = stress.residual_stress(make_snapshot(hotter), z, c_r=0.8)
         assert np.all(f2.grid >= f1.grid - 1e-12)
 
     def test_sigma_max_monotone_in_modulus_below_yield(self):
@@ -68,7 +69,7 @@ class TestResidualStress:
         snap = make_snapshot(peak)
         maxima = [
             stress.residual_stress(
-                snap, RandomInputs(650.0, 5000.0, e, 612.0), P, c_r=0.5
+                snap, RandomInputs(650.0, 5000.0, e, 612.0), c_r=0.5
             ).sigma_max
             for e in (100.0, 110.0, 120.0)
         ]
@@ -77,13 +78,15 @@ class TestResidualStress:
     def test_shape_and_value_errors(self):
         z = RandomInputs(650.0, 825.0, 110.0, 612.0)
         with pytest.raises(ValueError, match="shape"):
-            stress.residual_stress(make_snapshot(np.zeros((5, 5))), z, P)
+            stress.residual_stress(make_snapshot(np.zeros((5, 5))), z, c_r=0.8)
         bad = RandomInputs(650.0, -1.0, 110.0, 612.0)
         with pytest.raises(ValueError, match="positive"):
-            stress.residual_stress(make_snapshot(np.full((NX, NZ), 650.0)), bad, P)
+            stress.residual_stress(
+                make_snapshot(np.full((NX, NZ), 650.0)), bad, c_r=0.8
+            )
         with pytest.raises(ValueError, match="c_r"):
             stress.residual_stress(
-                make_snapshot(np.full((NX, NZ), 650.0)), z, P, c_r=0.0
+                make_snapshot(np.full((NX, NZ), 650.0)), z, c_r=0.0
             )
 
 
@@ -92,14 +95,16 @@ class TestMaxStress:
 
     def test_zero_field(self):
         z = RandomInputs(650.0, 825.0, 110.0, 612.0)
-        f = stress.residual_stress(make_snapshot(np.full((NX, NZ), 600.0)), z, P)
+        f = stress.residual_stress(
+            make_snapshot(np.full((NX, NZ), 600.0)), z, c_r=0.8
+        )
         assert f.sigma_max == 0.0
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(4)
         peak = rng.uniform(650.0, 1800.0, size=(NX, NZ))
         z = RandomInputs(650.0, 825.0, 110.0, 612.0)
-        f = stress.residual_stress(make_snapshot(peak), z, P)
+        f = stress.residual_stress(make_snapshot(peak), z, c_r=0.8)
         brute = max(f.grid[i, j] for i in range(NX) for j in range(NZ))
         assert f.sigma_max == brute
 

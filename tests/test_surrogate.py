@@ -74,7 +74,7 @@ class TestFit:
         vals = 1.5 - etas[:, 0] * etas[:, 1]
         s = surrogate.fit(etas, vals, 2)
         assert s.r2 == pytest.approx(1.0, abs=1e-12)
-        assert surrogate.predict(s, [0.5, -0.4]) == pytest.approx(1.7, abs=1e-10)
+        assert surrogate.predict(s, [[0.5, -0.4]])[0] == pytest.approx(1.7, abs=1e-10)
 
     def test_r2_nested_degrees_monotone(self):
         rng = np.random.default_rng(62)
@@ -150,8 +150,8 @@ class TestPredict:
         s = surrogate.PolySurrogate(
             n_vars=1, degree=0, coefficients=np.array([4.25]), r2=1.0
         )
-        assert surrogate.predict(s, 0.0) == 4.25
-        assert surrogate.predict(s, 0.9) == 4.25
+        assert surrogate.predict(s, [[0.0]])[0] == 4.25
+        assert surrogate.predict(s, [[0.9]])[0] == 4.25
         assert surrogate.predict(s, np.linspace(-1, 1, 7)) == pytest.approx(
             np.full(7, 4.25)
         )
@@ -171,7 +171,7 @@ class TestPredict:
         s = surrogate.fit(eta, vals, 5)
         for x in (-0.95, -0.3, 0.0, 0.51, 0.99):
             expected = horner_eval(list(s.coefficients), x)
-            assert surrogate.predict(s, x) == pytest.approx(expected, abs=1e-12)
+            assert surrogate.predict(s, [[x]])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_multivariate_matches_direct_oracle(self):
         rng = np.random.default_rng(65)
@@ -184,7 +184,7 @@ class TestPredict:
         )
         s = surrogate.fit(etas, vals, 3)
         for eta in etas[:10]:
-            assert surrogate.predict(s, eta) == pytest.approx(
+            assert surrogate.predict(s, eta[None, :])[0] == pytest.approx(
                 direct_eval(s, eta), abs=1e-12
             )
 
@@ -194,6 +194,24 @@ class TestPredict:
         )
         with pytest.raises(ValueError, match="active variables"):
             surrogate.predict(s, np.zeros((4, 3)))
+
+    def test_one_dimensional_input_is_one_variable(self):
+        # a 1-D array holds n points in one variable, never one r-vector
+        s = surrogate.PolySurrogate(
+            n_vars=2, degree=1, coefficients=np.zeros(3), r2=0.0
+        )
+        with pytest.raises(ValueError, match="active variables"):
+            surrogate.predict(s, np.array([0.5, -0.4]))
+
+    @pytest.mark.parametrize("n_vars, degree", [(1, 5), (2, 3), (3, 2)])
+    def test_fit_r2_is_score_of_predict(self, n_vars, degree):
+        # fit scores the same design-matrix product that predict returns;
+        # with seed 27 a separate one-variable Horner path differs in r2
+        rng = np.random.default_rng(27)
+        etas = rng.uniform(-1, 1, size=(40, n_vars))
+        vals = np.sin(3.0 * etas).sum(axis=1) + 0.1 * rng.normal(size=40)
+        s = surrogate.fit(etas, vals, degree)
+        assert s.r2 == surrogate.r2_score(vals, surrogate.predict(s, etas))
 
 
 class TestPolySurrogateValidation:

@@ -197,8 +197,9 @@ class TestSimulate:
         times, temps, _, final, xc, zc = thermal._solve_field(d, z, p, grid)
         dx, dz = p.l / 4, p.h / 4
         xq, zq = np.array([p.l / 2]), np.array([p.h])
+        cell = thermal._bilinear_cell(final.shape, xc[0], dx, zc[0], dz, xq, zq)
         probe = [
-            thermal._bilinear(f, xc[0], dx, zc[0], dz, xq, zq)[0]
+            thermal._bilinear(f, *cell)[0]
             for f in (np.full_like(final, z.T0), final)
         ]
         assert abs(probe[1] - probe[0]) > 1e-3
