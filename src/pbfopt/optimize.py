@@ -41,7 +41,6 @@ CONSTRAINT_POF = "pof"
 HISTORY_COLUMNS = ("v", "P", "zeta", "energy", "bpof_lhs", "t_max_hat")
 
 DEFAULT_LIQUIDUS = 1650.0
-_CHUNK = 4096
 _SIMPLEX_TOL = 1e-4
 
 
@@ -160,6 +159,25 @@ def _risk_at_best_zeta(sigma: np.ndarray, cfg: OptimizeConfig):
     return bpof, zeta
 
 
+def _planar_hull(points: np.ndarray) -> np.ndarray:
+    """Ascending indices of the convex hull vertices of planar points
+    (Andrew's monotone chain); collinear and repeated points are not vertices."""
+    def turns_left(a, b, c):  # cross product of b - a and c - a is positive
+        return ((b - a).conjugate() * (c - a)).imag > 0.0
+
+    z = (points[:, 0] + 1j * points[:, 1]).tolist()
+    order = np.lexsort((points[:, 1], points[:, 0])).tolist()
+    hull: list[int] = []
+    for chain in (order, order[::-1]):  # lower hull, then upper hull
+        kept: list[int] = []
+        for i in chain:
+            while len(kept) > 1 and not turns_left(z[kept[-2]], z[kept[-1]], z[i]):
+                kept.pop()
+            kept.append(i)
+        hull += kept[:-1]
+    return np.unique(hull)
+
+
 def _hull_columns(vectors: np.ndarray) -> np.ndarray:
     """Rows of `vectors` that can attain a rowwise max of g @ vectors.T.
 
@@ -170,6 +188,9 @@ def _hull_columns(vectors: np.ndarray) -> np.ndarray:
     n, k = vectors.shape
     if k == 1:
         return np.unique([int(np.argmin(vectors)), int(np.argmax(vectors))])
+    if k == 2:
+        keep = _planar_hull(vectors)
+        return keep if keep.size > 2 else np.arange(n)
     # imported here: scipy.spatial costs about 10 MB of resident memory
     from scipy.spatial import ConvexHull, QhullError
 
@@ -183,9 +204,10 @@ class _Evaluator:
     """Per-sample surrogate maxima at any design on one fixed set of draws.
 
     A design only shifts each feature's active variables by u_d @ w1[:2],
-    so the material part u_z @ w1[2:] is projected once.  Only the convex
-    hull rows of the right vectors can win the row-wise max, so the others
-    are dropped; rows are processed in _CHUNK blocks to bound memory.
+    so the monomial basis of the material part u_z @ w1[2:] is built once,
+    n_mc x (coefficients over all features) x 8 bytes, and each design folds
+    its shift into the coefficients.  The max runs over the right vectors'
+    convex hull rows alone: no other row can win it.
     """
 
     def __init__(self, b: surrogate.SurrogateBundle, samples):
@@ -193,30 +215,22 @@ class _Evaluator:
         u_z = normalize_inputs(_samples_to_array(samples), b.input_bounds[2:])
 
         def prepare(models, vectors):
-            keep = _hull_columns(vectors)
-            pre = [
-                (m.subspace.w1[:2], u_z @ m.subspace.w1[2:], m.poly)
-                for m in models
+            bases = [
+                (m, surrogate.basis(m.poly, u_z @ m.subspace.w1[2:])) for m in models
             ]
-            return pre, vectors[keep]
+            return bases, vectors[_hull_columns(vectors)]
 
         self._stress = prepare(b.stress_models, b.stress_vectors)
         self._temp = prepare(b.temperature_models, b.temperature_vectors)
 
     def _max_rows(self, side, d: DesignPoint) -> np.ndarray:
-        pre, vectors = side
+        bases, vectors = side
         u_d = normalize_inputs(np.array([d.v, d.P]), self._design_bounds)
-        n = pre[0][1].shape[0]
-        out = np.empty(n)
-        for start in range(0, n, _CHUNK):
-            rows = slice(start, start + _CHUNK)
-            g = np.column_stack(
-                [
-                    surrogate.predict(poly, z_part[rows] + u_d @ w_d)
-                    for w_d, z_part, poly in pre
-                ]
-            )
-            out[rows] = (g @ vectors.T).max(axis=1)
+        shift = surrogate.shift_coefficients
+        g = np.stack([a @ shift(m.poly, u_d @ m.subspace.w1[:2]) for m, a in bases])
+        out = vectors[0] @ g
+        for v in vectors[1:]:  # column-wise max, one n-length row at a time
+            np.maximum(out, v @ g, out=out)
         return out
 
     def stress_max(self, d: DesignPoint) -> np.ndarray:

@@ -138,15 +138,15 @@ def estimate_bpof_minform(values, tau: float) -> tuple[float, float]:
     if not np.isfinite(tau):
         raise ValueError("tau must be finite")
     tau = float(tau)
-    g = np.sort(vals)
-    gmin, gmax = float(g[0]), float(g[-1])
-    gmean = float(np.mean(g))
+    gmin, gmax = float(vals.min()), float(vals.max())
     if gmax == gmin:
         if tau <= gmax:
             return 1.0, tau - 1.0
         return 0.0, gmax
     if tau >= gmax:
         return 0.0, gmax
+    g = np.sort(vals)
+    gmean = float(np.mean(g))
     if tau <= gmean:
         return 1.0, tau - (gmax - gmin)
     span = gmax - gmin

@@ -28,6 +28,8 @@ __all__ = [
     "fit",
     "fit_best_degree",
     "predict",
+    "basis",
+    "shift_coefficients",
     "r2_score",
     "bundle_to_dict",
     "bundle_from_dict",
@@ -55,6 +57,18 @@ def monomial_exponents(n_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
                 e[i] += 1
             exps.append(tuple(e))
     return tuple(exps)
+
+
+@lru_cache(maxsize=None)
+def _shift_table(n_vars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Binomial weights prod_i C(alpha_i, beta_i) (zero unless alpha >= beta)
+    and power gaps alpha - beta (clipped at zero) over basis pairs [beta, alpha]."""
+    exps = np.array(monomial_exponents(n_vars, degree))
+    weights = np.vectorize(comb)(exps[None, :, :], exps[:, None, :]).prod(axis=-1)
+    gaps = np.maximum(exps[None, :, :] - exps[:, None, :], 0)
+    weights.setflags(write=False)
+    gaps.setflags(write=False)
+    return weights, gaps
 
 
 def _design_matrix(etas: np.ndarray, exps) -> np.ndarray:
@@ -172,16 +186,28 @@ def fit_best_degree(etas, values, max_degree: int = MAX_DEGREE) -> PolySurrogate
 
 
 def predict(s: PolySurrogate, eta) -> np.ndarray:
-    """Evaluate the polynomial at n points, given as fit takes them: an
-    (n, r) array, or a 1-D array of n points in one variable.  Always
-    returns an (n,) array."""
+    """Evaluate the polynomial at n points, given as basis takes them, as
+    an (n,) array: shift_coefficients(s, 0) in place of s.coefficients."""
+    return basis(s, eta) @ s.coefficients
+
+
+def basis(s: PolySurrogate, eta) -> np.ndarray:
+    """The (n, n_coefficients) monomial design matrix of s's basis at n
+    points, given as fit takes them: an (n, r) array, or a 1-D array of n
+    points in one variable."""
     e = _check_etas(eta)
     if e.shape[1] != s.n_vars:
-        raise ValueError(
-            f"expected {s.n_vars} active variables, got {e.shape[1]}"
-        )
-    exps = monomial_exponents(s.n_vars, s.degree)
-    return _design_matrix(e, exps) @ s.coefficients
+        raise ValueError(f"expected {s.n_vars} active variables, got {e.shape[1]}")
+    return _design_matrix(e, monomial_exponents(s.n_vars, s.degree))
+
+
+def shift_coefficients(s: PolySurrogate, offset) -> np.ndarray:
+    """Coefficients c' of eta -> p(eta + offset) in s's basis, so that
+    basis(s, eta) @ c' is predict at eta + offset: c'_beta = sum over
+    alpha >= beta of c_alpha prod_i C(alpha_i, beta_i) offset_i^(alpha_i - beta_i)."""
+    weights, gaps = _shift_table(s.n_vars, s.degree)
+    powers = (np.asarray(offset, dtype=float) ** gaps).prod(axis=-1)
+    return (weights * powers) @ s.coefficients
 
 
 @dataclass(frozen=True)

@@ -65,12 +65,17 @@ def predict_row(bundle, side, xi):
     return rows[:, 0] if xi.ndim == 1 else rows
 
 
-def temperature_max_samples(bundle, d, samples):
-    """Per-sample maximum of the full predicted temperature row at design
+def row_max_samples(bundle, side, d, samples):
+    """Per-sample maximum of the full predicted row of one side at design
     d, one row per material sample (T0, Y, E, rho)."""
     z = np.atleast_2d(np.asarray(samples, dtype=float))
     xi = np.column_stack([np.full(len(z), d.v), np.full(len(z), d.P), z])
-    return predict_row(bundle, "temperature", xi).max(axis=0)
+    return predict_row(bundle, side, xi).max(axis=0)
+
+
+def temperature_max_samples(bundle, d, samples):
+    """row_max_samples on the temperature side."""
+    return row_max_samples(bundle, "temperature", d, samples)
 
 
 def evaluate_constraints(d, zeta, bundle, samples, cfg):

@@ -20,10 +20,18 @@ intersection with the window floor: u_v = -0.18334, v* = 467.5,
 P* = 50.38, E* = 0.21551.
 """
 
+import os
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
+
 import numpy as np
 import pytest
-from oracles import evaluate_constraints, temperature_max_samples
+from oracles import evaluate_constraints, row_max_samples, temperature_max_samples
+from scipy.spatial import ConvexHull
 
+import pbfopt
 from pbfopt import optimize, risk, surrogate
 from pbfopt.optimize import (
     HISTORY_COLUMNS,
@@ -80,6 +88,45 @@ def toy_bundle() -> SurrogateBundle:
         stress_models=(ridge_model(STRESS_COEFFS, 700.0),),
         provenance={"kind": "synthetic linear ridges"},
     )
+
+
+def random_feature(rng, r: int, degree: int) -> FeatureSurrogate:
+    w1, _ = np.linalg.qr(rng.normal(size=(6, r)))
+    sub = ActiveSubspace(w1=w1, eigenvalues=np.sort(rng.uniform(size=6))[::-1], r=r)
+    poly = PolySurrogate(
+        n_vars=r,
+        degree=degree,
+        coefficients=rng.normal(size=comb(r + degree, degree)),
+        r2=0.9,
+    )
+    return FeatureSurrogate(subspace=sub, poly=poly)
+
+
+@pytest.fixture(scope="module")
+def k2_bundle() -> SurrogateBundle:
+    """Two features per side, (r, degree) = (2, 3) and (1, 4), with
+    random subspaces, coefficients and right vectors."""
+    rng = np.random.default_rng(2024)
+    return SurrogateBundle(
+        input_bounds=physical_bounds(),
+        temperature_vectors=rng.normal(size=(448, 2)),
+        temperature_models=(random_feature(rng, 2, 3), random_feature(rng, 1, 4)),
+        stress_vectors=rng.normal(size=(448, 2)),
+        stress_models=(random_feature(rng, 2, 3), random_feature(rng, 1, 4)),
+        provenance={"kind": "synthetic random K = 2"},
+    )
+
+
+def smooth_right_vectors(rng, n_cols: int) -> np.ndarray:
+    """Leading two right vectors of a snapshot matrix of smooth random
+    bumps, shaped like a trained bundle's (n_cols x 2) vectors."""
+    x = np.linspace(0.0, 1.0, n_cols)
+    centres = rng.uniform(0.2, 0.8, size=(60, 1))
+    widths = rng.uniform(0.05, 0.3, size=(60, 1))
+    snapshots = rng.uniform(0.5, 2.0, size=(60, 1)) * np.exp(
+        -(((x - centres) / widths) ** 2)
+    )
+    return np.linalg.svd(snapshots, full_matrices=False)[2][:2].T
 
 
 @pytest.fixture(scope="module")
@@ -222,9 +269,91 @@ class TestHullColumns:
         reduced = (g @ vectors[keep].T).max(axis=1)
         assert reduced == pytest.approx(full, rel=1e-12)
 
+    @pytest.mark.parametrize("n_cols", [31, 448])
+    def test_planar_hull_matches_qhull_on_smooth_vectors(self, n_cols):
+        rng = np.random.default_rng(n_cols)
+        for _ in range(5):
+            vectors = smooth_right_vectors(rng, n_cols)
+            want = np.sort(ConvexHull(vectors).vertices)
+            assert np.array_equal(optimize._hull_columns(vectors), want)
+
+    def test_planar_hull_matches_qhull_on_random_sets(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(3, 400))
+            vectors = rng.normal(size=(n, 2)) * rng.uniform(0.01, 100.0, size=2)
+            want = np.sort(ConvexHull(vectors).vertices)
+            assert np.array_equal(optimize._hull_columns(vectors), want)
+
+    def test_planar_hull_skips_repeated_and_collinear_points(self):
+        # a square with its edge midpoints, centre and a repeated corner
+        square = np.array(
+            [[0, 0], [2, 0], [2, 2], [0, 2], [1, 0], [2, 1], [1, 2], [0, 1],
+             [1, 1], [2, 2]],
+            dtype=float,
+        )
+        kept = square[optimize._hull_columns(square)]
+        assert sorted(map(tuple, kept)) == [(0, 0), (0, 2), (2, 0), (2, 2)]
+
+    def test_reduced_max_with_repeats_and_collinear_points(self):
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            # integer grid points: many exactly collinear triples and repeats
+            pts = rng.integers(-4, 5, size=(int(rng.integers(3, 60)), 2))
+            vectors = np.vstack([pts, pts[: len(pts) // 3]]).astype(float)
+            keep = optimize._hull_columns(vectors)
+            g = rng.normal(size=(100, 2))
+            full = (g @ vectors.T).max(axis=1)
+            reduced = (g @ vectors[keep].T).max(axis=1)
+            assert reduced == pytest.approx(full, rel=1e-12, abs=1e-300)
+
     def test_degenerate_set_falls_back_to_all_rows(self):
         vectors = np.ones((8, 2))
         assert np.array_equal(optimize._hull_columns(vectors), np.arange(8))
+
+
+class TestEvaluatorAgainstFullRows:
+    """The shifted-coefficient features and the hull-row max reproduce
+    the maximum over every predicted row."""
+
+    @pytest.mark.parametrize(
+        "v, p", [(100.0, 200.0), (232.5, 200.0), (550.0, 110.0), (1000.0, 20.0)]
+    )
+    def test_matches_full_row_max(self, k2_bundle, v, p):
+        z = draw_material_samples(
+            physical_bounds()[2:], 2000, np.random.default_rng(15)
+        )
+        ev = optimize._Evaluator(k2_bundle, z)
+        d = DesignPoint(v=v, P=p)
+        for side, got in (
+            ("stress", ev.stress_max(d)),
+            ("temperature", ev.temperature_max(d)),
+        ):
+            want = row_max_samples(k2_bundle, side, d, z)
+            assert np.abs(got - want).max() <= 1e-9
+
+    def test_k2_solve_leaves_scipy_spatial_unloaded(self, k2_bundle, tmp_path):
+        path = tmp_path / "bundle.json"
+        surrogate.save_bundle(k2_bundle, path)
+        code = (
+            "import sys\n"
+            "from pbfopt.optimize import OptimizeConfig, solve\n"
+            "from pbfopt.surrogate import load_bundle\n"
+            "from pbfopt.thermal import DesignPoint\n"
+            "cfg = OptimizeConfig(n_mc=500, restarts=0, max_iters=20)\n"
+            f"solve(load_bundle({str(path)!r}), cfg, DesignPoint(500.0, 160.0))\n"
+            "print('scipy.spatial' in sys.modules)\n"
+        )
+        src = str(Path(pbfopt.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.split() == ["False"]
 
 
 class TestWindowConstrainedSolve:
@@ -432,14 +561,16 @@ class TestCobylaSolver:
         assert res.energy == pytest.approx(RISK_ENERGY, rel=0.03)
 
     def test_one_surrogate_evaluation_per_point(self, toy_bundle, monkeypatch):
+        # each feature of each side folds the design into its coefficients
+        # once per evaluation
         calls = []
-        predict = surrogate.predict
+        shift = surrogate.shift_coefficients
 
-        def counting(s, eta):
+        def counting(s, offset):
             calls.append(s)
-            return predict(s, eta)
+            return shift(s, offset)
 
-        monkeypatch.setattr(surrogate, "predict", counting)
+        monkeypatch.setattr(surrogate, "shift_coefficients", counting)
         cfg = OptimizeConfig(
             tau=735.0, n_mc=2000, seed=7, restarts=1, max_iters=100, solver="cobyla"
         )

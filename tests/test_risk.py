@@ -198,6 +198,17 @@ class TestBpofMinform:
         assert risk.estimate_bpof_minform([5.0, 5.0], 4.0)[0] == 1.0
         assert risk.estimate_bpof_minform([5.0, 5.0], 6.0)[0] == 0.0
 
+    def test_tau_at_or_above_max_returns_before_sorting(self, monkeypatch):
+        vals = np.random.default_rng(8).normal(size=500)
+        gmax = float(vals.max())
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("the early exit should not sort")
+
+        monkeypatch.setattr(risk.np, "sort", no_sort)
+        assert risk.estimate_bpof_minform(vals, gmax + 1.0) == (0.0, gmax)
+        assert risk.estimate_bpof_minform(vals, gmax) == (0.0, gmax)
+
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(2024)
         for _ in range(40):

@@ -214,6 +214,39 @@ class TestPredict:
         assert s.r2 == surrogate.r2_score(vals, surrogate.predict(s, etas))
 
 
+class TestShiftCoefficients:
+    @pytest.mark.parametrize("n_vars", [1, 2, 3])
+    @pytest.mark.parametrize("degree", range(7))
+    def test_shifted_basis_product_is_predict_at_shifted_points(
+        self, n_vars, degree
+    ):
+        rng = np.random.default_rng(100 * n_vars + degree)
+        for _ in range(5):
+            coeffs = rng.normal(size=math.comb(n_vars + degree, degree))
+            s = surrogate.PolySurrogate(
+                n_vars=n_vars, degree=degree, coefficients=coeffs, r2=0.0
+            )
+            eta = rng.uniform(-1, 1, size=(30, n_vars))
+            shift = rng.uniform(-1.5, 1.5, size=n_vars)
+            got = surrogate.basis(s, eta) @ surrogate.shift_coefficients(s, shift)
+            want = surrogate.predict(s, eta + shift)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(coeffs).max()
+
+    def test_zero_shift_keeps_the_coefficients(self):
+        s = surrogate.PolySurrogate(
+            n_vars=2, degree=3, coefficients=np.arange(10.0) - 4.5, r2=0.0
+        )
+        shifted = surrogate.shift_coefficients(s, np.zeros(2))
+        assert np.array_equal(shifted, s.coefficients)
+
+    def test_one_variable_hand_values(self):
+        # 1 + 2x + 3x^2 at x + 1 is 6 + 8x + 3x^2
+        s = surrogate.PolySurrogate(
+            n_vars=1, degree=2, coefficients=np.array([1.0, 2.0, 3.0]), r2=0.0
+        )
+        assert surrogate.shift_coefficients(s, [1.0]).tolist() == [6.0, 8.0, 3.0]
+
+
 class TestPolySurrogateValidation:
     def test_coefficient_count_enforced(self):
         with pytest.raises(ValueError, match="coefficients"):
