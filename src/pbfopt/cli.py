@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import optimize, pipeline, risk
-from .surrogate import load_bundle
+from .surrogate import OUTPUT_NAMES, load_bundle
 from .thermal import DesignPoint, SimulationError
 
 __all__ = ["main", "build_parser"]
@@ -74,10 +74,8 @@ def cmd_train(args) -> int:
 
         with open(out / "err_curves.json", encoding="utf-8") as f:
             curves = json.load(f)
-        for name, fname in (
-            ("temperature", "plot_err_temperature.csv"),
-            ("stress", "plot_err_stress.csv"),
-        ):
+        for name in OUTPUT_NAMES:
+            fname = f"plot_err_{name}.csv"
             errs = curves[name]["errors"]
             rows = np.column_stack([np.arange(1, len(errs) + 1), errs])
             np.savetxt(out / fname, rows, fmt="%.17g", delimiter=",")
@@ -184,13 +182,10 @@ def cmd_model(args) -> int:
     bundle = load_bundle(_require(out / "bundle.json", "train"))
     prov = dict(bundle.provenance)
     print(f"inputs: {len(bundle.input_bounds)}")
-    print(f"temperature features: {bundle.temperature_vectors.shape[1]}")
-    print(f"stress features: {bundle.stress_vectors.shape[1]}")
-    for name, models in (
-        ("temperature", bundle.temperature_models),
-        ("stress", bundle.stress_models),
-    ):
-        for i, m in enumerate(models):
+    for name in OUTPUT_NAMES:
+        print(f"{name} features: {len(getattr(bundle, name).features)}")
+    for name in OUTPUT_NAMES:
+        for i, m in enumerate(getattr(bundle, name).features):
             print(
                 f"{name}[{i}]: r={m.subspace.r} degree={m.poly.degree} "
                 f"r2={m.poly.r2:.6f}"

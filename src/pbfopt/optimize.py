@@ -128,18 +128,20 @@ def draw_material_samples(bounds, n: int, rng) -> np.ndarray:
     return b[:, 0] + (b[:, 1] - b[:, 0]) * rng.uniform(size=(n, b.shape[0]))
 
 
-def _samples_to_array(samples) -> np.ndarray:
+def _material_inputs(b: surrogate.SurrogateBundle, samples) -> np.ndarray:
+    """Material samples, one (T0, Y, E, rho) row each, normalized on b's box."""
     z = np.atleast_2d(np.asarray(samples, dtype=float))
     if z.size == 0:
         raise ValueError("empty sample set")
     if z.ndim != 2 or z.shape[1] != 4:
         raise ValueError("material samples must be (n, 4) rows (T0, Y, E, rho)")
-    return z
+    return normalize_inputs(z, b.input_bounds[2:])
 
 
 def stress_max_samples(b: surrogate.SurrogateBundle, d: DesignPoint, samples):
     """Predicted maximum residual stress for each material sample."""
-    return _Evaluator(b, samples).stress_max(d)
+    u_d = normalize_inputs(np.array([d.v, d.P]), b.input_bounds[:2])
+    return _RowMax(b.stress, _material_inputs(b, samples))(u_d)
 
 
 def _risk_at_best_zeta(sigma: np.ndarray, cfg: OptimizeConfig):
@@ -200,44 +202,34 @@ def _hull_columns(vectors: np.ndarray) -> np.ndarray:
         return np.arange(n)
 
 
-class _Evaluator:
-    """Per-sample surrogate maxima at any design on one fixed set of draws.
+class _RowMax:
+    """Per-sample maximum of one output's predicted row at any normalized
+    design, on one fixed set of normalized material draws u_z.
 
     A design only shifts each feature's active variables by u_d @ w1[:2],
     so the monomial basis of the material part u_z @ w1[2:] is built once,
-    n_mc x (coefficients over all features) x 8 bytes, and each design folds
+    n_mc x (coefficients over its features) x 8 bytes, and each design folds
     its shift into the coefficients.  The max runs over the right vectors'
     convex hull rows alone: no other row can win it.
     """
 
-    def __init__(self, b: surrogate.SurrogateBundle, samples):
-        self._design_bounds = b.input_bounds[:2]
-        u_z = normalize_inputs(_samples_to_array(samples), b.input_bounds[2:])
+    def __init__(self, output: surrogate.OutputModel, u_z: np.ndarray):
+        self._bases = [
+            (m, surrogate.basis(m.poly, u_z @ m.subspace.w1[2:]))
+            for m in output.features
+        ]
+        vectors = output.right_vectors
+        self._vectors = vectors[_hull_columns(vectors)]
 
-        def prepare(models, vectors):
-            bases = [
-                (m, surrogate.basis(m.poly, u_z @ m.subspace.w1[2:])) for m in models
-            ]
-            return bases, vectors[_hull_columns(vectors)]
-
-        self._stress = prepare(b.stress_models, b.stress_vectors)
-        self._temp = prepare(b.temperature_models, b.temperature_vectors)
-
-    def _max_rows(self, side, d: DesignPoint) -> np.ndarray:
-        bases, vectors = side
-        u_d = normalize_inputs(np.array([d.v, d.P]), self._design_bounds)
+    def __call__(self, u_d: np.ndarray) -> np.ndarray:
         shift = surrogate.shift_coefficients
-        g = np.stack([a @ shift(m.poly, u_d @ m.subspace.w1[:2]) for m, a in bases])
-        out = vectors[0] @ g
-        for v in vectors[1:]:  # column-wise max, one n-length row at a time
+        g = np.stack(
+            [a @ shift(m.poly, u_d @ m.subspace.w1[:2]) for m, a in self._bases]
+        )
+        out = self._vectors[0] @ g
+        for v in self._vectors[1:]:  # column-wise max, one n-length row at a time
             np.maximum(out, v @ g, out=out)
         return out
-
-    def stress_max(self, d: DesignPoint) -> np.ndarray:
-        return self._max_rows(self._stress, d)
-
-    def temperature_max(self, d: DesignPoint) -> np.ndarray:
-        return self._max_rows(self._temp, d)
 
 
 def _margins(cfg: OptimizeConfig, lhs, t_hat) -> np.ndarray:
@@ -304,12 +296,13 @@ def _nelder_mead(fun, x0: np.ndarray, step: float, max_iters: int) -> None:
 
 
 class _SolveState:
-    """Shared bookkeeping across solver runs: history and incumbents."""
+    """Shared bookkeeping across solver runs: history and incumbents.
+    row_max is the (stress, temperature) _RowMax pair on the frozen draws."""
 
-    def __init__(self, b, cfg: OptimizeConfig, ev: _Evaluator):
-        self.bundle = b
+    def __init__(self, b, cfg: OptimizeConfig, row_max: tuple[_RowMax, _RowMax]):
         self.cfg = cfg
-        self.ev = ev
+        self.design_bounds = b.input_bounds[:2]
+        self.row_max = row_max
         self.history: list[list[float]] = []
         # incumbents keep their clipped search point and their history row
         self.best_feasible: tuple[float, np.ndarray, list] | None = None
@@ -327,8 +320,10 @@ class _SolveState:
         xc = np.clip(x, -1.0, 1.0)  # the evaluated design lives at the clip
         v, p = self.box_mid + self.box_half * xc
         d = DesignPoint(v=v, P=p)
-        lhs, zeta = _risk_at_best_zeta(self.ev.stress_max(d), cfg)
-        t_hat = float(self.ev.temperature_max(d).mean())
+        u_d = normalize_inputs(np.array([v, p]), self.design_bounds)
+        stress_max, temperature_max = self.row_max
+        lhs, zeta = _risk_at_best_zeta(stress_max(u_d), cfg)
+        t_hat = float(temperature_max(u_d).mean())
         e = energy(d, cfg.scan_length)
         margins = _margins(cfg, lhs, t_hat)
         box = float(np.linalg.norm(np.maximum(np.abs(x) - 1.0, 0.0)))
@@ -365,7 +360,8 @@ def solve(
         raise ValueError(f"initial power {d0.P} outside bounds {cfg.p_bounds}")
     rng = np.random.default_rng(cfg.seed)
     z_raw = draw_material_samples(b.input_bounds[2:], cfg.n_mc, rng)
-    state = _SolveState(b, cfg, _Evaluator(b, z_raw))
+    u_z = _material_inputs(b, z_raw)
+    state = _SolveState(b, cfg, (_RowMax(b.stress, u_z), _RowMax(b.temperature, u_z)))
 
     weight = cfg.penalty_weight
     incumbent_energy = np.inf

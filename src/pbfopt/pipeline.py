@@ -36,6 +36,7 @@ from .optimize import (
     stress_max_samples,
 )
 from .reduction import (
+    check_bounds,
     decompose,
     discover,
     error_curve,
@@ -47,6 +48,7 @@ from .risk import buffered_superquantile
 from .stress import field_to_row, residual_stress
 from .surrogate import (
     FeatureSurrogate,
+    OutputModel,
     SurrogateBundle,
     fit_best_degree,
     save_bundle,
@@ -345,22 +347,18 @@ def generate_doe(M: int, bounds, seed: int) -> np.ndarray:
     a fixed number of random designs the one maximizing the minimum
     pairwise distance (in unit-box coordinates) is kept.
     """
-    from scipy.spatial.distance import pdist
-
-    b = np.asarray(bounds, dtype=float)
-    if b.ndim != 2 or b.shape[1] != 2:
-        raise ValueError("bounds must be an (n, 2) array of (lower, upper)")
-    if np.any(b[:, 0] >= b[:, 1]):
-        raise ValueError("each lower bound must be below its upper bound")
+    b = check_bounds(bounds)
     if M < 1:
         raise ValueError("M must be at least 1")
     rng = np.random.default_rng(seed)
     n = b.shape[0]
+    upper = np.triu_indices(M, k=1)  # each pair of distinct points once
     best, best_score = None, -np.inf
     for _ in range(_MAXIMIN_RESTARTS):
         perms = np.column_stack([_symmetric_permutation(M, rng) for _ in range(n)])
         unit = (perms + 0.5) / M
-        score = pdist(unit).min() if M > 1 else np.inf
+        diff = unit[:, None] - unit[None]
+        score = np.sqrt((diff * diff).sum(-1)[upper].min()) if M > 1 else np.inf
         if score > best_score:
             best, best_score = unit, score
     return b[:, 0] + best * (b[:, 1] - b[:, 0])
@@ -453,17 +451,17 @@ def run_simulations(cfg: PipelineConfig):
 
 
 def _fit_output(cfg: PipelineConfig, u: np.ndarray, data: np.ndarray):
-    k_cap = min(cfg.k_max, min(data.shape))
-    errs = error_curve(data, k_cap)
+    """Truncation-error curve and the fitted output model of one data matrix."""
+    errs = error_curve(data, min(cfg.k_max, min(data.shape)))
     k = select_feature_count(errs, cfg.err_threshold, cfg.min_gain)
     dec = decompose(data, k)
-    models = []
+    features = []
     for j in range(k):
         f = dec.features[:, j]
         sub = discover(estimate_gradients(u, f))
         poly = fit_best_degree(u @ sub.w1, f)
-        models.append(FeatureSurrogate(subspace=sub, poly=poly))
-    return errs, dec, tuple(models)
+        features.append(FeatureSurrogate(subspace=sub, poly=poly))
+    return errs, OutputModel(dec.right_vectors, tuple(features))
 
 
 def train_from_matrices(
@@ -476,32 +474,19 @@ def train_from_matrices(
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     u = normalize_inputs(doe, cfg.input_bounds)
-    errs_t, dec_t, models_t = _fit_output(cfg, u, T)
-    errs_s, dec_s, models_s = _fit_output(cfg, u, S)
-    bundle = SurrogateBundle(
-        input_bounds=cfg.input_bounds,
-        temperature_vectors=dec_t.right_vectors,
-        temperature_models=models_t,
-        stress_vectors=dec_s.right_vectors,
-        stress_models=models_s,
-        provenance={
-            "config_hash": config_hash(cfg),
-            "M": cfg.M,
-            "K_T": dec_t.k,
-            "K_S": dec_s.k,
-            "temperature_r2": [m.poly.r2 for m in models_t],
-            "stress_r2": [m.poly.r2 for m in models_s],
-        },
-    )
+    provenance = {"config_hash": config_hash(cfg), "M": cfg.M}
+    curves = {"schema_version": _SCHEMA_VERSION}
+    outputs = {}
+    for name, k_key, data in (("temperature", "K_T", T), ("stress", "K_S", S)):
+        errs, output = _fit_output(cfg, u, data)
+        k = len(output.features)
+        provenance[k_key] = k
+        provenance[f"{name}_r2"] = [m.poly.r2 for m in output.features]
+        curves[name] = {"errors": errs.tolist(), "selected": k}
+        outputs[name] = output
+    bundle = SurrogateBundle(cfg.input_bounds, provenance=provenance, **outputs)
     save_bundle(bundle, out / "bundle.json")
-    _write_json(
-        {
-            "schema_version": _SCHEMA_VERSION,
-            "temperature": {"errors": errs_t.tolist(), "selected": dec_t.k},
-            "stress": {"errors": errs_s.tolist(), "selected": dec_s.k},
-        },
-        out / "err_curves.json",
-    )
+    _write_json(curves, out / "err_curves.json")
     return bundle
 
 
@@ -528,6 +513,12 @@ def _result_record(d0, res: OptimizationResult) -> dict:
     }
 
 
+def _check_bundle_bounds(b: SurrogateBundle, cfg: PipelineConfig) -> None:
+    """A bundle trained on another input box cannot serve this configuration."""
+    if not np.array_equal(b.input_bounds, cfg.input_bounds):
+        raise ValueError("bundle bounds do not match the configuration")
+
+
 def run_optimization(
     cfg: PipelineConfig, bundle: SurrogateBundle, starts=DEFAULT_STARTS
 ):
@@ -538,6 +529,7 @@ def run_optimization(
     """
     if len(starts) < 1:
         raise ValueError("need at least one initial design")
+    _check_bundle_bounds(bundle, cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = [solve(bundle, cfg.optimize, DesignPoint(v=s[0], P=s[1])) for s in starts]
@@ -600,8 +592,7 @@ def validate(
     second independent batch of simulations, so the two estimates must
     agree up to Monte Carlo error.
     """
-    if not np.array_equal(b.input_bounds, cfg.input_bounds):
-        raise ValueError("bundle bounds do not match the configuration")
+    _check_bundle_bounds(b, cfg)
     # the surrogate side rejects a design outside the training box; say so
     # before the simulations run
     normalize_inputs(np.array([d_star.v, d_star.P]), cfg.input_bounds[:2])

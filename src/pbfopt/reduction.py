@@ -20,6 +20,7 @@ __all__ = [
     "decompose",
     "error_curve",
     "select_feature_count",
+    "check_bounds",
     "normalize_inputs",
     "fit_quadratic",
     "estimate_gradients",
@@ -134,7 +135,8 @@ def select_feature_count(errs, threshold: float, min_gain: float) -> int:
     return min(int(big[-1]) + 2, errs.size)
 
 
-def _check_bounds(bounds) -> np.ndarray:
+def check_bounds(bounds) -> np.ndarray:
+    """bounds as an (n, 2) float array of (lower, upper) rows, lower < upper."""
     b = np.asarray(bounds, dtype=float)
     if b.ndim != 2 or b.shape[1] != 2:
         raise ValueError("bounds must be an (n, 2) array of (lower, upper)")
@@ -149,7 +151,7 @@ def normalize_inputs(xi, bounds) -> np.ndarray:
     Coordinates sticking out by more than 1e-9 (normalized units) raise;
     smaller excursions clamp.
     """
-    b = _check_bounds(bounds)
+    b = check_bounds(bounds)
     x = np.asarray(xi, dtype=float)
     mid = 0.5 * (b[:, 0] + b[:, 1])
     half = 0.5 * (b[:, 1] - b[:, 0])

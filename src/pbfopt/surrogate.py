@@ -1,9 +1,9 @@
 """Polynomial response surfaces over active variables.
 
 Each retained feature gets a dense multivariate polynomial in its active
-variables; a bundle groups the temperature- and stress-side models with
-their right vectors, so a full output row is the feature predictions
-times the right vectors.
+variables; an output model groups one output's feature models with its
+right vectors, so a full output row is the feature predictions times the
+right vectors, and a bundle holds the temperature and stress outputs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from .reduction import ActiveSubspace
 __all__ = [
     "PolySurrogate",
     "FeatureSurrogate",
+    "OutputModel",
     "SurrogateBundle",
+    "OUTPUT_NAMES",
     "SCHEMA_VERSION",
     "monomial_exponents",
     "fit",
@@ -38,6 +40,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# the bundle's outputs, each an OutputModel field and a bundle.json section
+OUTPUT_NAMES = ("temperature", "stress")
 MAX_DEGREE = 6
 MAX_ACTIVE_VARS = 3
 # a lower degree wins whenever its training r2 sits within this margin of
@@ -223,42 +227,40 @@ class FeatureSurrogate:
 
 
 @dataclass(frozen=True)
+class OutputModel:
+    """One surrogate output: N x K right vectors and one model per feature,
+    so a full output row is the K feature predictions times the vectors."""
+
+    right_vectors: np.ndarray
+    features: tuple[FeatureSurrogate, ...]
+
+    def __post_init__(self):
+        vectors = np.asarray(self.right_vectors, dtype=float)
+        object.__setattr__(self, "right_vectors", vectors)
+        object.__setattr__(self, "features", tuple(self.features))
+        if len(self.features) < 1:
+            raise ValueError("at least one feature model required")
+        if vectors.ndim != 2 or vectors.shape[1] != len(self.features):
+            raise ValueError("right-vector shape mismatch")
+
+
+@dataclass(frozen=True)
 class SurrogateBundle:
     """Everything needed to predict snapshot rows and stress fields."""
 
     input_bounds: np.ndarray  # n x 2 physical bounds
-    temperature_vectors: np.ndarray  # N_T x K_T right vectors
-    temperature_models: tuple[FeatureSurrogate, ...]
-    stress_vectors: np.ndarray  # N_S x K_S right vectors
-    stress_models: tuple[FeatureSurrogate, ...]
+    temperature: OutputModel
+    stress: OutputModel
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(
             self, "input_bounds", np.asarray(self.input_bounds, dtype=float)
         )
-        object.__setattr__(
-            self,
-            "temperature_vectors",
-            np.asarray(self.temperature_vectors, dtype=float),
-        )
-        object.__setattr__(
-            self, "stress_vectors", np.asarray(self.stress_vectors, dtype=float)
-        )
-        object.__setattr__(self, "temperature_models", tuple(self.temperature_models))
-        object.__setattr__(self, "stress_models", tuple(self.stress_models))
         n = self.input_bounds.shape[0]
-        for name, vectors, models in (
-            ("temperature", self.temperature_vectors, self.temperature_models),
-            ("stress", self.stress_vectors, self.stress_models),
-        ):
-            if len(models) < 1:
-                raise ValueError(f"at least one {name} feature model required")
-            if vectors.ndim != 2 or vectors.shape[1] != len(models):
-                raise ValueError(f"{name} right-vector shape mismatch")
-            for m in models:
-                if m.subspace.w1.shape[0] != n:
-                    raise ValueError(f"{name} subspace dimension mismatch")
+        for name in OUTPUT_NAMES:
+            if any(m.subspace.w1.shape[0] != n for m in getattr(self, name).features):
+                raise ValueError(f"{name} subspace dimension mismatch")
 
 
 def _subspace_to_dict(s: ActiveSubspace) -> dict:
@@ -298,36 +300,35 @@ def _model_from_dict(d: dict) -> FeatureSurrogate:
 
 
 def bundle_to_dict(b: SurrogateBundle) -> dict:
-    return {
+    doc = {
         "schema_version": SCHEMA_VERSION,
         "input_bounds": b.input_bounds.tolist(),
-        "temperature": {
-            "right_vectors": b.temperature_vectors.tolist(),
-            "features": [_model_to_dict(m) for m in b.temperature_models],
-        },
-        "stress": {
-            "right_vectors": b.stress_vectors.tolist(),
-            "features": [_model_to_dict(m) for m in b.stress_models],
-        },
         "provenance": dict(b.provenance),
     }
+    for name in OUTPUT_NAMES:
+        out = getattr(b, name)
+        doc[name] = {
+            "right_vectors": out.right_vectors.tolist(),
+            "features": [_model_to_dict(m) for m in out.features],
+        }
+    return doc
 
 
 def bundle_from_dict(d: dict) -> SurrogateBundle:
     version = d.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported bundle schema version: {version!r}")
+    outputs = {
+        name: OutputModel(
+            right_vectors=np.asarray(d[name]["right_vectors"], dtype=float),
+            features=tuple(_model_from_dict(m) for m in d[name]["features"]),
+        )
+        for name in OUTPUT_NAMES
+    }
     return SurrogateBundle(
         input_bounds=np.asarray(d["input_bounds"], dtype=float),
-        temperature_vectors=np.asarray(
-            d["temperature"]["right_vectors"], dtype=float
-        ),
-        temperature_models=tuple(
-            _model_from_dict(m) for m in d["temperature"]["features"]
-        ),
-        stress_vectors=np.asarray(d["stress"]["right_vectors"], dtype=float),
-        stress_models=tuple(_model_from_dict(m) for m in d["stress"]["features"]),
         provenance=dict(d.get("provenance", {})),
+        **outputs,
     )
 
 

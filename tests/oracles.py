@@ -6,7 +6,7 @@ statement of a quantity some package code computes another way.
 
 import numpy as np
 
-from pbfopt import optimize, risk, surrogate
+from pbfopt import optimize, pipeline, risk, surrogate
 from pbfopt.reduction import normalize_inputs
 
 
@@ -59,9 +59,9 @@ def predict_row(bundle, side, xi):
     (n, 6) batch of raw inputs gives one column per input."""
     xi = np.asarray(xi, dtype=float)
     u = normalize_inputs(np.atleast_2d(xi), bundle.input_bounds)
-    models = getattr(bundle, f"{side}_models")
-    features = [surrogate.predict(m.poly, u @ m.subspace.w1) for m in models]
-    rows = getattr(bundle, f"{side}_vectors") @ np.array(features)
+    output = getattr(bundle, side)
+    features = [surrogate.predict(m.poly, u @ m.subspace.w1) for m in output.features]
+    rows = output.right_vectors @ np.array(features)
     return rows[:, 0] if xi.ndim == 1 else rows
 
 
@@ -102,3 +102,20 @@ def buffered_superquantile_se(values, zeta, alpha):
 def reconstruct(decomposition):
     """Rank-k approximation F V_k^T of the decomposed snapshot matrix."""
     return decomposition.features @ decomposition.right_vectors.T
+
+
+def maximin_doe_pdist(M, bounds, seed):
+    """pipeline.generate_doe with scipy's pdist scoring each restart: the
+    same permutations, kept by the largest minimum pairwise distance."""
+    from scipy.spatial.distance import pdist
+
+    b = np.asarray(bounds, dtype=float)
+    rng = np.random.default_rng(seed)
+    best, best_score = None, -np.inf
+    for _ in range(pipeline._MAXIMIN_RESTARTS):
+        perms = [pipeline._symmetric_permutation(M, rng) for _ in range(len(b))]
+        unit = (np.column_stack(perms) + 0.5) / M
+        score = pdist(unit).min()
+        if score > best_score:
+            best, best_score = unit, score
+    return b[:, 0] + best * (b[:, 1] - b[:, 0])

@@ -41,8 +41,13 @@ from pbfopt.optimize import (
     solve,
     stress_max_samples,
 )
-from pbfopt.reduction import ActiveSubspace
-from pbfopt.surrogate import FeatureSurrogate, PolySurrogate, SurrogateBundle
+from pbfopt.reduction import ActiveSubspace, normalize_inputs
+from pbfopt.surrogate import (
+    FeatureSurrogate,
+    OutputModel,
+    PolySurrogate,
+    SurrogateBundle,
+)
 from pbfopt.thermal import DESIGN_BOUNDS, RANDOM_INPUT_BOUNDS, DesignPoint
 
 WINDOW_ENERGY = 40.0 / (550.0 - 450.0 * 32.0 / 42.0)  # 0.193103...
@@ -82,10 +87,12 @@ def toy_bundle() -> SurrogateBundle:
     # (always-positive) feature value itself
     return SurrogateBundle(
         input_bounds=physical_bounds(),
-        temperature_vectors=np.linspace(0.4, 1.0, 31)[:, None],
-        temperature_models=(ridge_model(TEMP_COEFFS, 1690.0),),
-        stress_vectors=np.linspace(0.2, 1.0, 448)[:, None],
-        stress_models=(ridge_model(STRESS_COEFFS, 700.0),),
+        temperature=OutputModel(
+            np.linspace(0.4, 1.0, 31)[:, None], (ridge_model(TEMP_COEFFS, 1690.0),)
+        ),
+        stress=OutputModel(
+            np.linspace(0.2, 1.0, 448)[:, None], (ridge_model(STRESS_COEFFS, 700.0),)
+        ),
         provenance={"kind": "synthetic linear ridges"},
     )
 
@@ -109,12 +116,23 @@ def k2_bundle() -> SurrogateBundle:
     rng = np.random.default_rng(2024)
     return SurrogateBundle(
         input_bounds=physical_bounds(),
-        temperature_vectors=rng.normal(size=(448, 2)),
-        temperature_models=(random_feature(rng, 2, 3), random_feature(rng, 1, 4)),
-        stress_vectors=rng.normal(size=(448, 2)),
-        stress_models=(random_feature(rng, 2, 3), random_feature(rng, 1, 4)),
+        temperature=OutputModel(
+            rng.normal(size=(448, 2)),
+            (random_feature(rng, 2, 3), random_feature(rng, 1, 4)),
+        ),
+        stress=OutputModel(
+            rng.normal(size=(448, 2)),
+            (random_feature(rng, 2, 3), random_feature(rng, 1, 4)),
+        ),
         provenance={"kind": "synthetic random K = 2"},
     )
+
+
+def solver_row_max(bundle, side, d, samples) -> np.ndarray:
+    """The solver's per-sample maximum of one output's row at design d."""
+    u_z = normalize_inputs(samples, bundle.input_bounds[2:])
+    u_d = normalize_inputs(np.array([d.v, d.P]), bundle.input_bounds[:2])
+    return optimize._RowMax(getattr(bundle, side), u_z)(u_d)
 
 
 def smooth_right_vectors(rng, n_cols: int) -> np.ndarray:
@@ -192,7 +210,7 @@ class TestSurrogateMaxima:
         rng = np.random.default_rng(43)
         z = draw_material_samples(physical_bounds()[2:], 300, rng)
         d = DesignPoint(v=950.0, P=25.0)
-        got = optimize._Evaluator(toy_bundle, z).temperature_max(d)
+        got = solver_row_max(toy_bundle, "temperature", d, z)
         xi = np.column_stack([np.full(300, d.v), np.full(300, d.P), z])
         u = normalize_rows(xi, physical_bounds())
         assert got == pytest.approx(1690.0 + u @ TEMP_COEFFS, abs=1e-9)
@@ -212,7 +230,7 @@ class TestEvaluateConstraints:
         assert lhs == pytest.approx(want, rel=1e-12)
         temps = temperature_max_samples(toy_bundle, d, z)
         assert t_hat == pytest.approx(temps.mean(), rel=1e-12)
-        solver_temps = optimize._Evaluator(toy_bundle, z).temperature_max(d)
+        solver_temps = solver_row_max(toy_bundle, "temperature", d, z)
         assert t_hat == pytest.approx(solver_temps.mean(), rel=1e-12)
 
     def test_pof_mode_counts_exceedances(self, toy_bundle):
@@ -323,14 +341,30 @@ class TestEvaluatorAgainstFullRows:
         z = draw_material_samples(
             physical_bounds()[2:], 2000, np.random.default_rng(15)
         )
-        ev = optimize._Evaluator(k2_bundle, z)
         d = DesignPoint(v=v, P=p)
-        for side, got in (
-            ("stress", ev.stress_max(d)),
-            ("temperature", ev.temperature_max(d)),
-        ):
+        for side in ("stress", "temperature"):
+            got = solver_row_max(k2_bundle, side, d, z)
             want = row_max_samples(k2_bundle, side, d, z)
             assert np.abs(got - want).max() <= 1e-9
+
+    def test_stress_max_samples_builds_stress_bases_only(
+        self, k2_bundle, monkeypatch
+    ):
+        calls = []
+        basis = surrogate.basis
+
+        def counting(s, eta):
+            calls.append(s)
+            return basis(s, eta)
+
+        monkeypatch.setattr(surrogate, "basis", counting)
+        z = draw_material_samples(
+            physical_bounds()[2:], 200, np.random.default_rng(16)
+        )
+        stress_max_samples(k2_bundle, DesignPoint(v=500.0, P=160.0), z)
+        features = k2_bundle.stress.features
+        assert len(calls) == len(features)
+        assert all(s is m.poly for s, m in zip(calls, features))
 
     def test_k2_solve_leaves_scipy_spatial_unloaded(self, k2_bundle, tmp_path):
         path = tmp_path / "bundle.json"
@@ -575,7 +609,7 @@ class TestCobylaSolver:
             tau=735.0, n_mc=2000, seed=7, restarts=1, max_iters=100, solver="cobyla"
         )
         res = solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
-        k = len(toy_bundle.stress_models) + len(toy_bundle.temperature_models)
+        k = len(toy_bundle.stress.features) + len(toy_bundle.temperature.features)
         assert len(calls) == k * res.history.shape[0]
 
 

@@ -8,13 +8,17 @@ pins the whole reduce-discover-fit chain end to end.
 """
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import buffered_superquantile_se, predict_row
+from oracles import buffered_superquantile_se, maximin_doe_pdist, predict_row
 
+import pbfopt
 from pbfopt import cli, pipeline, risk
 from pbfopt.optimize import OptimizeConfig, draw_material_samples
 from pbfopt.pipeline import (
@@ -34,6 +38,7 @@ from pbfopt.pipeline import (
     validate,
 )
 from pbfopt.risk import buffered_superquantile
+from pbfopt.surrogate import load_bundle, save_bundle
 from pbfopt.thermal import (
     DESIGN_BOUNDS,
     RANDOM_INPUT_BOUNDS,
@@ -223,6 +228,31 @@ class TestGenerateDoe:
         with pytest.raises(ValueError):
             generate_doe(10, np.array([[1.0, 1.0]]), seed=0)
 
+    @pytest.mark.parametrize("M, seed", [(43, 0), (44, 7), (60, 19), (120, 1)])
+    def test_matches_pdist_reference(self, M, seed):
+        bounds = default_input_bounds()
+        assert np.array_equal(
+            generate_doe(M, bounds, seed), maximin_doe_pdist(M, bounds, seed)
+        )
+
+    def test_leaves_scipy_spatial_unloaded(self):
+        code = (
+            "import sys\n"
+            "from pbfopt.pipeline import default_input_bounds, generate_doe\n"
+            "generate_doe(44, default_input_bounds(), 1)\n"
+            "print('scipy.spatial' in sys.modules)\n"
+        )
+        src = str(Path(pbfopt.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.split() == ["False"]
+
 
 class TestSyntheticTraining:
     def test_artifacts_written_with_expected_shapes(self, trained):
@@ -239,17 +269,23 @@ class TestSyntheticTraining:
 
     def test_recovers_two_features_per_output(self, trained):
         _, bundle = trained
-        assert bundle.temperature_vectors.shape == (31, 2)
-        assert bundle.stress_vectors.shape == (448, 2)
+        assert bundle.temperature.right_vectors.shape == (31, 2)
+        assert bundle.stress.right_vectors.shape == (448, 2)
         assert bundle.provenance["K_T"] == 2
         assert bundle.provenance["K_S"] == 2
 
     def test_planted_response_is_fit_almost_perfectly(self, trained):
         _, bundle = trained
-        for m in bundle.temperature_models + bundle.stress_models:
+        for m in bundle.temperature.features + bundle.stress.features:
             assert m.poly.r2 > 0.999
             assert m.subspace.r == 1
             assert m.poly.degree == 1
+
+    def test_bundle_file_round_trips_byte_for_byte(self, trained, tmp_path):
+        cfg, _ = trained
+        path = Path(cfg.out_dir) / "bundle.json"
+        save_bundle(load_bundle(path), tmp_path / "bundle.json")
+        assert (tmp_path / "bundle.json").read_bytes() == path.read_bytes()
 
     def test_data_matrices_have_rank_two(self, trained):
         cfg, _ = trained
@@ -387,6 +423,20 @@ class TestOptimizationStage:
         cfg, bundle = trained
         with pytest.raises(ValueError, match="initial design"):
             run_optimization(cfg, bundle, ())
+
+    def test_bundle_config_mismatch_rejected_before_solving(
+        self, trained, tmp_path, monkeypatch
+    ):
+        cfg, bundle = trained
+        bounds = default_input_bounds()
+        bounds[2] = (600.0, 700.0)
+        other = replace(cfg, input_bounds=bounds, out_dir=str(tmp_path))
+        solves = []
+        monkeypatch.setattr(pipeline, "solve", lambda *a: solves.append(a))
+        with pytest.raises(ValueError, match="bounds"):
+            run_optimization(other, bundle, ((500.0, 160.0),))
+        assert solves == []
+        assert not (tmp_path / "optimize.json").exists()
 
 
 class TestValidation:

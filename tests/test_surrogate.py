@@ -289,16 +289,14 @@ def build_ridge_bundle(m=60, noise=0.0, seed=71):
         grads = reduction.estimate_gradients(u, dec.features[:, 0])
         sub = reduction.discover(grads)
         poly = surrogate.fit_best_degree(u @ sub.w1, dec.features[:, 0])
-        return dec.right_vectors, (surrogate.FeatureSurrogate(sub, poly),)
+        return surrogate.OutputModel(
+            dec.right_vectors, (surrogate.FeatureSurrogate(sub, poly),)
+        )
 
-    t_vec, t_models = side(t_data)
-    s_vec, s_models = side(s_data)
     bundle = surrogate.SurrogateBundle(
         input_bounds=bounds,
-        temperature_vectors=t_vec,
-        temperature_models=t_models,
-        stress_vectors=s_vec,
-        stress_models=s_models,
+        temperature=side(t_data),
+        stress=side(s_data),
         provenance={"seed": seed, "m": m},
     )
     return bundle, raw, t_data, s_data
@@ -338,15 +336,13 @@ class TestBundlePrediction:
         )
         zero_models = (
             surrogate.FeatureSurrogate(
-                bundle.stress_models[0].subspace, zero_poly
+                bundle.stress.features[0].subspace, zero_poly
             ),
         )
         b2 = surrogate.SurrogateBundle(
             input_bounds=bundle.input_bounds,
-            temperature_vectors=bundle.temperature_vectors,
-            temperature_models=bundle.temperature_models,
-            stress_vectors=zero_vec,
-            stress_models=zero_models,
+            temperature=bundle.temperature,
+            stress=surrogate.OutputModel(zero_vec, zero_models),
         )
         assert np.array_equal(predict_row(b2, "stress", raw[3]), np.zeros(448))
 
@@ -376,12 +372,9 @@ class TestBundlePrediction:
             poly = surrogate.fit_best_degree(u @ sub.w1, vals)
             models.append(surrogate.FeatureSurrogate(sub, poly))
             total_res += (1.0 - poly.r2) * np.sum((vals - vals.mean()) ** 2)
+        output = surrogate.OutputModel(dec.right_vectors, tuple(models))
         bundle = surrogate.SurrogateBundle(
-            input_bounds=bounds,
-            temperature_vectors=dec.right_vectors,
-            temperature_models=tuple(models),
-            stress_vectors=dec.right_vectors,
-            stress_models=tuple(models),
+            input_bounds=bounds, temperature=output, stress=output
         )
         budget = np.sqrt(total_res) + 1e-9
         for i in range(0, m, 9):
@@ -399,7 +392,7 @@ class TestBundlePersistence:
         loaded = surrogate.load_bundle(path)
         assert np.array_equal(loaded.input_bounds, bundle.input_bounds)
         assert np.array_equal(
-            loaded.temperature_vectors, bundle.temperature_vectors
+            loaded.temperature.right_vectors, bundle.temperature.right_vectors
         )
         assert loaded.provenance == bundle.provenance
         for side in ("temperature", "stress"):
@@ -424,10 +417,36 @@ class TestBundlePersistence:
     def test_bundle_shape_validation(self):
         bundle, _, _, _ = build_ridge_bundle()
         with pytest.raises(ValueError, match="right-vector shape"):
+            surrogate.OutputModel(
+                bundle.temperature.right_vectors[:, :0],
+                bundle.temperature.features,
+            )
+
+
+class TestOutputModel:
+    def test_empty_feature_tuple_rejected(self):
+        with pytest.raises(ValueError, match="at least one feature"):
+            surrogate.OutputModel(np.zeros((31, 0)), ())
+
+    def test_right_vector_columns_must_match_features(self):
+        bundle, _, _, _ = build_ridge_bundle()
+        features = bundle.stress.features
+        for vectors in (np.zeros((448, 2)), np.zeros(448)):
+            with pytest.raises(ValueError, match="right-vector shape"):
+                surrogate.OutputModel(vectors, features)
+
+    def test_bundle_rejects_subspace_of_other_dimension(self):
+        bundle, _, _, _ = build_ridge_bundle()
+        m = bundle.stress.features[0]
+        sub = reduction.ActiveSubspace(
+            w1=m.subspace.w1[:5], eigenvalues=m.subspace.eigenvalues[:5], r=1
+        )
+        short = surrogate.OutputModel(
+            bundle.stress.right_vectors, (surrogate.FeatureSurrogate(sub, m.poly),)
+        )
+        with pytest.raises(ValueError, match="stress subspace dimension"):
             surrogate.SurrogateBundle(
                 input_bounds=bundle.input_bounds,
-                temperature_vectors=bundle.temperature_vectors[:, :0],
-                temperature_models=bundle.temperature_models,
-                stress_vectors=bundle.stress_vectors,
-                stress_models=bundle.stress_models,
+                temperature=bundle.temperature,
+                stress=short,
             )
