@@ -141,12 +141,12 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if (args.design is None) != (args.zeta is None):
+        raise ValueError("--design and --zeta must be given together")
     cfg = _load_cfg(args)
     out = Path(cfg.out_dir)
     bundle = load_bundle(_require(out / "bundle.json", "train"))
     if args.design:
-        if args.zeta is None:
-            raise ValueError("--zeta is required when --design is given")
         d_star, zeta = DesignPoint(v=args.design[0], P=args.design[1]), args.zeta
     else:
         import json

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import risk, surrogate
 from .reduction import normalize_inputs
-from .thermal import DESIGN_BOUNDS, DesignPoint
+from .thermal import DesignPoint
 
 __all__ = [
     "OptimizeConfig",
@@ -51,8 +51,6 @@ class OptimizeConfig:
     alpha_t: float = 0.95
     tau: float = 825.0
     n_mc: int = 20000
-    v_bounds: tuple[float, float] = DESIGN_BOUNDS["v"]
-    p_bounds: tuple[float, float] = DESIGN_BOUNDS["P"]
     temp_window: tuple[float, float] = (DEFAULT_LIQUIDUS, 1.1 * DEFAULT_LIQUIDUS)
     seed: int = 0
     solver: str = SOLVER_PENALTY_NM
@@ -70,13 +68,6 @@ class OptimizeConfig:
             raise ValueError("tau must be positive")
         if self.n_mc < 100:
             raise ValueError("n_mc must be at least 100")
-        for name, (lo, hi) in (("v", self.v_bounds), ("P", self.p_bounds)):
-            box_lo, box_hi = DESIGN_BOUNDS[name]
-            if not (box_lo <= lo < hi <= box_hi):
-                raise ValueError(
-                    f"{name} bounds ({lo}, {hi}) must sit inside "
-                    f"({box_lo}, {box_hi})"
-                )
         if not self.temp_window[0] < self.temp_window[1]:
             raise ValueError("temperature window is empty")
         if self.solver not in (SOLVER_PENALTY_NM, SOLVER_COBYLA):
@@ -297,33 +288,32 @@ def _nelder_mead(fun, x0: np.ndarray, step: float, max_iters: int) -> None:
 
 class _SolveState:
     """Shared bookkeeping across solver runs: history and incumbents.
-    row_max is the (stress, temperature) _RowMax pair on the frozen draws."""
+    row_max is the (stress, temperature) _RowMax pair on the frozen draws.
+    The solver searches b's design box in b's own normalized coordinates."""
 
     def __init__(self, b, cfg: OptimizeConfig, row_max: tuple[_RowMax, _RowMax]):
         self.cfg = cfg
-        self.design_bounds = b.input_bounds[:2]
         self.row_max = row_max
         self.history: list[list[float]] = []
         # incumbents keep their clipped search point and their history row
         self.best_feasible: tuple[float, np.ndarray, list] | None = None
         self.least_infeasible: tuple[float, float, np.ndarray, list] | None = None
-        box = np.array([cfg.v_bounds, cfg.p_bounds], dtype=float)
+        box = b.input_bounds[:2]
         self.box_mid = 0.5 * (box[:, 0] + box[:, 1])
         self.box_half = 0.5 * (box[:, 1] - box[:, 0])
 
     def assess(self, x: np.ndarray):
-        """Evaluate one solver point (v, P) in box coordinates; records
-        history and incumbents.  Returns the energy, the scaled constraint
-        violations (the negative part of _margins, then the distance
-        outside the box) and the constraint margins."""
+        """Evaluate one solver point, a design in normalized coordinates;
+        records history and incumbents.  Returns the energy, the scaled
+        constraint violations (the negative part of _margins, then the
+        distance outside the box) and the constraint margins."""
         cfg = self.cfg
         xc = np.clip(x, -1.0, 1.0)  # the evaluated design lives at the clip
         v, p = self.box_mid + self.box_half * xc
         d = DesignPoint(v=v, P=p)
-        u_d = normalize_inputs(np.array([v, p]), self.design_bounds)
         stress_max, temperature_max = self.row_max
-        lhs, zeta = _risk_at_best_zeta(stress_max(u_d), cfg)
-        t_hat = float(temperature_max(u_d).mean())
+        lhs, zeta = _risk_at_best_zeta(stress_max(xc), cfg)
+        t_hat = float(temperature_max(xc).mean())
         e = energy(d, cfg.scan_length)
         margins = _margins(cfg, lhs, t_hat)
         box = float(np.linalg.norm(np.maximum(np.abs(x) - 1.0, 0.0)))
@@ -348,16 +338,16 @@ def solve(
 ) -> OptimizationResult:
     """Minimize scan energy subject to the risk and melt-window constraints.
 
-    Runs the configured derivative-free solver over (v, P) from d0 with
-    seeded restarts on one frozen sample set, then reports the best
-    feasible evaluated point (or the least-infeasible one with
-    feasible=False).  Every evaluation takes zeta as the exact minimizer
-    of the buffered exceedance ratio at its design.
+    Runs the configured derivative-free solver over (v, P) in b's design
+    box, from d0 with seeded restarts on one frozen sample set, then
+    reports the best feasible evaluated point (or the least-infeasible
+    one with feasible=False).  Every evaluation takes zeta as the exact
+    minimizer of the buffered exceedance ratio at its design.
     """
-    if not (cfg.v_bounds[0] <= d0.v <= cfg.v_bounds[1]):
-        raise ValueError(f"initial speed {d0.v} outside bounds {cfg.v_bounds}")
-    if not (cfg.p_bounds[0] <= d0.P <= cfg.p_bounds[1]):
-        raise ValueError(f"initial power {d0.P} outside bounds {cfg.p_bounds}")
+    try:
+        start = normalize_inputs(np.array([d0.v, d0.P]), b.input_bounds[:2])
+    except ValueError as e:
+        raise ValueError(f"initial design ({d0.v}, {d0.P}): {e}") from None
     rng = np.random.default_rng(cfg.seed)
     z_raw = draw_material_samples(b.input_bounds[2:], cfg.n_mc, rng)
     u_z = _material_inputs(b, z_raw)
@@ -365,7 +355,6 @@ def solve(
 
     weight = cfg.penalty_weight
     incumbent_energy = np.inf
-    start = (np.array([d0.v, d0.P]) - state.box_mid) / state.box_half
     for attempt in range(1 + cfg.restarts):
         if cfg.solver == SOLVER_PENALTY_NM:
             w = weight

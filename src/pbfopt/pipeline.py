@@ -126,9 +126,9 @@ class PipelineConfig:
     synthetic: bool = False
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "input_bounds", np.asarray(self.input_bounds, dtype=float)
-        )
+        object.__setattr__(self, "input_bounds", check_bounds(self.input_bounds))
+        if self.input_bounds.shape != (len(INPUT_NAMES), 2):
+            raise ValueError(f"input_bounds must be {(len(INPUT_NAMES), 2)}")
         if self.M < 43:
             raise ValueError(
                 "M must be at least 43: the symmetric DOE mirrors its points "
@@ -138,16 +138,6 @@ class PipelineConfig:
             )
         if self.n_val < 10:
             raise ValueError("n_val must be at least 10")
-        b = self.input_bounds
-        if b.shape != (len(INPUT_NAMES), 2):
-            raise ValueError(f"input_bounds must be {(len(INPUT_NAMES), 2)}")
-        if np.any(b[:, 0] >= b[:, 1]):
-            raise ValueError("each lower bound must be below its upper bound")
-        for i, (lo, hi) in enumerate((self.optimize.v_bounds, self.optimize.p_bounds)):
-            if not (b[i, 0] <= lo and hi <= b[i, 1]):
-                raise ValueError(
-                    f"optimizer {INPUT_NAMES[i]} bounds exceed the training box"
-                )
         if not 0.0 < self.err_threshold < 1.0:
             raise ValueError("err_threshold must lie in (0, 1)")
         if not 0.0 < self.min_gain < 1.0:

@@ -136,10 +136,13 @@ def select_feature_count(errs, threshold: float, min_gain: float) -> int:
 
 
 def check_bounds(bounds) -> np.ndarray:
-    """bounds as an (n, 2) float array of (lower, upper) rows, lower < upper."""
+    """bounds as an (n, 2) float array of finite (lower, upper) rows,
+    lower < upper."""
     b = np.asarray(bounds, dtype=float)
     if b.ndim != 2 or b.shape[1] != 2:
         raise ValueError("bounds must be an (n, 2) array of (lower, upper)")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("bounds must be finite")
     if np.any(b[:, 0] >= b[:, 1]):
         raise ValueError("each lower bound must be below its upper bound")
     return b
@@ -148,15 +151,15 @@ def check_bounds(bounds) -> np.ndarray:
 def normalize_inputs(xi, bounds) -> np.ndarray:
     """Affine map of physical coordinates onto [-1, 1] per coordinate.
 
-    Coordinates sticking out by more than 1e-9 (normalized units) raise;
-    smaller excursions clamp.
+    Coordinates sticking out by more than 1e-9 (normalized units), or not
+    finite, raise; smaller excursions clamp.
     """
     b = check_bounds(bounds)
     x = np.asarray(xi, dtype=float)
     mid = 0.5 * (b[:, 0] + b[:, 1])
     half = 0.5 * (b[:, 1] - b[:, 0])
     u = (x - mid) / half
-    if np.any(np.abs(u) > 1.0 + 1e-9):
+    if not np.all(np.abs(u) <= 1.0 + 1e-9):
         worst = float(np.max(np.abs(u)))
         raise ValueError(f"input outside bounds (|normalized| up to {worst:.3e})")
     return np.clip(u, -1.0, 1.0)

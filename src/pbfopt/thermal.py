@@ -104,7 +104,6 @@ class ModelParams:
     Tc: float = 650.0  # chamber temperature, degC
     Tliq: float = 1650.0  # liquidus temperature, degC
     l: float = 2.0  # part length, mm
-    w: float = 1.5  # part width, mm (unused by the 2D midplane solver)
     h: float = 0.65  # part height, mm
 
     def __post_init__(self):
@@ -247,9 +246,9 @@ def _bilinear(field: np.ndarray, i0, j0, wx, wz):
 
 
 def _validate_inputs(d: DesignPoint, z: RandomInputs):
-    if d.v <= 0:
+    if not (np.isfinite(d.v) and d.v > 0):
         raise ValueError("scanning speed must be positive")
-    if d.P < 0:
+    if not (np.isfinite(d.P) and d.P >= 0):
         raise ValueError("beam power must be non-negative")
     for name in ("T0", "Y", "E", "rho"):
         val = getattr(z, name)

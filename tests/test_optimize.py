@@ -23,6 +23,7 @@ P* = 50.38, E* = 0.21551.
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from math import comb
 from pathlib import Path
 
@@ -558,8 +559,9 @@ class TestUnattainableWindow:
         assert not res.feasible
         # best it can do is push toward the hottest corner (about 1804)
         assert res.t_max_hat > 1770.0
-        assert cfg.v_bounds[0] <= res.d_star.v <= cfg.v_bounds[1]
-        assert cfg.p_bounds[0] <= res.d_star.P <= cfg.p_bounds[1]
+        (v_lo, v_hi), (p_lo, p_hi) = toy_bundle.input_bounds[:2]
+        assert v_lo <= res.d_star.v <= v_hi
+        assert p_lo <= res.d_star.P <= p_hi
 
 
 class TestUnconstrainedCorner:
@@ -646,9 +648,6 @@ class TestConfigValidation:
             {"tau": 0.0},
             {"tau": -5.0},
             {"n_mc": 99},
-            {"v_bounds": (50.0, 1000.0)},
-            {"p_bounds": (20.0, 250.0)},
-            {"v_bounds": (400.0, 400.0)},
             {"temp_window": (1800.0, 1700.0)},
             {"solver": "gradient-descent"},
             {"constraint_kind": "cvar"},
@@ -672,3 +671,42 @@ class TestConfigValidation:
     def test_start_point_outside_bounds_rejected(self, toy_bundle):
         with pytest.raises(ValueError, match="initial"):
             solve(toy_bundle, OptimizeConfig(), DesignPoint(v=50.0, P=100.0))
+
+    def test_non_finite_start_rejected(self, toy_bundle):
+        with pytest.raises(ValueError, match="initial"):
+            solve(toy_bundle, OptimizeConfig(), DesignPoint(v=np.nan, P=100.0))
+
+
+class TestDesignBox:
+    """The solver searches the bundle's own design box."""
+
+    @pytest.fixture(scope="class")
+    def narrow_bundle(self, toy_bundle):
+        bounds = toy_bundle.input_bounds.copy()
+        bounds[0] = (200.0, 900.0)
+        return replace(toy_bundle, input_bounds=bounds)
+
+    @pytest.mark.parametrize(
+        "solver", [optimize.SOLVER_PENALTY_NM, optimize.SOLVER_COBYLA]
+    )
+    def test_history_stays_inside_the_bundle_box(self, narrow_bundle, solver):
+        cfg = OptimizeConfig(
+            tau=np.inf,
+            temp_window=(-np.inf, np.inf),
+            n_mc=500,
+            seed=13,
+            restarts=2,
+            max_iters=200,
+            solver=solver,
+        )
+        res = solve(narrow_bundle, cfg, DesignPoint(v=500.0, P=160.0))
+        (v_lo, v_hi), (p_lo, p_hi) = narrow_bundle.input_bounds[:2]
+        v, p = res.history[:, 0], res.history[:, 1]
+        assert np.all((v_lo <= v) & (v <= v_hi))
+        assert np.all((p_lo <= p) & (p <= p_hi))
+        # the lowest energy sits at the fast, low-power corner of this box
+        assert res.d_star.v == pytest.approx(900.0, rel=1e-3)
+
+    def test_start_outside_the_bundle_box_rejected(self, narrow_bundle):
+        with pytest.raises(ValueError, match="initial"):
+            solve(narrow_bundle, OptimizeConfig(), DesignPoint(v=150.0, P=100.0))

@@ -99,17 +99,17 @@ class TestConfigSerialization:
 
     def test_canonical_hashes_are_pinned(self):
         assert config_hash(PipelineConfig()) == (
-            "4f6e8461b00955fc8a6943e43560b62fb0f012d04d0d408d7fbc37db7cfff3cc"
+            "aaba0dce09d96d67f8c00600454922b8bc79b1d9ab59fa19a4caaba8b226c24b"
         )
         assert config_hash(PipelineConfig(M=60, seed_doe=9)) == (
-            "b61ddcdc91527516e8d5b379983ecb3cd05df00c8b53268cd4b26aed5a9c60f9"
+            "b00926d468f5fa87545c175c429ee51045b1dc92914e1d35cda5135e677d5790"
         )
 
     @pytest.mark.parametrize(
         "ints, floats",
         [
             ({"tau": 800}, {"tau": 800.0}),
-            ({"v_bounds": (100, 1000)}, {"v_bounds": (100.0, 1000.0)}),
+            ({"temp_window": (1700, 1800)}, {"temp_window": (1700.0, 1800.0)}),
         ],
     )
     def test_equal_configs_share_a_hash(self, ints, floats):
@@ -159,11 +159,25 @@ class TestConfigSerialization:
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
 
-    def test_optimizer_box_must_fit_training_box(self):
-        bounds = default_input_bounds()
-        bounds[0] = (200.0, 900.0)  # narrower than the optimizer default
-        with pytest.raises(ValueError, match="training box"):
-            PipelineConfig(input_bounds=bounds)
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"optimize": {"v_bounds": [100.0, 1000.0]}}, "'v_bounds'"),
+            ({"optimize": {"p_bounds": [20.0, 200.0]}}, "'p_bounds'"),
+            ({"model": {"w": 1.5}}, "'w'"),
+        ],
+    )
+    def test_removed_keys_rejected(self, doc, key):
+        with pytest.raises(ValueError, match=f"unknown .* key.*{key}"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [{"T0": [585.0, float("inf")]}, {"v": [float("nan"), 1000.0]}],
+    )
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            config_from_dict({"bounds": bounds})
 
     def test_file_round_trip(self, tmp_path):
         cfg = PipelineConfig(M=50, seed_mc=77)
@@ -515,6 +529,16 @@ class TestValidation:
             validate(DesignPoint(v=50.0, P=100.0), 600.0, bundle, cfg)
         assert batches == []
 
+    def test_non_finite_design_rejected_before_simulating(
+        self, trained, monkeypatch
+    ):
+        cfg, bundle = trained
+        batches = []
+        monkeypatch.setattr(pipeline, "_run_batch", lambda *a: batches.append(a))
+        with pytest.raises(ValueError, match="outside bounds"):
+            validate(DesignPoint(v=np.nan, P=100.0), 600.0, bundle, cfg)
+        assert batches == []
+
     def test_bundle_config_mismatch_rejected(self, trained):
         cfg, bundle = trained
         bounds = default_input_bounds()
@@ -580,6 +604,13 @@ class TestCli:
         )
         assert rc == 1
         assert "zeta" in capsys.readouterr().err
+
+    def test_validate_zeta_needs_explicit_design(self, workspace, capsys):
+        _, cfg_path = workspace
+        rc = cli.main(["validate", "--config", str(cfg_path), "--zeta", "600"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--zeta" in err and "--design" in err
 
     def test_model_info(self, workspace, capsys):
         _, cfg_path = workspace

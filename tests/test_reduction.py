@@ -260,6 +260,13 @@ class TestNormalizeInputs:
         with pytest.raises(ValueError, match="outside bounds"):
             reduction.normalize_inputs(bad, b)
 
+    def test_nan_input_rejected(self):
+        b = physical_bounds()
+        bad = b.mean(axis=1)
+        bad[0] = np.nan
+        with pytest.raises(ValueError, match="outside bounds"):
+            reduction.normalize_inputs(bad, b)
+
     def test_tiny_excursion_clamps(self):
         b = physical_bounds()
         x = b[:, 1].copy()
@@ -270,6 +277,11 @@ class TestNormalizeInputs:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError, match="lower bound"):
             reduction.normalize_inputs(np.zeros(2), [[0.0, 1.0], [2.0, 2.0]])
+
+    @pytest.mark.parametrize("edge", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bounds_rejected(self, edge):
+        with pytest.raises(ValueError, match="finite"):
+            reduction.check_bounds([[0.0, 1.0], [edge, 2.0]])
 
 
 class TestQuadraticGradients:

@@ -135,6 +135,19 @@ class TestSimulate:
         assert np.max(np.abs(snap.temps - 650.0)) < 1e-6
         assert np.max(np.abs(snap.peak_field - 650.0)) < 1e-6
 
+    @pytest.mark.parametrize(
+        "d, match",
+        [
+            (DesignPoint(500.0, np.nan), "power"),
+            (DesignPoint(500.0, np.inf), "power"),
+            (DesignPoint(np.nan, 100.0), "speed"),
+            (DesignPoint(np.inf, 100.0), "speed"),
+        ],
+    )
+    def test_non_finite_design_rejected(self, d, match):
+        with pytest.raises(ValueError, match=match):
+            thermal.simulate(d, NOMINAL_Z)
+
     def test_power_monotonicity(self):
         maxima = []
         for P in (20.0, 65.0, 110.0, 155.0, 200.0):
