@@ -23,7 +23,6 @@ import hashlib
 import json
 from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, field, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +60,8 @@ from .thermal import (
     RandomInputs,
     SimGridConfig,
     SimulationError,
-    simulate,
+    simulate,  # not called here, but perfbench/tracing.py wraps it by this name
+    simulate_batch,
 )
 
 __all__ = [
@@ -390,36 +390,31 @@ def _synthetic_rows(cfg: PipelineConfig, xi: np.ndarray):
     return t_row, s_row
 
 
-def _simulate_rows(cfg: PipelineConfig, xi: np.ndarray):
-    """One training run: probe history row and serialized stress row."""
-    if cfg.synthetic:
-        return _synthetic_rows(cfg, xi)
-    d = DesignPoint(v=float(xi[0]), P=float(xi[1]))
-    z = RandomInputs(T0=float(xi[2]), Y=float(xi[3]), E=float(xi[4]), rho=float(xi[5]))
-    snap = simulate(d, z, cfg.model, cfg.grid)
-    stress = residual_stress(snap, z, cfg.c_r)
-    return snap.temps, field_to_row(stress.grid)
-
-
 def _run_batch(cfg: PipelineConfig, rows: np.ndarray, what: str):
-    """Simulate every row, results in run-index order; with workers > 1
-    the runs are spread over a process pool."""
+    """Probe-history and serialized stress rows of every run, in run-index
+    order.  The runs advance in lockstep blocks (thermal.simulate_batch);
+    with workers > 1 the blocks are spread over a process pool."""
+    if cfg.synthetic:
+        return [_synthetic_rows(cfg, xi) for xi in rows]
+    designs = [DesignPoint(v=float(xi[0]), P=float(xi[1])) for xi in rows]
+    inputs = [RandomInputs(*map(float, xi[2:])) for xi in rows]
     with ExitStack() as stack:
-        run_all = map
+        map_blocks = map
         if cfg.workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            run_all = stack.enter_context(ProcessPoolExecutor(cfg.workers)).map
-        results = []
+            map_blocks = stack.enter_context(ProcessPoolExecutor(cfg.workers)).map
         try:
-            for result in run_all(partial(_simulate_rows, cfg), rows):
-                results.append(result)
+            snaps = simulate_batch(designs, inputs, cfg.model, cfg.grid, map_blocks)
         except SimulationError as e:
-            i = len(results)  # both maps yield in run order
             raise SimulationError(
-                f"{what} run {i} failed for inputs {rows[i].tolist()}: {e}", e.step
+                f"{what} run {e.run} failed for inputs {rows[e.run].tolist()}: {e}",
+                e.step, e.run,
             ) from e
-    return results
+    return [
+        (s.temps, field_to_row(residual_stress(s, z, cfg.c_r).grid))
+        for s, z in zip(snaps, inputs)
+    ]
 
 
 def run_simulations(cfg: PipelineConfig):

@@ -6,7 +6,7 @@ statement of a quantity some package code computes another way.
 
 import numpy as np
 
-from pbfopt import optimize, pipeline, risk, surrogate
+from pbfopt import optimize, pipeline, risk, surrogate, thermal
 from pbfopt.reduction import normalize_inputs
 
 
@@ -119,3 +119,69 @@ def maximin_doe_pdist(M, bounds, seed):
         if score > best_score:
             best, best_score = unit, score
     return b[:, 0] + best * (b[:, 1] - b[:, 0])
+
+
+def solve_field_per_run(d, z, p, grid):
+    """One run of the thermal solver stepped on its own, one field at a
+    time: the loop thermal._solve_field advances in lockstep blocks.
+
+    Returns (temps, peak_sim, final_sim, peak_field), peak_field being the
+    peak resampled to the stress grid as thermal.simulate_batch does.
+    """
+    nx, nz = grid.cells_x, grid.cells_z
+    dx, dz = p.l / nx, p.h / nz
+    xc = (np.arange(nx) + 0.5) * dx
+    zc = (np.arange(nz) + 0.5) * dz
+    x_edges = np.arange(nx + 1) * dx
+
+    rho = thermal.bulk_density(z.rho)
+    t_scan = p.l / d.v
+    times = thermal.snapshot_times(d.v, p.l)
+    clamp_lo = min(z.T0, p.Tc) - 50.0
+    clamp_hi = 3.0 * p.Tliq
+    cp_min, _ = thermal._quad_extrema(p.a0, p.a1, p.a2, clamp_lo, clamp_hi)
+    _, kap_max = thermal._quad_extrema(p.b0, p.b1, p.b2, clamp_lo, clamp_hi)
+    kap_max *= 1e-3
+    dt_stable = grid.cfl_factor * rho * cp_min * min(dx, dz) ** 2 / (4.0 * kap_max)
+    n_steps = max(1, int(np.ceil(t_scan / dt_stable)))
+    dt = t_scan / n_steps
+
+    T = np.full((nx, nz), float(z.T0))
+    peak = T.copy()
+    amp = 2.0 * p.A * d.P / (np.pi * p.r**2 * p.z0)
+    gz = thermal._depth_deposit(nz, dz, p.h, p.z0)
+    tc_k4 = (p.Tc + thermal.KELVIN_OFFSET) ** 4
+    rad_coeff = thermal.STEFAN_BOLTZMANN_MM * p.eps_s
+
+    cell = thermal._bilinear_cell(T.shape, xc[0], dx, zc[0], dz, p.l / 2.0, p.h)
+    trace = np.empty(n_steps + 1)
+    trace[0] = thermal._bilinear(T, *cell)
+    for step in range(1, n_steps + 1):
+        t_old = (step - 1) * dt
+        cp, kap = thermal.material_props(T, p)
+        kap = kap * 1e-3
+        rate = np.zeros_like(T)
+        fx = 0.5 * (kap[1:, :] + kap[:-1, :]) * (T[1:, :] - T[:-1, :]) / dx
+        rate[:-1, :] += fx / dx
+        rate[1:, :] -= fx / dx
+        fz = 0.5 * (kap[:, 1:] + kap[:, :-1]) * (T[:, 1:] - T[:, :-1]) / dz
+        rate[:, :-1] += fz / dz
+        rate[:, 1:] -= fz / dz
+        if d.P > 0:
+            gx = thermal._gauss_deposit(x_edges, d.v * t_old, p.r, dx)
+            rate += amp * np.outer(gx, gz)
+        t_k = T[:, -1] + thermal.KELVIN_OFFSET
+        rate[:, -1] -= rad_coeff * (t_k**4 - tc_k4) / dz
+        T = T + dt * rate / (rho * cp)
+        np.maximum(peak, T, out=peak)
+        probe = trace[step] = thermal._bilinear(T, *cell)
+        if not clamp_lo <= probe <= clamp_hi:
+            raise thermal.SimulationError(f"probe {probe} outside the clamp", step)
+    temps = np.interp(times, np.arange(n_steps + 1) * dt, trace)
+
+    nsx, nsz = thermal.STRESS_GRID_SHAPE
+    xq, zq = np.meshgrid(
+        np.linspace(0.0, p.l, nsx), np.linspace(0.0, p.h, nsz), indexing="ij"
+    )
+    cell = thermal._bilinear_cell(peak.shape, xc[0], dx, zc[0], dz, xq, zq)
+    return temps, peak, T, thermal._bilinear(peak, *cell)

@@ -19,7 +19,7 @@ import pytest
 from oracles import buffered_superquantile_se, maximin_doe_pdist, predict_row
 
 import pbfopt
-from pbfopt import cli, pipeline, risk
+from pbfopt import cli, pipeline, risk, thermal
 from pbfopt.optimize import OptimizeConfig, draw_material_samples
 from pbfopt.pipeline import (
     DEFAULT_STARTS,
@@ -44,6 +44,7 @@ from pbfopt.thermal import (
     RANDOM_INPUT_BOUNDS,
     DesignPoint,
     ModelParams,
+    SimGridConfig,
     SimulationError,
 )
 
@@ -373,6 +374,42 @@ class TestSimulationBatch:
         )
         assert "step" in msg
         assert info.value.step > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lowest_failing_run_is_reported(self, tmp_path, monkeypatch, workers):
+        # run 0 succeeds; runs 2, 3 and 4 overshoot the clamp, run 3 at the
+        # earliest step; blocks of two put runs 4, 2 and 3 in three blocks
+        monkeypatch.setattr(thermal, "BLOCK_RUNS", 2)
+        grid = SimGridConfig(16, 8)
+        cfg = PipelineConfig(grid=grid, out_dir=str(tmp_path), workers=workers)
+        z = [650.0, 825.0, 110.0, 612.0]
+        rows = np.array([[100.0, 0.0, *z], [550.0, 20.0, *z], [300.0, 3000.0, *z],
+                         [1000.0, 20000.0, *z], [100.0, 5000.0, *z]])
+        with pytest.raises(SimulationError) as alone:
+            thermal.simulate(DesignPoint(300.0, 3000.0), thermal.RandomInputs(*z),
+                             grid=grid)
+        with pytest.raises(SimulationError) as info:
+            pipeline._run_batch(cfg, rows, "training")
+        assert str(info.value) == (
+            "training run 2 failed for inputs "
+            f"[300.0, 3000.0, 650.0, 825.0, 110.0, 612.0]: {alone.value}"
+        )
+        assert info.value.step == alone.value.step > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_invalid_last_row_rejected_before_stepping(
+        self, tmp_path, monkeypatch, workers
+    ):
+        kernel_calls = []
+        monkeypatch.setattr(thermal, "_solve_field", lambda *a, **k: kernel_calls.append(a))
+        cfg = PipelineConfig(out_dir=str(tmp_path), workers=workers)
+        z = draw_material_samples(
+            np.array(list(RANDOM_INPUT_BOUNDS.values())), 4, np.random.default_rng(8)
+        )
+        z[-1, 3] = 0.0  # the last run's density
+        with pytest.raises(ValueError, match="rho"):
+            simulate_stress_maxima(cfg, DesignPoint(500.0, 100.0), z)
+        assert kernel_calls == []
 
     def test_workers_match_serial_bit_for_bit(self, tmp_path):
         z = draw_material_samples(

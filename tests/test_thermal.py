@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import heat_flux
+from oracles import heat_flux, solve_field_per_run
 
 from pbfopt import thermal
 from pbfopt.thermal import (
@@ -171,8 +171,8 @@ class TestSimulate:
 
     def test_peak_dominates_final_field(self):
         d = DesignPoint(400.0, 150.0)
-        _, temps, peak, final, _, _ = thermal._solve_field(
-            d, NOMINAL_Z, ModelParams(), SimGridConfig()
+        [(_, temps, peak, final, _, _)] = thermal._solve_field(
+            [(d, NOMINAL_Z)], ModelParams(), SimGridConfig()
         )
         assert np.all(peak >= final - 1e-12)
         assert peak.max() >= final.max()
@@ -207,7 +207,7 @@ class TestSimulate:
         d = DesignPoint(1.0e5, 200.0)
         z = RandomInputs(T0=700.0, Y=825.0, E=110.0, rho=612.0)
         grid = SimGridConfig(4, 4, cfl_factor=1.0)
-        times, temps, _, final, xc, zc = thermal._solve_field(d, z, p, grid)
+        [(times, temps, _, final, xc, zc)] = thermal._solve_field([(d, z)], p, grid)
         dx, dz = p.l / 4, p.h / 4
         xq, zq = np.array([p.l / 2]), np.array([p.h])
         cell = thermal._bilinear_cell(final.shape, xc[0], dx, zc[0], dz, xq, zq)
@@ -239,6 +239,62 @@ class TestSimulate:
         z = RandomInputs(T0=585.0, Y=742.5, E=100.0, rho=550.8)
         snap = thermal.simulate(DesignPoint(1000.0, 20.0), z)
         assert np.isfinite(snap.temps).all()
+
+
+class TestLockstepBatch:
+    """The lockstep kernel against the per-run step loop it replaced."""
+
+    GRID = SimGridConfig(16, 8)  # coarse, so a run takes tens to hundreds of steps
+
+    @staticmethod
+    def mixed_runs():
+        # speeds spread the step counts over about 86 to 860; run 3 is unpowered
+        # and run 5 starts below chamber temperature
+        rng = np.random.default_rng(4)
+        runs = []
+        for i in range(thermal.BLOCK_RUNS + 3):
+            d = DesignPoint(float(rng.uniform(100.0, 1000.0)),
+                            0.0 if i == 3 else float(rng.uniform(20.0, 200.0)))
+            z = RandomInputs(585.0 if i == 5 else float(rng.uniform(585.0, 715.0)),
+                             825.0, 110.0, float(rng.uniform(550.8, 673.2)))
+            runs.append((d, z))
+        return runs
+
+    def test_mixed_batch_matches_per_run_loop(self):
+        p, runs = ModelParams(), self.mixed_runs()
+        plans = [thermal._plan(d, z, p, self.GRID) for d, z in runs]
+        assert len({plan[2] for plan in plans}) > thermal.BLOCK_RUNS // 2
+        expected = [solve_field_per_run(d, z, p, self.GRID) for d, z in runs]
+        snaps = thermal.simulate_batch(*zip(*runs), p, self.GRID)
+        kernel = thermal._solve_field(runs, p, self.GRID)  # one block
+        for (temps, peak, final, peak_field), snap, raw in zip(expected, snaps, kernel):
+            assert np.array_equal(snap.temps, temps)
+            assert np.array_equal(snap.peak_field, peak_field)
+            assert np.array_equal(raw[1], temps)
+            assert np.array_equal(raw[2], peak)
+            assert np.array_equal(raw[3], final)
+
+    def test_block_size_changes_no_result(self, monkeypatch):
+        runs = self.mixed_runs()[:7]
+        whole = thermal.simulate_batch(*zip(*runs), grid=self.GRID)
+        monkeypatch.setattr(thermal, "BLOCK_RUNS", 2)
+        split = thermal.simulate_batch(*zip(*runs), grid=self.GRID)
+        for a, b in zip(whole, split, strict=True):
+            assert np.array_equal(a.temps, b.temps)
+            assert np.array_equal(a.peak_field, b.peak_field)
+
+    def test_lowest_failing_run_raises_its_own_error(self):
+        # runs 2 and 3 overshoot the clamp, run 3 at an earlier step
+        z = NOMINAL_Z
+        designs = [DesignPoint(100.0, 0.0), DesignPoint(550.0, 20.0),
+                   DesignPoint(300.0, 3000.0), DesignPoint(1000.0, 20000.0)]
+        with pytest.raises(SimulationError) as alone:
+            thermal.simulate(designs[2], z, grid=self.GRID)
+        with pytest.raises(SimulationError) as info:
+            thermal.simulate_batch(designs, [z] * 4, grid=self.GRID)
+        assert info.value.run == 2
+        assert str(info.value) == str(alone.value)
+        assert info.value.step == alone.value.step > 0
 
 
 class TestBulkDensity:
