@@ -7,13 +7,14 @@ surface radiates per Stefan-Boltzmann (computed in Kelvin).  The beam is a
 volumetric Gaussian moving along the top surface at scanning speed v with
 a cubic depth profile vanishing at penetration depth z0.
 
-Runs advance in lockstep blocks of up to BLOCK_RUNS: one (B, nx, nz) array
-whose runs each keep their own density, time step, step count, clamp range
-and beam.  Sorted by step count, the runs still stepping are a shrinking
-leading prefix.  Each element gets a single-run step's arithmetic in the
-same order, so no result depends on the block or its size.  The probe at
-the center of the top surface is recorded after every step; the 31
-snapshot instants interpolate that trace linearly between step end times.
+Runs step in lockstep blocks of up to BLOCK_RUNS, each field one flat array
+in z-major (run, z, x) order, so a field operation is one unit-stride loop
+and faces across a wall or a run boundary carry zero flux.  Each run keeps
+its density, time step, step count, clamp range and beam; sorted by step
+count, those still stepping are a leading prefix.  Every element gets a
+single-run step's arithmetic in its order, so no result depends on the
+block.  The probe (top-surface center), recorded after every step, is
+interpolated linearly to the 31 snapshot instants.
 
 Units: mm, s, W, degC internally.  Conductivity is supplied in W/(m*K)
 and converted by 1e-3; density in kg/m^3 converted by 1e-9.
@@ -36,12 +37,8 @@ __all__ = [
 
 # decision-variable box and the uniform ranges of the random inputs
 DESIGN_BOUNDS = {"v": (100.0, 1000.0), "P": (20.0, 200.0)}
-RANDOM_INPUT_BOUNDS = {
-    "T0": (585.0, 715.0),
-    "Y": (742.5, 907.5),
-    "E": (100.0, 120.0),
-    "rho": (550.8, 673.2),
-}
+RANDOM_INPUT_BOUNDS = {"T0": (585.0, 715.0), "Y": (742.5, 907.5),
+                       "E": (100.0, 120.0), "rho": (550.8, 673.2)}
 
 # stress field resolution: 32 points along the length, 14 along the height
 STRESS_GRID_SHAPE = (32, 14)
@@ -56,8 +53,7 @@ class SimulationError(RuntimeError):
 
     def __init__(self, message: str, step: int, run: int = 0):
         super().__init__(message)
-        self.step = step
-        self.run = run
+        self.step, self.run = step, run
 
     def __reduce__(self):  # multi-argument init needs explicit pickle support
         return (SimulationError, (self.args[0], self.step, self.run))
@@ -252,69 +248,69 @@ def _plan(d: DesignPoint, z: RandomInputs, p: ModelParams, grid: SimGridConfig):
 
 
 def _solve_field(runs, p: ModelParams, grid: SimGridConfig):
-    """Step one block of (design, random inputs) runs in lockstep; internals
-    for simulate_batch and tests.  Per run in input order: (times,
-    probe_temps, peak_sim, final_sim, x_centers, z_centers), or the run's
-    SimulationError."""
+    """Step a block of runs, each (design, random inputs[, its _plan]), in lockstep
+    for simulate_batch and tests.  Per run in input order: (times, probe_temps,
+    peak_sim, final_sim, x_centers, z_centers) or its SimulationError."""
     nx, nz = grid.cells_x, grid.cells_z
     dx, dz = p.l / nx, p.h / nz
     xc, zc = (np.arange(nx) + 0.5) * dx, (np.arange(nz) + 0.5) * dz
     x_edges = np.arange(nx + 1) * dx
-    order = sorted(range(len(runs)), key=lambda k: -_plan(*runs[k], p, grid)[2])
-    runs = [runs[k] for k in order]  # most steps first
-    rho, dt, n_steps, lo, hi = np.array([_plan(d, z, p, grid) for d, z in runs]).T
+    plans = [run[2] if len(run) > 2 else _plan(*run, p, grid) for run in runs]
+    order = sorted(range(len(runs)), key=lambda k: -plans[k][2])  # most steps first
+    rho, dt, n_steps, lo, hi, v, power, t0 = np.array(
+        [(*plans[k], runs[k][0].v, runs[k][0].P, runs[k][1].T0) for k in order], float).T
     n_steps = n_steps.astype(int).tolist()
-    v, power, t0 = np.array([(d.v, d.P, z.T0) for d, z in runs]).T
     amp = 2.0 * p.A * power / (np.pi * p.r**2 * p.z0)
-    T = np.repeat(t0, nx * nz).reshape(-1, nx, nz)
-    peak = T.copy()
+    cells = nx * nz  # one run's (z, x) field after another, x fastest
+    T, peak, dt_c, rho_c = (np.repeat(a, cells) for a in (t0, t0, dt, rho))
     cp, kap, rate, sq = (np.empty_like(T) for _ in range(4))
+    T3, peak3, rate3 = (a.reshape(-1, nz, nx) for a in (T, peak, rate))  # views
+    # face fluxes f[off + k], cells k to k + off; at walls and run boundaries 0
+    fx, fz = np.zeros(T.size + 1), np.zeros(T.size + nx)
+    faces = [(dx, 1, fx, fx[1:].reshape(-1, nz, nx)[..., -1]),
+             (dz, nx, fz, fz[nx:].reshape(-1, nz, nx)[:, -1])]
     gz = _depth_deposit(nz, dz, p.h, p.z0)  # per cell row, index 0 = bottom
+    j0 = int(np.flatnonzero(gz)[0])  # the beam reaches rows j0 to the top
     tc_k4, rad_coeff = (p.Tc + KELVIN_OFFSET) ** 4, STEFAN_BOLTZMANN_MM * p.eps_s
-    # per face direction: spacing, cells above and below, flux and difference
-    faces = [(h, up, dn, np.empty_like(T[dn]), np.empty_like(T[dn])) for h, up, dn in
-             ((dx, np.s_[:, 1:], np.s_[:, :-1]), (dz, np.s_[..., 1:], np.s_[..., :-1]))]
     # the probe keeps one cell and one set of bilinear weights throughout
     cell = _bilinear_cell((nx, nz), xc[0], dx, zc[0], dz, p.l / 2.0, p.h)
     trace = np.empty((n_steps[0] + 1, len(order)))  # probe at each step's end
-    trace[0] = _bilinear(T.transpose(1, 2, 0), *cell)
-    n = len(order)
-    errors = [None] * n
+    trace[0] = _bilinear(T3.T, *cell)
+    n, errors = len(order), [None] * len(order)
     with np.errstate(all="ignore"):  # a failed run steps on, never read
         for step in range(1, n_steps[0] + 1):
             while n_steps[n - 1] < step:
                 n -= 1
-            Tn, cpn, kapn, raten, sqn = T[:n], cp[:n], kap[:n], rate[:n], sq[:n]
+            m = n * cells
+            Tn, cpn, kapn, raten, sqn = T[:m], cp[:m], kap[:m], rate[:m], sq[:m]
             # material_props in place, in its order of operations
             np.square(Tn, out=sqn)
             for c0, c1, c2, prop in ((p.a0, p.a1, p.a2, cpn), (p.b0, p.b1, p.b2, kapn)):
                 np.add(np.multiply(Tn, c1, out=prop), c0, out=prop)
                 prop += np.multiply(sqn, c2, out=raten)
             kapn *= 1e-3
-            # conduction: arithmetic-mean face conductivities, insulated walls
-            raten.fill(0.0)
-            for h, up, dn, flux, diff in faces:
-                flux, diff = flux[:n], diff[:n]
-                np.multiply(np.add(kapn[up], kapn[dn], out=flux), 0.5, out=flux)
-                flux *= np.subtract(Tn[up], Tn[dn], out=diff)
-                flux /= h  # the face flux,
+            # conduction, mean face conductivity; * 0.5 / h is / (2 h) exactly
+            for h, off, f, wall in faces:
+                flux = f[off:m]
+                np.add(kapn[off:], kapn[:-off], out=flux)
+                flux *= np.subtract(Tn[off:], Tn[:-off], out=sqn[:-off])
+                flux /= 2.0 * h  # the face flux,
                 flux /= h  # then its share of each neighbour's rate
-                raten[dn] += flux
-                raten[up] -= flux
-            # beam deposition, cell-averaged in both directions (P = 0 adds 0)
-            beam_x = v[:n, None] * ((step - 1) * dt[:n, None])
-            gx = _gauss_deposit(x_edges, beam_x, p.r, dx)
-            np.multiply(gx[..., None], gz, out=sqn)
-            raten += np.multiply(sqn, amp[:n, None, None], out=sqn)
+                wall[:n] = 0.0
+            np.subtract(fx[1 : m + 1], fx[:m], out=raten)
+            raten += fz[nx : m + nx]
+            raten -= fz[:m]
+            # beam deposition on its rows, cell-averaged in both directions
+            gx = _gauss_deposit(x_edges, v[:n, None] * ((step - 1) * dt[:n, None]), p.r, dx)
+            rate3[:n, j0:] += gx[:, None] * gz[j0:, None] * amp[:n, None, None]
             # top-surface radiation out of the top cell row
-            t_k = Tn[:, :, -1] + KELVIN_OFFSET
-            raten[:, :, -1] -= rad_coeff * (t_k**4 - tc_k4) / dz
+            rate3[:n, -1] -= rad_coeff * ((T3[:n, -1] + KELVIN_OFFSET) ** 4 - tc_k4) / dz
             # T += dt * rate / (rho * cp)
-            raten *= dt[:n, None, None]
-            raten /= np.multiply(cpn, rho[:n, None, None], out=cpn)
+            raten *= dt_c[:m]
+            raten /= np.multiply(cpn, rho_c[:m], out=cpn)
             Tn += raten
-            np.maximum(peak[:n], Tn, out=peak[:n])
-            probe = trace[step, :n] = _bilinear(Tn.transpose(1, 2, 0), *cell)
+            np.maximum(peak[:m], Tn, out=peak[:m])
+            probe = trace[step, :n] = _bilinear(T3[:n].T, *cell)
             for s in np.flatnonzero(~((lo[:n] <= probe) & (probe <= hi[:n]))):  # nan
                 errors[s] = errors[s] or SimulationError(
                     f"probe temperature {probe[s]:.1f} degC outside "
@@ -324,13 +320,12 @@ def _solve_field(runs, p: ModelParams, grid: SimGridConfig):
     out = []
     for s in np.argsort(order):  # in input order
         last = n_steps[s]
-        if errors[s] is None and not np.isfinite(T[s]).all():
+        if errors[s] is None and not np.isfinite(T3[s]).all():
             errors[s] = SimulationError(f"field became non-finite by step {last}", last)
-        # snapshots: linear interpolation of the trace between step ends; the
-        # last instant may exceed n_steps * dt by rounding, where interp clamps
+        # the trace interpolated between step ends; interp clamps a rounding overshoot
         times = snapshot_times(v[s], p.l)
         temps = np.interp(times, np.arange(last + 1) * dt[s], trace[: last + 1, s])
-        out.append(errors[s] or (times, temps, peak[s].copy(), T[s].copy(), xc, zc))
+        out.append(errors[s] or (times, temps, peak3[s].T.copy(), T3[s].T.copy(), xc, zc))
     return out
 
 
@@ -339,25 +334,30 @@ def simulate_batch(designs, inputs, p: ModelParams | None = None,
                    map_blocks=map) -> list[TemperatureSnapshot]:
     """One scan per (design, random inputs) pair, snapshots in that order.
 
-    All inputs are checked before any run steps.  Sorted by step count, the
-    runs go in blocks of BLOCK_RUNS to the kernel through map_blocks (map,
-    or a process pool's), which changes no result.  The lowest-indexed
-    failed run raises its SimulationError, with .run set to that index."""
+    Every run is checked and planned before any steps.  Sorted by step count,
+    the runs go in blocks of BLOCK_RUNS to the kernel through map_blocks (map,
+    or a process pool's), which changes no result.  The lowest-indexed failed
+    run raises its SimulationError with .run set; map skips blocks above it."""
     p = ModelParams() if p is None else p
     grid = SimGridConfig() if grid is None else grid
-    runs = list(zip(designs, inputs, strict=True))
-    order = sorted(range(len(runs)), key=lambda k: -_plan(*runs[k], p, grid)[2])
+    runs = [(d, z, _plan(d, z, p, grid)) for d, z in zip(designs, inputs, strict=True)]
+    order = sorted(range(len(runs)), key=lambda k: -runs[k][2][2])
     blocks = [order[i : i + BLOCK_RUNS] for i in range(0, len(order), BLOCK_RUNS)]
-    solved = map_blocks(partial(_solve_field, p=p, grid=grid),
-                        [[runs[k] for k in block] for block in blocks])
+    snaps, sent = [None] * len(runs), []  # results by run; the blocks handed out
+
+    def todo():  # map takes a block once the last one is solved, a pool all at once
+        for block in blocks:
+            if not any(isinstance(snaps[k], SimulationError) for k in range(min(block))):
+                sent.append(block)
+                yield [runs[k] for k in block]
     # the peak field resampled to the 32x14 stress grid by clamped bilinear
     # interpolation, so it inherits the initial-condition floor T0
     xq, zq = np.meshgrid(np.linspace(0.0, p.l, STRESS_GRID_SHAPE[0]),
                          np.linspace(0.0, p.h, STRESS_GRID_SHAPE[1]), indexing="ij")
     dx, dz = p.l / grid.cells_x, p.h / grid.cells_z
     cell = _bilinear_cell((grid.cells_x, grid.cells_z), dx / 2, dx, dz / 2, dz, xq, zq)
-    snaps = [None] * len(runs)
-    for block, results in zip(blocks, solved):
+    solved = map_blocks(partial(_solve_field, p=p, grid=grid), todo())
+    for results, block in zip(solved, sent):  # a block joins sent before its result
         for k, r in zip(block, results):
             snaps[k] = r if isinstance(r, SimulationError) else TemperatureSnapshot(
                 r[0], r[1], p.l / designs[k].v, _bilinear(r[2], *cell))

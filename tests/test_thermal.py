@@ -297,6 +297,63 @@ class TestLockstepBatch:
         assert info.value.step == alone.value.step > 0
 
 
+class TestFlatBlock:
+    """Block layouts the flat kernel could get wrong, each run against the
+    per-run step loop."""
+
+    @pytest.mark.parametrize("grid, p", [
+        (SimGridConfig(16, 8), ModelParams()),
+        (SimGridConfig(5, 9), ModelParams()),  # non-square, both orientations
+        (SimGridConfig(9, 5), ModelParams()),
+        (SimGridConfig(16, 8), ModelParams(z0=0.65)),  # the beam reaches every row
+    ])
+    @pytest.mark.parametrize("v_hot, v_cold", [(250.0, 300.0), (300.0, 250.0)])
+    def test_hot_and_cold_runs_share_a_block(self, grid, p, v_hot, v_cold):
+        # the slower run steps first in the block, so both sit on each side
+        # of the run boundary; heat leaking across it breaks bit equality
+        hot = (DesignPoint(v_hot, 200.0), RandomInputs(715.0, 825.0, 110.0, 612.0))
+        cold = (DesignPoint(v_cold, 0.0), RandomInputs(585.0, 825.0, 110.0, 612.0))
+        for run, raw in zip((hot, cold), thermal._solve_field([hot, cold], p, grid)):
+            temps, peak, final, _ = solve_field_per_run(*run, p, grid)
+            assert np.array_equal(raw[1], temps)
+            assert np.array_equal(raw[2], peak)
+            assert np.array_equal(raw[3], final)
+
+    def test_integer_inputs_match_float_inputs(self):
+        grid = SimGridConfig(16, 8)
+        a = thermal.simulate(DesignPoint(100, 200), RandomInputs(650, 825, 110, 612),
+                             grid=grid)
+        b = thermal.simulate(DesignPoint(100.0, 200.0), NOMINAL_Z, grid=grid)
+        assert a.t_scan == b.t_scan
+        for field in ("times", "temps", "peak_field"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
+    def test_blocks_above_a_known_failure_are_skipped(self, monkeypatch):
+        # by step count the blocks of two are runs [1, 2], [3, 0] and [4, 5];
+        # run 1 fails in the first, so only the block holding run 0 is needed
+        grid, z = SimGridConfig(16, 8), NOMINAL_Z
+        designs = [DesignPoint(550.0, 100.0), DesignPoint(100.0, 20000.0),
+                   DesignPoint(150.0, 100.0), DesignPoint(300.0, 100.0),
+                   DesignPoint(600.0, 100.0), DesignPoint(900.0, 100.0)]
+        monkeypatch.setattr(thermal, "BLOCK_RUNS", 2)
+        solve, calls = thermal._solve_field, []
+        monkeypatch.setattr(thermal, "_solve_field",
+                            lambda runs, **kw: calls.append(len(runs)) or solve(runs, **kw))
+        with pytest.raises(SimulationError) as alone:
+            thermal.simulate(designs[1], z, grid=grid)
+        calls.clear()
+        with pytest.raises(SimulationError) as skipped:
+            thermal.simulate_batch(designs, [z] * 6, grid=grid)
+        assert calls == [2, 2]
+        with pytest.raises(SimulationError) as eager:  # as a pool: every block solved
+            thermal.simulate_batch(designs, [z] * 6, grid=grid,
+                                   map_blocks=lambda f, blocks: list(map(f, blocks)))
+        assert calls == [2, 2, 2, 2, 2]
+        for info in (skipped, eager):
+            assert (str(info.value), info.value.step, info.value.run) == (
+                str(alone.value), alone.value.step, 1)
+
+
 class TestBulkDensity:
     def test_midpoint_maps_to_reference(self):
         assert thermal.bulk_density(612.0) == pytest.approx(4300.0e-9)
