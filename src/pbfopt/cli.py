@@ -91,7 +91,6 @@ def _optimize_cfg(args) -> pipeline.PipelineConfig:
         ("tau", "tau"),
         ("n_mc", "n_mc"),
         ("seed", "seed"),
-        ("solver", "solver"),
     ):
         value = getattr(args, flag, None)
         if value is not None:
@@ -223,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", type=float, help="stress threshold, MPa")
     sp.add_argument("--n-mc", dest="n_mc", type=int, help="sample count per solve")
     sp.add_argument("--seed", type=int, help="sample-draw seed")
-    sp.add_argument("--solver", choices=["penalty-nelder-mead", "cobyla"])
     sp.add_argument("--out", metavar="DIR", help="output directory override")
     sp.add_argument("--plot-data", action="store_true", help="emit convergence CSV")
 

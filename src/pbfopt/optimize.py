@@ -13,7 +13,7 @@ minimization exactly, so zeta is reported but never searched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -25,8 +25,6 @@ __all__ = [
     "OptimizeConfig",
     "OptimizationResult",
     "HISTORY_COLUMNS",
-    "SOLVER_PENALTY_NM",
-    "SOLVER_COBYLA",
     "energy",
     "draw_material_samples",
     "stress_max_samples",
@@ -34,14 +32,12 @@ __all__ = [
     "solve",
 ]
 
-SOLVER_PENALTY_NM = "penalty-nelder-mead"
-SOLVER_COBYLA = "cobyla"
 CONSTRAINT_BPOF = "bpof"
 CONSTRAINT_POF = "pof"
 HISTORY_COLUMNS = ("v", "P", "zeta", "energy", "bpof_lhs", "t_max_hat")
 
 DEFAULT_LIQUIDUS = 1650.0
-_SIMPLEX_TOL = 1e-4
+_FD_STEP = 1e-6  # difference step in normalized units; the SQP stops below it
 
 
 @dataclass(frozen=True)
@@ -53,13 +49,10 @@ class OptimizeConfig:
     n_mc: int = 20000
     temp_window: tuple[float, float] = (DEFAULT_LIQUIDUS, 1.1 * DEFAULT_LIQUIDUS)
     seed: int = 0
-    solver: str = SOLVER_PENALTY_NM
     constraint_kind: str = CONSTRAINT_BPOF
     max_iters: int = 500
     constraint_tol: float = 1e-4
     scan_length: float = 2.0
-    restarts: int = 8
-    penalty_weight: float = 100.0
 
     def __post_init__(self):
         if not 0.0 < self.alpha_t < 1.0:
@@ -70,8 +63,8 @@ class OptimizeConfig:
             raise ValueError("n_mc must be at least 100")
         if not self.temp_window[0] < self.temp_window[1]:
             raise ValueError("temperature window is empty")
-        if self.solver not in (SOLVER_PENALTY_NM, SOLVER_COBYLA):
-            raise ValueError(f"unknown solver: {self.solver!r}")
+        if self.seed < 0:
+            raise ValueError("optimize seed cannot be negative")
         if self.constraint_kind not in (CONSTRAINT_BPOF, CONSTRAINT_POF):
             raise ValueError(f"unknown constraint kind: {self.constraint_kind!r}")
         if self.max_iters < 1:
@@ -80,18 +73,14 @@ class OptimizeConfig:
             raise ValueError("constraint_tol must be positive")
         if not self.scan_length > 0.0:
             raise ValueError("scan_length must be positive")
-        if self.restarts < 0:
-            raise ValueError("restarts cannot be negative")
-        if not self.penalty_weight > 0.0:
-            raise ValueError("penalty_weight must be positive")
 
 
 @dataclass(frozen=True, eq=False)
 class OptimizationResult:
     """Solver outcome plus the full evaluation history.
 
-    iterations counts surrogate evaluations over all restarts, one per
-    history row, for either solver.
+    iterations counts surrogate evaluations, one per history row, finite
+    differences and the elastic phase included.
     """
 
     d_star: DesignPoint
@@ -150,6 +139,17 @@ def _risk_at_best_zeta(sigma: np.ndarray, cfg: OptimizeConfig):
     if cfg.constraint_kind == CONSTRAINT_POF:
         return float(np.mean(sigma > cfg.tau)), zeta
     return bpof, zeta
+
+
+def _risk_row(sigma: np.ndarray, cfg: OptimizeConfig) -> float:
+    """The solver's risk row 1 - rho / tau, continuous in the design.  rho is
+    the alpha-superquantile in bpof mode (bPOF_tau <= 1 - alpha exactly when
+    rho <= tau; Rockafellar & Royset 2010), and in pof mode the (k + 1)-th
+    largest sample, k = floor((1 - alpha) n), exceeded by at most k samples."""
+    if cfg.constraint_kind == CONSTRAINT_POF:
+        k = int((1.0 - cfg.alpha_t) * sigma.size)
+        return 1.0 - np.partition(sigma, -k - 1)[-k - 1] / cfg.tau
+    return 1.0 - risk.estimate_superquantile(sigma, cfg.alpha_t) / cfg.tau
 
 
 def _planar_hull(points: np.ndarray) -> np.ndarray:
@@ -245,49 +245,79 @@ def is_feasible(cfg: OptimizeConfig, lhs, t_hat):
     return np.all(_margins(cfg, lhs, t_hat) >= -tol, axis=-1)
 
 
-def _nelder_mead(fun, x0: np.ndarray, step: float, max_iters: int) -> None:
-    """Minimal Nelder-Mead over fun, which records its own evaluations;
-    stops when the vertex spread per coordinate drops below _SIMPLEX_TOL
-    or the iteration budget runs out."""
-    n = x0.size
-    simplex = [np.asarray(x0, dtype=float)]
-    for i in range(n):
-        v = simplex[0].copy()
-        v[i] += step
-        simplex.append(v)
-    values = [fun(v) for v in simplex]
+def _qp(hess, g, rows, jac):
+    """Minimize g.d + d.hess.d / 2 subject to rows + jac @ d >= 0 in the plane:
+    the minimizer solves the equality problem of at most two active rows, so
+    it is the best feasible such candidate.  Returns (d, multipliers) or None."""
+    best = (np.inf, None)
+    for k in range(3):
+        for act in map(list, combinations(range(rows.size), k)):
+            kkt = np.block([[hess, -jac[act].T], [jac[act], np.zeros((k, k))]])
+            try:
+                sol = np.linalg.solve(kkt, np.concatenate([-g, -rows[act]]))
+            except np.linalg.LinAlgError:  # dependent rows
+                continue
+            d, lam = sol[:2], np.zeros(rows.size)
+            lam[act] = np.maximum(sol[2:], 0.0)
+            q = g @ d + 0.5 * d @ hess @ d
+            if q < best[0] and np.all(rows + jac @ d >= -1e-9):  # up to rounding
+                best = (q, (d, lam))
+    return best[1]
+
+
+def _sqp(fun, x: np.ndarray, max_iters: int) -> None:
+    """Minimize fun(x)[0] subject to fun(x)[1:] >= 0 over the box [-1, 1]^2 by
+    SQP: forward-difference gradients, the QP (_qp) on a Powell-damped BFGS
+    Hessian of the Lagrangian (Powell 1978), backtracking on the l1 merit
+    f + mu * sum(c^-), and a least-squares restoration step that relaxes the
+    rows when their linearization has no feasible point.  Stops when the step
+    vanishes, when backtracking finds no descent, or after max_iters."""
+    def l1(c):  # total violation of rows c >= 0
+        return np.maximum(-c, 0.0).sum()
+
+    def jacobian(x, f):  # forward differences, stepping inward at the box edge
+        hs = np.where(x + _FD_STEP <= 1.0, _FD_STEP, -_FD_STEP)
+        cols = [(fun(x + h * e) - f) / h for h, e in zip(hs, np.eye(2))]
+        return np.column_stack(cols)
+
+    f, hess, mu = fun(x), np.eye(2), 0.0
+    jac = jacobian(x, f)
     for _ in range(max_iters):
-        order = np.argsort(values)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        spread = np.ptp(np.vstack(simplex), axis=0).max()
-        if spread < _SIMPLEX_TOL:
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        reflected = centroid + (centroid - simplex[-1])
-        f_r = fun(reflected)
-        if f_r < values[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
-            f_e = fun(expanded)
-            if f_e < f_r:
-                simplex[-1], values[-1] = expanded, f_e
-            else:
-                simplex[-1], values[-1] = reflected, f_r
-        elif f_r < values[-2]:
-            simplex[-1], values[-1] = reflected, f_r
-        else:
-            contracted = centroid + 0.5 * (simplex[-1] - centroid)
-            f_c = fun(contracted)
-            if f_c < values[-1]:
-                simplex[-1], values[-1] = contracted, f_c
-            else:
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = fun(simplex[i])
+        c, a, g = f[1:], jac[1:], jac[0]
+        rows = np.concatenate([c, 1.0 - x, 1.0 + x])
+        jac_rows = np.vstack([a, -np.eye(2), np.eye(2)])
+        step = _qp(hess, g, rows, jac_rows)
+        if step is None:  # relax each row to a least-squares restoration step
+            d = np.linalg.lstsq(jac_rows[rows < 0.0], -rows[rows < 0.0], rcond=None)[0]
+            d = np.clip(x + d, -1.0, 1.0) - x
+            rows -= np.minimum(rows + jac_rows @ d, 0.0)
+            step = _qp(hess, g, rows, jac_rows) or (d, np.zeros(rows.size))
+        d, lam = step[0], step[1][: c.size]
+        drop = l1(c) - l1(c + a @ d)
+        if drop > 0.0:  # Nocedal & Wright (18.36): d descends on the merit
+            mu = max(mu, (g @ d + 0.5 * d @ hess @ d) / (0.5 * drop))
+        slope = g @ d - mu * drop
+        if np.abs(d).max() < _FD_STEP or not slope < 0.0:
+            return
+        for t in 0.5 ** np.arange(20):  # backtracking
+            x_t = np.clip(x + t * d, -1.0, 1.0)
+            f_t = fun(x_t)
+            if f_t[0] + mu * l1(f_t[1:]) <= f[0] + mu * l1(c) + 1e-4 * t * slope:
+                break
+        else:  # no descent along d
+            return
+        jac_t = jacobian(x_t, f_t)
+        s, y = x_t - x, jac_t[0] - jac_t[1:].T @ lam - (g - a.T @ lam)
+        hs = hess @ s
+        if s @ y < 0.2 * s @ hs:  # Powell's damping keeps hess positive definite
+            theta = 0.8 * (s @ hs) / (s @ hs - s @ y)
+            y = theta * y + (1.0 - theta) * hs
+        hess += np.outer(y, y) / (s @ y) - np.outer(hs, hs) / (s @ hs)
+        x, f, jac = x_t, f_t, jac_t
 
 
 class _SolveState:
-    """Shared bookkeeping across solver runs: history and incumbents.
+    """Shared bookkeeping across solver phases: history and incumbents.
     row_max is the (stress, temperature) _RowMax pair on the frozen draws.
     The solver searches b's design box in b's own normalized coordinates."""
 
@@ -306,13 +336,15 @@ class _SolveState:
         """Evaluate one solver point, a design in normalized coordinates;
         records history and incumbents.  Returns the energy, the scaled
         constraint violations (the negative part of _margins, then the
-        distance outside the box) and the constraint margins."""
+        distance outside the box) and the solver's constraint rows:
+        _margins with its risk row in stress units (_risk_row)."""
         cfg = self.cfg
         xc = np.clip(x, -1.0, 1.0)  # the evaluated design lives at the clip
         v, p = self.box_mid + self.box_half * xc
         d = DesignPoint(v=v, P=p)
         stress_max, temperature_max = self.row_max
-        lhs, zeta = _risk_at_best_zeta(stress_max(xc), cfg)
+        sigma = stress_max(xc)
+        lhs, zeta = _risk_at_best_zeta(sigma, cfg)
         t_hat = float(temperature_max(xc).mean())
         e = energy(d, cfg.scan_length)
         margins = _margins(cfg, lhs, t_hat)
@@ -327,6 +359,7 @@ class _SolveState:
         key = (total_viol, e)
         if self.least_infeasible is None or key < self.least_infeasible[:2]:
             self.least_infeasible = (total_viol, e, xc, row)
+        margins[0] = _risk_row(sigma, cfg)
         return e, viol, margins
 
     def _is_feasible(self, lhs, t_hat):
@@ -338,11 +371,10 @@ def solve(
 ) -> OptimizationResult:
     """Minimize scan energy subject to the risk and melt-window constraints.
 
-    Runs the configured derivative-free solver over (v, P) in b's design
-    box, from d0 with seeded restarts on one frozen sample set, then
-    reports the best feasible evaluated point (or the least-infeasible
-    one with feasible=False).  Every evaluation takes zeta as the exact
-    minimizer of the buffered exceedance ratio at its design.
+    Runs one SQP (_sqp) over (v, P) in b's design box from d0 on one frozen
+    sample set and reports the best feasible evaluated point.  Without one,
+    an elastic phase reruns it on the squared scaled violations from the
+    least-infeasible point, which is reported with feasible=False.
     """
     try:
         start = normalize_inputs(np.array([d0.v, d0.P]), b.input_bounds[:2])
@@ -353,26 +385,17 @@ def solve(
     u_z = _material_inputs(b, z_raw)
     state = _SolveState(b, cfg, (_RowMax(b.stress, u_z), _RowMax(b.temperature, u_z)))
 
-    weight = cfg.penalty_weight
-    incumbent_energy = np.inf
-    for attempt in range(1 + cfg.restarts):
-        if cfg.solver == SOLVER_PENALTY_NM:
-            w = weight
+    def energy_and_rows(x):
+        e, _, rows = state.assess(x)
+        # a row above 1 is never active, and an open window edge makes it inf
+        return np.append(e, np.minimum(rows, 1.0))
 
-            def penalized(x):
-                e, viol, _ = state.assess(x)
-                return e + w * float(viol @ viol)
+    def squared_violation(x):
+        return np.array([np.sum(state.assess(x)[1] ** 2)])
 
-            _nelder_mead(penalized, start, 0.25, cfg.max_iters)
-        else:
-            _cobyla_run(state, start, cfg)
-        best = state.best_feasible
-        if best is not None and best[0] < incumbent_energy - 1e-9:
-            incumbent_energy = best[0]
-        else:
-            weight *= 2.0  # stagnation: tighten the exterior penalty
-        anchor = best[1] if best is not None else state.least_infeasible[2]
-        start = np.clip(anchor + rng.normal(0.0, 0.1, size=2), -1.0, 1.0)
+    _sqp(energy_and_rows, start, cfg.max_iters)
+    if state.best_feasible is None:  # the elastic phase
+        _sqp(squared_violation, state.least_infeasible[2], cfg.max_iters)
 
     feasible = state.best_feasible is not None
     row = state.best_feasible[2] if feasible else state.least_infeasible[3]
@@ -386,28 +409,4 @@ def solve(
         iterations=len(state.history),
         feasible=feasible,
         history=np.asarray(state.history, dtype=float),
-    )
-
-
-def _cobyla_run(state: _SolveState, x0: np.ndarray, cfg: OptimizeConfig) -> None:
-    from scipy.optimize import minimize
-
-    # the objective and the constraints at one point share one evaluation
-    @lru_cache(maxsize=1)
-    def assessed(x: tuple):
-        return state.assess(np.array(x))
-
-    def margins(x):
-        return np.concatenate([assessed(tuple(x))[2], 1.0 - x, x + 1.0])
-
-    minimize(
-        lambda x: assessed(tuple(x))[0],
-        x0,
-        method="COBYLA",
-        constraints=[{"type": "ineq", "fun": margins}],
-        options={
-            "maxiter": cfg.max_iters,
-            "rhobeg": 0.25,
-            "catol": 0.5 * cfg.constraint_tol,
-        },
     )

@@ -148,6 +148,9 @@ class PipelineConfig:
             raise ValueError("c_r must lie in (0, 1]")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        for name in ("seed_doe", "seed_mc", "seed_validation"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -531,7 +534,6 @@ def run_optimization(
         "tau": cfg.optimize.tau,
         "alpha_t": cfg.optimize.alpha_t,
         "n_mc": cfg.optimize.n_mc,
-        "solver": cfg.optimize.solver,
         "constraint_kind": cfg.optimize.constraint_kind,
         "seed": cfg.optimize.seed,
         "starts": [_result_record(d0, r) for d0, r in zip(starts, results)],

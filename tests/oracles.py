@@ -91,6 +91,32 @@ def evaluate_constraints(d, zeta, bundle, samples, cfg):
     return float(np.maximum(sigma - zeta, 0.0).mean() / (cfg.tau - zeta)), t_hat
 
 
+def slsqp_solve(bundle, cfg, d0):
+    """Lowest feasible energy that scipy's SLSQP finds on the solver's own
+    problem: the same frozen draws, normalized design box and constraint
+    rows (optimize._SolveState.assess), with forward-difference gradients.
+    None when it evaluates no feasible point."""
+    from scipy.optimize import minimize
+
+    z = optimize.draw_material_samples(
+        bundle.input_bounds[2:], cfg.n_mc, np.random.default_rng(cfg.seed)
+    )
+    u_z = optimize._material_inputs(bundle, z)
+    row_max = (optimize._RowMax(bundle.stress, u_z),
+               optimize._RowMax(bundle.temperature, u_z))
+    state = optimize._SolveState(bundle, cfg, row_max)
+    x0 = normalize_inputs(np.array([d0.v, d0.P]), bundle.input_bounds[:2])
+    minimize(
+        lambda x: state.assess(x)[0],
+        x0,
+        method="SLSQP",
+        bounds=[(-1.0, 1.0)] * 2,
+        constraints=[{"type": "ineq", "fun": lambda x: state.assess(x)[2]}],
+        options={"ftol": 1e-10, "maxiter": 200},
+    )
+    return None if state.best_feasible is None else state.best_feasible[0]
+
+
 def buffered_superquantile_se(values, zeta, alpha):
     """Monte Carlo standard error of the superquantile bound anchored at
     zeta (risk.buffered_superquantile)."""

@@ -13,6 +13,7 @@ of that value.
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,6 +24,7 @@ from oracles import (
     estimate_bpof_tail,
     evaluate_constraints,
     reconstruct,
+    slsqp_solve,
 )
 
 from pbfopt import optimize, pipeline, reduction, risk, thermal
@@ -405,13 +407,32 @@ def test_criterion_09_validation_protocol(nominal_chain):
     )
 
 
+def test_nominal_solver_scenarios(nominal_chain):
+    """The SQP on the nominal bundle at tau = 607 MPa, just above the stress
+    superquantile at d* (about 606.6), and at tau = 605, just below it."""
+    bundle, base = nominal_chain.bundle, nominal_chain.cfg.optimize
+    for kind in ("bpof", "pof"):
+        cfg = replace(base, tau=607.0, constraint_kind=kind)
+        for d0 in [DesignPoint(*s) for s in pipeline.DEFAULT_STARTS]:
+            res = optimize.solve(bundle, cfg, d0)
+            assert res.feasible
+            assert res.iterations <= 40
+            assert res.energy == pytest.approx(slsqp_solve(bundle, cfg, d0), rel=1e-4)
+    cfg = replace(base, tau=605.0)
+    for d0 in [DesignPoint(*s) for s in pipeline.DEFAULT_STARTS]:
+        res = optimize.solve(bundle, cfg, d0)
+        margins = optimize._margins(cfg, res.bpof_lhs, res.t_max_hat)
+        assert not res.feasible
+        assert np.maximum(-margins, 0.0).sum() <= 0.02
+
+
 def test_criterion_10_reruns_are_byte_identical(tmp_path):
     out = tmp_path / "out"
     cfg = pipeline.PipelineConfig(
         M=46,
         n_val=10,
         out_dir=str(out),
-        optimize=OptimizeConfig(n_mc=2000, restarts=2, max_iters=250),
+        optimize=OptimizeConfig(n_mc=2000, max_iters=250),
     )
 
     def chain():

@@ -29,7 +29,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import evaluate_constraints, row_max_samples, temperature_max_samples
+from oracles import (
+    evaluate_constraints,
+    row_max_samples,
+    slsqp_solve,
+    temperature_max_samples,
+)
 from scipy.spatial import ConvexHull
 
 import pbfopt
@@ -150,13 +155,13 @@ def smooth_right_vectors(rng, n_cols: int) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def window_result(toy_bundle):
-    cfg = OptimizeConfig(n_mc=4000, seed=11, restarts=3, max_iters=300)
+    cfg = OptimizeConfig(n_mc=4000, seed=11, max_iters=300)
     return cfg, solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
 
 
 @pytest.fixture(scope="module")
 def risk_result(toy_bundle):
-    cfg = OptimizeConfig(tau=735.0, n_mc=4000, seed=7, restarts=4, max_iters=300)
+    cfg = OptimizeConfig(tau=735.0, n_mc=4000, seed=7, max_iters=300)
     return cfg, solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
 
 
@@ -368,6 +373,7 @@ class TestEvaluatorAgainstFullRows:
         assert all(s is m.poly for s, m in zip(calls, features))
 
     def test_k2_solve_leaves_scipy_spatial_unloaded(self, k2_bundle, tmp_path):
+        # nor scipy.optimize: the solver is numpy only
         path = tmp_path / "bundle.json"
         surrogate.save_bundle(k2_bundle, path)
         code = (
@@ -375,9 +381,9 @@ class TestEvaluatorAgainstFullRows:
             "from pbfopt.optimize import OptimizeConfig, solve\n"
             "from pbfopt.surrogate import load_bundle\n"
             "from pbfopt.thermal import DesignPoint\n"
-            "cfg = OptimizeConfig(n_mc=500, restarts=0, max_iters=20)\n"
+            "cfg = OptimizeConfig(n_mc=500, max_iters=20)\n"
             f"solve(load_bundle({str(path)!r}), cfg, DesignPoint(500.0, 160.0))\n"
-            "print('scipy.spatial' in sys.modules)\n"
+            "print('scipy.spatial' in sys.modules, 'scipy.optimize' in sys.modules)\n"
         )
         src = str(Path(pbfopt.__file__).resolve().parents[1])
         out = subprocess.run(
@@ -388,7 +394,7 @@ class TestEvaluatorAgainstFullRows:
             timeout=120,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert out.stdout.split() == ["False"]
+        assert out.stdout.split() == ["False", "False"]
 
 
 class TestWindowConstrainedSolve:
@@ -506,7 +512,6 @@ class TestPofVersusBpof:
             tau=735.0,
             n_mc=4000,
             seed=7,
-            restarts=4,
             max_iters=300,
             constraint_kind="pof",
         )
@@ -523,7 +528,7 @@ class TestPofVersusBpof:
 
 class TestDeterminismAndRestarts:
     def test_same_seed_reproduces_everything(self, toy_bundle):
-        cfg = OptimizeConfig(n_mc=2000, seed=21, restarts=2, max_iters=200)
+        cfg = OptimizeConfig(n_mc=2000, seed=21, max_iters=200)
         a = solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
         b = solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
         assert a.d_star == b.d_star
@@ -533,14 +538,14 @@ class TestDeterminismAndRestarts:
     def test_seeds_agree_on_the_optimum_value(self, toy_bundle):
         energies = []
         for seed in (1, 2):
-            cfg = OptimizeConfig(n_mc=2000, seed=seed, restarts=3, max_iters=300)
+            cfg = OptimizeConfig(n_mc=2000, seed=seed, max_iters=300)
             energies.append(
                 solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0)).energy
             )
         assert energies[0] == pytest.approx(energies[1], rel=0.05)
 
     def test_infeasible_start_recovers(self, toy_bundle):
-        cfg = OptimizeConfig(n_mc=2000, seed=31, restarts=3, max_iters=300)
+        cfg = OptimizeConfig(n_mc=2000, seed=31, max_iters=300)
         res = solve(toy_bundle, cfg, DesignPoint(v=1000.0, P=20.0))
         assert res.feasible
         assert res.energy == pytest.approx(WINDOW_ENERGY, rel=0.05)
@@ -551,7 +556,6 @@ class TestUnattainableWindow:
         cfg = OptimizeConfig(
             n_mc=1000,
             seed=4,
-            restarts=2,
             max_iters=200,
             temp_window=(2200.0, 2300.0),
         )
@@ -571,7 +575,6 @@ class TestUnconstrainedCorner:
             temp_window=(-np.inf, np.inf),
             n_mc=1000,
             seed=13,
-            restarts=2,
             max_iters=300,
         )
         res = solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
@@ -588,9 +591,7 @@ class TestCobylaSolver:
             tau=735.0,
             n_mc=4000,
             seed=7,
-            restarts=2,
             max_iters=300,
-            solver="cobyla",
         )
         res = solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
         assert res.feasible
@@ -608,18 +609,42 @@ class TestCobylaSolver:
 
         monkeypatch.setattr(surrogate, "shift_coefficients", counting)
         cfg = OptimizeConfig(
-            tau=735.0, n_mc=2000, seed=7, restarts=1, max_iters=100, solver="cobyla"
+            tau=735.0, n_mc=2000, seed=7, max_iters=100
         )
         res = solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
         k = len(toy_bundle.stress.features) + len(toy_bundle.temperature.features)
         assert len(calls) == k * res.history.shape[0]
 
 
-@pytest.mark.parametrize("solver", [optimize.SOLVER_PENALTY_NM, optimize.SOLVER_COBYLA])
-def test_iterations_count_every_evaluation(toy_bundle, solver):
-    cfg = OptimizeConfig(
-        tau=735.0, n_mc=500, seed=7, restarts=1, max_iters=100, solver=solver
+class TestAgainstSlsqp:
+    """The SQP reaches scipy's SLSQP energy on the same sample-average
+    problem, with the melt floor, the risk row or both binding."""
+
+    @pytest.mark.parametrize("kind", ["bpof", "pof"])
+    @pytest.mark.parametrize(
+        "bundle, tau, window",
+        [
+            ("toy_bundle", 825.0, (1650.0, 1815.0)),
+            ("toy_bundle", 735.0, (1650.0, 1815.0)),
+            ("k2_bundle", 12.0, (6.0, 9.0)),
+        ],
     )
+    @pytest.mark.parametrize("start", [(500.0, 160.0), (1000.0, 20.0)])
+    def test_energy_matches_reference(self, request, bundle, tau, window, kind, start):
+        b = request.getfixturevalue(bundle)
+        cfg = OptimizeConfig(
+            tau=tau, temp_window=window, n_mc=2000, seed=7, constraint_kind=kind
+        )
+        res = solve(b, cfg, DesignPoint(*start))
+        assert res.feasible
+        assert res.energy == pytest.approx(
+            slsqp_solve(b, cfg, DesignPoint(*start)), rel=1e-3
+        )
+        assert res.iterations <= 40
+
+
+def test_iterations_count_every_evaluation(toy_bundle):
+    cfg = OptimizeConfig(tau=735.0, n_mc=500, seed=7, max_iters=100)
     res = solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
     assert res.iterations == res.history.shape[0]
 
@@ -649,13 +674,11 @@ class TestConfigValidation:
             {"tau": -5.0},
             {"n_mc": 99},
             {"temp_window": (1800.0, 1700.0)},
-            {"solver": "gradient-descent"},
             {"constraint_kind": "cvar"},
             {"max_iters": 0},
             {"constraint_tol": 0.0},
             {"scan_length": 0.0},
-            {"restarts": -1},
-            {"penalty_weight": 0.0},
+            {"seed": -1},
         ],
     )
     def test_bad_settings_rejected(self, kwargs):
@@ -686,18 +709,13 @@ class TestDesignBox:
         bounds[0] = (200.0, 900.0)
         return replace(toy_bundle, input_bounds=bounds)
 
-    @pytest.mark.parametrize(
-        "solver", [optimize.SOLVER_PENALTY_NM, optimize.SOLVER_COBYLA]
-    )
-    def test_history_stays_inside_the_bundle_box(self, narrow_bundle, solver):
+    def test_history_stays_inside_the_bundle_box(self, narrow_bundle):
         cfg = OptimizeConfig(
             tau=np.inf,
             temp_window=(-np.inf, np.inf),
             n_mc=500,
             seed=13,
-            restarts=2,
             max_iters=200,
-            solver=solver,
         )
         res = solve(narrow_bundle, cfg, DesignPoint(v=500.0, P=160.0))
         (v_lo, v_hi), (p_lo, p_hi) = narrow_bundle.input_bounds[:2]

@@ -52,9 +52,7 @@ WIDE_WINDOW = (-1.0e9, 1.0e9)
 
 
 def synthetic_config(out_dir, **overrides) -> PipelineConfig:
-    opt = OptimizeConfig(
-        n_mc=1000, restarts=2, max_iters=200, temp_window=WIDE_WINDOW
-    )
+    opt = OptimizeConfig(n_mc=1000, max_iters=200, temp_window=WIDE_WINDOW)
     base = dict(
         M=48, n_val=20, synthetic=True, out_dir=str(out_dir), optimize=opt
     )
@@ -100,10 +98,10 @@ class TestConfigSerialization:
 
     def test_canonical_hashes_are_pinned(self):
         assert config_hash(PipelineConfig()) == (
-            "aaba0dce09d96d67f8c00600454922b8bc79b1d9ab59fa19a4caaba8b226c24b"
+            "834a42341973b638d6b37d8705e06b5f406516868cb7a4e886607a26380c4719"
         )
         assert config_hash(PipelineConfig(M=60, seed_doe=9)) == (
-            "b00926d468f5fa87545c175c429ee51045b1dc92914e1d35cda5135e677d5790"
+            "06efa9521749e2ee6bf2056f17cef69edbda25674159d4e7e2617c3bba77fa91"
         )
 
     @pytest.mark.parametrize(
@@ -165,11 +163,34 @@ class TestConfigSerialization:
         [
             ({"optimize": {"v_bounds": [100.0, 1000.0]}}, "'v_bounds'"),
             ({"optimize": {"p_bounds": [20.0, 200.0]}}, "'p_bounds'"),
+            ({"optimize": {"solver": "cobyla"}}, "'solver'"),
+            ({"optimize": {"restarts": 8}}, "'restarts'"),
+            ({"optimize": {"penalty_weight": 100.0}}, "'penalty_weight'"),
             ({"model": {"w": 1.5}}, "'w'"),
         ],
     )
     def test_removed_keys_rejected(self, doc, key):
         with pytest.raises(ValueError, match=f"unknown .* key.*{key}"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "build, doc, name",
+        [
+            (lambda: PipelineConfig(seed_doe=-1), {"seeds": {"doe": -1}}, "seed_doe"),
+            (lambda: PipelineConfig(seed_mc=-1), {"seeds": {"mc": -1}}, "seed_mc"),
+            (
+                lambda: PipelineConfig(seed_validation=-1),
+                {"seeds": {"validation": -1}},
+                "seed_validation",
+            ),
+            (lambda: OptimizeConfig(seed=-1), {"optimize": {"seed": -1}}, "optimize seed"),
+        ],
+        ids=["doe", "mc", "validation", "optimize"],
+    )
+    def test_negative_seeds_rejected(self, build, doc, name):
+        with pytest.raises(ValueError, match=name):
+            build()
+        with pytest.raises(ValueError, match=name):
             config_from_dict(doc)
 
     @pytest.mark.parametrize(
@@ -593,7 +614,6 @@ def write_cli_config(path: Path, out_dir: Path, **extra) -> Path:
         "out_dir": str(out_dir),
         "optimize": {
             "n_mc": 1000,
-            "restarts": 2,
             "max_iters": 200,
             "temp_window": [-1.0e9, 1.0e9],
         },
@@ -687,6 +707,7 @@ class TestCli:
         assert cli.main(["frobnicate"]) == 2
         assert cli.main([]) == 2
         assert cli.main(["optimize", "--d0", "not-a-pair"]) == 2
+        assert cli.main(["optimize", "--solver", "cobyla"]) == 2
         capsys.readouterr()
 
     def test_domain_errors_exit_1(self, tmp_path, capsys):
