@@ -14,7 +14,10 @@ its density, time step, step count, clamp range and beam; sorted by step
 count, those still stepping are a leading prefix.  Every element gets a
 single-run step's arithmetic in its order, so no result depends on the
 block.  The probe (top-surface center), recorded after every step, is
-interpolated linearly to the 31 snapshot instants.
+interpolated linearly to the 31 snapshot instants.  The step is sized for
+stability up to 1.5 Tliq, above every run in the design box; a run whose
+peak field went over it, or that failed, is solved again with the step for the
+3 Tliq top of the probe band, and that result is final.
 
 Units: mm, s, W, degC internally.  Conductivity is supplied in W/(m*K)
 and converted by 1e-3; density in kg/m^3 converted by 1e-9.
@@ -220,8 +223,9 @@ def _bilinear(field: np.ndarray, i0, j0, wx, wz):
             + field[i0, j0 + 1] * (1 - wx) * wz + field[i0 + 1, j0 + 1] * wx * wz)
 
 
-def _plan(d: DesignPoint, z: RandomInputs, p: ModelParams, grid: SimGridConfig):
-    """Check one run's inputs; its (rho, dt, n_steps, clamp_lo, clamp_hi)."""
+def _plan(d: DesignPoint, z: RandomInputs, p: ModelParams, grid: SimGridConfig,
+          ceiling: float = 1.5):
+    """Check one run's inputs; its (rho, dt, n_steps, clamp_lo, clamp_hi, ceiling)."""
     if not (np.isfinite(d.v) and d.v > 0):
         raise ValueError("scanning speed must be positive")
     if not (np.isfinite(d.P) and d.P >= 0):
@@ -231,34 +235,45 @@ def _plan(d: DesignPoint, z: RandomInputs, p: ModelParams, grid: SimGridConfig):
         if not np.isfinite(val) or val <= 0:
             raise ValueError(f"random input {name} must be positive and finite")
     rho = bulk_density(z.rho)
-    # temperature range a run may visit: the floor starts from the coldest
-    # legitimate state (preheat may sit below chamber), the ceiling is far
-    # above liquidus; the probe must stay inside it
+    # the probe band, from the coldest legitimate state (preheat may sit below
+    # chamber) to 3 Tliq, where the properties must stay positive; dt is stable for
+    # their worst case up to ceiling * Tliq, the temperature kept in the plan
     clamp_lo, clamp_hi = min(z.T0, p.Tc) - 50.0, 3.0 * p.Tliq
-    # stability bound from worst-case properties over that range
-    cp_min, _ = _quad_extrema(p.a0, p.a1, p.a2, clamp_lo, clamp_hi)
-    _, kap_max = _quad_extrema(p.b0, p.b1, p.b2, clamp_lo, clamp_hi)
-    kap_max *= 1e-3  # W/(mm K)
-    if cp_min <= 0 or kap_max <= 0:
-        raise ValueError("material properties non-positive over the run range")
+    for hi in (clamp_hi, ceiling * p.Tliq):
+        cp_min, _ = _quad_extrema(p.a0, p.a1, p.a2, clamp_lo, hi)
+        _, kap_max = _quad_extrema(p.b0, p.b1, p.b2, clamp_lo, hi)
+        if cp_min <= 0 or kap_max <= 0:
+            raise ValueError("material properties non-positive over the run range")
     h = min(p.l / grid.cells_x, p.h / grid.cells_z)
-    dt_stable = grid.cfl_factor * rho * cp_min * h**2 / (4.0 * kap_max)
+    dt_stable = grid.cfl_factor * rho * cp_min * h**2 / (4.0 * (kap_max * 1e-3))
     n_steps = max(1, int(np.ceil(p.l / d.v / dt_stable)))
-    return rho, p.l / d.v / n_steps, n_steps, clamp_lo, clamp_hi
+    return rho, p.l / d.v / n_steps, n_steps, clamp_lo, clamp_hi, hi
 
 
 def _solve_field(runs, p: ModelParams, grid: SimGridConfig):
-    """Step a block of runs, each (design, random inputs[, its _plan]), in lockstep
-    for simulate_batch and tests.  Per run in input order: (times, probe_temps,
+    """The block job of simulate_batch and tests: step runs, each (design, random
+    inputs[, its _plan]), then again with the 3 Tliq plan those that failed or whose
+    peak went over their plan's ceiling.  Per run in input order: (times, probe_temps,
     peak_sim, final_sim, x_centers, z_centers) or its SimulationError."""
+    runs = [run if len(run) > 2 else (*run, _plan(*run, p, grid)) for run in runs]
+    out = _step_block(runs, p, grid)
+    redo = [k for k, (r, (_, _, plan)) in enumerate(zip(out, runs)) if plan[5] < plan[4]
+            and (isinstance(r, SimulationError) or not r[2].max() <= plan[5])]
+    again = [(d, z, _plan(d, z, p, grid, 3.0)) for d, z, _ in (runs[k] for k in redo)]
+    for k, r in zip(redo, _step_block(again, p, grid) if redo else ()):
+        out[k] = r
+    return out
+
+
+def _step_block(runs, p: ModelParams, grid: SimGridConfig):
+    """The lockstep kernel: each run (design, random inputs, its _plan) stepped once."""
     nx, nz = grid.cells_x, grid.cells_z
     dx, dz = p.l / nx, p.h / nz
     xc, zc = (np.arange(nx) + 0.5) * dx, (np.arange(nz) + 0.5) * dz
     x_edges = np.arange(nx + 1) * dx
-    plans = [run[2] if len(run) > 2 else _plan(*run, p, grid) for run in runs]
-    order = sorted(range(len(runs)), key=lambda k: -plans[k][2])  # most steps first
-    rho, dt, n_steps, lo, hi, v, power, t0 = np.array(
-        [(*plans[k], runs[k][0].v, runs[k][0].P, runs[k][1].T0) for k in order], float).T
+    order = sorted(range(len(runs)), key=lambda k: -runs[k][2][2])  # most steps first
+    rho, dt, n_steps, lo, hi, _, v, power, t0 = np.array(
+        [(*runs[k][2], runs[k][0].v, runs[k][0].P, runs[k][1].T0) for k in order], float).T
     n_steps = n_steps.astype(int).tolist()
     amp = 2.0 * p.A * power / (np.pi * p.r**2 * p.z0)
     cells = nx * nz  # one run's (z, x) field after another, x fastest

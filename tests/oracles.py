@@ -147,9 +147,13 @@ def maximin_doe_pdist(M, bounds, seed):
     return b[:, 0] + best * (b[:, 1] - b[:, 0])
 
 
-def solve_field_per_run(d, z, p, grid):
+def solve_field_per_run(d, z, p, grid, *ceiling):
     """One run of the thermal solver stepped on its own, one field at a
-    time: the loop thermal._solve_field advances in lockstep blocks.
+    time: the loop thermal._solve_field advances in lockstep blocks, with
+    the step thermal._plan gives for its default or the given ceiling (a
+    multiple of Tliq).  A run that fails, or whose peak goes over a
+    ceiling below 3 Tliq, is solved again at 3 Tliq, as
+    thermal._solve_field does.
 
     Returns (temps, peak_sim, final_sim, peak_field), peak_field being the
     peak resampled to the stress grid as thermal.simulate_batch does.
@@ -160,17 +164,8 @@ def solve_field_per_run(d, z, p, grid):
     zc = (np.arange(nz) + 0.5) * dz
     x_edges = np.arange(nx + 1) * dx
 
-    rho = thermal.bulk_density(z.rho)
-    t_scan = p.l / d.v
+    rho, dt, n_steps, clamp_lo, clamp_hi, ceiling_t = thermal._plan(d, z, p, grid, *ceiling)
     times = thermal.snapshot_times(d.v, p.l)
-    clamp_lo = min(z.T0, p.Tc) - 50.0
-    clamp_hi = 3.0 * p.Tliq
-    cp_min, _ = thermal._quad_extrema(p.a0, p.a1, p.a2, clamp_lo, clamp_hi)
-    _, kap_max = thermal._quad_extrema(p.b0, p.b1, p.b2, clamp_lo, clamp_hi)
-    kap_max *= 1e-3
-    dt_stable = grid.cfl_factor * rho * cp_min * min(dx, dz) ** 2 / (4.0 * kap_max)
-    n_steps = max(1, int(np.ceil(t_scan / dt_stable)))
-    dt = t_scan / n_steps
 
     T = np.full((nx, nz), float(z.T0))
     peak = T.copy()
@@ -182,6 +177,7 @@ def solve_field_per_run(d, z, p, grid):
     cell = thermal._bilinear_cell(T.shape, xc[0], dx, zc[0], dz, p.l / 2.0, p.h)
     trace = np.empty(n_steps + 1)
     trace[0] = thermal._bilinear(T, *cell)
+    error = None
     for step in range(1, n_steps + 1):
         t_old = (step - 1) * dt
         cp, kap = thermal.material_props(T, p)
@@ -202,7 +198,12 @@ def solve_field_per_run(d, z, p, grid):
         np.maximum(peak, T, out=peak)
         probe = trace[step] = thermal._bilinear(T, *cell)
         if not clamp_lo <= probe <= clamp_hi:
-            raise thermal.SimulationError(f"probe {probe} outside the clamp", step)
+            error = thermal.SimulationError(f"probe {probe} outside the clamp", step)
+            break
+    if ceiling_t < clamp_hi and (error or not peak.max() <= ceiling_t):
+        return solve_field_per_run(d, z, p, grid, 3.0)
+    if error:
+        raise error
     temps = np.interp(times, np.arange(n_steps + 1) * dt, trace)
 
     nsx, nsz = thermal.STRESS_GRID_SHAPE

@@ -354,6 +354,75 @@ class TestFlatBlock:
                 str(alone.value), alone.value.step, 1)
 
 
+class TestStepCeiling:
+    """The step is planned for 1.5 Tliq; a run that goes over that, or fails,
+    ends with its solve at the 3 Tliq plan."""
+
+    GRID = SimGridConfig(16, 8)
+    # the hottest corner of the design box: slowest, most powerful scan,
+    # hottest preheat, lowest density
+    CORNER = (DesignPoint(100.0, 200.0), RandomInputs(715.0, 825.0, 110.0, 550.8))
+
+    @staticmethod
+    def at_3_tliq(run, p, grid):
+        return (*run, thermal._plan(*run, p, grid, 3.0))
+
+    def test_ceiling_step_is_the_kappa_ratio_larger(self):
+        # cp is smallest at the lower clamp either way, so dt scales with
+        # kappa(3 Tliq) / kappa(1.5 Tliq)
+        p, (d, z) = ModelParams(), self.CORNER
+        ceiling, full = (thermal._plan(d, z, p, SimGridConfig(), c) for c in (1.5, 3.0))
+        _, (kap_lo, kap_hi) = thermal.material_props([1.5 * p.Tliq, 3.0 * p.Tliq], p)
+        assert (ceiling[5], full[5]) == (1.5 * p.Tliq, 3.0 * p.Tliq)
+        assert ceiling[2] == pytest.approx(full[2] * kap_lo / kap_hi, abs=1.0)
+        assert kap_hi / kap_lo == pytest.approx(2.2314, abs=1e-4)
+
+    def test_run_over_the_ceiling_takes_its_3_tliq_solve(self):
+        # a narrow beam takes the peak field to about 3500 degC, over the
+        # 2475 degC ceiling, while the probe stays under the 4950 degC clamp
+        p, grid, hot = ModelParams(r=0.1), self.GRID, self.CORNER
+        [under] = thermal._step_block([(*hot, thermal._plan(*hot, p, grid))], p, grid)
+        assert under[2].max() > 1.5 * p.Tliq
+        assert under[1].max() < 3.0 * p.Tliq
+        [full] = thermal._solve_field([self.at_3_tliq(hot, p, grid)], p, grid)
+        cool = [(DesignPoint(v, P), hot[1]) for v, P in ((550.0, 60.0), (200.0, 50.0))]
+        runs = [cool[0], hot, cool[1]]  # one block
+        [alone], block = (thermal._solve_field(r, p, grid) for r in ([hot], runs))
+        for got in (alone, block[1]):
+            for a, b in zip(got, full, strict=True):
+                assert np.array_equal(a, b)
+        for run, got in zip(cool, (block[0], block[2])):
+            [own] = thermal._step_block([(*run, thermal._plan(*run, p, grid))], p, grid)
+            assert own[2].max() <= 1.5 * p.Tliq
+            for a, b in zip(got, own, strict=True):
+                assert np.array_equal(a, b)
+        snap = thermal.simulate_batch(*zip(*runs), p, grid)[1]
+        temps, _, _, peak_field = solve_field_per_run(*hot, p, grid)
+        assert np.array_equal(snap.temps, full[1]) and np.array_equal(snap.temps, temps)
+        assert np.array_equal(snap.peak_field, peak_field)
+
+    def test_failed_run_reports_its_3_tliq_error(self):
+        p, grid = ModelParams(), self.GRID
+        run = (DesignPoint(300.0, 3000.0), NOMINAL_Z)
+        [under] = thermal._step_block([(*run, thermal._plan(*run, p, grid))], p, grid)
+        [full] = thermal._solve_field([self.at_3_tliq(run, p, grid)], p, grid)
+        with pytest.raises(SimulationError) as info:
+            thermal.simulate(*run, p, grid)
+        assert under.step != full.step == info.value.step
+        assert str(info.value) == str(full)
+
+    def test_hottest_box_corner_stays_under_the_ceiling(self, monkeypatch):
+        # on the default grid it peaks near 2360 degC, so no run in the
+        # design box is stepped twice
+        step, calls = thermal._step_block, []
+        monkeypatch.setattr(thermal, "_step_block",
+                            lambda runs, *a: calls.append(len(runs)) or step(runs, *a))
+        p = ModelParams()
+        [raw] = thermal._solve_field([self.CORNER], p, SimGridConfig())
+        assert raw[2].max() < 1.5 * p.Tliq
+        assert calls == [1]
+
+
 class TestBulkDensity:
     def test_midpoint_maps_to_reference(self):
         assert thermal.bulk_density(612.0) == pytest.approx(4300.0e-9)
