@@ -75,11 +75,10 @@ def cmd_train(args) -> int:
         with open(out / "err_curves.json", encoding="utf-8") as f:
             curves = json.load(f)
         for name in OUTPUT_NAMES:
-            fname = f"plot_err_{name}.csv"
             errs = curves[name]["errors"]
             rows = np.column_stack([np.arange(1, len(errs) + 1), errs])
-            np.savetxt(out / fname, rows, fmt="%.17g", delimiter=",")
-            print(f"wrote {out / fname}")
+            path = pipeline.write_artifact(out, f"plot_err_{name}.csv", rows)
+            print(f"wrote {path}")
     return 0
 
 
@@ -118,24 +117,17 @@ def cmd_optimize(args) -> int:
     print(f"wrote {out / 'optimize.json'}")
     print(f"wrote {out / 'optimize_history.csv'}")
     if args.plot_data:
+        # per start: (start, evaluation, lowest feasible energy so far), from
+        # the first feasible evaluation on
         rows = []
         for i, res in enumerate(results):
             h = res.history
             ok = optimize.is_feasible(cfg.optimize, h[:, 4], h[:, 5])
-            energies = h[:, 3]
-            best = np.inf
-            for j in range(energies.size):
-                if ok[j] and energies[j] < best:
-                    best = energies[j]
-                if np.isfinite(best):
-                    rows.append([i, j, best])
-        np.savetxt(
-            out / "plot_convergence.csv",
-            np.asarray(rows, dtype=float),
-            fmt="%.17g",
-            delimiter=",",
-        )
-        print(f"wrote {out / 'plot_convergence.csv'}")
+            best = np.minimum.accumulate(np.where(ok, h[:, 3], np.inf))
+            j = np.flatnonzero(np.isfinite(best))
+            rows.append(np.column_stack([np.full(j.size, i), j, best[j]]))
+        path = pipeline.write_artifact(out, "plot_convergence.csv", np.vstack(rows))
+        print(f"wrote {path}")
     return 0
 
 

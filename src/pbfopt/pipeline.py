@@ -49,8 +49,8 @@ from .surrogate import (
     FeatureSurrogate,
     OutputModel,
     SurrogateBundle,
+    bundle_to_dict,
     fit_best_degree,
-    save_bundle,
 )
 from .thermal import (
     DESIGN_BOUNDS,
@@ -73,6 +73,7 @@ __all__ = [
     "config_from_dict",
     "config_hash",
     "load_config",
+    "write_artifact",
     "default_input_bounds",
     "generate_doe",
     "run_simulations",
@@ -91,7 +92,6 @@ DEFAULT_STARTS = ((500.0, 160.0), (400.0, 100.0), (400.0, 125.0), (600.0, 100.0)
 
 _SCHEMA_VERSION = 1
 _MAXIMIN_RESTARTS = 50
-_CSV_FMT = "%.17g"
 
 
 def default_input_bounds() -> np.ndarray:
@@ -239,12 +239,21 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
     return doc
 
 
-def _check_keys(given: dict, allowed, where: str) -> None:
+def _merge(given, base: dict, where: str, prefix: str = "") -> dict:
+    """base with the document given laid over it, recursively, each given
+    leaf checked by _canonical; unknown keys raise a ValueError."""
     if not isinstance(given, dict):
         raise ValueError(f"{where} must be a JSON object")
-    unknown = set(given) - set(allowed)
+    unknown = set(given) - set(base)
     if unknown:
         raise ValueError(f"unknown {where} key(s): {sorted(unknown)}")
+    out = dict(base)
+    for k, v in given.items():
+        if isinstance(base[k], dict):
+            out[k] = _merge(v, base[k], k, f"{k}.")
+        else:
+            out[k] = _canonical(prefix + k, v, base[k])
+    return out
 
 
 def config_from_dict(d: dict) -> PipelineConfig:
@@ -255,35 +264,19 @@ def config_from_dict(d: dict) -> PipelineConfig:
     type (see _canonical); anything else raises a ValueError naming the
     key.
     """
-    base = config_to_dict(PipelineConfig())
-    _check_keys(d, base, "config")
-
-    def merged(section: str) -> dict:
-        given = d.get(section, {})
-        _check_keys(given, base[section], section)
-        out = dict(base[section])
-        out.update(
-            {k: _canonical(f"{section}.{k}", v, out[k]) for k, v in given.items()}
-        )
-        # dataclass pair fields hold tuples
-        return {k: tuple(v) if isinstance(v, list) else v for k, v in out.items()}
-
-    flat = {
-        k: _canonical(k, d.get(k, v), v)
-        for k, v in base.items()
-        if not isinstance(v, dict)
-    }
-    if flat.pop("schema_version") != _SCHEMA_VERSION:
+    doc = _merge(d, config_to_dict(PipelineConfig()), "config")
+    if doc.pop("schema_version") != _SCHEMA_VERSION:
         raise ValueError("unsupported config schema version")
     for section, keys in _GROUPS.items():
-        values = merged(section)
-        flat.update({name: values[key] for key, name in keys.items()})
-    nested = {section: cls(**merged(section)) for section, cls in _NESTED.items()}
-    bounds = merged("bounds")
+        group = doc.pop(section)
+        doc.update({name: group[key] for key, name in keys.items()})
+    for section, cls in _NESTED.items():
+        # dataclass pair fields hold tuples
+        pairs = {k: tuple(v) for k, v in doc[section].items() if isinstance(v, list)}
+        doc[section] = cls(**{**doc[section], **pairs})
+    bounds = doc.pop("bounds")
     return PipelineConfig(
-        input_bounds=np.array([bounds[name] for name in INPUT_NAMES]),
-        **nested,
-        **flat,
+        input_bounds=np.array([bounds[name] for name in INPUT_NAMES]), **doc
     )
 
 
@@ -308,10 +301,28 @@ def load_config(path) -> PipelineConfig:
         return config_from_dict(json.load(f))
 
 
-def _write_json(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+def write_artifact(out_dir, name: str, data) -> Path:
+    """Write one artifact into out_dir, made if absent, and return its path:
+    a dict as JSON (indent 2, sorted keys, trailing newline), anything else
+    as a headerless comma-separated matrix at full double precision."""
+    path = Path(out_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if isinstance(data, dict):
+        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    else:
+        np.savetxt(path, data, fmt="%.17g", delimiter=",")
+    return path
+
+
+def _report_header(cfg: PipelineConfig) -> dict:
+    """The fields that optimize.json and validation.json share."""
+    return {
+        "schema_version": _SCHEMA_VERSION,
+        "config_hash": config_hash(cfg),
+        "tau": cfg.optimize.tau,
+        "alpha_t": cfg.optimize.alpha_t,
+        "n_mc": cfg.optimize.n_mc,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +433,12 @@ def _run_batch(cfg: PipelineConfig, rows: np.ndarray, what: str):
 
 def run_simulations(cfg: PipelineConfig):
     """DOE + all training simulations; persists doe.csv, T.csv, S.csv."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     doe = generate_doe(cfg.M, cfg.input_bounds, cfg.seed_doe)
     pairs = _run_batch(cfg, doe, "training")
     T = np.vstack([p[0] for p in pairs])
     S = np.vstack([p[1] for p in pairs])
-    np.savetxt(out / "doe.csv", doe, fmt=_CSV_FMT, delimiter=",")
-    np.savetxt(out / "T.csv", T, fmt=_CSV_FMT, delimiter=",")
-    np.savetxt(out / "S.csv", S, fmt=_CSV_FMT, delimiter=",")
+    for name, data in (("doe.csv", doe), ("T.csv", T), ("S.csv", S)):
+        write_artifact(cfg.out_dir, name, data)
     return doe, T, S
 
 
@@ -459,8 +467,6 @@ def train_from_matrices(
 
     Persists bundle.json and err_curves.json under the output directory.
     """
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     u = normalize_inputs(doe, cfg.input_bounds)
     provenance = {"config_hash": config_hash(cfg), "M": cfg.M}
     curves = {"schema_version": _SCHEMA_VERSION}
@@ -473,8 +479,8 @@ def train_from_matrices(
         curves[name] = {"errors": errs.tolist(), "selected": k}
         outputs[name] = output
     bundle = SurrogateBundle(cfg.input_bounds, provenance=provenance, **outputs)
-    save_bundle(bundle, out / "bundle.json")
-    _write_json(curves, out / "err_curves.json")
+    write_artifact(cfg.out_dir, "bundle.json", bundle_to_dict(bundle))
+    write_artifact(cfg.out_dir, "err_curves.json", curves)
     return bundle
 
 
@@ -518,8 +524,6 @@ def run_optimization(
     if len(starts) < 1:
         raise ValueError("need at least one initial design")
     _check_bundle_bounds(bundle, cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     results = [solve(bundle, cfg.optimize, DesignPoint(v=s[0], P=s[1])) for s in starts]
     # lowest-energy feasible result; infeasible ones only count as a
     # fallback when nothing is feasible
@@ -527,26 +531,21 @@ def run_optimization(
         range(len(results)),
         key=lambda i: (not results[i].feasible, results[i].energy),
     )
-    best = results[best_i]
     doc = {
-        "schema_version": _SCHEMA_VERSION,
-        "config_hash": config_hash(cfg),
-        "tau": cfg.optimize.tau,
-        "alpha_t": cfg.optimize.alpha_t,
-        "n_mc": cfg.optimize.n_mc,
+        **_report_header(cfg),
         "constraint_kind": cfg.optimize.constraint_kind,
         "seed": cfg.optimize.seed,
         "starts": [_result_record(d0, r) for d0, r in zip(starts, results)],
-        "best": _result_record(starts[best_i], best),
+        "best": _result_record(starts[best_i], results[best_i]),
     }
-    _write_json(doc, out / "optimize.json")
+    write_artifact(cfg.out_dir, "optimize.json", doc)
     history = np.vstack(
         [
             np.column_stack([np.full(r.history.shape[0], i), r.history])
             for i, r in enumerate(results)
         ]
     )
-    np.savetxt(out / "optimize_history.csv", history, fmt=_CSV_FMT, delimiter=",")
+    write_artifact(cfg.out_dir, "optimize_history.csv", history)
     return results
 
 
@@ -606,21 +605,13 @@ def validate(
         q_surr=q_surr,
         rel_diff=(q_sim - q_surr) / q_sim,
     )
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    doc = report_to_dict(report)
-    doc.update(
-        {
-            "schema_version": _SCHEMA_VERSION,
-            "config_hash": config_hash(cfg),
-            "tau": cfg.optimize.tau,
-            "alpha_t": alpha,
-            "n_val": cfg.n_val,
-            "n_mc": cfg.optimize.n_mc,
-            "self_check": self_check,
-        }
-    )
-    _write_json(doc, out / "validation.json")
+    doc = {
+        **report_to_dict(report),
+        **_report_header(cfg),
+        "n_val": cfg.n_val,
+        "self_check": self_check,
+    }
+    write_artifact(cfg.out_dir, "validation.json", doc)
     return report
 
 
