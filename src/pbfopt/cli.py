@@ -10,6 +10,7 @@ and 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,6 +22,9 @@ from .surrogate import OUTPUT_NAMES, load_bundle
 from .thermal import DesignPoint, SimulationError
 
 __all__ = ["main", "build_parser"]
+
+# the simulate stage's artifacts, in the order run_simulations returns them
+_MATRICES = ("doe.csv", "T.csv", "S.csv")
 
 
 def _parse_design(text: str) -> tuple[float, float]:
@@ -44,36 +48,28 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
-def _load_csv(path: Path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
-    doe, T, S = pipeline.run_simulations(cfg)
     out = Path(cfg.out_dir)
-    print(f"wrote {out / 'doe.csv'} ({doe.shape[0]} x {doe.shape[1]})")
-    print(f"wrote {out / 'T.csv'} ({T.shape[0]} x {T.shape[1]})")
-    print(f"wrote {out / 'S.csv'} ({S.shape[0]} x {S.shape[1]})")
+    for name, data in zip(_MATRICES, pipeline.run_simulations(cfg)):
+        print(f"wrote {out / name} ({data.shape[0]} x {data.shape[1]})")
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     out = Path(cfg.out_dir)
-    doe = _load_csv(_require(out / "doe.csv", "simulate"))
-    T = _load_csv(_require(out / "T.csv", "simulate"))
-    S = _load_csv(_require(out / "S.csv", "simulate"))
+    doe, T, S = (
+        np.loadtxt(_require(out / name, "simulate"), delimiter=",", ndmin=2)
+        for name in _MATRICES
+    )
     bundle = pipeline.train_from_matrices(cfg, doe, T, S)
     prov = bundle.provenance
     print(f"wrote {out / 'bundle.json'}")
     print(f"temperature features: {prov['K_T']} (r2 {prov['temperature_r2']})")
     print(f"stress features: {prov['K_S']} (r2 {prov['stress_r2']})")
     if args.plot_data:
-        import json
-
-        with open(out / "err_curves.json", encoding="utf-8") as f:
-            curves = json.load(f)
+        curves = json.loads((out / "err_curves.json").read_text(encoding="utf-8"))
         for name in OUTPUT_NAMES:
             errs = curves[name]["errors"]
             rows = np.column_stack([np.arange(1, len(errs) + 1), errs])
@@ -84,16 +80,12 @@ def cmd_train(args) -> int:
 
 def _optimize_cfg(args) -> pipeline.PipelineConfig:
     cfg = _load_cfg(args)
-    overrides = {}
-    for flag, name in (
-        ("alpha", "alpha_t"),
-        ("tau", "tau"),
-        ("n_mc", "n_mc"),
-        ("seed", "seed"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[name] = value
+    flags = {"alpha": "alpha_t", "tau": "tau", "n_mc": "n_mc", "seed": "seed"}
+    overrides = {
+        name: getattr(args, flag)
+        for flag, name in flags.items()
+        if getattr(args, flag, None) is not None
+    }
     if overrides:
         cfg = replace(cfg, optimize=replace(cfg.optimize, **overrides))
     if getattr(args, "out", None):
@@ -140,10 +132,8 @@ def cmd_validate(args) -> int:
     if args.design:
         d_star, zeta = DesignPoint(v=args.design[0], P=args.design[1]), args.zeta
     else:
-        import json
-
-        with open(_require(out / "optimize.json", "optimize"), encoding="utf-8") as f:
-            best = json.load(f)["best"]
+        text = _require(out / "optimize.json", "optimize").read_text(encoding="utf-8")
+        best = json.loads(text)["best"]
         d_star = DesignPoint(v=best["d_star"][0], P=best["d_star"][1])
         zeta = best["zeta_star"]
     report = pipeline.validate(d_star, zeta, bundle, cfg, self_check=args.self_check)
@@ -171,7 +161,7 @@ def cmd_model(args) -> int:
     cfg = _load_cfg(args)
     out = Path(cfg.out_dir)
     bundle = load_bundle(_require(out / "bundle.json", "train"))
-    prov = dict(bundle.provenance)
+    prov = bundle.provenance
     print(f"inputs: {len(bundle.input_bounds)}")
     for name in OUTPUT_NAMES:
         print(f"{name} features: {len(getattr(bundle, name).features)}")
@@ -181,9 +171,8 @@ def cmd_model(args) -> int:
                 f"{name}[{i}]: r={m.subspace.r} degree={m.poly.degree} "
                 f"r2={m.poly.r2:.6f}"
             )
-    if prov:
-        for key in sorted(prov):
-            print(f"provenance {key}: {prov[key]}")
+    for key in sorted(prov):
+        print(f"provenance {key}: {prov[key]}")
     return 0
 
 

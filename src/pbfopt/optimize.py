@@ -19,12 +19,13 @@ import numpy as np
 
 from . import risk, surrogate
 from .reduction import normalize_inputs
-from .thermal import DesignPoint
+from .thermal import DesignPoint, ModelParams
 
 __all__ = [
     "OptimizeConfig",
     "OptimizationResult",
     "HISTORY_COLUMNS",
+    "CONSTRAINT_TOL",
     "energy",
     "draw_material_samples",
     "stress_max_samples",
@@ -36,8 +37,10 @@ CONSTRAINT_BPOF = "bpof"
 CONSTRAINT_POF = "pof"
 HISTORY_COLUMNS = ("v", "P", "zeta", "energy", "bpof_lhs", "t_max_hat")
 
-DEFAULT_LIQUIDUS = 1650.0
+# slack allowed when a point is judged feasible (see is_feasible)
+CONSTRAINT_TOL = 1e-4
 _FD_STEP = 1e-6  # difference step in normalized units; the SQP stops below it
+_MAX_ITERS = 500  # SQP iterations per phase; solves stop long before it
 
 
 @dataclass(frozen=True)
@@ -47,11 +50,9 @@ class OptimizeConfig:
     alpha_t: float = 0.95
     tau: float = 825.0
     n_mc: int = 20000
-    temp_window: tuple[float, float] = (DEFAULT_LIQUIDUS, 1.1 * DEFAULT_LIQUIDUS)
+    temp_window: tuple[float, float] = (ModelParams.Tliq, 1.1 * ModelParams.Tliq)
     seed: int = 0
     constraint_kind: str = CONSTRAINT_BPOF
-    max_iters: int = 500
-    constraint_tol: float = 1e-4
     scan_length: float = 2.0
 
     def __post_init__(self):
@@ -67,10 +68,6 @@ class OptimizeConfig:
             raise ValueError("optimize seed cannot be negative")
         if self.constraint_kind not in (CONSTRAINT_BPOF, CONSTRAINT_POF):
             raise ValueError(f"unknown constraint kind: {self.constraint_kind!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not self.constraint_tol > 0.0:
-            raise ValueError("constraint_tol must be positive")
         if not self.scan_length > 0.0:
             raise ValueError("scan_length must be positive")
 
@@ -239,9 +236,9 @@ def _margins(cfg: OptimizeConfig, lhs, t_hat) -> np.ndarray:
 
 def is_feasible(cfg: OptimizeConfig, lhs, t_hat):
     """Whether risk values lhs and mean maximum temperatures t_hat meet
-    both constraints within cfg.constraint_tol (absolute on lhs, in
-    window widths on t_hat); elementwise on arrays."""
-    tol = cfg.constraint_tol * np.array([1.0 / (1.0 - cfg.alpha_t), 1.0, 1.0])
+    both constraints within CONSTRAINT_TOL (absolute on lhs, in window
+    widths on t_hat); elementwise on arrays."""
+    tol = CONSTRAINT_TOL * np.array([1.0 / (1.0 - cfg.alpha_t), 1.0, 1.0])
     return np.all(_margins(cfg, lhs, t_hat) >= -tol, axis=-1)
 
 
@@ -265,13 +262,13 @@ def _qp(hess, g, rows, jac):
     return best[1]
 
 
-def _sqp(fun, x: np.ndarray, max_iters: int) -> None:
+def _sqp(fun, x: np.ndarray) -> None:
     """Minimize fun(x)[0] subject to fun(x)[1:] >= 0 over the box [-1, 1]^2 by
     SQP: forward-difference gradients, the QP (_qp) on a Powell-damped BFGS
     Hessian of the Lagrangian (Powell 1978), backtracking on the l1 merit
     f + mu * sum(c^-), and a least-squares restoration step that relaxes the
     rows when their linearization has no feasible point.  Stops when the step
-    vanishes, when backtracking finds no descent, or after max_iters."""
+    vanishes, when backtracking finds no descent, or after _MAX_ITERS."""
     def l1(c):  # total violation of rows c >= 0
         return np.maximum(-c, 0.0).sum()
 
@@ -282,7 +279,7 @@ def _sqp(fun, x: np.ndarray, max_iters: int) -> None:
 
     f, hess, mu = fun(x), np.eye(2), 0.0
     jac = jacobian(x, f)
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         c, a, g = f[1:], jac[1:], jac[0]
         rows = np.concatenate([c, 1.0 - x, 1.0 + x])
         jac_rows = np.vstack([a, -np.eye(2), np.eye(2)])
@@ -325,8 +322,9 @@ class _SolveState:
         self.cfg = cfg
         self.row_max = row_max
         self.history: list[list[float]] = []
-        # incumbents keep their clipped search point and their history row
-        self.best_feasible: tuple[float, np.ndarray, list] | None = None
+        # (energy, history row) and (violation, energy, clipped search point,
+        # history row); the elastic phase starts at the latter's point
+        self.best_feasible: tuple[float, list] | None = None
         self.least_infeasible: tuple[float, float, np.ndarray, list] | None = None
         box = b.input_bounds[:2]
         self.box_mid = 0.5 * (box[:, 0] + box[:, 1])
@@ -335,9 +333,9 @@ class _SolveState:
     def assess(self, x: np.ndarray):
         """Evaluate one solver point, a design in normalized coordinates;
         records history and incumbents.  Returns the energy, the scaled
-        constraint violations (the negative part of _margins, then the
-        distance outside the box) and the solver's constraint rows:
-        _margins with its risk row in stress units (_risk_row)."""
+        constraint violations (the negative part of _margins) and the
+        solver's constraint rows: _margins with its risk row in stress
+        units (_risk_row)."""
         cfg = self.cfg
         xc = np.clip(x, -1.0, 1.0)  # the evaluated design lives at the clip
         v, p = self.box_mid + self.box_half * xc
@@ -348,14 +346,13 @@ class _SolveState:
         t_hat = float(temperature_max(xc).mean())
         e = energy(d, cfg.scan_length)
         margins = _margins(cfg, lhs, t_hat)
-        box = float(np.linalg.norm(np.maximum(np.abs(x) - 1.0, 0.0)))
-        viol = np.append(np.maximum(-margins, 0.0), box)
+        viol = np.maximum(-margins, 0.0)
         row = [v, p, zeta, e, lhs, t_hat]
         self.history.append(row)
         total_viol = float(viol.sum())
         if self._is_feasible(lhs, t_hat):
             if self.best_feasible is None or e < self.best_feasible[0]:
-                self.best_feasible = (e, xc, row)
+                self.best_feasible = (e, row)
         key = (total_viol, e)
         if self.least_infeasible is None or key < self.least_infeasible[:2]:
             self.least_infeasible = (total_viol, e, xc, row)
@@ -393,12 +390,12 @@ def solve(
     def squared_violation(x):
         return np.array([np.sum(state.assess(x)[1] ** 2)])
 
-    _sqp(energy_and_rows, start, cfg.max_iters)
+    _sqp(energy_and_rows, start)
     if state.best_feasible is None:  # the elastic phase
-        _sqp(squared_violation, state.least_infeasible[2], cfg.max_iters)
+        _sqp(squared_violation, state.least_infeasible[2])
 
     feasible = state.best_feasible is not None
-    row = state.best_feasible[2] if feasible else state.least_infeasible[3]
+    row = state.best_feasible[1] if feasible else state.least_infeasible[3]
     v, p, zeta_star, e, lhs, t_hat = row
     return OptimizationResult(
         d_star=DesignPoint(v=v, P=p),

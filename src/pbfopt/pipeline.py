@@ -151,6 +151,12 @@ class PipelineConfig:
         for name in ("seed_doe", "seed_mc", "seed_validation"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} cannot be negative")
+        if self.optimize.scan_length != self.model.l:
+            raise ValueError(
+                f"optimize.scan_length ({self.optimize.scan_length}) must equal "
+                f"model.l ({self.model.l}): the energy P*l/v is taken over the "
+                "track that the simulations scan"
+            )
 
 
 @dataclass(frozen=True)
@@ -297,8 +303,7 @@ def config_hash(cfg: PipelineConfig) -> str:
 
 
 def load_config(path) -> PipelineConfig:
-    with open(path, encoding="utf-8") as f:
-        return config_from_dict(json.load(f))
+    return config_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def write_artifact(out_dir, name: str, data) -> Path:
@@ -433,6 +438,7 @@ def _run_batch(cfg: PipelineConfig, rows: np.ndarray, what: str):
 
 def run_simulations(cfg: PipelineConfig):
     """DOE + all training simulations; persists doe.csv, T.csv, S.csv."""
+    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)  # fail before simulating
     doe = generate_doe(cfg.M, cfg.input_bounds, cfg.seed_doe)
     pairs = _run_batch(cfg, doe, "training")
     T = np.vstack([p[0] for p in pairs])

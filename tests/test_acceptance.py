@@ -432,7 +432,7 @@ def test_criterion_10_reruns_are_byte_identical(tmp_path):
         M=46,
         n_val=10,
         out_dir=str(out),
-        optimize=OptimizeConfig(n_mc=2000, max_iters=250),
+        optimize=OptimizeConfig(n_mc=2000),
     )
 
     def chain():

@@ -155,13 +155,13 @@ def smooth_right_vectors(rng, n_cols: int) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def window_result(toy_bundle):
-    cfg = OptimizeConfig(n_mc=4000, seed=11, max_iters=300)
+    cfg = OptimizeConfig(n_mc=4000, seed=11)
     return cfg, solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
 
 
 @pytest.fixture(scope="module")
 def risk_result(toy_bundle):
-    cfg = OptimizeConfig(tau=735.0, n_mc=4000, seed=7, max_iters=300)
+    cfg = OptimizeConfig(tau=735.0, n_mc=4000, seed=7)
     return cfg, solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
 
 
@@ -381,7 +381,7 @@ class TestEvaluatorAgainstFullRows:
             "from pbfopt.optimize import OptimizeConfig, solve\n"
             "from pbfopt.surrogate import load_bundle\n"
             "from pbfopt.thermal import DesignPoint\n"
-            "cfg = OptimizeConfig(n_mc=500, max_iters=20)\n"
+            "cfg = OptimizeConfig(n_mc=500)\n"
             f"solve(load_bundle({str(path)!r}), cfg, DesignPoint(500.0, 160.0))\n"
             "print('scipy.spatial' in sys.modules, 'scipy.optimize' in sys.modules)\n"
         )
@@ -410,10 +410,10 @@ class TestWindowConstrainedSolve:
 
     def test_constraints_hold_at_reported_point(self, window_result):
         cfg, res = window_result
-        assert res.bpof_lhs <= (1.0 - cfg.alpha_t) + cfg.constraint_tol
+        assert res.bpof_lhs <= (1.0 - cfg.alpha_t) + optimize.CONSTRAINT_TOL
         scale = cfg.temp_window[1] - cfg.temp_window[0]
-        assert res.t_max_hat >= cfg.temp_window[0] - cfg.constraint_tol * scale
-        assert res.t_max_hat <= cfg.temp_window[1] + cfg.constraint_tol * scale
+        assert res.t_max_hat >= cfg.temp_window[0] - optimize.CONSTRAINT_TOL * scale
+        assert res.t_max_hat <= cfg.temp_window[1] + optimize.CONSTRAINT_TOL * scale
 
     def test_energy_consistent_with_design(self, window_result):
         cfg, res = window_result
@@ -429,12 +429,12 @@ class TestWindowConstrainedSolve:
     def test_reported_energy_is_best_feasible_history_row(self, window_result):
         cfg, res = window_result
         v, p, zeta, e, lhs, t_hat = res.history.T
-        budget = (1.0 - cfg.alpha_t) + cfg.constraint_tol
+        budget = (1.0 - cfg.alpha_t) + optimize.CONSTRAINT_TOL
         scale = cfg.temp_window[1] - cfg.temp_window[0]
         ok = (
             (lhs <= budget)
-            & (t_hat >= cfg.temp_window[0] - cfg.constraint_tol * scale)
-            & (t_hat <= cfg.temp_window[1] + cfg.constraint_tol * scale)
+            & (t_hat >= cfg.temp_window[0] - optimize.CONSTRAINT_TOL * scale)
+            & (t_hat <= cfg.temp_window[1] + optimize.CONSTRAINT_TOL * scale)
         )
         assert ok.any()
         assert res.energy == pytest.approx(e[ok].min(), rel=1e-9)
@@ -452,7 +452,7 @@ class TestRiskConstrainedSolve:
 
     def test_risk_constraint_is_active(self, risk_result):
         cfg, res = risk_result
-        assert 0.02 <= res.bpof_lhs <= (1.0 - cfg.alpha_t) + cfg.constraint_tol
+        assert 0.02 <= res.bpof_lhs <= (1.0 - cfg.alpha_t) + optimize.CONSTRAINT_TOL
 
     def test_zeta_is_the_exact_ratio_minimizer(self, risk_result, toy_bundle):
         cfg, res = risk_result
@@ -512,7 +512,6 @@ class TestPofVersusBpof:
             tau=735.0,
             n_mc=4000,
             seed=7,
-            max_iters=300,
             constraint_kind="pof",
         )
         res_p = solve(toy_bundle, cfg_p, DesignPoint(v=500.0, P=160.0))
@@ -528,7 +527,7 @@ class TestPofVersusBpof:
 
 class TestDeterminismAndRestarts:
     def test_same_seed_reproduces_everything(self, toy_bundle):
-        cfg = OptimizeConfig(n_mc=2000, seed=21, max_iters=200)
+        cfg = OptimizeConfig(n_mc=2000, seed=21)
         a = solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
         b = solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
         assert a.d_star == b.d_star
@@ -538,14 +537,14 @@ class TestDeterminismAndRestarts:
     def test_seeds_agree_on_the_optimum_value(self, toy_bundle):
         energies = []
         for seed in (1, 2):
-            cfg = OptimizeConfig(n_mc=2000, seed=seed, max_iters=300)
+            cfg = OptimizeConfig(n_mc=2000, seed=seed)
             energies.append(
                 solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0)).energy
             )
         assert energies[0] == pytest.approx(energies[1], rel=0.05)
 
     def test_infeasible_start_recovers(self, toy_bundle):
-        cfg = OptimizeConfig(n_mc=2000, seed=31, max_iters=300)
+        cfg = OptimizeConfig(n_mc=2000, seed=31)
         res = solve(toy_bundle, cfg, DesignPoint(v=1000.0, P=20.0))
         assert res.feasible
         assert res.energy == pytest.approx(WINDOW_ENERGY, rel=0.05)
@@ -556,7 +555,6 @@ class TestUnattainableWindow:
         cfg = OptimizeConfig(
             n_mc=1000,
             seed=4,
-            max_iters=200,
             temp_window=(2200.0, 2300.0),
         )
         res = solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
@@ -575,7 +573,6 @@ class TestUnconstrainedCorner:
             temp_window=(-np.inf, np.inf),
             n_mc=1000,
             seed=13,
-            max_iters=300,
         )
         res = solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
         assert res.feasible
@@ -591,7 +588,6 @@ class TestCobylaSolver:
             tau=735.0,
             n_mc=4000,
             seed=7,
-            max_iters=300,
         )
         res = solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
         assert res.feasible
@@ -609,7 +605,7 @@ class TestCobylaSolver:
 
         monkeypatch.setattr(surrogate, "shift_coefficients", counting)
         cfg = OptimizeConfig(
-            tau=735.0, n_mc=2000, seed=7, max_iters=100
+            tau=735.0, n_mc=2000, seed=7
         )
         res = solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
         k = len(toy_bundle.stress.features) + len(toy_bundle.temperature.features)
@@ -644,7 +640,7 @@ class TestAgainstSlsqp:
 
 
 def test_iterations_count_every_evaluation(toy_bundle):
-    cfg = OptimizeConfig(tau=735.0, n_mc=500, seed=7, max_iters=100)
+    cfg = OptimizeConfig(tau=735.0, n_mc=500, seed=7)
     res = solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
     assert res.iterations == res.history.shape[0]
 
@@ -653,7 +649,7 @@ class TestFeasibilityRule:
     def test_arrays_match_scalars(self):
         cfg = OptimizeConfig()
         lo, hi = cfg.temp_window
-        tol = cfg.constraint_tol * (hi - lo)
+        tol = optimize.CONSTRAINT_TOL * (hi - lo)
         lhs = np.array([0.0, 0.05, 0.05009, 0.06, 0.01, 0.01, 0.01])
         t_hat = np.array(
             [1700.0, lo - 0.9 * tol, lo, lo, lo - 1.1 * tol, hi + tol, hi + 2 * tol]
@@ -675,8 +671,6 @@ class TestConfigValidation:
             {"n_mc": 99},
             {"temp_window": (1800.0, 1700.0)},
             {"constraint_kind": "cvar"},
-            {"max_iters": 0},
-            {"constraint_tol": 0.0},
             {"scan_length": 0.0},
             {"seed": -1},
         ],
@@ -715,7 +709,6 @@ class TestDesignBox:
             temp_window=(-np.inf, np.inf),
             n_mc=500,
             seed=13,
-            max_iters=200,
         )
         res = solve(narrow_bundle, cfg, DesignPoint(v=500.0, P=160.0))
         (v_lo, v_hi), (p_lo, p_hi) = narrow_bundle.input_bounds[:2]

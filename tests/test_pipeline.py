@@ -20,7 +20,7 @@ from oracles import buffered_superquantile_se, maximin_doe_pdist, predict_row
 
 import pbfopt
 from pbfopt import cli, pipeline, risk, thermal
-from pbfopt.optimize import OptimizeConfig, draw_material_samples
+from pbfopt.optimize import OptimizeConfig, draw_material_samples, is_feasible
 from pbfopt.pipeline import (
     DEFAULT_STARTS,
     INPUT_NAMES,
@@ -52,7 +52,7 @@ WIDE_WINDOW = (-1.0e9, 1.0e9)
 
 
 def synthetic_config(out_dir, **overrides) -> PipelineConfig:
-    opt = OptimizeConfig(n_mc=1000, max_iters=200, temp_window=WIDE_WINDOW)
+    opt = OptimizeConfig(n_mc=1000, temp_window=WIDE_WINDOW)
     base = dict(
         M=48, n_val=20, synthetic=True, out_dir=str(out_dir), optimize=opt
     )
@@ -98,10 +98,10 @@ class TestConfigSerialization:
 
     def test_canonical_hashes_are_pinned(self):
         assert config_hash(PipelineConfig()) == (
-            "834a42341973b638d6b37d8705e06b5f406516868cb7a4e886607a26380c4719"
+            "300480ccb397670dd043ed43c9d3ab8d9b2b9e45dfd68d39f3da94e59ea52c95"
         )
         assert config_hash(PipelineConfig(M=60, seed_doe=9)) == (
-            "06efa9521749e2ee6bf2056f17cef69edbda25674159d4e7e2617c3bba77fa91"
+            "e98cff79fb6345f49ad26065bc6c92f93e130f99166b35d3e0d4b6144ff44450"
         )
 
     @pytest.mark.parametrize(
@@ -166,12 +166,38 @@ class TestConfigSerialization:
             ({"optimize": {"solver": "cobyla"}}, "'solver'"),
             ({"optimize": {"restarts": 8}}, "'restarts'"),
             ({"optimize": {"penalty_weight": 100.0}}, "'penalty_weight'"),
+            ({"optimize": {"max_iters": 500}}, "'max_iters'"),
+            ({"optimize": {"constraint_tol": 1e-4}}, "'constraint_tol'"),
             ({"model": {"w": 1.5}}, "'w'"),
         ],
     )
     def test_removed_keys_rejected(self, doc, key):
         with pytest.raises(ValueError, match=f"unknown .* key.*{key}"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"optimize": {"scan_length": 3.0}}, {"model": {"l": 3.0}}],
+        ids=["scan_length", "model.l"],
+    )
+    def test_scan_length_must_match_part_length(self, doc):
+        # the energy P * scan_length / v must be taken over the track that
+        # the simulations scan, model.l
+        with pytest.raises(ValueError, match=r"optimize\.scan_length .*model\.l"):
+            config_from_dict(doc)
+        cfg = config_from_dict({"optimize": {"scan_length": 3.0}, "model": {"l": 3.0}})
+        assert cfg.optimize.scan_length == cfg.model.l == 3.0
+
+    def test_readme_shows_the_default_config(self):
+        # the JSON block under README's "Configuration" heading lists every
+        # section in full except the elided model constants
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        doc = json.loads(section.split("```json\n", 1)[1].split("\n```", 1)[0])
+        want = config_to_dict(PipelineConfig())
+        assert set(doc) == set(want)
+        for key in set(want) - {"model"}:
+            assert doc[key] == want[key], key
 
     @pytest.mark.parametrize(
         "build, doc, name",
@@ -614,7 +640,6 @@ def write_cli_config(path: Path, out_dir: Path, **extra) -> Path:
         "out_dir": str(out_dir),
         "optimize": {
             "n_mc": 1000,
-            "max_iters": 200,
             "temp_window": [-1.0e9, 1.0e9],
         },
     }
@@ -678,15 +703,31 @@ class TestCli:
 
     def test_plot_data_flags(self, workspace):
         root, cfg_path = workspace
+        out = root / "out"
         assert cli.main(["train", "--config", str(cfg_path), "--plot-data"]) == 0
-        assert (root / "out" / "plot_err_temperature.csv").exists()
-        assert (root / "out" / "plot_err_stress.csv").exists()
+        assert (out / "plot_err_temperature.csv").exists()
+        assert (out / "plot_err_stress.csv").exists()
+        # at tau = 1.95 the first start's early evaluations are infeasible
         argv = ["optimize", "--config", str(cfg_path), "--d0", "500,160",
-                "--plot-data"]
+                "--d0", "400,125", "--tau", "1.95", "--plot-data"]
         assert cli.main(argv) == 0
-        conv = np.loadtxt(root / "out" / "plot_convergence.csv", delimiter=",")
-        best = conv[:, 2]
-        assert np.all(np.diff(best) <= 1e-12)  # running minimum
+        conv = np.loadtxt(out / "plot_convergence.csv", delimiter=",", ndmin=2)
+        history = np.loadtxt(out / "optimize_history.csv", delimiter=",", ndmin=2)
+        cfg = replace(load_config(cfg_path).optimize, tau=1.95)
+        # per start, the lowest feasible energy so far, from the first
+        # feasible evaluation on
+        want = []
+        for i in (0, 1):
+            h = history[history[:, 0] == i]
+            best = np.inf
+            for j, (e, ok) in enumerate(zip(h[:, 4], is_feasible(cfg, h[:, 5], h[:, 6]))):
+                if ok:
+                    best = min(best, e)
+                if np.isfinite(best):
+                    want.append([i, j, best])
+        assert conv.tolist() == want
+        assert set(conv[:, 0]) == {0, 1}
+        assert len(conv) < len(history)  # infeasible evaluations are left out
 
     def test_risk_subcommand(self, tmp_path, capsys):
         samples = np.arange(1.0, 101.0)
