@@ -80,12 +80,16 @@ def cmd_train(args) -> int:
 
 def _optimize_cfg(args) -> pipeline.PipelineConfig:
     cfg = _load_cfg(args)
-    flags = {"alpha": "alpha_t", "tau": "tau", "n_mc": "n_mc", "seed": "seed"}
-    overrides = {
-        name: getattr(args, flag)
-        for flag, name in flags.items()
-        if getattr(args, flag, None) is not None
-    }
+    overrides = {}
+    for flag, name in (
+        ("alpha", "alpha_t"),
+        ("tau", "tau"),
+        ("n_mc", "n_mc"),
+        ("seed", "seed"),
+    ):
+        value = getattr(args, flag, None)
+        if value is not None:
+            overrides[name] = value
     if overrides:
         cfg = replace(cfg, optimize=replace(cfg.optimize, **overrides))
     if getattr(args, "out", None):

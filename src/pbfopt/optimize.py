@@ -56,6 +56,7 @@ class OptimizeConfig:
     scan_length: float = 2.0
 
     def __post_init__(self):
+        object.__setattr__(self, "temp_window", tuple(self.temp_window))
         if not 0.0 < self.alpha_t < 1.0:
             raise ValueError("alpha_t must lie in (0, 1)")
         if not self.tau > 0.0:

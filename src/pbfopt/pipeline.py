@@ -82,7 +82,6 @@ __all__ = [
     "run_optimization",
     "simulate_stress_maxima",
     "validate",
-    "report_to_dict",
 ]
 
 INPUT_NAMES = ("v", "P", "T0", "Y", "E", "rho")
@@ -154,8 +153,7 @@ class PipelineConfig:
         if self.optimize.scan_length != self.model.l:
             raise ValueError(
                 f"optimize.scan_length ({self.optimize.scan_length}) must equal "
-                f"model.l ({self.model.l}): the energy P*l/v is taken over the "
-                "track that the simulations scan"
+                f"model.l ({self.model.l}), the track length the simulations scan"
             )
 
 
@@ -277,9 +275,7 @@ def config_from_dict(d: dict) -> PipelineConfig:
         group = doc.pop(section)
         doc.update({name: group[key] for key, name in keys.items()})
     for section, cls in _NESTED.items():
-        # dataclass pair fields hold tuples
-        pairs = {k: tuple(v) for k, v in doc[section].items() if isinstance(v, list)}
-        doc[section] = cls(**{**doc[section], **pairs})
+        doc[section] = cls(**doc[section])
     bounds = doc.pop("bounds")
     return PipelineConfig(
         input_bounds=np.array([bounds[name] for name in INPUT_NAMES]), **doc
@@ -303,7 +299,8 @@ def config_hash(cfg: PipelineConfig) -> str:
 
 
 def load_config(path) -> PipelineConfig:
-    return config_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    with open(path, encoding="utf-8") as f:
+        return config_from_dict(json.load(f))
 
 
 def write_artifact(out_dir, name: str, data) -> Path:
@@ -612,20 +609,14 @@ def validate(
         rel_diff=(q_sim - q_surr) / q_sim,
     )
     doc = {
-        **report_to_dict(report),
         **_report_header(cfg),
+        "d_star": [d_star.v, d_star.P],
+        "zeta_star": report.zeta_star,
+        "q_sim": q_sim,
+        "q_surr": q_surr,
+        "rel_diff": report.rel_diff,
         "n_val": cfg.n_val,
         "self_check": self_check,
     }
     write_artifact(cfg.out_dir, "validation.json", doc)
     return report
-
-
-def report_to_dict(r: ValidationReport) -> dict:
-    return {
-        "d_star": [r.d_star.v, r.d_star.P],
-        "zeta_star": r.zeta_star,
-        "q_sim": r.q_sim,
-        "q_surr": r.q_surr,
-        "rel_diff": r.rel_diff,
-    }
