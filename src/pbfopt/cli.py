@@ -137,9 +137,11 @@ def cmd_validate(args) -> int:
         d_star, zeta = DesignPoint(v=args.design[0], P=args.design[1]), args.zeta
     else:
         text = _require(out / "optimize.json", "optimize").read_text(encoding="utf-8")
-        best = json.loads(text)["best"]
-        d_star = DesignPoint(v=best["d_star"][0], P=best["d_star"][1])
-        zeta = best["zeta_star"]
+        doc = json.loads(text)
+        d_star, zeta = DesignPoint(*doc["best"]["d_star"]), doc["best"]["zeta_star"]
+        # the stored optimum is validated under the settings it was solved with
+        keys = ("tau", "alpha_t", "n_mc", "seed", "constraint_kind")
+        cfg = replace(cfg, optimize=replace(cfg.optimize, **{k: doc[k] for k in keys}))
     report = pipeline.validate(d_star, zeta, bundle, cfg, self_check=args.self_check)
     print(f"design: ({report.d_star.v:.6g}, {report.d_star.P:.6g})")
     print(f"zeta: {report.zeta_star:.10g}")

@@ -428,7 +428,7 @@ def _run_batch(cfg: PipelineConfig, rows: np.ndarray, what: str):
                 e.step, e.run,
             ) from e
     return [
-        (s.temps, field_to_row(residual_stress(s, z, cfg.c_r).grid))
+        (s.temps, field_to_row(residual_stress(s, z, cfg.c_r)))
         for s, z in zip(snaps, inputs)
     ]
 

@@ -9,6 +9,7 @@ over the normalized inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -22,6 +23,9 @@ __all__ = [
     "select_feature_count",
     "check_bounds",
     "normalize_inputs",
+    "monomial_exponents",
+    "design_matrix",
+    "least_squares",
     "fit_quadratic",
     "estimate_gradients",
     "discover",
@@ -38,7 +42,6 @@ EIGENVALUE_FLOOR = 1e-6
 class FeatureDecomposition:
     """Truncated SVD of a snapshot matrix: features = U_k Sigma_k."""
 
-    k: int
     features: np.ndarray  # M x k
     right_vectors: np.ndarray  # N x k
     singular_values: np.ndarray  # k
@@ -62,14 +65,14 @@ def _check_matrix(data) -> np.ndarray:
     return m
 
 
-def _fix_signs(u: np.ndarray, vt: np.ndarray):
-    """Make the largest-magnitude entry of each right vector positive."""
-    for j in range(vt.shape[0]):
-        i = int(np.argmax(np.abs(vt[j])))
-        if vt[j, i] < 0:
-            vt[j] *= -1.0
-            u[:, j] *= -1.0
-    return u, vt
+def _fix_signs(rows: np.ndarray, *partners: np.ndarray) -> None:
+    """Flip in place each row of rows whose largest-magnitude entry is
+    negative, and with it the same column of every partner."""
+    for j, row in enumerate(rows):
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+            for m in partners:
+                m[:, j] *= -1.0
 
 
 def decompose(data, k: int) -> FeatureDecomposition:
@@ -79,9 +82,9 @@ def decompose(data, k: int) -> FeatureDecomposition:
     if not 1 <= k <= rank_cap:
         raise ValueError(f"k must lie in [1, {rank_cap}], got {k}")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    u, vt = _fix_signs(u[:, :k].copy(), vt[:k].copy())
+    u, vt = u[:, :k].copy(), vt[:k].copy()
+    _fix_signs(vt, u)
     return FeatureDecomposition(
-        k=int(k),
         features=u * s[:k],
         right_vectors=vt.T,
         singular_values=s[:k].copy(),
@@ -165,31 +168,66 @@ def normalize_inputs(xi, bounds) -> np.ndarray:
     return np.clip(u, -1.0, 1.0)
 
 
-def _quad_exponent_pairs(n: int):
-    return list(combinations_with_replacement(range(n), 2))
+@lru_cache(maxsize=None)
+def monomial_exponents(n_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent tuples in graded order: by total degree, then by the
+    lexicographic order of the variable-index combination."""
+    exps = []
+    for total in range(degree + 1):
+        for combo in combinations_with_replacement(range(n_vars), total):
+            e = [0] * n_vars
+            for i in combo:
+                e[i] += 1
+            exps.append(tuple(e))
+    return tuple(exps)
+
+
+def design_matrix(x: np.ndarray, exps) -> np.ndarray:
+    """The (n_points, len(exps)) monomial design matrix of the rows of x."""
+    n_pts, n_vars = x.shape
+    max_pow = [max(e[i] for e in exps) for i in range(n_vars)]
+    pows = []
+    for i in range(n_vars):
+        cols = [np.ones(n_pts)]
+        for _ in range(max_pow[i]):
+            cols.append(cols[-1] * x[:, i])
+        pows.append(cols)
+    out = np.empty((n_pts, len(exps)))
+    for j, e in enumerate(exps):
+        col = pows[0][e[0]].copy()
+        for i in range(1, n_vars):
+            if e[i]:
+                col *= pows[i][e[i]]
+        out[:, j] = col
+    return out
+
+
+def least_squares(design: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients by an orthogonal factorization (degree-6 bases
+    are too ill-conditioned for the normal equations); rank deficiency raises."""
+    coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < design.shape[1]:
+        raise ValueError("rank-deficient polynomial basis on these inputs")
+    return coeffs
 
 
 @dataclass(frozen=True)
 class QuadraticModel:
-    """Full quadratic response surface: constant, linear and pair terms."""
+    """Full quadratic: constant, linear and pair terms, in monomial order."""
 
     n_vars: int
-    coeffs: np.ndarray  # 1 + n + n(n+1)/2, ordered const, linear, pairs
-
-    def design_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        cols = [np.ones(x.shape[0]), *(x[:, i] for i in range(self.n_vars))]
-        cols += [x[:, i] * x[:, j] for i, j in _quad_exponent_pairs(self.n_vars)]
-        return np.column_stack(cols)
+    coeffs: np.ndarray
 
     def __call__(self, x) -> np.ndarray:
-        return self.design_matrix(x) @ self.coeffs
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return design_matrix(x, monomial_exponents(self.n_vars, 2)) @ self.coeffs
 
     def gradient(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n = self.n_vars
         grad = np.tile(self.coeffs[1 : n + 1], (x.shape[0], 1))
-        for c, (i, j) in zip(self.coeffs[n + 1 :], _quad_exponent_pairs(n)):
+        pairs = combinations_with_replacement(range(n), 2)
+        for c, (i, j) in zip(self.coeffs[n + 1 :], pairs):
             grad[:, i] += c * x[:, j]
             grad[:, j] += c * x[:, i]
         return grad
@@ -202,18 +240,13 @@ def fit_quadratic(inputs, values) -> QuadraticModel:
     if x.ndim != 2 or x.shape[0] != y.size:
         raise ValueError("inputs must be (M, n) with one value per row")
     n = x.shape[1]
-    n_terms = 1 + n + n * (n + 1) // 2
-    if x.shape[0] < n_terms:
+    exps = monomial_exponents(n, 2)
+    if x.shape[0] < len(exps):
         raise ValueError(
-            f"need at least {n_terms} samples for a {n}-variable quadratic, "
+            f"need at least {len(exps)} samples for a {n}-variable quadratic, "
             f"got {x.shape[0]}"
         )
-    model = QuadraticModel(n_vars=n, coeffs=np.zeros(n_terms))
-    design = model.design_matrix(x)
-    coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < n_terms:
-        raise ValueError("rank-deficient quadratic design matrix")
-    return QuadraticModel(n_vars=n, coeffs=coeffs)
+    return QuadraticModel(n_vars=n, coeffs=least_squares(design_matrix(x, exps), y))
 
 
 def estimate_gradients(inputs, values) -> np.ndarray:
@@ -241,10 +274,7 @@ def discover(gradients) -> ActiveSubspace:
     vals, vecs = np.linalg.eigh(cov)
     vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()
     vals = np.maximum(vals, 0.0)  # Gram spectrum; negatives are fp noise
-    for j in range(n):
-        i = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[i, j] < 0:
-            vecs[:, j] *= -1.0
+    _fix_signs(vecs.T)
     r_cap = min(MAX_ACTIVE_DIM, n - 1)
     if vals[0] <= 0.0:
         r = 1

@@ -11,28 +11,19 @@ optimizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .thermal import STRESS_GRID_SHAPE, RandomInputs, TemperatureSnapshot
 
-__all__ = ["StressField", "residual_stress", "field_to_row"]
+__all__ = ["residual_stress", "field_to_row"]
 
 ALPHA_T = 1e-5  # thermal expansion coefficient, 1/K
 
 
-@dataclass(frozen=True)
-class StressField:
-    """Von Mises residual stresses (MPa), axis 0 = length, axis 1 = height."""
-
-    grid: np.ndarray
-    sigma_max: float
-
-
 def residual_stress(snapshot: TemperatureSnapshot, z: RandomInputs,
-                    c_r: float) -> StressField:
-    """Elastic-perfectly-plastic stress from the peak-temperature field.
+                    c_r: float) -> np.ndarray:
+    """Elastic-perfectly-plastic von Mises residual stresses (MPa) from the
+    peak-temperature field, as the (32, 14) grid: axis 0 length, 1 height.
 
     Per grid point: sigma = min(Y, c_r * E_MPa * ALPHA_T * max(0, T_peak - T0)),
     with the thermal expansion coefficient ALPHA_T fixed.  c_r is a
@@ -50,8 +41,7 @@ def residual_stress(snapshot: TemperatureSnapshot, z: RandomInputs,
     if not 0.0 < c_r <= 1.0:
         raise ValueError("constraint factor c_r must lie in (0, 1]")
     elastic = c_r * (z.E * 1000.0) * ALPHA_T * np.maximum(peak - z.T0, 0.0)
-    grid = np.minimum(z.Y, elastic)
-    return StressField(grid=grid, sigma_max=float(grid.max()))
+    return np.minimum(z.Y, elastic)
 
 
 def field_to_row(grid: np.ndarray) -> np.ndarray:

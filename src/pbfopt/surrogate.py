@@ -11,13 +11,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import comb
 from pathlib import Path
 
 import numpy as np
 
-from .reduction import ActiveSubspace
+from .reduction import ActiveSubspace, design_matrix, least_squares, monomial_exponents
 
 __all__ = [
     "PolySurrogate",
@@ -26,7 +25,6 @@ __all__ = [
     "SurrogateBundle",
     "OUTPUT_NAMES",
     "SCHEMA_VERSION",
-    "monomial_exponents",
     "fit",
     "fit_best_degree",
     "predict",
@@ -35,7 +33,6 @@ __all__ = [
     "r2_score",
     "bundle_to_dict",
     "bundle_from_dict",
-    "save_bundle",
     "load_bundle",
 ]
 
@@ -50,20 +47,6 @@ DEGREE_R2_MARGIN = 0.01
 
 
 @lru_cache(maxsize=None)
-def monomial_exponents(n_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent tuples in graded order: by total degree, then by the
-    lexicographic order of the variable-index combination."""
-    exps = []
-    for total in range(degree + 1):
-        for combo in combinations_with_replacement(range(n_vars), total):
-            e = [0] * n_vars
-            for i in combo:
-                e[i] += 1
-            exps.append(tuple(e))
-    return tuple(exps)
-
-
-@lru_cache(maxsize=None)
 def _shift_table(n_vars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Binomial weights prod_i C(alpha_i, beta_i) (zero unless alpha >= beta)
     and power gaps alpha - beta (clipped at zero) over basis pairs [beta, alpha]."""
@@ -73,25 +56,6 @@ def _shift_table(n_vars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     weights.setflags(write=False)
     gaps.setflags(write=False)
     return weights, gaps
-
-
-def _design_matrix(etas: np.ndarray, exps) -> np.ndarray:
-    n_pts, n_vars = etas.shape
-    max_pow = [max(e[i] for e in exps) for i in range(n_vars)]
-    pows = []
-    for i in range(n_vars):
-        cols = [np.ones(n_pts)]
-        for _ in range(max_pow[i]):
-            cols.append(cols[-1] * etas[:, i])
-        pows.append(cols)
-    out = np.empty((n_pts, len(exps)))
-    for j, e in enumerate(exps):
-        col = pows[0][e[0]].copy()
-        for i in range(1, n_vars):
-            if e[i]:
-                col *= pows[i][e[i]]
-        out[:, j] = col
-    return out
 
 
 @dataclass(frozen=True)
@@ -141,11 +105,7 @@ def _check_etas(etas) -> np.ndarray:
 
 
 def fit(etas, values, degree: int) -> PolySurrogate:
-    """Least-squares polynomial fit via an orthogonal factorization.
-
-    Never forms the normal equations; degree-6 monomial bases are too
-    ill-conditioned for that.
-    """
+    """Least-squares polynomial fit of the given degree (least_squares)."""
     e = _check_etas(etas)
     y = np.asarray(values, dtype=float).ravel()
     if y.size != e.shape[0]:
@@ -158,10 +118,8 @@ def fit(etas, values, degree: int) -> PolySurrogate:
             f"need more than {len(exps)} samples for degree {degree} "
             f"in {e.shape[1]} variables, got {y.size}"
         )
-    design = _design_matrix(e, exps)
-    coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < len(exps):
-        raise ValueError("rank-deficient polynomial basis on these inputs")
+    design = design_matrix(e, exps)
+    coeffs = least_squares(design, y)
     return PolySurrogate(
         n_vars=e.shape[1],
         degree=degree,
@@ -170,13 +128,13 @@ def fit(etas, values, degree: int) -> PolySurrogate:
     )
 
 
-def fit_best_degree(etas, values, max_degree: int = MAX_DEGREE) -> PolySurrogate:
-    """Fit degrees 1..max_degree (capped by sample count) and keep the
+def fit_best_degree(etas, values) -> PolySurrogate:
+    """Fit degrees 1..MAX_DEGREE (capped by sample count) and keep the
     lowest degree whose r2 comes within DEGREE_R2_MARGIN of the best."""
     e = _check_etas(etas)
     y = np.asarray(values, dtype=float).ravel()
     fits = []
-    for degree in range(1, max_degree + 1):
+    for degree in range(1, MAX_DEGREE + 1):
         if y.size <= comb(e.shape[1] + degree, degree):
             break
         fits.append(fit(e, y, degree))
@@ -202,7 +160,7 @@ def basis(s: PolySurrogate, eta) -> np.ndarray:
     e = _check_etas(eta)
     if e.shape[1] != s.n_vars:
         raise ValueError(f"expected {s.n_vars} active variables, got {e.shape[1]}")
-    return _design_matrix(e, monomial_exponents(s.n_vars, s.degree))
+    return design_matrix(e, monomial_exponents(s.n_vars, s.degree))
 
 
 def shift_coefficients(s: PolySurrogate, offset) -> np.ndarray:
@@ -330,11 +288,6 @@ def bundle_from_dict(d: dict) -> SurrogateBundle:
         provenance=dict(d.get("provenance", {})),
         **outputs,
     )
-
-
-def save_bundle(b: SurrogateBundle, path) -> None:
-    text = json.dumps(bundle_to_dict(b), sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n")
 
 
 def load_bundle(path) -> SurrogateBundle:

@@ -140,7 +140,6 @@ class TemperatureSnapshot:
 
     times: np.ndarray
     temps: np.ndarray
-    t_scan: float
     peak_field: np.ndarray
 
 
@@ -241,8 +240,8 @@ def _plan(d: DesignPoint, z: RandomInputs, p: ModelParams, grid: SimGridConfig,
     clamp_lo, clamp_hi = min(z.T0, p.Tc) - 50.0, 3.0 * p.Tliq
     for hi in (clamp_hi, ceiling * p.Tliq):
         cp_min, _ = _quad_extrema(p.a0, p.a1, p.a2, clamp_lo, hi)
-        _, kap_max = _quad_extrema(p.b0, p.b1, p.b2, clamp_lo, hi)
-        if cp_min <= 0 or kap_max <= 0:
+        kap_min, kap_max = _quad_extrema(p.b0, p.b1, p.b2, clamp_lo, hi)
+        if cp_min <= 0 or kap_min <= 0:
             raise ValueError("material properties non-positive over the run range")
     h = min(p.l / grid.cells_x, p.h / grid.cells_z)
     dt_stable = grid.cfl_factor * rho * cp_min * h**2 / (4.0 * (kap_max * 1e-3))
@@ -375,7 +374,7 @@ def simulate_batch(designs, inputs, p: ModelParams | None = None,
     for results, block in zip(solved, sent):  # a block joins sent before its result
         for k, r in zip(block, results):
             snaps[k] = r if isinstance(r, SimulationError) else TemperatureSnapshot(
-                r[0], r[1], p.l / designs[k].v, _bilinear(r[2], *cell))
+                r[0], r[1], _bilinear(r[2], *cell))
     for k, s in enumerate(snaps):
         if isinstance(s, SimulationError):
             s.run = k

@@ -38,7 +38,7 @@ from oracles import (
 from scipy.spatial import ConvexHull
 
 import pbfopt
-from pbfopt import optimize, risk, surrogate
+from pbfopt import optimize, pipeline, risk, surrogate
 from pbfopt.optimize import (
     HISTORY_COLUMNS,
     OptimizeConfig,
@@ -374,8 +374,8 @@ class TestEvaluatorAgainstFullRows:
 
     def test_k2_solve_leaves_scipy_spatial_unloaded(self, k2_bundle, tmp_path):
         # nor scipy.optimize: the solver is numpy only
-        path = tmp_path / "bundle.json"
-        surrogate.save_bundle(k2_bundle, path)
+        doc = surrogate.bundle_to_dict(k2_bundle)
+        path = pipeline.write_artifact(tmp_path, "bundle.json", doc)
         code = (
             "import sys\n"
             "from pbfopt.optimize import OptimizeConfig, solve\n"

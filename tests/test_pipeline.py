@@ -9,6 +9,7 @@ pins the whole reduce-discover-fit chain end to end.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -20,7 +21,7 @@ from oracles import buffered_superquantile_se, maximin_doe_pdist, predict_row
 
 import pbfopt
 from pbfopt import cli, pipeline, risk, thermal
-from pbfopt.optimize import OptimizeConfig, draw_material_samples, is_feasible
+from pbfopt.optimize import OptimizeConfig, draw_material_samples, is_feasible, solve
 from pbfopt.pipeline import (
     DEFAULT_STARTS,
     INPUT_NAMES,
@@ -38,7 +39,7 @@ from pbfopt.pipeline import (
     validate,
 )
 from pbfopt.risk import buffered_superquantile
-from pbfopt.surrogate import load_bundle, save_bundle
+from pbfopt.surrogate import bundle_to_dict, load_bundle
 from pbfopt.thermal import (
     DESIGN_BOUNDS,
     RANDOM_INPUT_BOUNDS,
@@ -346,7 +347,8 @@ class TestSyntheticTraining:
     def test_bundle_file_round_trips_byte_for_byte(self, trained, tmp_path):
         cfg, _ = trained
         path = Path(cfg.out_dir) / "bundle.json"
-        save_bundle(load_bundle(path), tmp_path / "bundle.json")
+        doc = bundle_to_dict(load_bundle(path))
+        pipeline.write_artifact(tmp_path, "bundle.json", doc)
         assert (tmp_path / "bundle.json").read_bytes() == path.read_bytes()
 
     def test_data_matrices_have_rank_two(self, trained):
@@ -693,6 +695,52 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert "--zeta" in err and "--design" in err
+
+    def test_validate_explicit_design_keeps_the_config_settings(self, workspace):
+        root, cfg_path = workspace
+        argv = ["validate", "--config", str(cfg_path), "--design", "500,100",
+                "--zeta", "600"]
+        assert cli.main(argv) == 0
+        doc = json.loads((root / "out" / "validation.json").read_text())
+        assert doc["d_star"] == [500.0, 100.0]
+        assert doc["zeta_star"] == 600.0
+        assert doc["config_hash"] == config_hash(load_config(cfg_path))
+
+    def test_validate_takes_the_settings_optimize_solved_with(
+        self, workspace, tmp_path
+    ):
+        root, _ = workspace
+        out = tmp_path / "out"
+        cfg_path = write_cli_config(tmp_path / "cfg.json", out)
+        out.mkdir()
+        shutil.copy(root / "out" / "bundle.json", out)
+        argv = ["optimize", "--config", str(cfg_path), "--d0", "500,160",
+                "--n-mc", "500", "--alpha", "0.9", "--seed", "4"]
+        assert cli.main(argv) == 0
+        assert cli.main(["validate", "--config", str(cfg_path)]) == 0
+        opt, val = (json.loads((out / name).read_text())
+                    for name in ("optimize.json", "validation.json"))
+        keys = ("config_hash", "tau", "alpha_t", "n_mc")
+        assert [val[k] for k in keys] == [opt[k] for k in keys]
+        assert (val["alpha_t"], val["n_mc"]) == (0.9, 500)
+        assert val["config_hash"] != config_hash(load_config(cfg_path))
+        assert val["d_star"] == opt["best"]["d_star"]
+
+    def test_optimize_out_dir_reads_and_writes_there(self, workspace, tmp_path):
+        root, cfg_path = workspace
+        shutil.copy(root / "out" / "bundle.json", tmp_path)
+        before = {p.name: p.read_bytes() for p in (root / "out").iterdir()}
+        argv = ["optimize", "--config", str(cfg_path), "--d0", "500,160",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["bundle.json", "optimize.json", "optimize_history.csv"]
+        assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
+        res = solve(load_bundle(tmp_path / "bundle.json"), load_config(cfg_path).optimize,
+                    DesignPoint(500.0, 160.0))
+        best = json.loads((tmp_path / "optimize.json").read_text())["best"]
+        assert best["d_star"] == [res.d_star.v, res.d_star.P]
+        assert best["zeta_star"] == res.zeta_star
 
     def test_model_info(self, workspace, capsys):
         _, cfg_path = workspace

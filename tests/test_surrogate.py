@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from oracles import predict_row
 
-from pbfopt import reduction, surrogate, thermal
+from pbfopt import pipeline, reduction, surrogate, thermal
 
 
 def horner_eval(coeffs_by_power, x):
@@ -387,8 +387,8 @@ class TestBundlePrediction:
 class TestBundlePersistence:
     def test_roundtrip_exact(self, tmp_path):
         bundle, raw, _, _ = build_ridge_bundle()
-        path = tmp_path / "bundle.json"
-        surrogate.save_bundle(bundle, path)
+        doc = surrogate.bundle_to_dict(bundle)
+        path = pipeline.write_artifact(tmp_path, "bundle.json", doc)
         loaded = surrogate.load_bundle(path)
         assert np.array_equal(loaded.input_bounds, bundle.input_bounds)
         assert np.array_equal(
@@ -402,9 +402,9 @@ class TestBundlePersistence:
 
     def test_save_is_stable_text(self, tmp_path):
         bundle, _, _, _ = build_ridge_bundle()
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        surrogate.save_bundle(bundle, p1)
-        surrogate.save_bundle(bundle, p2)
+        doc = surrogate.bundle_to_dict(bundle)
+        p1 = pipeline.write_artifact(tmp_path, "a.json", doc)
+        p2 = pipeline.write_artifact(tmp_path, "b.json", doc)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_unsupported_schema_rejected(self):
