@@ -1,10 +1,10 @@
 """Command-line front end for the simulate/train/optimize/validate chain.
 
-Every subcommand accepts ``--config PATH`` pointing at a JSON document;
-absent keys fall back to the nominal defaults, so running without a
-config reproduces the published setup.  Exit status is 0 on success,
-1 on a domain error (bad values, missing artifacts, simulator failure)
-and 2 on a usage error.
+Every subcommand accepts ``--config PATH`` pointing at a JSON document,
+the only source of a run's settings; absent keys fall back to the nominal
+defaults, so running without a config reproduces the published setup.
+Exit status is 0 on success, 1 on a domain error (bad values, missing
+artifacts, simulator failure) and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -78,27 +77,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _optimize_cfg(args) -> pipeline.PipelineConfig:
-    cfg = _load_cfg(args)
-    overrides = {}
-    for flag, name in (
-        ("alpha", "alpha_t"),
-        ("tau", "tau"),
-        ("n_mc", "n_mc"),
-        ("seed", "seed"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        cfg = replace(cfg, optimize=replace(cfg.optimize, **overrides))
-    if getattr(args, "out", None):
-        cfg = replace(cfg, out_dir=args.out)
-    return cfg
-
-
 def cmd_optimize(args) -> int:
-    cfg = _optimize_cfg(args)
+    cfg = _load_cfg(args)
     out = Path(cfg.out_dir)
     bundle = load_bundle(_require(out / "bundle.json", "train"))
     starts = tuple(args.d0) if args.d0 else pipeline.DEFAULT_STARTS
@@ -138,10 +118,14 @@ def cmd_validate(args) -> int:
     else:
         text = _require(out / "optimize.json", "optimize").read_text(encoding="utf-8")
         doc = json.loads(text)
+        # the stored optimum is validated only under the settings it was solved with
+        solved, here = doc["config_hash"], pipeline.config_hash(cfg)
+        if solved != here:
+            raise ValueError(
+                f"optimize.json was solved under config hash {solved}, but this "
+                f"config hashes to {here}; rerun `pbfopt optimize` with this config"
+            )
         d_star, zeta = DesignPoint(*doc["best"]["d_star"]), doc["best"]["zeta_star"]
-        # the stored optimum is validated under the settings it was solved with
-        keys = ("tau", "alpha_t", "n_mc", "seed", "constraint_kind")
-        cfg = replace(cfg, optimize=replace(cfg.optimize, **{k: doc[k] for k in keys}))
     report = pipeline.validate(d_star, zeta, bundle, cfg, self_check=args.self_check)
     print(f"design: ({report.d_star.v:.6g}, {report.d_star.P:.6g})")
     print(f"zeta: {report.zeta_star:.10g}")
@@ -205,11 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--d0", action="append", metavar="V,P", type=_parse_design,
         help="initial design",
     )
-    sp.add_argument("--alpha", type=float, help="risk confidence level")
-    sp.add_argument("--tau", type=float, help="stress threshold, MPa")
-    sp.add_argument("--n-mc", dest="n_mc", type=int, help="sample count per solve")
-    sp.add_argument("--seed", type=int, help="sample-draw seed")
-    sp.add_argument("--out", metavar="DIR", help="output directory override")
     sp.add_argument("--plot-data", action="store_true", help="emit convergence CSV")
 
     sp = common("validate", cmd_validate, "compare simulator and surrogate risk")

@@ -86,9 +86,12 @@ class OptimizationResult:
     energy: float
     bpof_lhs: float
     t_max_hat: float
-    iterations: int
     feasible: bool
     history: np.ndarray = field(repr=False)  # columns HISTORY_COLUMNS
+
+    @property
+    def iterations(self) -> int:
+        return self.history.shape[0]
 
 
 def energy(d: DesignPoint, l: float = 2.0) -> float:
@@ -404,7 +407,6 @@ def solve(
         energy=float(e),
         bpof_lhs=float(lhs),
         t_max_hat=float(t_hat),
-        iterations=len(state.history),
         feasible=feasible,
         history=np.asarray(state.history, dtype=float),
     )

@@ -470,6 +470,12 @@ def train_from_matrices(
 
     Persists bundle.json and err_curves.json under the output directory.
     """
+    for name, data in (("doe", doe), ("T", T), ("S", S)):
+        if data.shape[0] != cfg.M:
+            raise ValueError(
+                f"{name} has {data.shape[0]} rows but the config sets M = {cfg.M}; "
+                "rerun `pbfopt simulate` with this config"
+            )
     u = normalize_inputs(doe, cfg.input_bounds)
     provenance = {"config_hash": config_hash(cfg), "M": cfg.M}
     curves = {"schema_version": _SCHEMA_VERSION}

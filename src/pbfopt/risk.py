@@ -110,15 +110,6 @@ def estimate_pof(values, tau: float) -> float:
     return float(np.mean(vals > tau))
 
 
-def _excess_ratio(g: np.ndarray, suffix: np.ndarray, tau: float, zeta):
-    """mean((g - zeta)^+) / (tau - zeta) on an ascending-sorted g."""
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    idx = np.searchsorted(g, zeta, side="right")
-    n_above = g.size - idx
-    tail_sum = suffix[idx]
-    return (tail_sum - n_above * zeta) / (g.size * (tau - zeta))
-
-
 def estimate_bpof_minform(values, tau: float) -> tuple[float, float]:
     """Buffered probability of failure via the minimization form.
 
@@ -152,9 +143,13 @@ def estimate_bpof_minform(values, tau: float) -> tuple[float, float]:
     span = gmax - gmin
     # suffix[i] = sum of g[i:]
     suffix = np.concatenate([np.cumsum(g[::-1])[::-1], [0.0]])
-    cand = np.unique(g[g < tau])
-    cand = np.concatenate([[gmin - span], cand])
-    ratios = _excess_ratio(g, suffix, tau, cand)
+    # the last copy of each distinct sample below tau (g[k] >= tau exists,
+    # since tau < gmax); above candidate g[i] lie exactly g[i + 1:]
+    k = np.count_nonzero(g < tau)
+    last = np.flatnonzero(g[:k] != g[1 : k + 1])
+    cand = np.concatenate([[gmin - span], g[last]])
+    idx = np.concatenate([[0], last + 1])
+    ratios = (suffix[idx] - (g.size - idx) * cand) / (g.size * (tau - cand))
     best = int(np.argmin(ratios))
     zeta, bpof = float(cand[best]), float(ratios[best])
     return float(min(max(bpof, 0.0), 1.0)), zeta

@@ -110,9 +110,10 @@ class ModelParams:
             raise ValueError("absorptivity must lie in (0, 1]")
         if min(self.l, self.h) <= 0:
             raise ValueError("part dimensions must be positive")
-        ts = np.linspace(self.Tc, 1.1 * self.Tliq, 200)
-        cp, kap = material_props(ts, self)
-        if np.min(cp) <= 0 or np.min(kap) <= 0:
+        lo, hi = self.Tc, 1.1 * self.Tliq
+        cp_min, _ = _quad_extrema(self.a0, self.a1, self.a2, lo, hi)
+        kap_min, _ = _quad_extrema(self.b0, self.b1, self.b2, lo, hi)
+        if cp_min <= 0 or kap_min <= 0:
             raise ValueError("heat capacity and conductivity must stay positive "
                              "between chamber and 1.1x liquidus temperature")
 

@@ -53,6 +53,28 @@ def estimate_bpof_tail(values, alpha):
     return (k - 1) / m, float(run[k - 2])
 
 
+def estimate_bpof_minform_scan(values, tau):
+    """risk.estimate_bpof_minform with its candidate ratios read by a
+    search: the distinct samples below tau, plus one point a span below the
+    minimum, each located in the sorted set with np.searchsorted."""
+    vals = np.asarray(values, dtype=float).ravel()
+    tau = float(tau)
+    gmin, gmax = float(vals.min()), float(vals.max())
+    if gmax == gmin:
+        return (1.0, tau - 1.0) if tau <= gmax else (0.0, gmax)
+    if tau >= gmax:
+        return 0.0, gmax
+    g = np.sort(vals)
+    if tau <= float(np.mean(g)):
+        return 1.0, tau - (gmax - gmin)
+    suffix = np.concatenate([np.cumsum(g[::-1])[::-1], [0.0]])
+    cand = np.concatenate([[gmin - (gmax - gmin)], np.unique(g[g < tau])])
+    idx = np.searchsorted(g, cand, side="right")
+    ratios = (suffix[idx] - (g.size - idx) * cand) / (g.size * (tau - cand))
+    best = int(np.argmin(ratios))
+    return float(min(max(float(ratios[best]), 0.0), 1.0)), float(cand[best])
+
+
 def predict_row(bundle, side, xi):
     """Full predicted output row of one side ("temperature" or "stress")
     at one raw input vector: feature predictions times right vectors.  An

@@ -21,7 +21,7 @@ from oracles import buffered_superquantile_se, maximin_doe_pdist, predict_row
 
 import pbfopt
 from pbfopt import cli, pipeline, risk, thermal
-from pbfopt.optimize import OptimizeConfig, draw_material_samples, is_feasible, solve
+from pbfopt.optimize import OptimizeConfig, draw_material_samples, is_feasible
 from pbfopt.pipeline import (
     DEFAULT_STARTS,
     INPUT_NAMES,
@@ -634,7 +634,7 @@ class TestValidation:
             validate(DesignPoint(v=500.0, P=100.0), 2.0, bundle, other)
 
 
-def write_cli_config(path: Path, out_dir: Path, **extra) -> Path:
+def write_cli_config(path: Path, out_dir: Path, optimize=(), **extra) -> Path:
     doc = {
         "M": 48,
         "n_val": 12,
@@ -643,6 +643,7 @@ def write_cli_config(path: Path, out_dir: Path, **extra) -> Path:
         "optimize": {
             "n_mc": 1000,
             "temp_window": [-1.0e9, 1.0e9],
+            **dict(optimize),
         },
     }
     doc.update(extra)
@@ -659,24 +660,50 @@ def workspace(tmp_path_factory):
     return root, cfg_path
 
 
+def trained_dir(workspace, tmp_path, **optimize):
+    """An output directory holding the workspace bundle, and a config that
+    writes there with the given optimize keys."""
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(workspace[0] / "out" / "bundle.json", out)
+    return out, write_cli_config(tmp_path / "cfg.json", out, optimize)
+
+
 class TestCli:
     def test_train_before_simulate_fails_with_message(self, tmp_path, capsys):
         cfg_path = write_cli_config(tmp_path / "cfg.json", tmp_path / "out")
         assert cli.main(["train", "--config", str(cfg_path)]) == 1
         assert "missing artifact" in capsys.readouterr().err
 
-    def test_optimize_is_byte_deterministic(self, workspace):
-        root, cfg_path = workspace
-        argv = ["optimize", "--config", str(cfg_path), "--d0", "500,160",
-                "--seed", "7"]
+    def test_train_rejects_matrices_simulated_for_another_m(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        root, _ = workspace
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("doe.csv", "T.csv", "S.csv"):
+            shutil.copy(root / "out" / name, out)
+        cfg_path = write_cli_config(tmp_path / "cfg.json", out, M=60)
+        monkeypatch.setattr(pipeline, "_fit_output", lambda *a: pytest.fail("fitted"))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "48 rows" in err and "M = 60" in err and "pbfopt simulate" in err
+        assert not (out / "bundle.json").exists()
+
+    def test_optimize_is_byte_deterministic(self, workspace, tmp_path):
+        out, cfg_path = trained_dir(workspace, tmp_path, seed=7)
+        argv = ["optimize", "--config", str(cfg_path), "--d0", "500,160"]
         assert cli.main(argv) == 0
-        path = root / "out" / "optimize.json"
+        path = out / "optimize.json"
+        assert json.loads(path.read_text())["seed"] == 7
         first = path.read_bytes()
         assert cli.main(argv) == 0
         assert path.read_bytes() == first
 
     def test_validate_subcommand(self, workspace, capsys):
         root, cfg_path = workspace
+        argv = ["optimize", "--config", str(cfg_path), "--d0", "500,160"]
+        assert cli.main(argv) == 0
         assert cli.main(["validate", "--config", str(cfg_path)]) == 0
         assert (root / "out" / "validation.json").exists()
         assert "rel_diff" in capsys.readouterr().out
@@ -706,16 +733,13 @@ class TestCli:
         assert doc["zeta_star"] == 600.0
         assert doc["config_hash"] == config_hash(load_config(cfg_path))
 
-    def test_validate_takes_the_settings_optimize_solved_with(
+    def test_validate_checks_the_optimum_under_the_config_it_was_solved_with(
         self, workspace, tmp_path
     ):
-        root, _ = workspace
-        out = tmp_path / "out"
-        cfg_path = write_cli_config(tmp_path / "cfg.json", out)
-        out.mkdir()
-        shutil.copy(root / "out" / "bundle.json", out)
-        argv = ["optimize", "--config", str(cfg_path), "--d0", "500,160",
-                "--n-mc", "500", "--alpha", "0.9", "--seed", "4"]
+        out, cfg_path = trained_dir(
+            workspace, tmp_path, n_mc=500, alpha_t=0.9, seed=4
+        )
+        argv = ["optimize", "--config", str(cfg_path), "--d0", "500,160"]
         assert cli.main(argv) == 0
         assert cli.main(["validate", "--config", str(cfg_path)]) == 0
         opt, val = (json.loads((out / name).read_text())
@@ -723,24 +747,23 @@ class TestCli:
         keys = ("config_hash", "tau", "alpha_t", "n_mc")
         assert [val[k] for k in keys] == [opt[k] for k in keys]
         assert (val["alpha_t"], val["n_mc"]) == (0.9, 500)
-        assert val["config_hash"] != config_hash(load_config(cfg_path))
+        assert val["config_hash"] == config_hash(load_config(cfg_path))
         assert val["d_star"] == opt["best"]["d_star"]
 
-    def test_optimize_out_dir_reads_and_writes_there(self, workspace, tmp_path):
-        root, cfg_path = workspace
-        shutil.copy(root / "out" / "bundle.json", tmp_path)
-        before = {p.name: p.read_bytes() for p in (root / "out").iterdir()}
-        argv = ["optimize", "--config", str(cfg_path), "--d0", "500,160",
-                "--out", str(tmp_path)]
+    def test_validate_rejects_an_optimum_solved_under_another_config(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        out, cfg_path = trained_dir(workspace, tmp_path, tau=1.95)
+        argv = ["optimize", "--config", str(cfg_path), "--d0", "500,160"]
         assert cli.main(argv) == 0
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["bundle.json", "optimize.json", "optimize_history.csv"]
-        assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
-        res = solve(load_bundle(tmp_path / "bundle.json"), load_config(cfg_path).optimize,
-                    DesignPoint(500.0, 160.0))
-        best = json.loads((tmp_path / "optimize.json").read_text())["best"]
-        assert best["d_star"] == [res.d_star.v, res.d_star.P]
-        assert best["zeta_star"] == res.zeta_star
+        other = write_cli_config(tmp_path / "other.json", out, M=60)
+        monkeypatch.setattr(pipeline, "_run_batch", lambda *a: pytest.fail("simulated"))
+        assert cli.main(["validate", "--config", str(other)]) == 1
+        err = capsys.readouterr().err
+        solved = json.loads((out / "optimize.json").read_text())["config_hash"]
+        assert solved in err and config_hash(load_config(other)) in err
+        assert "pbfopt optimize" in err
+        assert not (out / "validation.json").exists()
 
     def test_model_info(self, workspace, capsys):
         _, cfg_path = workspace
@@ -749,19 +772,20 @@ class TestCli:
         assert "temperature features: 2" in out
         assert "stress features: 2" in out
 
-    def test_plot_data_flags(self, workspace):
+    def test_plot_data_flags(self, workspace, tmp_path):
         root, cfg_path = workspace
-        out = root / "out"
         assert cli.main(["train", "--config", str(cfg_path), "--plot-data"]) == 0
-        assert (out / "plot_err_temperature.csv").exists()
-        assert (out / "plot_err_stress.csv").exists()
+        assert (root / "out" / "plot_err_temperature.csv").exists()
+        assert (root / "out" / "plot_err_stress.csv").exists()
         # at tau = 1.95 the first start's early evaluations are infeasible
+        out, cfg_path = trained_dir(workspace, tmp_path, tau=1.95)
         argv = ["optimize", "--config", str(cfg_path), "--d0", "500,160",
-                "--d0", "400,125", "--tau", "1.95", "--plot-data"]
+                "--d0", "400,125", "--plot-data"]
         assert cli.main(argv) == 0
         conv = np.loadtxt(out / "plot_convergence.csv", delimiter=",", ndmin=2)
         history = np.loadtxt(out / "optimize_history.csv", delimiter=",", ndmin=2)
-        cfg = replace(load_config(cfg_path).optimize, tau=1.95)
+        cfg = load_config(cfg_path).optimize
+        assert cfg.tau == 1.95
         # per start, the lowest feasible energy so far, from the first
         # feasible evaluation on
         want = []
@@ -797,6 +821,9 @@ class TestCli:
         assert cli.main([]) == 2
         assert cli.main(["optimize", "--d0", "not-a-pair"]) == 2
         assert cli.main(["optimize", "--solver", "cobyla"]) == 2
+        # a run's settings come from its config alone
+        for flag in ("--alpha", "--tau", "--n-mc", "--seed", "--out"):
+            assert cli.main(["optimize", flag, "1"]) == 2
         capsys.readouterr()
 
     def test_domain_errors_exit_1(self, tmp_path, capsys):

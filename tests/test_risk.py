@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import estimate_bpof_tail
+from oracles import estimate_bpof_minform_scan, estimate_bpof_tail
 
 from pbfopt import risk
 
@@ -221,6 +221,20 @@ class TestBpofMinform:
             bpof, zeta = risk.estimate_bpof_minform(vals, tau)
             assert bpof == pytest.approx(brute_force_bpof(vals, tau), abs=1e-6)
             assert zeta < tau
+
+    def test_equals_the_search_scan_exactly(self):
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            # few distinct values, so most sets carry ties
+            m = int(rng.integers(2, 80))
+            vals = rng.integers(-6, 7, size=m) * rng.uniform(0.1, 3.0)
+            tau = float(rng.uniform(vals.min() - 1.0, vals.max() + 1.0))
+            got = risk.estimate_bpof_minform(vals, tau)
+            assert got == estimate_bpof_minform_scan(vals, tau)
+        vals = np.random.default_rng(16).normal(600.0, 10.0, size=20000)
+        for tau in (610.0, 625.0, 825.0):
+            got = risk.estimate_bpof_minform(vals, tau)
+            assert got == estimate_bpof_minform_scan(vals, tau)
 
     @given(sample_lists, finite_floats)
     def test_bounds_and_pof_dominance(self, vals, tau):

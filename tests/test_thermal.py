@@ -110,6 +110,16 @@ class TestMaterialProps:
         with pytest.raises(ValueError, match="positive"):
             ModelParams(a0=-540.0)
 
+    def test_params_reject_a_dip_between_any_sampled_temperatures(self):
+        # kappa is -0.004 W/(m K) at its vertex, 1238.354 degC, and positive
+        # at every one of 200 evenly spaced temperatures over the checked range
+        b2, vertex = 1e-3, 1238.354
+        b0 = b2 * vertex**2 - 0.004
+        ts = np.linspace(650.0, 1.1 * 1650.0, 200)
+        assert np.all(b0 - 2.0 * b2 * vertex * ts + b2 * ts**2 > 0)
+        with pytest.raises(ValueError, match="positive"):
+            ModelParams(b0=b0, b1=-2.0 * b2 * vertex, b2=b2)
+
     def test_conductivity_negative_in_the_probe_band_fails_before_stepping(
         self, monkeypatch
     ):
