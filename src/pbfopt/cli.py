@@ -118,17 +118,22 @@ def cmd_validate(args) -> int:
     else:
         text = _require(out / "optimize.json", "optimize").read_text(encoding="utf-8")
         doc = json.loads(text)
-        # the stored optimum is validated only under the settings it was solved with
-        solved, here = doc["config_hash"], pipeline.config_hash(cfg)
-        if solved != here:
-            raise ValueError(
-                f"optimize.json was solved under config hash {solved}, but this "
-                f"config hashes to {here}; rerun `pbfopt optimize` with this config"
-            )
+        # the stored optimum is validated only under the settings and on the
+        # bundle it was solved with; an older optimize.json has no digest
+        for what, key, here in (
+            ("config hash", "config_hash", pipeline.config_hash(cfg)),
+            ("bundle digest", "bundle_digest", pipeline.bundle_digest(bundle)),
+        ):
+            if doc.get(key) != here:
+                raise ValueError(
+                    f"optimize.json was solved under {what} {doc.get(key)}, but "
+                    f"this run's is {here}; rerun `pbfopt optimize` with this "
+                    f"config and bundle"
+                )
         d_star, zeta = DesignPoint(*doc["best"]["d_star"]), doc["best"]["zeta_star"]
     report = pipeline.validate(d_star, zeta, bundle, cfg, self_check=args.self_check)
-    print(f"design: ({report.d_star.v:.6g}, {report.d_star.P:.6g})")
-    print(f"zeta: {report.zeta_star:.10g}")
+    print(f"design: ({d_star.v:.6g}, {d_star.P:.6g})")
+    print(f"zeta: {float(zeta):.10g}")
     print(f"q_sim: {report.q_sim:.10g}")
     print(f"q_surr: {report.q_surr:.10g}")
     print(f"rel_diff: {report.rel_diff:.6%}")
@@ -138,12 +143,14 @@ def cmd_validate(args) -> int:
 
 def cmd_risk(args) -> int:
     values = np.loadtxt(args.samples, ndmin=1)
-    est = risk.summarize(values, args.alpha, args.tau)
-    print(f"quantile: {est.quantile:.10g}")
-    print(f"superquantile: {est.superquantile:.10g}")
-    print(f"pof: {est.pof:.10g}")
-    print(f"bpof: {est.bpof:.10g}")
-    print(f"zeta: {est.zeta:.10g}")
+    # bPOF first and the quantile before the superquantile, so a bad --tau
+    # is reported before a bad --alpha
+    bpof, zeta = risk.estimate_bpof_minform(values, args.tau)
+    print(f"quantile: {risk.estimate_quantile(values, args.alpha):.10g}")
+    print(f"superquantile: {risk.estimate_superquantile(values, args.alpha):.10g}")
+    print(f"pof: {risk.estimate_pof(values, args.tau):.10g}")
+    print(f"bpof: {bpof:.10g}")
+    print(f"zeta: {zeta:.10g}")
     return 0
 
 

@@ -125,32 +125,30 @@ def stress_max_samples(b: surrogate.SurrogateBundle, d: DesignPoint, samples):
     return _RowMax(b.stress, _material_inputs(b, samples))(u_d)
 
 
-def _risk_at_best_zeta(sigma: np.ndarray, cfg: OptimizeConfig):
-    """Risk constraint value and the exact buffered-ratio minimizer zeta.
+def _risk(sigma: np.ndarray, cfg: OptimizeConfig):
+    """The risk constraint on one sample set: (lhs, zeta, row).
 
-    zeta solves the inner minimization of the buffered exceedance ratio
-    exactly, so it never needs to be searched; in pof mode the value is
-    the plain exceedance frequency.
+    lhs is the constraint value, bPOF at tau in bpof mode and the plain
+    exceedance frequency in pof mode.  zeta solves the inner minimization
+    of the buffered exceedance ratio exactly, so it never needs to be
+    searched.  row is the solver's risk row 1 - rho / tau, continuous in
+    the design: rho is the alpha-superquantile in bpof mode (bPOF_tau <=
+    1 - alpha exactly when rho <= tau; Rockafellar & Royset 2010), and in
+    pof mode the (k + 1)-th largest sample, k = floor((1 - alpha) n),
+    exceeded by at most k samples.
     """
     if not np.isfinite(cfg.tau):
-        return 0.0, float(sigma.max())
+        return 0.0, float(sigma.max()), 1.0
     bpof, zeta = risk.estimate_bpof_minform(sigma, cfg.tau)
     # tau equal to the sample maximum returns zeta = tau; zeta must stay below
     zeta = min(zeta, float(np.nextafter(cfg.tau, -np.inf)))
     if cfg.constraint_kind == CONSTRAINT_POF:
-        return float(np.mean(sigma > cfg.tau)), zeta
-    return bpof, zeta
-
-
-def _risk_row(sigma: np.ndarray, cfg: OptimizeConfig) -> float:
-    """The solver's risk row 1 - rho / tau, continuous in the design.  rho is
-    the alpha-superquantile in bpof mode (bPOF_tau <= 1 - alpha exactly when
-    rho <= tau; Rockafellar & Royset 2010), and in pof mode the (k + 1)-th
-    largest sample, k = floor((1 - alpha) n), exceeded by at most k samples."""
-    if cfg.constraint_kind == CONSTRAINT_POF:
         k = int((1.0 - cfg.alpha_t) * sigma.size)
-        return 1.0 - np.partition(sigma, -k - 1)[-k - 1] / cfg.tau
-    return 1.0 - risk.estimate_superquantile(sigma, cfg.alpha_t) / cfg.tau
+        lhs = risk.estimate_pof(sigma, cfg.tau)
+        rho = np.partition(sigma, -k - 1)[-k - 1]
+    else:
+        lhs, rho = bpof, risk.estimate_superquantile(sigma, cfg.alpha_t)
+    return lhs, zeta, 1.0 - rho / cfg.tau
 
 
 def _planar_hull(points: np.ndarray) -> np.ndarray:
@@ -339,14 +337,14 @@ class _SolveState:
         records history and incumbents.  Returns the energy, the scaled
         constraint violations (the negative part of _margins) and the
         solver's constraint rows: _margins with its risk row in stress
-        units (_risk_row)."""
+        units (_risk)."""
         cfg = self.cfg
         xc = np.clip(x, -1.0, 1.0)  # the evaluated design lives at the clip
         v, p = self.box_mid + self.box_half * xc
         d = DesignPoint(v=v, P=p)
         stress_max, temperature_max = self.row_max
         sigma = stress_max(xc)
-        lhs, zeta = _risk_at_best_zeta(sigma, cfg)
+        lhs, zeta, risk_row = _risk(sigma, cfg)
         t_hat = float(temperature_max(xc).mean())
         e = energy(d, cfg.scan_length)
         margins = _margins(cfg, lhs, t_hat)
@@ -360,7 +358,7 @@ class _SolveState:
         key = (total_viol, e)
         if self.least_infeasible is None or key < self.least_infeasible[:2]:
             self.least_infeasible = (total_viol, e, xc, row)
-        margins[0] = _risk_row(sigma, cfg)
+        margins[0] = risk_row
         return e, viol, margins
 
     def _is_feasible(self, lhs, t_hat):

@@ -8,7 +8,8 @@ persisting its artifacts under one output directory:
     S.csv            M x 448 serialized residual-stress fields
     err_curves.json  truncation-error curves and the selected feature counts
     bundle.json      the trained surrogate bundle
-    optimize.json    per-start solver results plus the best design
+    optimize.json    per-start solver results, the best design and the
+                     digest of the bundle they were solved on
     optimize_history.csv   start index + per-evaluation history rows
     validation.json  simulator-vs-surrogate superquantile comparison
 
@@ -72,6 +73,7 @@ __all__ = [
     "config_to_dict",
     "config_from_dict",
     "config_hash",
+    "bundle_digest",
     "load_config",
     "write_artifact",
     "default_input_bounds",
@@ -161,8 +163,6 @@ class PipelineConfig:
 class ValidationReport:
     """Simulator-vs-surrogate comparison of the buffered superquantile."""
 
-    d_star: DesignPoint
-    zeta_star: float
     q_sim: float
     q_surr: float
     rel_diff: float  # (q_sim - q_surr) / q_sim, sign preserved
@@ -282,20 +282,26 @@ def config_from_dict(d: dict) -> PipelineConfig:
     )
 
 
+def _sha256(doc: dict) -> str:
+    """sha256 of doc's canonical JSON form; keys sorted, no whitespace."""
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
 def config_hash(cfg: PipelineConfig) -> str:
-    """sha256 of the canonical JSON form; keys sorted, no whitespace.
+    """sha256 of the config's canonical JSON form (_sha256).
 
     The output directory and worker count are excluded: neither changes
     any computed value, so runs differing only in where or how parallel
     they execute share a hash.
     """
-    doc = {
-        k: v
-        for k, v in config_to_dict(cfg).items()
-        if k not in ("out_dir", "workers")
-    }
-    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    doc = config_to_dict(cfg)
+    return _sha256({k: v for k, v in doc.items() if k not in ("out_dir", "workers")})
+
+
+def bundle_digest(b: SurrogateBundle) -> str:
+    """sha256 of the bundle's canonical JSON form (_sha256)."""
+    return _sha256(bundle_to_dict(b))
 
 
 def load_config(path) -> PipelineConfig:
@@ -542,6 +548,7 @@ def run_optimization(
     )
     doc = {
         **_report_header(cfg),
+        "bundle_digest": bundle_digest(bundle),
         "constraint_kind": cfg.optimize.constraint_kind,
         "seed": cfg.optimize.seed,
         "starts": [_result_record(d0, r) for d0, r in zip(starts, results)],
@@ -607,20 +614,15 @@ def validate(
         surr_sigma = stress_max_samples(b, d_star, z_surr)
     q_sim = buffered_superquantile(sim_sigma, zeta_star, alpha)
     q_surr = buffered_superquantile(surr_sigma, zeta_star, alpha)
-    report = ValidationReport(
-        d_star=d_star,
-        zeta_star=float(zeta_star),
-        q_sim=q_sim,
-        q_surr=q_surr,
-        rel_diff=(q_sim - q_surr) / q_sim,
-    )
+    rel_diff = (q_sim - q_surr) / q_sim
+    report = ValidationReport(q_sim=q_sim, q_surr=q_surr, rel_diff=rel_diff)
     doc = {
         **_report_header(cfg),
         "d_star": [d_star.v, d_star.P],
-        "zeta_star": report.zeta_star,
+        "zeta_star": float(zeta_star),
         "q_sim": q_sim,
         "q_surr": q_surr,
-        "rel_diff": report.rel_diff,
+        "rel_diff": rel_diff,
         "n_val": cfg.n_val,
         "self_check": self_check,
     }

@@ -18,33 +18,15 @@ its minimum sits at a sample value and a scan of those values finds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "RiskEstimate",
     "estimate_quantile",
     "estimate_superquantile",
     "buffered_superquantile",
     "estimate_pof",
     "estimate_bpof_minform",
-    "summarize",
 ]
-
-
-@dataclass(frozen=True)
-class RiskEstimate:
-    """Summary of the risk measures of one sample set at (alpha, tau)."""
-
-    alpha: float
-    tau: float
-    quantile: float
-    superquantile: float
-    pof: float
-    bpof: float
-    zeta: float
-    m: int
 
 
 def _as_samples(values) -> np.ndarray:
@@ -153,19 +135,3 @@ def estimate_bpof_minform(values, tau: float) -> tuple[float, float]:
     best = int(np.argmin(ratios))
     zeta, bpof = float(cand[best]), float(ratios[best])
     return float(min(max(bpof, 0.0), 1.0)), zeta
-
-
-def summarize(values, alpha: float, tau: float) -> RiskEstimate:
-    """Evaluate all risk measures of one sample set at (alpha, tau)."""
-    vals = _as_samples(values)
-    bpof, zeta = estimate_bpof_minform(vals, tau)
-    return RiskEstimate(
-        alpha=float(alpha),
-        tau=float(tau),
-        quantile=estimate_quantile(vals, alpha),
-        superquantile=estimate_superquantile(vals, alpha),
-        pof=estimate_pof(vals, tau),
-        bpof=bpof,
-        zeta=zeta,
-        m=int(vals.size),
-    )

@@ -35,7 +35,7 @@ __all__ = [
     "DesignPoint", "RandomInputs", "ModelParams", "SimGridConfig",
     "TemperatureSnapshot", "SimulationError",
     "DESIGN_BOUNDS", "RANDOM_INPUT_BOUNDS", "STRESS_GRID_SHAPE",
-    "snapshot_times", "material_props", "bulk_density", "simulate", "simulate_batch",
+    "snapshot_times", "bulk_density", "simulate", "simulate_batch",
 ]
 
 # decision-variable box and the uniform ranges of the random inputs
@@ -154,14 +154,6 @@ def snapshot_times(v: float, l: float) -> np.ndarray:
     return np.concatenate([np.linspace(0.0, 0.405 * t, 10),
                            np.linspace(0.45 * t, 0.54 * t, 10),
                            np.linspace(0.55 * t, t, 11)])
-
-
-def material_props(T, p: ModelParams):
-    """Temperature-dependent (Cp in J/(kg K), kappa in W/(m K))."""
-    T = np.asarray(T, dtype=float)
-    cp = p.a0 + p.a1 * T + p.a2 * T**2
-    kap = p.b0 + p.b1 * T + p.b2 * T**2
-    return cp, kap
 
 
 # The sampled density range (midpoint 612) sits far below the bulk value the
@@ -298,7 +290,7 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
                 n -= 1
             m = n * cells
             Tn, cpn, kapn, raten, sqn = T[:m], cp[:m], kap[:m], rate[:m], sq[:m]
-            # material_props in place, in its order of operations
+            # Cp = a0 + a1 T + a2 T^2 and kappa = b0 + b1 T + b2 T^2, in place
             np.square(Tn, out=sqn)
             for c0, c1, c2, prop in ((p.a0, p.a1, p.a2, cpn), (p.b0, p.b1, p.b2, kapn)):
                 np.add(np.multiply(Tn, c1, out=prop), c0, out=prop)

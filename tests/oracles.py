@@ -169,6 +169,15 @@ def maximin_doe_pdist(M, bounds, seed):
     return b[:, 0] + best * (b[:, 1] - b[:, 0])
 
 
+def material_props(T, p):
+    """Temperature-dependent (Cp in J/(kg K), kappa in W/(m K)); the
+    kernel evaluates the same quadratics in place."""
+    T = np.asarray(T, dtype=float)
+    cp = p.a0 + p.a1 * T + p.a2 * T**2
+    kap = p.b0 + p.b1 * T + p.b2 * T**2
+    return cp, kap
+
+
 def solve_field_per_run(d, z, p, grid, *ceiling):
     """One run of the thermal solver stepped on its own, one field at a
     time: the loop thermal._solve_field advances in lockstep blocks, with
@@ -202,7 +211,7 @@ def solve_field_per_run(d, z, p, grid, *ceiling):
     error = None
     for step in range(1, n_steps + 1):
         t_old = (step - 1) * dt
-        cp, kap = thermal.material_props(T, p)
+        cp, kap = material_props(T, p)
         kap = kap * 1e-3
         rate = np.zeros_like(T)
         fx = 0.5 * (kap[1:, :] + kap[:-1, :]) * (T[1:, :] - T[:-1, :]) / dx

@@ -248,7 +248,7 @@ class TestEvaluateConstraints:
         lhs, _ = evaluate_constraints(d, 0.0, toy_bundle, z, cfg)
         sigma = stress_max_samples(toy_bundle, d, z)
         assert lhs == pytest.approx(np.mean(sigma > 705.0))
-        assert optimize._risk_at_best_zeta(sigma, cfg)[0] == lhs
+        assert optimize._risk(sigma, cfg)[0] == lhs
 
     def test_zeta_at_or_above_tau_rejected(self, toy_bundle):
         cfg = OptimizeConfig()
@@ -263,9 +263,21 @@ class TestEvaluateConstraints:
         d = DesignPoint(v=300.0, P=100.0)
         sigma = stress_max_samples(toy_bundle, d, z)
         cfg = OptimizeConfig(tau=float(sigma.max()))
-        _, zeta = optimize._risk_at_best_zeta(sigma, cfg)
+        _, zeta, _ = optimize._risk(sigma, cfg)
         assert zeta < cfg.tau
         evaluate_constraints(d, zeta, toy_bundle, z, cfg)
+
+    def test_risk_gives_the_row_one_minus_rho_over_tau(self):
+        sigma = np.random.default_rng(8).normal(600.0, 10.0, 2000)
+        cfg = OptimizeConfig(tau=610.0)
+        row = optimize._risk(sigma, cfg)[2]
+        assert row == 1.0 - risk.estimate_superquantile(sigma, 0.95) / 610.0
+        # pof mode: k = floor(0.05 * 2000) = 100, so the 101st largest sample
+        row = optimize._risk(sigma, replace(cfg, constraint_kind="pof"))[2]
+        assert row == 1.0 - np.sort(sigma)[-101] / 610.0
+        for kind in ("bpof", "pof"):
+            cfg = OptimizeConfig(tau=np.inf, constraint_kind=kind)
+            assert optimize._risk(sigma, cfg) == (0.0, sigma.max(), 1.0)
 
     def test_empty_samples_rejected(self, toy_bundle):
         with pytest.raises(ValueError, match="empty"):

@@ -26,6 +26,7 @@ from pbfopt.pipeline import (
     DEFAULT_STARTS,
     INPUT_NAMES,
     PipelineConfig,
+    bundle_digest,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -495,6 +496,9 @@ class TestOptimizationStage:
         assert doc["schema_version"] == 1
         assert doc["tau"] == cfg.optimize.tau
         assert doc["config_hash"] == config_hash(cfg)
+        # the digest of the bundle solved on, in memory, is its file's digest
+        saved = load_bundle(Path(cfg.out_dir) / "bundle.json")
+        assert doc["bundle_digest"] == bundle_digest(saved)
         assert len(doc["starts"]) == 2
         energies = [s["energy"] for s in doc["starts"]]
         assert doc["best"]["energy"] == min(energies)
@@ -765,6 +769,30 @@ class TestCli:
         assert "pbfopt optimize" in err
         assert not (out / "validation.json").exists()
 
+    def test_validate_rejects_an_optimum_solved_on_another_bundle(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        out, cfg_path = trained_dir(workspace, tmp_path)
+        argv = ["optimize", "--config", str(cfg_path), "--d0", "500,160"]
+        assert cli.main(argv) == 0
+        # retrain into the same directory under another config
+        for name in ("doe.csv", "T.csv", "S.csv"):
+            shutil.copy(workspace[0] / "out" / name, out)
+        k1 = write_cli_config(tmp_path / "k1.json", out, reduction={"k_max": 1})
+        assert cli.main(["train", "--config", str(k1)]) == 0
+        monkeypatch.setattr(pipeline, "_run_batch", lambda *a: pytest.fail("simulated"))
+        assert cli.main(["validate", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert bundle_digest(load_bundle(out / "bundle.json")) in err
+        assert "bundle digest" in err and "pbfopt optimize" in err
+        # an optimize.json written without a digest gets the same refusal
+        doc = json.loads((out / "optimize.json").read_text())
+        del doc["bundle_digest"]
+        (out / "optimize.json").write_text(json.dumps(doc))
+        assert cli.main(["validate", "--config", str(cfg_path)]) == 1
+        assert "pbfopt optimize" in capsys.readouterr().err
+        assert not (out / "validation.json").exists()
+
     def test_model_info(self, workspace, capsys):
         _, cfg_path = workspace
         assert cli.main(["model", "info", "--config", str(cfg_path)]) == 0
@@ -809,12 +837,16 @@ class TestCli:
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         got = dict(line.split(": ") for line in lines)
-        est = risk.summarize(samples, 0.95, 90.0)
-        assert float(got["quantile"]) == pytest.approx(est.quantile)
-        assert float(got["superquantile"]) == pytest.approx(est.superquantile)
-        assert float(got["pof"]) == pytest.approx(est.pof)
-        assert float(got["bpof"]) == pytest.approx(est.bpof)
-        assert float(got["zeta"]) == pytest.approx(est.zeta)
+        bpof, zeta = risk.estimate_bpof_minform(samples, 90.0)
+        assert float(got["quantile"]) == pytest.approx(
+            risk.estimate_quantile(samples, 0.95)
+        )
+        assert float(got["superquantile"]) == pytest.approx(
+            risk.estimate_superquantile(samples, 0.95)
+        )
+        assert float(got["pof"]) == pytest.approx(risk.estimate_pof(samples, 90.0))
+        assert float(got["bpof"]) == pytest.approx(bpof)
+        assert float(got["zeta"]) == pytest.approx(zeta)
 
     def test_usage_errors_exit_2(self, capsys):
         assert cli.main(["frobnicate"]) == 2

