@@ -409,7 +409,7 @@ def test_criterion_09_validation_protocol(nominal_chain):
 
 def test_nominal_solver_scenarios(nominal_chain):
     """The SQP on the nominal bundle at tau = 607 MPa, just above the stress
-    superquantile at d* (about 606.6), and at tau = 605, just below it."""
+    superquantile at d* (about 605.5), and at tau = 605, just below it."""
     bundle, base = nominal_chain.bundle, nominal_chain.cfg.optimize
     for kind in ("bpof", "pof"):
         cfg = replace(base, tau=607.0, constraint_kind=kind)

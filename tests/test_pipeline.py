@@ -100,10 +100,10 @@ class TestConfigSerialization:
 
     def test_canonical_hashes_are_pinned(self):
         assert config_hash(PipelineConfig()) == (
-            "300480ccb397670dd043ed43c9d3ab8d9b2b9e45dfd68d39f3da94e59ea52c95"
+            "30bce308fd2a70caadb6c150c601d14b6d580806dfd447027c7118301d429442"
         )
         assert config_hash(PipelineConfig(M=60, seed_doe=9)) == (
-            "e98cff79fb6345f49ad26065bc6c92f93e130f99166b35d3e0d4b6144ff44450"
+            "193d1dc2340945cfbe848919811800fcd1bbcfaf99c19cf21ee71cf62434d3e3"
         )
 
     @pytest.mark.parametrize(

@@ -442,6 +442,67 @@ class TestStepCeiling:
         assert calls == [1]
 
 
+class TestStabilityBound:
+    """The step is cfl_factor of the exact 2-D forward-Euler bound
+    rho cp / (2 kappa (1/dx^2 + 1/dz^2))."""
+
+    DESIGNS = [DesignPoint(100.0, 200.0), DesignPoint(232.78, 200.0),
+               DesignPoint(550.0, 110.0), DesignPoint(1000.0, 20.0)]
+    # the nominal draw and the hottest and coldest corners of the input box
+    DRAWS = [NOMINAL_Z, RandomInputs(715.0, 825.0, 110.0, 550.8),
+             RandomInputs(585.0, 825.0, 110.0, 673.2)]
+
+    @staticmethod
+    def bound(z, p, dx, dz):
+        # cp is concave and kappa convex here, so both extremes sit at an end
+        # of the band from the lower clamp to the 1.5 Tliq ceiling
+        ends = [min(z.T0, p.Tc) - 50.0, 1.5 * p.Tliq]
+        cp, kap = material_props(ends, p)
+        rho = thermal.bulk_density(z.rho)
+        return rho * cp.min() / (2.0 * kap.max() * 1e-3 * (1.0 / dx**2 + 1.0 / dz**2))
+
+    @pytest.mark.parametrize("grid, ratio", [
+        (SimGridConfig(), 1.2195),  # 0.03125 x 0.025 mm cells
+        (SimGridConfig(40, 13, 0.6), 1.0),  # square 0.05 mm cells
+    ])
+    def test_step_is_the_factor_of_the_exact_bound(self, grid, ratio):
+        p, d, z = ModelParams(), self.DESIGNS[1], NOMINAL_Z
+        dx, dz = p.l / grid.cells_x, p.h / grid.cells_z
+        dt_stable = grid.cfl_factor * self.bound(z, p, dx, dz)
+        _, dt, n_steps, _, _, _ = thermal._plan(d, z, p, grid)
+        scan = p.l / d.v
+        assert n_steps == int(np.ceil(scan / dt_stable)) > 100
+        assert dt == scan / n_steps <= dt_stable
+        # against the h^2 / 4 form with h = min(dx, dz), at the same factor
+        h = min(dx, dz)
+        old = grid.cfl_factor * self.bound(z, p, h, h)
+        assert dt_stable / old == pytest.approx(ratio, abs=1e-4)
+
+    def test_runs_at_the_bound_itself_finish(self):
+        # cfl_factor 1.0 on every probe design and draw: no SimulationError,
+        # and the probe stays within a few degrees of the default factor's
+        grid = SimGridConfig(cfl_factor=1.0)
+        runs = [(d, z) for d in self.DESIGNS for z in self.DRAWS]
+        edge = thermal.simulate_batch(*zip(*runs), grid=grid)
+        default = thermal.simulate_batch(*zip(*runs))
+        for a, b in zip(edge, default, strict=True):
+            assert np.all(np.isfinite(a.temps)) and np.all(np.isfinite(a.peak_field))
+            assert np.max(np.abs(a.temps - b.temps)) < 5.0
+
+    @pytest.mark.parametrize("ceiling", [1.5, 3.0])
+    def test_radiation_does_not_bound_the_step(self, ceiling):
+        # the top row's radiation term, linearised at the plan's ceiling,
+        # against the conduction sum 2 kappa (1/dx^2 + 1/dz^2)
+        p, grid = ModelParams(), SimGridConfig()
+        dx, dz = p.l / grid.cells_x, p.h / grid.cells_z
+        t_top = thermal._plan(self.DESIGNS[0], self.DRAWS[1], p, grid, ceiling)[5]
+        _, kap_max = material_props(t_top, p)
+        conduction = 2.0 * kap_max * 1e-3 * (1.0 / dx**2 + 1.0 / dz**2)
+        t_k = t_top + thermal.KELVIN_OFFSET
+        radiation = 4.0 * p.eps_s * thermal.STEFAN_BOLTZMANN_MM * t_k**3 / dz
+        assert radiation < 0.01 * conduction
+
+
 class TestBulkDensity:
     def test_midpoint_maps_to_reference(self):
         assert thermal.bulk_density(612.0) == pytest.approx(4300.0e-9)
