@@ -175,21 +175,17 @@ def _hull_columns(vectors: np.ndarray) -> np.ndarray:
 
     A linear functional over a finite point set attains its maximum at a
     vertex of the convex hull of those points, so interior rows can never
-    win the max for any feature vector g and are safe to drop.
+    win the max for any feature vector g and are safe to drop.  The hull
+    is found for one or two columns; with more, every row is kept.
     """
     n, k = vectors.shape
     if k == 1:
         return np.unique([int(np.argmin(vectors)), int(np.argmax(vectors))])
     if k == 2:
         keep = _planar_hull(vectors)
-        return keep if keep.size > 2 else np.arange(n)
-    # imported here: scipy.spatial costs about 10 MB of resident memory
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        return np.sort(ConvexHull(vectors).vertices)
-    except QhullError:
-        return np.arange(n)
+        if keep.size > 2:
+            return keep
+    return np.arange(n)
 
 
 class _RowMax:
@@ -199,8 +195,9 @@ class _RowMax:
     A design only shifts each feature's active variables by u_d @ w1[:2],
     so the monomial basis of the material part u_z @ w1[2:] is built once,
     n_mc x (coefficients over its features) x 8 bytes, and each design folds
-    its shift into the coefficients.  The max runs over the right vectors'
-    convex hull rows alone: no other row can win it.
+    its shift into the coefficients.  The max runs over the rows
+    _hull_columns keeps: for one or two features the right vectors' convex
+    hull vertices, which no other row can beat, and otherwise every row.
     """
 
     def __init__(self, output: surrogate.OutputModel, u_z: np.ndarray):

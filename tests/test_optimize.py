@@ -20,6 +20,7 @@ intersection with the window floor: u_v = -0.18334, v* = 467.5,
 P* = 50.38, E* = 0.21551.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -131,6 +132,24 @@ def k2_bundle() -> SurrogateBundle:
             (random_feature(rng, 2, 3), random_feature(rng, 1, 4)),
         ),
         provenance={"kind": "synthetic random K = 2"},
+    )
+
+
+@pytest.fixture(scope="module")
+def k3_bundle() -> SurrogateBundle:
+    """Three features per side, (r, degree) = (2, 3), (1, 4) and (1, 2),
+    with random subspaces, coefficients and right vectors."""
+    rng = np.random.default_rng(2025)
+    specs = ((2, 3), (1, 4), (1, 2))
+    return SurrogateBundle(
+        input_bounds=physical_bounds(),
+        temperature=OutputModel(
+            rng.normal(size=(31, 3)), tuple(random_feature(rng, *s) for s in specs)
+        ),
+        stress=OutputModel(
+            rng.normal(size=(448, 3)), tuple(random_feature(rng, *s) for s in specs)
+        ),
+        provenance={"kind": "synthetic random K = 3"},
     )
 
 
@@ -296,14 +315,15 @@ class TestHullColumns:
         assert np.array_equal(optimize._hull_columns(v), [1, 2])
 
     def test_interior_rows_never_change_the_max(self):
+        # with three columns no hull is sought: every row is kept
         rng = np.random.default_rng(12)
         vectors = rng.normal(size=(120, 3))
         keep = optimize._hull_columns(vectors)
-        assert keep.size < 120
+        assert np.array_equal(keep, np.arange(120))
         g = rng.normal(size=(200, 3))
         full = (g @ vectors.T).max(axis=1)
         reduced = (g @ vectors[keep].T).max(axis=1)
-        assert reduced == pytest.approx(full, rel=1e-12)
+        assert np.array_equal(reduced, full)
 
     @pytest.mark.parametrize("n_cols", [31, 448])
     def test_planar_hull_matches_qhull_on_smooth_vectors(self, n_cols):
@@ -384,18 +404,27 @@ class TestEvaluatorAgainstFullRows:
         assert len(calls) == len(features)
         assert all(s is m.poly for s, m in zip(calls, features))
 
-    def test_k2_solve_leaves_scipy_spatial_unloaded(self, k2_bundle, tmp_path):
-        # nor scipy.optimize: the solver is numpy only
-        doc = surrogate.bundle_to_dict(k2_bundle)
+
+class TestNumpyOnlyRuntime:
+    """The package runs on numpy alone; scipy is a test dependency."""
+
+    def test_cli_simulation_and_k3_solve_load_no_scipy(self, k3_bundle, tmp_path):
+        doc = surrogate.bundle_to_dict(k3_bundle)
         path = pipeline.write_artifact(tmp_path, "bundle.json", doc)
         code = (
-            "import sys\n"
-            "from pbfopt.optimize import OptimizeConfig, solve\n"
+            "import json, sys\n"
+            "import pbfopt.cli\n"
+            "from pbfopt import optimize, pipeline, thermal\n"
             "from pbfopt.surrogate import load_bundle\n"
-            "from pbfopt.thermal import DesignPoint\n"
-            "cfg = OptimizeConfig(n_mc=500)\n"
-            f"solve(load_bundle({str(path)!r}), cfg, DesignPoint(500.0, 160.0))\n"
-            "print('scipy.spatial' in sys.modules, 'scipy.optimize' in sys.modules)\n"
+            "thermal.simulate(thermal.DesignPoint(232.5, 200.0),\n"
+            "                 thermal.RandomInputs(650.0, 825.0, 110.0, 612.0))\n"
+            "pipeline.generate_doe(44, pipeline.default_input_bounds(), 1)\n"
+            f"b = load_bundle({str(path)!r})\n"
+            "assert b.stress.right_vectors.shape[1] == 3\n"
+            "optimize.solve(b, optimize.OptimizeConfig(n_mc=500),\n"
+            "               thermal.DesignPoint(500.0, 160.0))\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] == 'scipy')))\n"
         )
         src = str(Path(pbfopt.__file__).resolve().parents[1])
         out = subprocess.run(
@@ -406,7 +435,7 @@ class TestEvaluatorAgainstFullRows:
             timeout=120,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert out.stdout.split() == ["False", "False"]
+        assert json.loads(out.stdout) == []
 
 
 class TestWindowConstrainedSolve:

@@ -8,10 +8,7 @@ pins the whole reduce-discover-fit chain end to end.
 """
 
 import json
-import os
 import shutil
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +16,6 @@ import numpy as np
 import pytest
 from oracles import buffered_superquantile_se, maximin_doe_pdist, predict_row
 
-import pbfopt
 from pbfopt import cli, pipeline, risk, thermal
 from pbfopt.optimize import OptimizeConfig, draw_material_samples, is_feasible
 from pbfopt.pipeline import (
@@ -298,24 +294,6 @@ class TestGenerateDoe:
         assert np.array_equal(
             generate_doe(M, bounds, seed), maximin_doe_pdist(M, bounds, seed)
         )
-
-    def test_leaves_scipy_spatial_unloaded(self):
-        code = (
-            "import sys\n"
-            "from pbfopt.pipeline import default_input_bounds, generate_doe\n"
-            "generate_doe(44, default_input_bounds(), 1)\n"
-            "print('scipy.spatial' in sys.modules)\n"
-        )
-        src = str(Path(pbfopt.__file__).resolve().parents[1])
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert out.stdout.split() == ["False"]
 
 
 class TestSyntheticTraining:

@@ -1,11 +1,14 @@
 """Thermal solver tests: flux arithmetic, equilibrium, monotonicity, grids."""
 
+import math
+
 import numpy as np
 import pytest
 from oracles import heat_flux, material_props, solve_field_per_run
 
 from pbfopt import thermal
 from pbfopt.thermal import (
+    DESIGN_BOUNDS,
     DesignPoint,
     ModelParams,
     RandomInputs,
@@ -91,6 +94,53 @@ class TestHeatFlux:
         )
         quad = float(np.mean(vals))
         assert amp * gx[i] * gz[j] == pytest.approx(quad, rel=1e-4)
+
+
+class TestErf:
+    """The package's own erf (a port of fdlibm's s_erf.c) against math.erf."""
+
+    # the branch edges; the third is the double whose high word is 0x4006DB6E
+    EDGES = (0.84375, 1.25, 1.0 / 0.35, 2.8571434020996094, 6.0)
+
+    @staticmethod
+    def ulps(got, want):
+        return np.abs(got - want) / np.spacing(np.abs(want))
+
+    def test_within_one_ulp_of_math_erf(self):
+        x = np.linspace(-6.5, 6.5, 2_000_001)
+        edges = np.array(self.EDGES)
+        around = np.concatenate([edges, np.nextafter(edges, 0.0),
+                                 np.nextafter(edges, np.inf)])
+        x = np.concatenate([x, around, -around])
+        want = np.array([math.erf(t) for t in x])
+        assert self.ulps(thermal._erf(x), want).max() <= 1.0
+
+    def test_exactly_odd(self):
+        x = np.linspace(0.0, 7.0, 700_001)
+        got, mirror = thermal._erf(x), thermal._erf(-x)
+        assert np.array_equal(mirror, -got)
+        assert np.array_equal(np.signbit(mirror[1:]), np.ones(x.size - 1, bool))
+
+    def test_special_values(self):
+        got = thermal._erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+        assert np.array_equal(got[:4], [0.0, 0.0, 1.0, -1.0])
+        assert list(np.signbit(got[:2])) == [False, True]
+        assert np.isnan(got[4])
+
+    def test_shape_changes_no_value(self):
+        # a scalar, one step's (runs, edges) and a chunk of steps' worth
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-9.0, 9.0, size=(64, 16, 65))
+        x.flat[:15] = np.concatenate([np.array(self.EDGES), np.nextafter(self.EDGES, 0.0),
+                                      np.nextafter(self.EDGES, np.inf)])
+        chunk = thermal._erf(x)
+        assert chunk.shape == x.shape
+        for k in range(x.shape[0]):
+            assert np.array_equal(thermal._erf(x[k]), chunk[k])
+        for k in (0, 37):
+            scalars = [thermal._erf(t) for t in x[k].ravel().tolist()]
+            assert all(s.shape == () for s in scalars)
+            assert np.array_equal(np.reshape(scalars, x[k].shape), chunk[k])
 
 
 class TestMaterialProps:
@@ -315,6 +365,35 @@ class TestLockstepBatch:
         assert info.value.run == 2
         assert str(info.value) == str(alone.value)
         assert info.value.step == alone.value.step > 0
+
+
+    def test_runs_ending_inside_a_deposit_chunk_match_per_run_loop(self):
+        # one block whose runs take DEPOSIT_STEPS - 1, DEPOSIT_STEPS,
+        # DEPOSIT_STEPS + 1 and 2 DEPOSIT_STEPS + 1 steps, so runs drop out
+        # of the block inside a chunk of erf rows and at its ends
+        p, grid, z = ModelParams(), self.GRID, NOMINAL_Z
+        chunk = thermal.DEPOSIT_STEPS
+        targets = [chunk - 1, chunk, chunk + 1, 2 * chunk + 1]
+
+        def steps(v):
+            return thermal._plan(DesignPoint(v, 150.0), z, p, grid)[2]
+
+        speeds = []
+        for n in targets:  # steps fall as the speed rises
+            lo, hi = 1.0, 1e5
+            while steps(v := 0.5 * (lo + hi)) != n:
+                lo, hi = (v, hi) if steps(v) > n else (lo, v)
+            speeds.append(v)
+        runs = [(DesignPoint(v, P), z) for v, P in zip(speeds, (150.0, 120.0, 180.0, 90.0))]
+        assert all(DESIGN_BOUNDS["v"][0] <= v <= DESIGN_BOUNDS["v"][1] for v in speeds)
+        plans = [thermal._plan(d, z, p, grid) for d, z in runs]
+        assert [plan[2] for plan in plans] == targets
+        for run, plan, raw in zip(runs, plans, thermal._solve_field(runs, p, grid)):
+            assert raw[2].max() <= plan[5]  # no 3 Tliq re-solve
+            temps, peak, final, _ = solve_field_per_run(*run, p, grid)
+            assert np.array_equal(raw[1], temps)
+            assert np.array_equal(raw[2], peak)
+            assert np.array_equal(raw[3], final)
 
 
 class TestFlatBlock:
