@@ -16,11 +16,12 @@ single-run step's arithmetic in its order, so no result depends on the
 block.  The beam's cell averages take erf from a port of fdlibm's (_erf),
 for DEPOSIT_STEPS steps per call.  The probe (top-surface center), recorded
 after every step, is interpolated linearly to the 31 snapshot instants.  The
-step is the grid's cfl_factor share of the exact 2-D forward-Euler bound
-rho*Cp / (2*kappa*(1/dx^2 + 1/dz^2)), for the worst-case properties up to
-1.5 Tliq, above every run in the design box; a run whose peak field went over
-it, or that failed, is solved again with the step for the 3 Tliq top of the
-probe band, and that result is final.
+step is the grid's cfl_factor share of the largest one that keeps the explicit
+scheme's maximum principle (_stable_step): rho*min Cp(T) / ((kappa(T) +
+kappa_max)*(1/dx^2 + 1/dz^2)) over cell temperatures up to 1.5 Tliq, above
+every run in the design box; a run whose peak field went over it, or that
+failed, is solved again with the step for the 3 Tliq top of the probe band,
+and that result is final.
 
 Units: mm, s, W, degC internally.  Conductivity is supplied in W/(m*K)
 and converted by 1e-3; density in kg/m^3 converted by 1e-9.
@@ -161,7 +162,8 @@ class ModelParams:
 @dataclass(frozen=True)
 class SimGridConfig:
     """Uniform-grid resolution and the explicit time step's share of the
-    forward-Euler stability bound (1.0 is the bound itself)."""
+    largest step at which no cell puts a negative weight on its own
+    temperature (1.0 is that bound itself; see _stable_step)."""
 
     cells_x: int = 64
     cells_z: int = 26
@@ -291,9 +293,33 @@ def _bilinear(field: np.ndarray, i0, j0, wx, wz):
             + field[i0, j0 + 1] * (1 - wx) * wz + field[i0 + 1, j0 + 1] * wx * wz)
 
 
+def _stable_step(rho: float, lo: float, hi: float, p: ModelParams,
+                 grid: SimGridConfig) -> float:
+    """cfl_factor of the largest step at which every cell at lo to hi keeps a
+    non-negative weight on itself: rho min cp(T) / ((kappa(T) + kappa_max)
+    (1/dx^2 + 1/dz^2)), kappa_max the band's; 4 faces of mean conductivity."""
+    _, kap_max = _quad_extrema(p.b0, p.b1, p.b2, lo, hi)
+    k = p.b0 + kap_max
+    # cp / (kappa + kappa_max) is stationary where c2 T^2 + c1 T + c0 vanishes;
+    # the T^3 terms of its derivative's numerator cancel.  By hand, not np.roots,
+    # whose LAPACK call adds about 0.7 MB to a process's peak memory
+    c2, c1, c0 = (p.a2 * p.b1 - p.a1 * p.b2, 2.0 * (p.a2 * k - p.a0 * p.b2),
+                  p.a1 * k - p.a0 * p.b1)
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if c2 != 0.0:
+        roots = [(-c1 + s * disc**0.5) / (2.0 * c2) for s in (-1.0, 1.0)] if disc >= 0 else []
+    else:
+        roots = [-c0 / c1] if c1 != 0.0 else []
+    t = np.array([lo, hi, *(r for r in roots if lo < r < hi)])
+    ratio = (p.a0 + p.a1 * t + p.a2 * t * t) / (k + p.b1 * t + p.b2 * t * t)
+    dx, dz = p.l / grid.cells_x, p.h / grid.cells_z
+    return grid.cfl_factor * rho * ratio.min() / (1e-3 * (1.0 / dx**2 + 1.0 / dz**2))
+
+
 def _plan(d: DesignPoint, z: RandomInputs, p: ModelParams, grid: SimGridConfig,
           ceiling: float = 1.5):
-    """Check one run's inputs; its (rho, dt, n_steps, clamp_lo, clamp_hi, ceiling)."""
+    """Check one run's inputs; its (rho, dt, n_steps, clamp_lo, clamp_hi, top),
+    top = ceiling * Tliq (ceiling at most 3) the temperature dt is stable to."""
     if not (np.isfinite(d.v) and d.v > 0):
         raise ValueError("scanning speed must be positive")
     if not (np.isfinite(d.P) and d.P >= 0):
@@ -304,24 +330,23 @@ def _plan(d: DesignPoint, z: RandomInputs, p: ModelParams, grid: SimGridConfig,
             raise ValueError(f"random input {name} must be positive and finite")
     rho = bulk_density(z.rho)
     # the probe band, from the coldest legitimate state (preheat may sit below
-    # chamber) to 3 Tliq, where the properties must stay positive; dt is stable for
-    # their worst case up to ceiling * Tliq, the temperature kept in the plan
+    # chamber) to 3 Tliq, where the properties must stay positive
     clamp_lo, clamp_hi = min(z.T0, p.Tc) - 50.0, 3.0 * p.Tliq
-    for hi in (clamp_hi, ceiling * p.Tliq):
-        cp_min, _ = _quad_extrema(p.a0, p.a1, p.a2, clamp_lo, hi)
-        kap_min, kap_max = _quad_extrema(p.b0, p.b1, p.b2, clamp_lo, hi)
-        if cp_min <= 0 or kap_min <= 0:
-            raise ValueError("material properties non-positive over the run range")
-    # forward Euler is stable while dt * 2 kappa (1/dx^2 + 1/dz^2) <= rho cp, the
-    # Gershgorin bound of the conduction stencil; cfl_factor is the fraction taken.
-    # Radiation does not tighten it: for the nominal model, 4 eps sigma T^3 / dz on
-    # the top row, linearised at the ceiling, is about 3e-4 of that conduction sum
-    # at 1.5 Tliq (9e-4 at 3 Tliq), and the beam term does not depend on T
-    dx, dz = p.l / grid.cells_x, p.h / grid.cells_z
-    dt_stable = grid.cfl_factor * rho * cp_min / (
-        2.0 * (kap_max * 1e-3) * (1.0 / dx**2 + 1.0 / dz**2))
+    cp_min, _ = _quad_extrema(p.a0, p.a1, p.a2, clamp_lo, clamp_hi)
+    kap_min, _ = _quad_extrema(p.b0, p.b1, p.b2, clamp_lo, clamp_hi)
+    if cp_min <= 0 or kap_min <= 0:
+        raise ValueError("material properties non-positive over the run range")
+    # dt keeps the explicit step's maximum principle for every cell and neighbour
+    # up to top: forward Euler gives cell i the self-weight 1 - dt sum_j c_ij /
+    # (rho cp_i), and with c_ij = (kappa_i + kappa_j) / (2 h^2) the sum is at most
+    # (kappa_i + kappa_max)(1/dx^2 + 1/dz^2).  Radiation does not tighten it: for
+    # the nominal model, 4 eps sigma T^3 / dz on the top row, linearised at top, is
+    # about 3e-4 of that conduction sum at 1.5 Tliq (9e-4 at 3 Tliq), and the
+    # beam term does not depend on T
+    top = ceiling * p.Tliq
+    dt_stable = _stable_step(rho, clamp_lo, top, p, grid)
     n_steps = max(1, int(np.ceil(p.l / d.v / dt_stable)))
-    return rho, p.l / d.v / n_steps, n_steps, clamp_lo, clamp_hi, hi
+    return rho, p.l / d.v / n_steps, n_steps, clamp_lo, clamp_hi, top
 
 
 def _solve_field(runs, p: ModelParams, grid: SimGridConfig):
@@ -356,8 +381,8 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
     T3, peak3, rate3 = (a.reshape(-1, nz, nx) for a in (T, peak, rate))  # views
     # face fluxes f[off + k], cells k to k + off; at walls and run boundaries 0
     fx, fz = np.zeros(T.size + 1), np.zeros(T.size + nx)
-    faces = [(dx, 1, fx, fx[1:].reshape(-1, nz, nx)[..., -1]),
-             (dz, nx, fz, fz[nx:].reshape(-1, nz, nx)[:, -1])]
+    faces = [(0.5 / dx / dx, 1, fx, fx[1:].reshape(-1, nz, nx)[..., -1]),
+             (0.5 / dz / dz, nx, fz, fz[nx:].reshape(-1, nz, nx)[:, -1])]
     gz = _depth_deposit(nz, dz, p.h, p.z0)  # per cell row, index 0 = bottom
     j0 = int(np.flatnonzero(gz)[0])  # the beam reaches rows j0 to the top
     tc_k4, rad_coeff = (p.Tc + KELVIN_OFFSET) ** 4, STEFAN_BOLTZMANN_MM * p.eps_s
@@ -378,13 +403,13 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
                 np.add(np.multiply(Tn, c1, out=prop), c0, out=prop)
                 prop += np.multiply(sqn, c2, out=raten)
             kapn *= 1e-3
-            # conduction, mean face conductivity; * 0.5 / h is / (2 h) exactly
-            for h, off, f, wall in faces:
+            # conduction, mean face conductivity: each face's share of its two
+            # cells' rates, (kappa_i + kappa_j) (T_j - T_i) times 0.5 / h / h
+            for weight, off, f, wall in faces:
                 flux = f[off:m]
                 np.add(kapn[off:], kapn[:-off], out=flux)
                 flux *= np.subtract(Tn[off:], Tn[:-off], out=sqn[:-off])
-                flux /= 2.0 * h  # the face flux,
-                flux /= h  # then its share of each neighbour's rate
+                flux *= weight
                 wall[:n] = 0.0
             np.subtract(fx[1 : m + 1], fx[:m], out=raten)
             raten += fz[nx : m + nx]

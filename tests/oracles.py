@@ -214,12 +214,14 @@ def solve_field_per_run(d, z, p, grid, *ceiling):
         cp, kap = material_props(T, p)
         kap = kap * 1e-3
         rate = np.zeros_like(T)
-        fx = 0.5 * (kap[1:, :] + kap[:-1, :]) * (T[1:, :] - T[:-1, :]) / dx
-        rate[:-1, :] += fx / dx
-        rate[1:, :] -= fx / dx
-        fz = 0.5 * (kap[:, 1:] + kap[:, :-1]) * (T[:, 1:] - T[:, :-1]) / dz
-        rate[:, :-1] += fz / dz
-        rate[:, 1:] -= fz / dz
+        # a face's share of each neighbour's rate: the mean conductivity times
+        # the gradient, over h, in the kernel's one weight 0.5 / h / h
+        fx = (kap[1:, :] + kap[:-1, :]) * (T[1:, :] - T[:-1, :]) * (0.5 / dx / dx)
+        rate[:-1, :] += fx
+        rate[1:, :] -= fx
+        fz = (kap[:, 1:] + kap[:, :-1]) * (T[:, 1:] - T[:, :-1]) * (0.5 / dz / dz)
+        rate[:, :-1] += fz
+        rate[:, 1:] -= fz
         if d.P > 0:
             gx = thermal._gauss_deposit(x_edges, d.v * t_old, p.r, dx)
             rate += amp * np.outer(gx, gz)

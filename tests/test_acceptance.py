@@ -409,16 +409,27 @@ def test_criterion_09_validation_protocol(nominal_chain):
 
 def test_nominal_solver_scenarios(nominal_chain):
     """The SQP on the nominal bundle at tau = 607 MPa, just above the stress
-    superquantile at d* (about 605.5), and at tau = 605, just below it."""
+    superquantile q* at d* (about 604.8), and at tau = q* - 0.5 MPa, just
+    below it.  d* is the least-risk point of the melt edge, so no design in
+    the box meets the lower tau."""
     bundle, base = nominal_chain.bundle, nominal_chain.cfg.optimize
     for kind in ("bpof", "pof"):
         cfg = replace(base, tau=607.0, constraint_kind=kind)
+        solved = []
         for d0 in [DesignPoint(*s) for s in pipeline.DEFAULT_STARTS]:
             res = optimize.solve(bundle, cfg, d0)
             assert res.feasible
             assert res.iterations <= 40
             assert res.energy == pytest.approx(slsqp_solve(bundle, cfg, d0), rel=1e-4)
-    cfg = replace(base, tau=605.0)
+            solved.append(res)
+        if kind == "bpof":  # q* on the solver's own frozen draws
+            best = min(solved, key=lambda r: r.energy)
+            draws = optimize.draw_material_samples(
+                bundle.input_bounds[2:], cfg.n_mc, np.random.default_rng(cfg.seed))
+            q_star = risk.estimate_superquantile(
+                optimize.stress_max_samples(bundle, best.d_star, draws), cfg.alpha_t)
+    assert q_star < 607.0
+    cfg = replace(base, tau=q_star - 0.5)
     for d0 in [DesignPoint(*s) for s in pipeline.DEFAULT_STARTS]:
         res = optimize.solve(bundle, cfg, d0)
         margins = optimize._margins(cfg, res.bpof_lhs, res.t_max_hat)

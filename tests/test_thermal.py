@@ -314,11 +314,13 @@ class TestSimulate:
 class TestLockstepBatch:
     """The lockstep kernel against the per-run step loop it replaced."""
 
-    GRID = SimGridConfig(16, 8)  # coarse, so a run takes tens to hundreds of steps
+    # coarse, so a run takes tens to hundreds of steps; a step below the default
+    # keeps the deposit-chunk runs' speeds in the design box
+    GRID = SimGridConfig(16, 8, cfl_factor=0.5)
 
     @staticmethod
     def mixed_runs():
-        # speeds spread the step counts over about 86 to 860; run 3 is unpowered
+        # speeds spread the step counts over about 14 to 69; run 3 is unpowered
         # and run 5 starts below chamber temperature
         rng = np.random.default_rng(4)
         runs = []
@@ -466,14 +468,17 @@ class TestStepCeiling:
         return (*run, thermal._plan(*run, p, grid, 3.0))
 
     def test_ceiling_step_is_the_kappa_ratio_larger(self):
-        # cp is smallest at the lower clamp either way, so dt scales with
-        # kappa(3 Tliq) / kappa(1.5 Tliq)
+        # cp / (kappa + kappa_max) is smallest at the lower clamp either way,
+        # and kappa_max sits at the top of the band, so the step scales with
+        # (kappa(lo) + kappa(3 Tliq)) / (kappa(lo) + kappa(1.5 Tliq))
         p, (d, z) = ModelParams(), self.CORNER
         ceiling, full = (thermal._plan(d, z, p, SimGridConfig(), c) for c in (1.5, 3.0))
-        _, (kap_lo, kap_hi) = material_props([1.5 * p.Tliq, 3.0 * p.Tliq], p)
+        _, (kap_cold, kap_lo, kap_hi) = material_props(
+            [ceiling[3], 1.5 * p.Tliq, 3.0 * p.Tliq], p)
+        ratio = (kap_cold + kap_hi) / (kap_cold + kap_lo)
         assert (ceiling[5], full[5]) == (1.5 * p.Tliq, 3.0 * p.Tliq)
-        assert ceiling[2] == pytest.approx(full[2] * kap_lo / kap_hi, abs=1.0)
-        assert kap_hi / kap_lo == pytest.approx(2.2314, abs=1e-4)
+        assert ceiling[2] == pytest.approx(full[2] / ratio, abs=1.0)
+        assert ratio == pytest.approx(1.9241, abs=1e-4)
 
     def test_run_over_the_ceiling_takes_its_3_tliq_solve(self):
         # a narrow beam takes the peak field to about 3500 degC, over the
@@ -522,8 +527,9 @@ class TestStepCeiling:
 
 
 class TestStabilityBound:
-    """The step is cfl_factor of the exact 2-D forward-Euler bound
-    rho cp / (2 kappa (1/dx^2 + 1/dz^2))."""
+    """The step is cfl_factor of the largest step that keeps the explicit
+    scheme's maximum principle: rho cp(T) / ((kappa(T) + kappa_max)
+    (1/dx^2 + 1/dz^2)) at the worst cell temperature T of the band."""
 
     DESIGNS = [DesignPoint(100.0, 200.0), DesignPoint(232.78, 200.0),
                DesignPoint(550.0, 110.0), DesignPoint(1000.0, 20.0)]
@@ -531,14 +537,18 @@ class TestStabilityBound:
     DRAWS = [NOMINAL_Z, RandomInputs(715.0, 825.0, 110.0, 550.8),
              RandomInputs(585.0, 825.0, 110.0, 673.2)]
 
+    # a convex cp with its vertex at 1500 degC: cp / (kappa + kappa_max) is
+    # smallest inside the band, at a root of its derivative's numerator
+    DIP = ModelParams(a0=525.0, a1=-0.3, a2=1e-4)
+
     @staticmethod
-    def bound(z, p, dx, dz):
-        # cp is concave and kappa convex here, so both extremes sit at an end
-        # of the band from the lower clamp to the 1.5 Tliq ceiling
-        ends = [min(z.T0, p.Tc) - 50.0, 1.5 * p.Tliq]
-        cp, kap = material_props(ends, p)
+    def bound(z, p, dx, dz, ceiling=1.5):
+        # scanned over the band from the lower clamp to ceiling * Tliq, ends
+        # included; kappa_max is the band's largest conductivity
+        band = np.linspace(min(z.T0, p.Tc) - 50.0, ceiling * p.Tliq, 40_001)
+        cp, kap = material_props(band, p)
         rho = thermal.bulk_density(z.rho)
-        return rho * cp.min() / (2.0 * kap.max() * 1e-3 * (1.0 / dx**2 + 1.0 / dz**2))
+        return rho * np.min(cp / (kap + kap.max())) / (1e-3 * (1.0 / dx**2 + 1.0 / dz**2))
 
     @pytest.mark.parametrize("grid, ratio", [
         (SimGridConfig(), 1.2195),  # 0.03125 x 0.025 mm cells
@@ -567,6 +577,44 @@ class TestStabilityBound:
         for a, b in zip(edge, default, strict=True):
             assert np.all(np.isfinite(a.temps)) and np.all(np.isfinite(a.peak_field))
             assert np.max(np.abs(a.temps - b.temps)) < 5.0
+
+    @pytest.mark.parametrize("p", [ModelParams(), DIP])
+    @pytest.mark.parametrize("ceiling", [1.5, 3.0])
+    def test_no_cell_puts_a_negative_weight_on_itself(self, p, ceiling):
+        # at cfl_factor 1.0, cell i at T_i with all four neighbours at T_j
+        # keeps 1 - dt sum_j c_ij / (rho cp_i) of its own temperature, with
+        # c_ij = (kappa_i + kappa_j) / (2 h^2) per face; at the worst pair
+        # that weight is 0 up to rounding, so the bound is tight
+        for grid in (SimGridConfig(cfl_factor=1.0), SimGridConfig(40, 13, 1.0)):
+            dx, dz = p.l / grid.cells_x, p.h / grid.cells_z
+            for z in self.DRAWS:
+                rho, _, _, lo, _, top = thermal._plan(self.DESIGNS[1], z, p, grid, ceiling)
+                dt = thermal._stable_step(rho, lo, top, p, grid)
+                cp, kap = material_props(np.linspace(lo, top, 20_001), p)  # cell
+                _, kap_j = material_props(np.linspace(lo, top, 101), p)  # neighbours
+                pair = (kap[:, None] + kap_j[None, :]) * 1e-3
+                faces = 2.0 * pair / (2.0 * dx**2) + 2.0 * pair / (2.0 * dz**2)
+                weight = 1.0 - dt * faces / (rho * cp[:, None])
+                assert -1e-12 <= weight.min() <= 1e-9
+
+    @pytest.mark.parametrize("p, interior", [
+        (ModelParams(), False),
+        (DIP, True),
+        (ModelParams(a0=10.0, a1=0.0, a2=0.0, b0=3.0, b1=0.0, b2=0.0), False),
+    ])
+    @pytest.mark.parametrize("ceiling", [1.5, 3.0])
+    def test_closed_form_minimum_matches_a_dense_scan(self, p, interior, ceiling):
+        grid = SimGridConfig(cfl_factor=1.0)
+        dx, dz = p.l / grid.cells_x, p.h / grid.cells_z
+        for z in self.DRAWS:
+            rho, _, _, lo, _, top = thermal._plan(self.DESIGNS[1], z, p, grid, ceiling)
+            closed = thermal._stable_step(rho, lo, top, p, grid)
+            scan = self.bound(z, p, dx, dz, ceiling)
+            assert closed <= scan * (1 + 1e-12)
+            assert closed == pytest.approx(scan, rel=1e-7)
+            cp, kap = material_props(np.linspace(lo, top, 40_001), p)
+            ratio = cp / (kap + kap.max())
+            assert (0 < ratio.argmin() < ratio.size - 1) == interior
 
     @pytest.mark.parametrize("ceiling", [1.5, 3.0])
     def test_radiation_does_not_bound_the_step(self, ceiling):
