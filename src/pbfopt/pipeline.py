@@ -476,11 +476,11 @@ def train_from_matrices(
 
     Persists bundle.json and err_curves.json under the output directory.
     """
-    for name, data in (("doe", doe), ("T", T), ("S", S)):
-        if data.shape[0] != cfg.M:
+    for name, data, width in (("doe", doe, 6), ("T", T, 31), ("S", S, 448)):
+        if data.shape != (cfg.M, width):
             raise ValueError(
-                f"{name} has {data.shape[0]} rows but the config sets M = {cfg.M}; "
-                "rerun `pbfopt simulate` with this config"
+                f"{name} has {data.shape[0]} rows and {data.shape[1]} columns, not M = "
+                f"{cfg.M} and {width}; rerun `pbfopt simulate` with this config"
             )
     u = normalize_inputs(doe, cfg.input_bounds)
     provenance = {"config_hash": config_hash(cfg), "M": cfg.M}

@@ -18,10 +18,10 @@ for DEPOSIT_STEPS steps per call.  The probe (top-surface center), recorded
 after every step, is interpolated linearly to the 31 snapshot instants.  The
 step is the grid's cfl_factor share of the largest one that keeps the explicit
 scheme's maximum principle (_stable_step): rho*min Cp(T) / ((kappa(T) +
-kappa_max)*(1/dx^2 + 1/dz^2)) over cell temperatures up to 1.5 Tliq, above
-every run in the design box; a run whose peak field went over it, or that
-failed, is solved again with the step for the 3 Tliq top of the probe band,
-and that result is final.
+kappa_max)*(1/dx^2 + 1/dz^2)) up to its plan's top, 1.5 Tliq, above every run
+in the design box.  A run fails if its probe leaves [min(T0, Tc) - 50, 3 Tliq]
+or, at its end, its field is not finite or its peak is over the top; it is
+solved again with the 3 Tliq plan, under which a failure is final.
 
 Units: mm, s, W, degC internally.  Conductivity is supplied in W/(m*K)
 and converted by 1e-3; density in kg/m^3 converted by 1e-9.
@@ -29,7 +29,7 @@ and converted by 1e-3; density in kg/m^3 converted by 1e-9.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -53,6 +53,8 @@ STEFAN_BOLTZMANN_MM = 5.67e-14  # W / (mm^2 K^4)
 KELVIN_OFFSET = 273.15
 BLOCK_RUNS = 16  # runs stepped together in one lockstep block
 DEPOSIT_STEPS = 64  # steps whose beam deposits one erf call computes
+TOP_CEILING = 3.0  # x Tliq: the probe band's top and the last plan's top
+_UNIT = (1.0, 0.0, 0.0)  # the quadratic 1, denominator of a plain quadratic
 
 # fdlibm's s_erf.c (Sun Microsystems, 1993): numerator and denominator
 # coefficients, lowest order first, of its rational forms in x^2 below 0.84375,
@@ -143,20 +145,25 @@ class ModelParams:
     h: float = 0.65  # part height, mm
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"model parameter {f.name} must be finite")
         if self.r <= 0:
             raise ValueError("beam radius must be positive")
         if not 0 < self.z0 <= self.h:
             raise ValueError("penetration depth must lie in (0, h]")
         if not 0 < self.A <= 1:
             raise ValueError("absorptivity must lie in (0, 1]")
+        if not 0 <= self.eps_s <= 1:
+            raise ValueError("surface emissivity must lie in [0, 1]")
+        if self.Tliq <= self.Tc:
+            raise ValueError("liquidus temperature must lie above chamber temperature")
         if min(self.l, self.h) <= 0:
             raise ValueError("part dimensions must be positive")
-        lo, hi = self.Tc, 1.1 * self.Tliq
-        cp_min, _ = _quad_extrema(self.a0, self.a1, self.a2, lo, hi)
-        kap_min, _ = _quad_extrema(self.b0, self.b1, self.b2, lo, hi)
-        if cp_min <= 0 or kap_min <= 0:
-            raise ValueError("heat capacity and conductivity must stay positive "
-                             "between chamber and 1.1x liquidus temperature")
+        for coeffs in ((self.a0, self.a1, self.a2), (self.b0, self.b1, self.b2)):
+            if _ratio_extrema(coeffs, _UNIT, self.Tc, 1.1 * self.Tliq)[0] <= 0:
+                raise ValueError("heat capacity and conductivity must stay positive "
+                                 "between chamber and 1.1x liquidus temperature")
 
 
 @dataclass(frozen=True)
@@ -207,14 +214,20 @@ def bulk_density(rho_sample: float) -> float:
     return rho_sample * (4300.0 / 612.0) * 1e-9
 
 
-def _quad_extrema(c0: float, c1: float, c2: float, lo: float, hi: float):
-    """(min, max) of c0 + c1*T + c2*T^2 over [lo, hi]."""
-    cand = [lo, hi]
+def _ratio_extrema(num, den, lo: float, hi: float):
+    """(min, max) over [lo, hi] of num(T) / den(T), quadratics c0 + c1 T + c2 T^2."""
+    (a0, a1, a2), (b0, b1, b2) = num, den
+    # stationary where c2 T^2 + c1 T + c0 vanishes (the T^3 terms cancel); by
+    # hand, as np.roots's LAPACK call adds about 0.7 MB to peak memory
+    c2, c1, c0 = a2 * b1 - a1 * b2, 2.0 * (a2 * b0 - a0 * b2), a1 * b0 - a0 * b1
+    disc = c1 * c1 - 4.0 * c2 * c0
     if c2 != 0.0:
-        vertex = -c1 / (2.0 * c2)
-        if lo < vertex < hi:
-            cand.append(vertex)
-    vals = [c0 + c1 * t + c2 * t * t for t in cand]
+        roots = [(-c1 + s * disc**0.5) / (2.0 * c2) for s in (-1.0, 1.0)] if disc >= 0 else []
+    else:
+        roots = [-c0 / c1] if c1 != 0.0 else []
+    # as Python floats: a numpy array of candidates made _plan 3x as slow
+    vals = [(a0 + a1 * t + a2 * t * t) / (b0 + b1 * t + b2 * t * t)
+            for t in (lo, hi, *(r for r in roots if lo < r < hi))]
     return min(vals), max(vals)
 
 
@@ -298,28 +311,16 @@ def _stable_step(rho: float, lo: float, hi: float, p: ModelParams,
     """cfl_factor of the largest step at which every cell at lo to hi keeps a
     non-negative weight on itself: rho min cp(T) / ((kappa(T) + kappa_max)
     (1/dx^2 + 1/dz^2)), kappa_max the band's; 4 faces of mean conductivity."""
-    _, kap_max = _quad_extrema(p.b0, p.b1, p.b2, lo, hi)
-    k = p.b0 + kap_max
-    # cp / (kappa + kappa_max) is stationary where c2 T^2 + c1 T + c0 vanishes;
-    # the T^3 terms of its derivative's numerator cancel.  By hand, not np.roots,
-    # whose LAPACK call adds about 0.7 MB to a process's peak memory
-    c2, c1, c0 = (p.a2 * p.b1 - p.a1 * p.b2, 2.0 * (p.a2 * k - p.a0 * p.b2),
-                  p.a1 * k - p.a0 * p.b1)
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if c2 != 0.0:
-        roots = [(-c1 + s * disc**0.5) / (2.0 * c2) for s in (-1.0, 1.0)] if disc >= 0 else []
-    else:
-        roots = [-c0 / c1] if c1 != 0.0 else []
-    t = np.array([lo, hi, *(r for r in roots if lo < r < hi)])
-    ratio = (p.a0 + p.a1 * t + p.a2 * t * t) / (k + p.b1 * t + p.b2 * t * t)
+    _, kap_max = _ratio_extrema((p.b0, p.b1, p.b2), _UNIT, lo, hi)
+    ratio_min, _ = _ratio_extrema((p.a0, p.a1, p.a2), (p.b0 + kap_max, p.b1, p.b2), lo, hi)
     dx, dz = p.l / grid.cells_x, p.h / grid.cells_z
-    return grid.cfl_factor * rho * ratio.min() / (1e-3 * (1.0 / dx**2 + 1.0 / dz**2))
+    return grid.cfl_factor * rho * ratio_min / (1e-3 * (1.0 / dx**2 + 1.0 / dz**2))
 
 
 def _plan(d: DesignPoint, z: RandomInputs, p: ModelParams, grid: SimGridConfig,
           ceiling: float = 1.5):
-    """Check one run's inputs; its (rho, dt, n_steps, clamp_lo, clamp_hi, top),
-    top = ceiling * Tliq (ceiling at most 3) the temperature dt is stable to."""
+    """Check one run's inputs; its (rho, dt, n_steps, clamp_lo, top): dt is stable up to
+    top = ceiling * Tliq (ceiling at most TOP_CEILING), which the peak must not pass."""
     if not (np.isfinite(d.v) and d.v > 0):
         raise ValueError("scanning speed must be positive")
     if not (np.isfinite(d.P) and d.P >= 0):
@@ -330,12 +331,11 @@ def _plan(d: DesignPoint, z: RandomInputs, p: ModelParams, grid: SimGridConfig,
             raise ValueError(f"random input {name} must be positive and finite")
     rho = bulk_density(z.rho)
     # the probe band, from the coldest legitimate state (preheat may sit below
-    # chamber) to 3 Tliq, where the properties must stay positive
-    clamp_lo, clamp_hi = min(z.T0, p.Tc) - 50.0, 3.0 * p.Tliq
-    cp_min, _ = _quad_extrema(p.a0, p.a1, p.a2, clamp_lo, clamp_hi)
-    kap_min, _ = _quad_extrema(p.b0, p.b1, p.b2, clamp_lo, clamp_hi)
-    if cp_min <= 0 or kap_min <= 0:
-        raise ValueError("material properties non-positive over the run range")
+    # chamber) to TOP_CEILING Tliq, where the properties must stay positive
+    clamp_lo = min(z.T0, p.Tc) - 50.0
+    for coeffs in ((p.a0, p.a1, p.a2), (p.b0, p.b1, p.b2)):
+        if _ratio_extrema(coeffs, _UNIT, clamp_lo, TOP_CEILING * p.Tliq)[0] <= 0:
+            raise ValueError("material properties non-positive over the run range")
     # dt keeps the explicit step's maximum principle for every cell and neighbour
     # up to top: forward Euler gives cell i the self-weight 1 - dt sum_j c_ij /
     # (rho cp_i), and with c_ij = (kappa_i + kappa_j) / (2 h^2) the sum is at most
@@ -346,32 +346,28 @@ def _plan(d: DesignPoint, z: RandomInputs, p: ModelParams, grid: SimGridConfig,
     top = ceiling * p.Tliq
     dt_stable = _stable_step(rho, clamp_lo, top, p, grid)
     n_steps = max(1, int(np.ceil(p.l / d.v / dt_stable)))
-    return rho, p.l / d.v / n_steps, n_steps, clamp_lo, clamp_hi, top
+    return rho, p.l / d.v / n_steps, n_steps, clamp_lo, top
 
 
 def _solve_field(runs, p: ModelParams, grid: SimGridConfig):
-    """The block job of simulate_batch and tests: step runs, each (design, random
-    inputs[, its _plan]), then again with the 3 Tliq plan those that failed or whose
-    peak went over their plan's ceiling.  Per run in input order: (times, probe_temps,
-    peak_sim, final_sim, x_centers, z_centers) or its SimulationError."""
-    runs = [run if len(run) > 2 else (*run, _plan(*run, p, grid)) for run in runs]
+    """The block job of simulate_batch: _step_block, then again with the TOP_CEILING
+    plan for the runs that failed under a lower top; per run a snapshot or error."""
     out = _step_block(runs, p, grid)
-    redo = [k for k, (r, (_, _, plan)) in enumerate(zip(out, runs)) if plan[5] < plan[4]
-            and (isinstance(r, SimulationError) or not r[2].max() <= plan[5])]
-    again = [(d, z, _plan(d, z, p, grid, 3.0)) for d, z, _ in (runs[k] for k in redo)]
+    redo = [k for k, r in enumerate(out) if isinstance(r, SimulationError)
+            and runs[k][2][4] < TOP_CEILING * p.Tliq]
+    again = [(*runs[k][:2], _plan(*runs[k][:2], p, grid, TOP_CEILING)) for k in redo]
     for k, r in zip(redo, _step_block(again, p, grid) if redo else ()):
         out[k] = r
     return out
 
 
 def _step_block(runs, p: ModelParams, grid: SimGridConfig):
-    """The lockstep kernel: each run (design, random inputs, its _plan) stepped once."""
+    """The lockstep kernel: runs (design, random inputs, _plan) to snapshots or errors."""
     nx, nz = grid.cells_x, grid.cells_z
     dx, dz = p.l / nx, p.h / nz
-    xc, zc = (np.arange(nx) + 0.5) * dx, (np.arange(nz) + 0.5) * dz
     x_edges = np.arange(nx + 1) * dx
     order = sorted(range(len(runs)), key=lambda k: -runs[k][2][2])  # most steps first
-    rho, dt, n_steps, lo, hi, _, v, power, t0 = np.array(
+    rho, dt, n_steps, lo, top, v, power, t0 = np.array(
         [(*runs[k][2], runs[k][0].v, runs[k][0].P, runs[k][1].T0) for k in order], float).T
     n_steps = n_steps.astype(int).tolist()
     amp = 2.0 * p.A * power / (np.pi * p.r**2 * p.z0)
@@ -387,7 +383,8 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
     j0 = int(np.flatnonzero(gz)[0])  # the beam reaches rows j0 to the top
     tc_k4, rad_coeff = (p.Tc + KELVIN_OFFSET) ** 4, STEFAN_BOLTZMANN_MM * p.eps_s
     # the probe keeps one cell and one set of bilinear weights throughout
-    cell = _bilinear_cell((nx, nz), xc[0], dx, zc[0], dz, p.l / 2.0, p.h)
+    cell = _bilinear_cell((nx, nz), dx / 2, dx, dz / 2, dz, p.l / 2.0, p.h)
+    hi = TOP_CEILING * p.Tliq
     trace = np.empty((n_steps[0] + 1, len(order)))  # probe at each step's end
     trace[0] = _bilinear(T3.T, *cell)
     n, errors = len(order), [None] * len(order)
@@ -430,21 +427,30 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
             Tn += raten
             np.maximum(peak[:m], Tn, out=peak[:m])
             probe = trace[step, :n] = _bilinear(T3[:n].T, *cell)
-            for s in np.flatnonzero(~((lo[:n] <= probe) & (probe <= hi[:n]))):  # nan
+            for s in np.flatnonzero(~((lo[:n] <= probe) & (probe <= hi))):  # nan
                 errors[s] = errors[s] or SimulationError(
                     f"probe temperature {probe[s]:.1f} degC outside "
-                    f"[{lo[s]:.1f}, {hi[s]:.1f}] at step {step}", step)
+                    f"[{lo[s]:.1f}, {hi:.1f}] at step {step}", step)
             if None not in errors:
                 break
+    # the peak field resampled to the 32x14 stress grid by clamped bilinear
+    # interpolation, so it inherits the initial-condition floor T0
+    xq, zq = np.meshgrid(np.linspace(0.0, p.l, STRESS_GRID_SHAPE[0]),
+                         np.linspace(0.0, p.h, STRESS_GRID_SHAPE[1]), indexing="ij")
+    stress_cell = _bilinear_cell((nx, nz), dx / 2, dx, dz / 2, dz, xq, zq)
     out = []
     for s in np.argsort(order):  # in input order
-        last = n_steps[s]
+        last, hottest = n_steps[s], peak3[s].max()
         if errors[s] is None and not np.isfinite(T3[s]).all():
             errors[s] = SimulationError(f"field became non-finite by step {last}", last)
+        if errors[s] is None and not hottest <= top[s]:
+            errors[s] = SimulationError(f"peak field {hottest:.1f} degC over the plan's "
+                                        f"top {top[s]:.1f} degC by step {last}", last)
         # the trace interpolated between step ends; interp clamps a rounding overshoot
         times = snapshot_times(v[s], p.l)
         temps = np.interp(times, np.arange(last + 1) * dt[s], trace[: last + 1, s])
-        out.append(errors[s] or (times, temps, peak3[s].T.copy(), T3[s].T.copy(), xc, zc))
+        out.append(errors[s] or TemperatureSnapshot(times, temps,
+                                                    _bilinear(peak3[s].T, *stress_cell)))
     return out
 
 
@@ -454,7 +460,7 @@ def simulate_batch(designs, inputs, p: ModelParams | None = None,
     """One scan per (design, random inputs) pair, snapshots in that order.
 
     Every run is checked and planned before any steps.  Sorted by step count,
-    the runs go in blocks of BLOCK_RUNS to the kernel through map_blocks (map,
+    the runs go in blocks of BLOCK_RUNS to _solve_field through map_blocks (map,
     or a process pool's), which changes no result.  The lowest-indexed failed
     run raises its SimulationError with .run set; map skips blocks above it."""
     p = ModelParams() if p is None else p
@@ -469,17 +475,10 @@ def simulate_batch(designs, inputs, p: ModelParams | None = None,
             if not any(isinstance(snaps[k], SimulationError) for k in range(min(block))):
                 sent.append(block)
                 yield [runs[k] for k in block]
-    # the peak field resampled to the 32x14 stress grid by clamped bilinear
-    # interpolation, so it inherits the initial-condition floor T0
-    xq, zq = np.meshgrid(np.linspace(0.0, p.l, STRESS_GRID_SHAPE[0]),
-                         np.linspace(0.0, p.h, STRESS_GRID_SHAPE[1]), indexing="ij")
-    dx, dz = p.l / grid.cells_x, p.h / grid.cells_z
-    cell = _bilinear_cell((grid.cells_x, grid.cells_z), dx / 2, dx, dz / 2, dz, xq, zq)
     solved = map_blocks(partial(_solve_field, p=p, grid=grid), todo())
     for results, block in zip(solved, sent):  # a block joins sent before its result
         for k, r in zip(block, results):
-            snaps[k] = r if isinstance(r, SimulationError) else TemperatureSnapshot(
-                r[0], r[1], _bilinear(r[2], *cell))
+            snaps[k] = r
     for k, s in enumerate(snaps):
         if isinstance(s, SimulationError):
             s.run = k

@@ -182,9 +182,10 @@ def solve_field_per_run(d, z, p, grid, *ceiling):
     """One run of the thermal solver stepped on its own, one field at a
     time: the loop thermal._solve_field advances in lockstep blocks, with
     the step thermal._plan gives for its default or the given ceiling (a
-    multiple of Tliq).  A run that fails, or whose peak goes over a
-    ceiling below 3 Tliq, is solved again at 3 Tliq, as
-    thermal._solve_field does.
+    multiple of Tliq).  A run fails when its probe leaves [clamp_lo,
+    3 Tliq], or when at its end the field is not finite or the peak is over
+    the plan's top; one that fails under a top below 3 Tliq is solved again
+    at 3 Tliq, as thermal._solve_field does.
 
     Returns (temps, peak_sim, final_sim, peak_field), peak_field being the
     peak resampled to the stress grid as thermal.simulate_batch does.
@@ -195,7 +196,8 @@ def solve_field_per_run(d, z, p, grid, *ceiling):
     zc = (np.arange(nz) + 0.5) * dz
     x_edges = np.arange(nx + 1) * dx
 
-    rho, dt, n_steps, clamp_lo, clamp_hi, ceiling_t = thermal._plan(d, z, p, grid, *ceiling)
+    rho, dt, n_steps, clamp_lo, top = thermal._plan(d, z, p, grid, *ceiling)
+    clamp_hi = 3.0 * p.Tliq
     times = thermal.snapshot_times(d.v, p.l)
 
     T = np.full((nx, nz), float(z.T0))
@@ -233,7 +235,9 @@ def solve_field_per_run(d, z, p, grid, *ceiling):
         if not clamp_lo <= probe <= clamp_hi:
             error = thermal.SimulationError(f"probe {probe} outside the clamp", step)
             break
-    if ceiling_t < clamp_hi and (error or not peak.max() <= ceiling_t):
+    if error is None and not (np.isfinite(T).all() and peak.max() <= top):
+        error = thermal.SimulationError(f"peak {peak.max()} over the top {top}", n_steps)
+    if error and top < clamp_hi:
         return solve_field_per_run(d, z, p, grid, 3.0)
     if error:
         raise error

@@ -623,7 +623,7 @@ class TestUnconstrainedCorner:
         assert res.bpof_lhs == 0.0
 
 
-class TestCobylaSolver:
+class TestSolverOptimumAndEvaluationCount:
     def test_reaches_the_same_optimum(self, toy_bundle, risk_result):
         cfg = OptimizeConfig(
             tau=735.0,

@@ -366,6 +366,22 @@ class TestSyntheticTraining:
         for n in names:
             assert (out / n).read_bytes() == before[n], n
 
+    @pytest.mark.parametrize("name, cols", [("doe", 5), ("T", 30), ("S", 400)])
+    def test_mis_sized_matrices_are_rejected_before_fitting(
+        self, trained, tmp_path, monkeypatch, name, cols
+    ):
+        cfg, _ = trained
+        data = {n: np.loadtxt(Path(cfg.out_dir) / f"{n}.csv", delimiter=",")
+                for n in ("doe", "T", "S")}
+        data[name] = data[name][:, :cols]
+        monkeypatch.setattr(pipeline, "_fit_output", lambda *a: pytest.fail("fitted"))
+        match = (rf"{name} has 48 rows and {cols} columns, not M = 48 and "
+                 r"(6|31|448); rerun `pbfopt simulate` with this config")
+        with pytest.raises(ValueError, match=match):
+            pipeline.train_from_matrices(replace(cfg, out_dir=str(tmp_path)),
+                                         data["doe"], data["T"], data["S"])
+        assert not (tmp_path / "bundle.json").exists()
+
     def test_symmetric_doe_needs_more_than_the_config_floor(self, tmp_path):
         # mirrored pairs share their quadratic part, so the gradient-fit
         # stage needs ceil(M/2) >= 22 even-space rows; below that the

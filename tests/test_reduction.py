@@ -406,11 +406,14 @@ class TestDiscover:
 
     def test_eigenvalue_shape_invariants(self):
         rng = np.random.default_rng(43)
-        s = reduction.discover(rng.normal(size=(60, 6)))
-        assert s.eigenvalues.shape == (6,)
-        assert np.all(np.diff(s.eigenvalues) <= 1e-12)
-        assert np.all(s.eigenvalues >= 0)
-        assert s.w1.T @ s.w1 == pytest.approx(np.eye(s.r), abs=1e-12)
+        # all-zero gradients have no direction: one active variable, no spectrum
+        for g in (rng.normal(size=(60, 6)), np.zeros((60, 6))):
+            s = reduction.discover(g)
+            assert s.eigenvalues.shape == (6,)
+            assert np.all(np.diff(s.eigenvalues) <= 1e-12)
+            assert np.all(s.eigenvalues >= 0)
+            assert s.w1.T @ s.w1 == pytest.approx(np.eye(s.r), abs=1e-12)
+        assert s.r == 1 and not s.eigenvalues.any()
 
     def test_deterministic_and_sign_fixed(self):
         rng = np.random.default_rng(44)

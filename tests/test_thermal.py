@@ -1,6 +1,7 @@
 """Thermal solver tests: flux arithmetic, equilibrium, monotonicity, grids."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,16 @@ from pbfopt.thermal import (
 )
 
 NOMINAL_Z = RandomInputs(T0=650.0, Y=825.0, E=110.0, rho=612.0)
+
+
+def planned(runs, p, grid, *ceiling):
+    """Each (design, random inputs) run with its _plan, as the kernel takes it."""
+    return [(d, z, thermal._plan(d, z, p, grid, *ceiling)) for d, z in runs]
+
+
+def assert_same(a, b):
+    for field in ("times", "temps", "peak_field"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 class TestSnapshotTimes:
@@ -190,6 +201,18 @@ class TestModelParamsValidation:
         with pytest.raises(ValueError, match="absorptivity"):
             ModelParams(A=1.5)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"eps_s": -1.0}, "emissivity"),
+        ({"eps_s": 5.0}, "emissivity"),
+        ({"Tliq": 600.0}, "liquidus"),  # below the 650 degC chamber
+        ({"l": np.inf}, "l must be finite"),
+        ({"Tc": np.nan}, "Tc must be finite"),
+        ({"Tliq": np.nan}, "Tliq must be finite"),
+    ])
+    def test_rejects_parameters_no_run_can_use(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ModelParams(**kwargs)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="cells"):
             SimGridConfig(cells_x=2)
@@ -240,10 +263,13 @@ class TestSimulate:
         assert rel < 0.02
 
     def test_peak_dominates_final_field(self):
-        d = DesignPoint(400.0, 150.0)
-        [(_, temps, peak, final, _, _)] = thermal._solve_field(
-            [(d, NOMINAL_Z)], ModelParams(), SimGridConfig()
-        )
+        # the kernel keeps no final field: the per-run loop's, whose snapshot
+        # the kernel's equals
+        d, p, grid = DesignPoint(400.0, 150.0), ModelParams(), SimGridConfig()
+        temps, peak, final, peak_field = solve_field_per_run(d, NOMINAL_Z, p, grid)
+        snap = thermal.simulate(d, NOMINAL_Z, p, grid)
+        assert np.array_equal(snap.temps, temps)
+        assert np.array_equal(snap.peak_field, peak_field)
         assert np.all(peak >= final - 1e-12)
         assert peak.max() >= final.max()
         assert peak.max() >= temps.max() - 1e-9
@@ -277,17 +303,19 @@ class TestSimulate:
         d = DesignPoint(1.0e5, 200.0)
         z = RandomInputs(T0=700.0, Y=825.0, E=110.0, rho=612.0)
         grid = SimGridConfig(4, 4, cfl_factor=1.0)
-        [(times, temps, _, final, xc, zc)] = thermal._solve_field([(d, z)], p, grid)
+        assert thermal._plan(d, z, p, grid)[2] == 1
+        snap = thermal.simulate(d, z, p, grid)
+        _, _, final, _ = solve_field_per_run(d, z, p, grid)
         dx, dz = p.l / 4, p.h / 4
         xq, zq = np.array([p.l / 2]), np.array([p.h])
-        cell = thermal._bilinear_cell(final.shape, xc[0], dx, zc[0], dz, xq, zq)
+        cell = thermal._bilinear_cell(final.shape, dx / 2, dx, dz / 2, dz, xq, zq)
         probe = [
             thermal._bilinear(f, *cell)[0]
             for f in (np.full_like(final, z.T0), final)
         ]
         assert abs(probe[1] - probe[0]) > 1e-3
-        s = times / (p.l / d.v)
-        assert temps == pytest.approx((1 - s) * probe[0] + s * probe[1], rel=1e-12)
+        s = snap.times / (p.l / d.v)
+        assert snap.temps == pytest.approx((1 - s) * probe[0] + s * probe[1], rel=1e-12)
 
     def test_clamp_aborts_with_step_index(self):
         # concentrate the beam absurdly so the probe overshoots the clamp
@@ -338,13 +366,11 @@ class TestLockstepBatch:
         assert len({plan[2] for plan in plans}) > thermal.BLOCK_RUNS // 2
         expected = [solve_field_per_run(d, z, p, self.GRID) for d, z in runs]
         snaps = thermal.simulate_batch(*zip(*runs), p, self.GRID)
-        kernel = thermal._solve_field(runs, p, self.GRID)  # one block
-        for (temps, peak, final, peak_field), snap, raw in zip(expected, snaps, kernel):
+        kernel = thermal._solve_field(planned(runs, p, self.GRID), p, self.GRID)  # one block
+        for (temps, _, _, peak_field), snap, raw in zip(expected, snaps, kernel):
             assert np.array_equal(snap.temps, temps)
             assert np.array_equal(snap.peak_field, peak_field)
-            assert np.array_equal(raw[1], temps)
-            assert np.array_equal(raw[2], peak)
-            assert np.array_equal(raw[3], final)
+            assert_same(raw, snap)
 
     def test_block_size_changes_no_result(self, monkeypatch):
         runs = self.mixed_runs()[:7]
@@ -388,14 +414,14 @@ class TestLockstepBatch:
             speeds.append(v)
         runs = [(DesignPoint(v, P), z) for v, P in zip(speeds, (150.0, 120.0, 180.0, 90.0))]
         assert all(DESIGN_BOUNDS["v"][0] <= v <= DESIGN_BOUNDS["v"][1] for v in speeds)
-        plans = [thermal._plan(d, z, p, grid) for d, z in runs]
-        assert [plan[2] for plan in plans] == targets
-        for run, plan, raw in zip(runs, plans, thermal._solve_field(runs, p, grid)):
-            assert raw[2].max() <= plan[5]  # no 3 Tliq re-solve
-            temps, peak, final, _ = solve_field_per_run(*run, p, grid)
-            assert np.array_equal(raw[1], temps)
-            assert np.array_equal(raw[2], peak)
-            assert np.array_equal(raw[3], final)
+        block = planned(runs, p, grid)
+        assert [plan[2] for _, _, plan in block] == targets
+        # the kernel alone: a snapshot, not an error, means no 3 Tliq re-solve
+        for run, raw in zip(runs, thermal._step_block(block, p, grid)):
+            assert isinstance(raw, thermal.TemperatureSnapshot)
+            temps, _, _, peak_field = solve_field_per_run(*run, p, grid)
+            assert np.array_equal(raw.temps, temps)
+            assert np.array_equal(raw.peak_field, peak_field)
 
 
 class TestFlatBlock:
@@ -414,19 +440,18 @@ class TestFlatBlock:
         # of the run boundary; heat leaking across it breaks bit equality
         hot = (DesignPoint(v_hot, 200.0), RandomInputs(715.0, 825.0, 110.0, 612.0))
         cold = (DesignPoint(v_cold, 0.0), RandomInputs(585.0, 825.0, 110.0, 612.0))
-        for run, raw in zip((hot, cold), thermal._solve_field([hot, cold], p, grid)):
-            temps, peak, final, _ = solve_field_per_run(*run, p, grid)
-            assert np.array_equal(raw[1], temps)
-            assert np.array_equal(raw[2], peak)
-            assert np.array_equal(raw[3], final)
+        block = planned([hot, cold], p, grid)
+        for run, raw in zip((hot, cold), thermal._solve_field(block, p, grid)):
+            temps, _, _, peak_field = solve_field_per_run(*run, p, grid)
+            assert np.array_equal(raw.temps, temps)
+            assert np.array_equal(raw.peak_field, peak_field)
 
     def test_integer_inputs_match_float_inputs(self):
         grid = SimGridConfig(16, 8)
         a = thermal.simulate(DesignPoint(100, 200), RandomInputs(650, 825, 110, 612),
                              grid=grid)
         b = thermal.simulate(DesignPoint(100.0, 200.0), NOMINAL_Z, grid=grid)
-        for field in ("times", "temps", "peak_field"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert_same(a, b)
 
     def test_blocks_above_a_known_failure_are_skipped(self, monkeypatch):
         # by step count the blocks of two are runs [1, 2], [3, 0] and [4, 5];
@@ -463,10 +488,6 @@ class TestStepCeiling:
     # hottest preheat, lowest density
     CORNER = (DesignPoint(100.0, 200.0), RandomInputs(715.0, 825.0, 110.0, 550.8))
 
-    @staticmethod
-    def at_3_tliq(run, p, grid):
-        return (*run, thermal._plan(*run, p, grid, 3.0))
-
     def test_ceiling_step_is_the_kappa_ratio_larger(self):
         # cp / (kappa + kappa_max) is smallest at the lower clamp either way,
         # and kappa_max sits at the top of the band, so the step scales with
@@ -476,7 +497,7 @@ class TestStepCeiling:
         _, (kap_cold, kap_lo, kap_hi) = material_props(
             [ceiling[3], 1.5 * p.Tliq, 3.0 * p.Tliq], p)
         ratio = (kap_cold + kap_hi) / (kap_cold + kap_lo)
-        assert (ceiling[5], full[5]) == (1.5 * p.Tliq, 3.0 * p.Tliq)
+        assert (ceiling[4], full[4]) == (1.5 * p.Tliq, 3.0 * p.Tliq)
         assert ceiling[2] == pytest.approx(full[2] / ratio, abs=1.0)
         assert ratio == pytest.approx(1.9241, abs=1e-4)
 
@@ -484,31 +505,52 @@ class TestStepCeiling:
         # a narrow beam takes the peak field to about 3500 degC, over the
         # 2475 degC ceiling, while the probe stays under the 4950 degC clamp
         p, grid, hot = ModelParams(r=0.1), self.GRID, self.CORNER
-        [under] = thermal._step_block([(*hot, thermal._plan(*hot, p, grid))], p, grid)
-        assert under[2].max() > 1.5 * p.Tliq
-        assert under[1].max() < 3.0 * p.Tliq
-        [full] = thermal._solve_field([self.at_3_tliq(hot, p, grid)], p, grid)
+        [under] = thermal._step_block(planned([hot], p, grid), p, grid)
+        assert isinstance(under, SimulationError)
+        assert re.fullmatch(r"peak field \d+\.\d degC over the plan's top 2475\.0 degC "
+                            r"by step \d+", str(under))
+        assert under.step == thermal._plan(*hot, p, grid)[2]  # its probe stayed in band
+        [full] = thermal._solve_field(planned([hot], p, grid, 3.0), p, grid)
+        assert full.temps.max() < 3.0 * p.Tliq
         cool = [(DesignPoint(v, P), hot[1]) for v, P in ((550.0, 60.0), (200.0, 50.0))]
         runs = [cool[0], hot, cool[1]]  # one block
-        [alone], block = (thermal._solve_field(r, p, grid) for r in ([hot], runs))
+        [alone], block = (thermal._solve_field(planned(r, p, grid), p, grid)
+                          for r in ([hot], runs))
         for got in (alone, block[1]):
-            for a, b in zip(got, full, strict=True):
-                assert np.array_equal(a, b)
+            assert_same(got, full)
         for run, got in zip(cool, (block[0], block[2])):
-            [own] = thermal._step_block([(*run, thermal._plan(*run, p, grid))], p, grid)
-            assert own[2].max() <= 1.5 * p.Tliq
-            for a, b in zip(got, own, strict=True):
-                assert np.array_equal(a, b)
+            [own] = thermal._step_block(planned([run], p, grid), p, grid)
+            assert isinstance(own, thermal.TemperatureSnapshot)  # under its 1.5 Tliq top
+            assert_same(got, own)
         snap = thermal.simulate_batch(*zip(*runs), p, grid)[1]
         temps, _, _, peak_field = solve_field_per_run(*hot, p, grid)
-        assert np.array_equal(snap.temps, full[1]) and np.array_equal(snap.temps, temps)
+        assert np.array_equal(snap.temps, full.temps) and np.array_equal(snap.temps, temps)
         assert np.array_equal(snap.peak_field, peak_field)
+
+    def test_peak_over_the_3_tliq_top_fails(self, monkeypatch):
+        # a narrower beam still: on the default grid the probe peaks near
+        # 4221 degC, under the 4950 degC top of its band, but the peak field
+        # reaches 5211 degC in 2 of the 1664 cells
+        p, grid = ModelParams(r=0.07), SimGridConfig()
+        full = thermal._plan(*self.CORNER, p, grid, 3.0)
+        step, tops = thermal._step_block, []
+        monkeypatch.setattr(thermal, "_step_block",
+                            lambda runs, *a: tops.append(runs[0][2][4]) or step(runs, *a))
+        with pytest.raises(SimulationError,
+                           match=r"peak field 521\d\.\d degC over the plan's top 4950\.0"):
+            thermal.simulate(*self.CORNER, p, grid)
+        assert tops == [1.5 * p.Tliq, 3.0 * p.Tliq]
+        # at its 3 Tliq plan the run fails at the end, not at a step where
+        # the probe left its band, and is not stepped again
+        [alone] = thermal._solve_field(planned([self.CORNER], p, grid, 3.0), p, grid)
+        assert alone.step == full[2]
+        assert tops == [1.5 * p.Tliq, 3.0 * p.Tliq, 3.0 * p.Tliq]
 
     def test_failed_run_reports_its_3_tliq_error(self):
         p, grid = ModelParams(), self.GRID
         run = (DesignPoint(300.0, 3000.0), NOMINAL_Z)
-        [under] = thermal._step_block([(*run, thermal._plan(*run, p, grid))], p, grid)
-        [full] = thermal._solve_field([self.at_3_tliq(run, p, grid)], p, grid)
+        [under] = thermal._step_block(planned([run], p, grid), p, grid)
+        [full] = thermal._solve_field(planned([run], p, grid, 3.0), p, grid)
         with pytest.raises(SimulationError) as info:
             thermal.simulate(*run, p, grid)
         assert under.step != full.step == info.value.step
@@ -520,9 +562,9 @@ class TestStepCeiling:
         step, calls = thermal._step_block, []
         monkeypatch.setattr(thermal, "_step_block",
                             lambda runs, *a: calls.append(len(runs)) or step(runs, *a))
-        p = ModelParams()
-        [raw] = thermal._solve_field([self.CORNER], p, SimGridConfig())
-        assert raw[2].max() < 1.5 * p.Tliq
+        p, grid = ModelParams(), SimGridConfig()
+        [raw] = thermal._solve_field(planned([self.CORNER], p, grid), p, grid)
+        assert raw.peak_field.max() < 1.5 * p.Tliq
         assert calls == [1]
 
 
@@ -558,7 +600,7 @@ class TestStabilityBound:
         p, d, z = ModelParams(), self.DESIGNS[1], NOMINAL_Z
         dx, dz = p.l / grid.cells_x, p.h / grid.cells_z
         dt_stable = grid.cfl_factor * self.bound(z, p, dx, dz)
-        _, dt, n_steps, _, _, _ = thermal._plan(d, z, p, grid)
+        _, dt, n_steps, _, _ = thermal._plan(d, z, p, grid)
         scan = p.l / d.v
         assert n_steps == int(np.ceil(scan / dt_stable)) > 100
         assert dt == scan / n_steps <= dt_stable
@@ -588,7 +630,7 @@ class TestStabilityBound:
         for grid in (SimGridConfig(cfl_factor=1.0), SimGridConfig(40, 13, 1.0)):
             dx, dz = p.l / grid.cells_x, p.h / grid.cells_z
             for z in self.DRAWS:
-                rho, _, _, lo, _, top = thermal._plan(self.DESIGNS[1], z, p, grid, ceiling)
+                rho, _, _, lo, top = thermal._plan(self.DESIGNS[1], z, p, grid, ceiling)
                 dt = thermal._stable_step(rho, lo, top, p, grid)
                 cp, kap = material_props(np.linspace(lo, top, 20_001), p)  # cell
                 _, kap_j = material_props(np.linspace(lo, top, 101), p)  # neighbours
@@ -607,7 +649,7 @@ class TestStabilityBound:
         grid = SimGridConfig(cfl_factor=1.0)
         dx, dz = p.l / grid.cells_x, p.h / grid.cells_z
         for z in self.DRAWS:
-            rho, _, _, lo, _, top = thermal._plan(self.DESIGNS[1], z, p, grid, ceiling)
+            rho, _, _, lo, top = thermal._plan(self.DESIGNS[1], z, p, grid, ceiling)
             closed = thermal._stable_step(rho, lo, top, p, grid)
             scan = self.bound(z, p, dx, dz, ceiling)
             assert closed <= scan * (1 + 1e-12)
@@ -615,6 +657,17 @@ class TestStabilityBound:
             cp, kap = material_props(np.linspace(lo, top, 40_001), p)
             ratio = cp / (kap + kap.max())
             assert (0 < ratio.argmin() < ratio.size - 1) == interior
+            # both sides of the extremum routine: the ratio, and cp and kappa
+            # over the constant denominator 1
+            cp_q, kap_q = (p.a0, p.a1, p.a2), (p.b0, p.b1, p.b2)
+            _, kap_max = thermal._ratio_extrema(kap_q, (1.0, 0.0, 0.0), lo, top)
+            for num, den, values in ((cp_q, (p.b0 + kap_max, p.b1, p.b2), cp / (kap + kap_max)),
+                                     (cp_q, (1.0, 0.0, 0.0), cp),
+                                     (kap_q, (1.0, 0.0, 0.0), kap)):
+                low, high = thermal._ratio_extrema(num, den, lo, top)
+                assert low <= values.min() * (1 + 1e-12)
+                assert high >= values.max() * (1 - 1e-12)
+                assert (low, high) == pytest.approx((values.min(), values.max()), rel=1e-7)
 
     @pytest.mark.parametrize("ceiling", [1.5, 3.0])
     def test_radiation_does_not_bound_the_step(self, ceiling):
@@ -622,7 +675,7 @@ class TestStabilityBound:
         # against the conduction sum 2 kappa (1/dx^2 + 1/dz^2)
         p, grid = ModelParams(), SimGridConfig()
         dx, dz = p.l / grid.cells_x, p.h / grid.cells_z
-        t_top = thermal._plan(self.DESIGNS[0], self.DRAWS[1], p, grid, ceiling)[5]
+        t_top = thermal._plan(self.DESIGNS[0], self.DRAWS[1], p, grid, ceiling)[4]
         _, kap_max = material_props(t_top, p)
         conduction = 2.0 * kap_max * 1e-3 * (1.0 / dx**2 + 1.0 / dz**2)
         t_k = t_top + thermal.KELVIN_OFFSET
