@@ -170,22 +170,24 @@ def maximin_doe_pdist(M, bounds, seed):
 
 
 def material_props(T, p):
-    """Temperature-dependent (Cp in J/(kg K), kappa in W/(m K)); the
-    kernel evaluates the same quadratics in place."""
-    T = np.asarray(T, dtype=float)
+    """Temperature-dependent (Cp in J/(kg K), kappa in W/(m K)) in T's
+    float dtype; the kernel evaluates the same quadratics in place."""
+    T = np.asarray(T)
     cp = p.a0 + p.a1 * T + p.a2 * T**2
     kap = p.b0 + p.b1 * T + p.b2 * T**2
     return cp, kap
 
 
-def solve_field_per_run(d, z, p, grid, *ceiling):
+def solve_field_per_run(d, z, p, grid, *ceiling, dtype=thermal.FIELD_DTYPE):
     """One run of the thermal solver stepped on its own, one field at a
     time: the loop thermal._solve_field advances in lockstep blocks, with
     the step thermal._plan gives for its default or the given ceiling (a
-    multiple of Tliq).  A run fails when its probe leaves [clamp_lo,
-    3 Tliq], or when at its end the field is not finite or the peak is over
-    the plan's top; one that fails under a top below 3 Tliq is solved again
-    at 3 Tliq, as thermal._solve_field does.
+    multiple of Tliq).  The fields are of the given dtype, the kernel's by
+    default, and the float64 beam deposit is cast to it where the kernel
+    casts it.  A run fails when its probe leaves [clamp_lo, 3 Tliq], or
+    when at its end the field is not finite or the peak is over the plan's
+    top; one that fails under a top below 3 Tliq is solved again at 3 Tliq,
+    as thermal._solve_field does.
 
     Returns (temps, peak_sim, final_sim, peak_field), peak_field being the
     peak resampled to the stress grid as thermal.simulate_batch does.
@@ -200,7 +202,7 @@ def solve_field_per_run(d, z, p, grid, *ceiling):
     clamp_hi = 3.0 * p.Tliq
     times = thermal.snapshot_times(d.v, p.l)
 
-    T = np.full((nx, nz), float(z.T0))
+    T = np.full((nx, nz), float(z.T0), dtype=dtype)
     peak = T.copy()
     amp = 2.0 * p.A * d.P / (np.pi * p.r**2 * p.z0)
     gz = thermal._depth_deposit(nz, dz, p.h, p.z0)
@@ -226,7 +228,7 @@ def solve_field_per_run(d, z, p, grid, *ceiling):
         rate[:, 1:] -= fz
         if d.P > 0:
             gx = thermal._gauss_deposit(x_edges, d.v * t_old, p.r, dx)
-            rate += amp * np.outer(gx, gz)
+            rate += (amp * np.outer(gx, gz)).astype(dtype)
         t_k = T[:, -1] + thermal.KELVIN_OFFSET
         rate[:, -1] -= rad_coeff * (t_k**4 - tc_k4) / dz
         T = T + dt * rate / (rho * cp)
@@ -238,7 +240,7 @@ def solve_field_per_run(d, z, p, grid, *ceiling):
     if error is None and not (np.isfinite(T).all() and peak.max() <= top):
         error = thermal.SimulationError(f"peak {peak.max()} over the top {top}", n_steps)
     if error and top < clamp_hi:
-        return solve_field_per_run(d, z, p, grid, 3.0)
+        return solve_field_per_run(d, z, p, grid, 3.0, dtype=dtype)
     if error:
         raise error
     temps = np.interp(times, np.arange(n_steps + 1) * dt, trace)

@@ -467,6 +467,17 @@ class TestSimulationBatch:
             assert np.array_equal(t1, t2)
             assert np.array_equal(s1, s2)
 
+    def test_matrices_stay_float64(self, tmp_path):
+        # the kernel's fields are float32; the probe rows, the stress rows and
+        # their CSVs are float64 at full precision
+        cfg = PipelineConfig(M=43, grid=SimGridConfig(16, 8), out_dir=str(tmp_path))
+        _, T, S = run_simulations(cfg)
+        assert (T.shape, S.shape) == ((43, 31), (43, 448))
+        for name, data in (("T.csv", T), ("S.csv", S)):
+            assert data.dtype == np.float64
+            assert not np.array_equal(data.astype(np.float32), data)
+            assert np.array_equal(np.loadtxt(tmp_path / name, delimiter=","), data)
+
 
 @pytest.fixture(scope="module")
 def optimized(trained):

@@ -218,6 +218,15 @@ class TestModelParamsValidation:
             SimGridConfig(cells_x=2)
         with pytest.raises(ValueError, match="cfl"):
             SimGridConfig(cfl_factor=1.5)
+        # a cell count must be an integer, and a bool is not one
+        for name, bad in (("cells_x", 64.5), ("cells_x", "64"), ("cells_z", 26.0),
+                          ("cells_z", True), ("cells_x", np.float64(64.0))):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SimGridConfig(**{name: bad})
+        grid = SimGridConfig(np.int64(16), np.int32(8))
+        assert_same(thermal.simulate(DesignPoint(550.0, 110.0), NOMINAL_Z, grid=grid),
+                    thermal.simulate(DesignPoint(550.0, 110.0), NOMINAL_Z,
+                                     grid=SimGridConfig(16, 8)))
 
 
 class TestSimulate:
@@ -681,6 +690,58 @@ class TestStabilityBound:
         t_k = t_top + thermal.KELVIN_OFFSET
         radiation = 4.0 * p.eps_s * thermal.STEFAN_BOLTZMANN_MM * t_k**3 / dz
         assert radiation < 0.01 * conduction
+
+
+class TestFieldDtype:
+    """The kernel steps its fields in thermal.FIELD_DTYPE (float32); what it
+    returns is float64 and within a fixed bound of stepping in float64."""
+
+    # criterion 7's designs at the nominal draw, then d* at the four corners
+    # of the random-input box in (T0, rho), the only inputs the thermal model
+    # reads
+    RUNS = [(DesignPoint(v, P), NOMINAL_Z) for v, P in (
+        (500.0, 0.0), (550.0, 20.0), (550.0, 110.0), (550.0, 200.0),
+        (100.0, 110.0), (1000.0, 110.0))] + [
+        (DesignPoint(233.966, 200.0), RandomInputs(T0, 825.0, 110.0, rho))
+        for T0 in thermal.RANDOM_INPUT_BOUNDS["T0"]
+        for rho in thermal.RANDOM_INPUT_BOUNDS["rho"]]
+    # the largest differences from float64 seen on the default grid were
+    # 1.80e-3 degC on the probe and 3.80e-3 degC on the peak field, over the
+    # 50 validation draws at the baseline d*; these runs reach 5.9e-4 and
+    # 1.2e-3.  The bounds leave about 2.7x on the larger pair, and stay three
+    # orders under the explicit step's own 4.8 degC time error at d*
+    PROBE_BOUND, PEAK_BOUND = 5e-3, 1e-2
+
+    def test_float32_fields_stay_within_the_bound_of_float64(self):
+        p, grid = ModelParams(), SimGridConfig()
+        assert thermal.FIELD_DTYPE == np.float32
+        snaps = thermal.simulate_batch(*zip(*self.RUNS), p, grid)
+        for run, snap in zip(self.RUNS, snaps, strict=True):
+            temps, _, _, peak_field = solve_field_per_run(*run, p, grid, dtype=np.float64)
+            assert np.abs(snap.temps - temps).max() < self.PROBE_BOUND
+            assert np.abs(snap.peak_field - peak_field).max() < self.PEAK_BOUND
+
+    def test_results_are_float64(self):
+        snap = thermal.simulate(DesignPoint(550.0, 110.0), NOMINAL_Z,
+                                grid=SimGridConfig(16, 8))
+        for field in ("times", "temps", "peak_field"):
+            assert getattr(snap, field).dtype == np.float64
+        # the probe and the resampled peak blend float32 cells in float64
+        assert not np.array_equal(snap.temps.astype(np.float32), snap.temps)
+        assert not np.array_equal(snap.peak_field.astype(np.float32), snap.peak_field)
+
+    def test_blocks_of_16_and_5_give_the_same_20_runs(self, monkeypatch):
+        rng, grid = np.random.default_rng(21), SimGridConfig(16, 8)
+        bounds = {**thermal.DESIGN_BOUNDS, **thermal.RANDOM_INPUT_BOUNDS}
+        draws = [{k: float(rng.uniform(*b)) for k, b in bounds.items()} for _ in range(20)]
+        designs = [DesignPoint(x["v"], x["P"]) for x in draws]
+        inputs = [RandomInputs(x["T0"], x["Y"], x["E"], x["rho"]) for x in draws]
+        monkeypatch.setattr(thermal, "BLOCK_RUNS", 16)
+        whole = thermal.simulate_batch(designs, inputs, grid=grid)
+        monkeypatch.setattr(thermal, "BLOCK_RUNS", 5)
+        split = thermal.simulate_batch(designs, inputs, grid=grid)
+        for a, b in zip(whole, split, strict=True):
+            assert_same(a, b)
 
 
 class TestBulkDensity:
