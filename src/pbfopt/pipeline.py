@@ -570,8 +570,12 @@ def run_optimization(
 
 
 def simulate_stress_maxima(cfg: PipelineConfig, d: DesignPoint, samples) -> np.ndarray:
-    """Maximum residual stress from one simulation per material sample."""
+    """Maximum residual stress from one simulation per material sample, a
+    (k, 4) array of (T0, Y, E, rho) rows with k >= 1 (one row may be 1-D)."""
     z = np.atleast_2d(np.asarray(samples, dtype=float))
+    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] != 4:
+        raise ValueError("validation samples must be a (k, 4) array of (T0, Y, E, rho) "
+                         f"rows with k >= 1, got shape {np.shape(samples)}")
     rows = np.column_stack(
         [np.full(z.shape[0], d.v), np.full(z.shape[0], d.P), z]
     )

@@ -14,14 +14,19 @@ its density, time step, step count, clamp range and beam; sorted by step
 count, those still stepping are a leading prefix.  Every element gets a
 single-run step's arithmetic in its order, so no result depends on the
 block.  The beam's cell averages take erf from a port of fdlibm's (_erf),
-for DEPOSIT_STEPS steps per call.  The probe (top-surface center), recorded
-after every step, is interpolated linearly to the 31 snapshot instants.  The
-step is the grid's cfl_factor share of the largest one that keeps the explicit
-scheme's maximum principle (_stable_step): rho*min Cp(T) / ((kappa(T) +
-kappa_max)*(1/dx^2 + 1/dz^2)) up to its plan's top, 1.5 Tliq, above every run
-in the design box.  A run fails if its probe leaves [min(T0, Tc) - 50, 3 Tliq]
+for a chunk of DEPOSIT_STEPS steps per call.  The step is the grid's
+cfl_factor share of the largest one that keeps the explicit scheme's maximum
+principle (_stable_step): rho*min Cp(T) / ((kappa(T) + kappa_max)*(1/dx^2 +
+1/dz^2)) up to its plan's top, 1.5 Tliq, above every run in the design box.
+A run fails if its probe leaves [min(T0, Tc) - 50, 3 Tliq] by its last step
 or, at its end, its field is not finite or its peak is over the top; it is
 solved again with the 3 Tliq plan, under which a failure is final.
+
+The probe (top-surface center) lies between four cells, and a step copies
+only those of each run.  After a chunk of steps they are blended as _bilinear
+blends, into the float64 probe trace, and checked against the band; a block
+whose runs have all failed stops at that chunk's end.  The trace is
+interpolated linearly between step ends to the 31 snapshot instants.
 
 The per-cell arrays (temperature, peak, dt, rho, cp, kappa, rate, squares and
 face fluxes) are FIELD_DTYPE, float32: the step is bound by memory bandwidth,
@@ -63,7 +68,7 @@ STEFAN_BOLTZMANN_MM = 5.67e-14  # W / (mm^2 K^4)
 KELVIN_OFFSET = 273.15
 BLOCK_RUNS = 16  # runs stepped together in one lockstep block
 FIELD_DTYPE = np.float32  # the kernel's per-cell arrays; see the module docstring
-DEPOSIT_STEPS = 64  # steps whose beam deposits one erf call computes
+DEPOSIT_STEPS = 64  # steps per chunk: one erf call for their beams, one probe check
 TOP_CEILING = 3.0  # x Tliq: the probe band's top and the last plan's top
 _UNIT = (1.0, 0.0, 0.0)  # the quadratic 1, denominator of a plain quadratic
 
@@ -399,57 +404,69 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
     gz = _depth_deposit(nz, dz, p.h, p.z0)  # per cell row, index 0 = bottom
     j0 = int(np.flatnonzero(gz)[0])  # the beam reaches rows j0 to the top
     tc_k4, rad_coeff = (p.Tc + KELVIN_OFFSET) ** 4, STEFAN_BOLTZMANN_MM * p.eps_s
-    # the probe keeps one cell and one set of bilinear weights throughout
-    cell = _bilinear_cell((nx, nz), dx / 2, dx, dz / 2, dz, p.l / 2.0, p.h)
+    # the probe keeps one cell and one set of bilinear weights throughout; a step
+    # copies only the cell's four corners (x, z offsets 00, 01, 10, 11) of each run
+    i, j, wx, wz = _bilinear_cell((nx, nz), dx / 2, dx, dz / 2, dz, p.l / 2.0, p.h)
+    corners = (j + np.array([0, 1, 0, 1])) * nx + i + np.array([0, 0, 1, 1])
+    corners = corners[:, None] + cells * np.arange(len(order))  # (4, runs), flat in T
+    chunk = np.empty((DEPOSIT_STEPS, 4, len(order)), FIELD_DTYPE)
+
+    def blend(rows):  # _bilinear's arithmetic on recorded corners, (steps, runs)
+        return _bilinear(np.moveaxis(rows.reshape(-1, 2, 2, len(order)), 0, 2), 0, 0, wx, wz)
     hi = TOP_CEILING * p.Tliq
     trace = np.empty((n_steps[0] + 1, len(order)))  # probe at each step's end
-    trace[0] = _bilinear(T3.T, *cell)
-    n, errors = len(order), [None] * len(order)
+    trace[0] = blend(T[corners][None])
+    fail = np.zeros(len(order), int)  # each run's first step out of the band, or 0
+    n = len(order)
     with np.errstate(all="ignore"):  # a failed run steps on, never read
-        for step in range(1, n_steps[0] + 1):
-            while n_steps[n - 1] < step:
+        for start in range(1, n_steps[0] + 1, DEPOSIT_STEPS):
+            stop = min(start + DEPOSIT_STEPS, n_steps[0] + 1)
+            while n_steps[n - 1] < start:
                 n -= 1
-            m = n * cells
-            Tn, cpn, kapn, raten, sqn = T[:m], cp[:m], kap[:m], rate[:m], sq[:m]
-            # Cp = a0 + a1 T + a2 T^2 and kappa = b0 + b1 T + b2 T^2, in place
-            np.square(Tn, out=sqn)
-            for c0, c1, c2, prop in ((p.a0, p.a1, p.a2, cpn), (p.b0, p.b1, p.b2, kapn)):
-                np.add(np.multiply(Tn, c1, out=prop), c0, out=prop)
-                prop += np.multiply(sqn, c2, out=raten)
-            kapn *= 1e-3
-            # conduction, mean face conductivity: each face's share of its two
-            # cells' rates, (kappa_i + kappa_j) (T_j - T_i) times 0.5 / h / h
-            for weight, off, f, wall in faces:
-                flux = f[off:m]
-                np.add(kapn[off:], kapn[:-off], out=flux)
-                flux *= np.subtract(Tn[off:], Tn[:-off], out=sqn[:-off])
-                flux *= weight
-                wall[:n] = 0.0
-            np.subtract(fx[1 : m + 1], fx[:m], out=raten)
-            raten += fz[nx : m + nx]
-            raten -= fz[:m]
             # beam deposition on its rows, cell-averaged in both directions; one
-            # erf call takes the beams of the next DEPOSIT_STEPS steps
-            k = (step - 1) % DEPOSIT_STEPS
-            if k == 0:
-                ahead = np.arange(step - 1, min(step - 1 + DEPOSIT_STEPS, n_steps[0]))
-                beam = v[:n, None] * (ahead[:, None, None] * dt[:n, None])
-                gx = _gauss_deposit(x_edges, beam, p.r, dx)  # (steps, runs, cells)
-            deposit = gx[k, :n, None] * gz[j0:, None] * amp[:n, None, None]
-            rate3[:n, j0:] += deposit.astype(FIELD_DTYPE)
-            # top-surface radiation out of the top cell row
-            rate3[:n, -1] -= rad_coeff * ((T3[:n, -1] + KELVIN_OFFSET) ** 4 - tc_k4) / dz
-            # T += dt * rate / (rho * cp)
-            raten *= dt_c[:m]
-            raten /= np.multiply(cpn, rho_c[:m], out=cpn)
-            Tn += raten
-            np.maximum(peak[:m], Tn, out=peak[:m])
-            probe = trace[step, :n] = _bilinear(T3[:n].T, *cell)
-            for s in np.flatnonzero(~((lo[:n] <= probe) & (probe <= hi))):  # nan
-                errors[s] = errors[s] or SimulationError(
-                    f"probe temperature {probe[s]:.1f} degC outside "
-                    f"[{lo[s]:.1f}, {hi:.1f}] at step {step}", step)
-            if None not in errors:
+            # erf call takes the beams of the chunk's steps
+            ahead = np.arange(start - 1, stop - 1)
+            beam = v[:n, None] * (ahead[:, None, None] * dt[:n, None])
+            gx = _gauss_deposit(x_edges, beam, p.r, dx)  # (steps, runs, cells)
+            for k, step in enumerate(range(start, stop)):
+                while n_steps[n - 1] < step:
+                    n -= 1
+                m = n * cells
+                Tn, cpn, kapn, raten, sqn = T[:m], cp[:m], kap[:m], rate[:m], sq[:m]
+                # Cp = a0 + a1 T + a2 T^2 and kappa = b0 + b1 T + b2 T^2, in place
+                np.square(Tn, out=sqn)
+                for c0, c1, c2, prop in ((p.a0, p.a1, p.a2, cpn), (p.b0, p.b1, p.b2, kapn)):
+                    np.add(np.multiply(Tn, c1, out=prop), c0, out=prop)
+                    prop += np.multiply(sqn, c2, out=raten)
+                kapn *= 1e-3
+                # conduction, mean face conductivity: each face's share of its two
+                # cells' rates, (kappa_i + kappa_j) (T_j - T_i) times 0.5 / h / h
+                for weight, off, f, wall in faces:
+                    flux = f[off:m]
+                    np.add(kapn[off:], kapn[:-off], out=flux)
+                    flux *= np.subtract(Tn[off:], Tn[:-off], out=sqn[:-off])
+                    flux *= weight
+                    wall[:n] = 0.0
+                np.subtract(fx[1 : m + 1], fx[:m], out=raten)
+                raten += fz[nx : m + nx]
+                raten -= fz[:m]
+                deposit = gx[k, :n, None] * gz[j0:, None] * amp[:n, None, None]
+                rate3[:n, j0:] += deposit.astype(FIELD_DTYPE)
+                # top-surface radiation out of the top cell row
+                rate3[:n, -1] -= rad_coeff * ((T3[:n, -1] + KELVIN_OFFSET) ** 4 - tc_k4) / dz
+                # T += dt * rate / (rho * cp)
+                raten *= dt_c[:m]
+                raten /= np.multiply(cpn, rho_c[:m], out=cpn)
+                Tn += raten
+                np.maximum(peak[:m], Tn, out=peak[:m])
+                chunk[k] = T[corners]
+            # the chunk's probe against the band; a run past its end repeats its
+            # last probe, so its first failure is at or before its own end
+            probe = trace[start:stop] = blend(chunk[: stop - start])
+            bad = ~((lo <= probe) & (probe <= hi))  # nan is out of the band
+            new = (fail == 0) & bad.any(0)
+            fail[new] = start + bad.argmax(0)[new]
+            if fail.all():  # every run has failed: no later step is read
                 break
     # the peak field resampled to the 32x14 stress grid by clamped bilinear
     # interpolation, so it inherits the initial-condition floor T0
@@ -458,17 +475,19 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
     stress_cell = _bilinear_cell((nx, nz), dx / 2, dx, dz / 2, dz, xq, zq)
     out = []
     for s in np.argsort(order):  # in input order
-        last, hottest = n_steps[s], peak3[s].max()
-        if errors[s] is None and not np.isfinite(T3[s]).all():
-            errors[s] = SimulationError(f"field became non-finite by step {last}", last)
-        if errors[s] is None and not hottest <= top[s]:
-            errors[s] = SimulationError(f"peak field {hottest:.1f} degC over the plan's "
-                                        f"top {top[s]:.1f} degC by step {last}", last)
-        # the trace interpolated between step ends; interp clamps a rounding overshoot
-        times = snapshot_times(v[s], p.l)
-        temps = np.interp(times, np.arange(last + 1) * dt[s], trace[: last + 1, s])
-        out.append(errors[s] or TemperatureSnapshot(times, temps,
-                                                    _bilinear(peak3[s].T, *stress_cell)))
+        step, end = int(fail[s]), n_steps[s]
+        if step:
+            out.append(SimulationError(f"probe temperature {trace[step, s]:.1f} degC "
+                                       f"outside [{lo[s]:.1f}, {hi:.1f}] at step {step}", step))
+        elif not np.isfinite(T3[s]).all():
+            out.append(SimulationError(f"field became non-finite by step {end}", end))
+        elif not (hottest := peak3[s].max()) <= top[s]:
+            out.append(SimulationError(f"peak field {hottest:.1f} degC over the plan's "
+                                       f"top {top[s]:.1f} degC by step {end}", end))
+        else:  # the trace interpolated between step ends; interp clamps an overshoot
+            times = snapshot_times(v[s], p.l)
+            temps = np.interp(times, np.arange(end + 1) * dt[s], trace[: end + 1, s])
+            out.append(TemperatureSnapshot(times, temps, _bilinear(peak3[s].T, *stress_cell)))
     return out
 
 
@@ -478,14 +497,17 @@ def simulate_batch(designs, inputs, p: ModelParams | None = None,
     """One scan per (design, random inputs) pair, snapshots in that order.
 
     Every run is checked and planned before any steps.  Sorted by step count,
-    the runs go in blocks of BLOCK_RUNS to _solve_field through map_blocks (map,
-    or a process pool's), which changes no result.  The lowest-indexed failed
+    the runs go in as many blocks as BLOCK_RUNS-run ones would take, of sizes
+    that differ by at most one, to _solve_field through map_blocks (map, or a
+    process pool's), which changes no result.  The lowest-indexed failed
     run raises its SimulationError with .run set; map skips blocks above it."""
     p = ModelParams() if p is None else p
     grid = SimGridConfig() if grid is None else grid
     runs = [(d, z, _plan(d, z, p, grid)) for d, z in zip(designs, inputs, strict=True)]
     order = sorted(range(len(runs)), key=lambda k: -runs[k][2][2])
-    blocks = [order[i : i + BLOCK_RUNS] for i in range(0, len(order), BLOCK_RUNS)]
+    count = -(-len(order) // BLOCK_RUNS)
+    blocks = [order[len(order) * i // count : len(order) * (i + 1) // count]
+              for i in range(count)]
     snaps, sent = [None] * len(runs), []  # results by run; the blocks handed out
 
     def todo():  # map takes a block once the last one is solved, a pool all at once

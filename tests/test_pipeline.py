@@ -8,6 +8,7 @@ pins the whole reduce-discover-fit chain end to end.
 """
 
 import json
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -454,6 +455,25 @@ class TestSimulationBatch:
         with pytest.raises(ValueError, match="rho"):
             simulate_stress_maxima(cfg, DesignPoint(500.0, 100.0), z)
         assert kernel_calls == []
+
+    @pytest.mark.parametrize("shape", [(1, 3), (1, 5), (0, 4), (0,), (2, 2, 4)])
+    def test_samples_not_k_by_4_rejected_before_stepping(
+        self, tmp_path, monkeypatch, shape
+    ):
+        kernel_calls = []
+        monkeypatch.setattr(thermal, "_solve_field", lambda *a, **k: kernel_calls.append(a))
+        cfg = PipelineConfig(out_dir=str(tmp_path))
+        z = np.full(shape, 650.0)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            simulate_stress_maxima(cfg, DesignPoint(500.0, 100.0), z)
+        assert kernel_calls == []
+
+    def test_one_sample_row_may_be_1d(self, tmp_path):
+        cfg = PipelineConfig(grid=SimGridConfig(16, 8), out_dir=str(tmp_path))
+        z = [650.0, 825.0, 110.0, 612.0]
+        d = DesignPoint(500.0, 100.0)
+        assert np.array_equal(simulate_stress_maxima(cfg, d, z),
+                              simulate_stress_maxima(cfg, d, [z]))
 
     def test_workers_match_serial_bit_for_bit(self, tmp_path):
         z = draw_material_samples(

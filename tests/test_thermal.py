@@ -432,6 +432,82 @@ class TestLockstepBatch:
             assert np.array_equal(raw.temps, temps)
             assert np.array_equal(raw.peak_field, peak_field)
 
+    @staticmethod
+    def probe_failure(run, p, grid):
+        """The per-run loop's probe failure at the 3 Tliq plan, as (message
+        in the kernel's words, step)."""
+        with pytest.raises(SimulationError) as info:
+            solve_field_per_run(*run, p, grid, 3.0)
+        probe = float(re.fullmatch(r"probe (\S+) outside the clamp", str(info.value))[1])
+        lo, hi = min(run[1].T0, p.Tc) - 50.0, 3.0 * p.Tliq
+        return (f"probe temperature {probe:.1f} degC outside [{lo:.1f}, {hi:.1f}] "
+                f"at step {info.value.step}", info.value.step)
+
+    def test_run_leaving_the_band_mid_chunk_is_checked_after_its_steps(self):
+        # at the 3 Tliq plan the powered slow scan leaves the probe band at step
+        # 131, inside its third erf chunk; the others end at steps 52 and 71,
+        # before it, and 282, after it, and none fails
+        p, grid, z = ModelParams(), self.GRID, NOMINAL_Z
+        failing = (DesignPoint(100.0, 2000.0), z)
+        runs = [(DesignPoint(550.0, 200.0), z), failing, (DesignPoint(100.0, 200.0), z),
+                (DesignPoint(400.0, 150.0), z)]
+        with pytest.raises(SimulationError) as alone:
+            thermal.simulate(*failing, p, grid)
+        assert alone.value.step % thermal.DEPOSIT_STEPS not in (0, 1)
+        block = planned(runs, p, grid, 3.0)
+        assert sorted(plan[2] for _, _, plan in block)[-2] > alone.value.step
+        raw = thermal._step_block(block, p, grid)
+        assert isinstance(raw[1], SimulationError)
+        assert (str(raw[1]), raw[1].step) == (str(alone.value), alone.value.step)
+        assert (str(raw[1]), raw[1].step) == self.probe_failure(failing, p, grid)
+        for run, snap in zip(runs[:1] + runs[2:], raw[:1] + raw[2:]):
+            temps, _, _, peak_field = solve_field_per_run(*run, p, grid, 3.0)
+            assert np.array_equal(snap.temps, temps)
+            assert np.array_equal(snap.peak_field, peak_field)
+
+    def test_block_of_failed_runs_stops_within_a_chunk_of_the_last_failure(
+        self, monkeypatch
+    ):
+        # every run leaves the probe band at the 3 Tliq plan, the last at step
+        # 111 of the longest run's 282; stepping on would take 5 erf chunks
+        p, grid, z = ModelParams(), self.GRID, NOMINAL_Z
+        runs = [(DesignPoint(v, P), z) for v, P in ((100.0, 5000.0), (120.0, 3000.0),
+                                                    (300.0, 3000.0))]
+        errors = []
+        for run in runs:
+            with pytest.raises(SimulationError) as alone:
+                thermal.simulate(*run, p, grid)
+            errors.append(alone.value)
+        block = planned(runs, p, grid, 3.0)
+        chunks = -(-max(e.step for e in errors) // thermal.DEPOSIT_STEPS)
+        assert chunks < -(-block[0][2][2] // thermal.DEPOSIT_STEPS)
+        deposit, calls = thermal._gauss_deposit, []
+        monkeypatch.setattr(thermal, "_gauss_deposit",
+                            lambda *a: calls.append(1) or deposit(*a))
+        raw = thermal._step_block(block, p, grid)
+        assert len(calls) == chunks
+        for run, r, alone in zip(runs, raw, errors, strict=True):
+            assert (str(r), r.step) == (str(alone), alone.step)
+            assert (str(r), r.step) == self.probe_failure(run, p, grid)
+
+    @pytest.mark.parametrize("count", [0, 17, 50])
+    def test_blocks_are_balanced(self, monkeypatch, count):
+        # as many blocks as runs of BLOCK_RUNS take, so a process pool gets as
+        # many, with sizes that differ by at most one
+        rng, grid = np.random.default_rng(22), SimGridConfig(16, 8)
+        bounds = {**thermal.DESIGN_BOUNDS, **thermal.RANDOM_INPUT_BOUNDS}
+        draws = [{k: float(rng.uniform(*b)) for k, b in bounds.items()}
+                 for _ in range(count)]
+        designs = [DesignPoint(x["v"], x["P"]) for x in draws]
+        inputs = [RandomInputs(x["T0"], x["Y"], x["E"], x["rho"]) for x in draws]
+        solve, calls = thermal._solve_field, []
+        monkeypatch.setattr(thermal, "_solve_field",
+                            lambda runs, **kw: calls.append(len(runs)) or solve(runs, **kw))
+        snaps = thermal.simulate_batch(designs, inputs, grid=grid)
+        assert len(snaps) == sum(calls) == count
+        assert len(calls) == math.ceil(count / thermal.BLOCK_RUNS)
+        assert max(calls, default=0) - min(calls, default=0) <= 1
+
 
 class TestFlatBlock:
     """Block layouts the flat kernel could get wrong, each run against the
