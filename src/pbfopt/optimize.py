@@ -5,7 +5,8 @@ buffered failure-probability budget on maximum residual stress and a
 melt-window band on the mean maximum temperature.  One frozen Monte Carlo
 sample set per solve turns the stochastic constraints into deterministic
 functions of the design (sample average approximation with common random
-numbers).  The buffered probability is the minimum over zeta < tau of
+numbers), and solve_starts solves every start on the same set.  The
+buffered probability is the minimum over zeta < tau of
 mean((sigma - zeta)^+) / (tau - zeta); each evaluation solves that inner
 minimization exactly, so zeta is reported but never searched.
 """
@@ -31,6 +32,7 @@ __all__ = [
     "stress_max_samples",
     "is_feasible",
     "solve",
+    "solve_starts",
 ]
 
 CONSTRAINT_BPOF = "bpof"
@@ -188,6 +190,33 @@ def _hull_columns(vectors: np.ndarray) -> np.ndarray:
     return np.arange(n)
 
 
+def _reachable_rows(vectors: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The rows of `vectors` that can win the max of vectors @ g in some
+    column of g: a subset that holds every column's winner.
+
+    Where g[0] > 0 in every column, a row v's value there is g[0] times
+    v[0] + v[1:] @ r, r = g[1:] / g[0], which is linear in r; so over the
+    box bounding r across the columns it ranges between a low and a high
+    taken at corners of that box.  A row whose high falls below the
+    highest low by more than 1e-9 of the rows' scale, far above the
+    rounding of v @ g, is beaten at every corner by the row with that low.
+    Dropping such rows leaves the max over every row, bit for bit.
+    Otherwise, or where a ratio overflows, every row is kept.
+    """
+    if not (g[0] > 0.0).all():
+        return vectors
+    ratios = g[1:] / g[0]
+    lo, hi = ratios.min(axis=1), ratios.max(axis=1)
+    # |v[0]| + |v[1:]| @ |r| on the box bounds each row's value and its rounding
+    margin = 1e-9 * (np.abs(vectors) @ np.append(1.0, np.maximum(-lo, hi))).max()
+    if not np.isfinite(margin):
+        return vectors
+    a, b = vectors[:, 1:] * lo, vectors[:, 1:] * hi
+    low = vectors[:, 0] + np.minimum(a, b).sum(axis=1)
+    high = vectors[:, 0] + np.maximum(a, b).sum(axis=1)
+    return vectors[high >= low.max() - margin]
+
+
 class _RowMax:
     """Per-sample maximum of one output's predicted row at any normalized
     design, on one fixed set of normalized material draws u_z.
@@ -195,9 +224,13 @@ class _RowMax:
     A design only shifts each feature's active variables by u_d @ w1[:2],
     so the monomial basis of the material part u_z @ w1[2:] is built once,
     n_mc x (coefficients over its features) x 8 bytes, and each design folds
-    its shift into the coefficients.  The max runs over the rows
-    _hull_columns keeps: for one or two features the right vectors' convex
-    hull vertices, which no other row can beat, and otherwise every row.
+    its shift into the coefficients.  Two cuts leave the max unchanged.
+    Once, _hull_columns keeps the rows that can win for some feature vector
+    g: for one or two features the right vectors' convex hull vertices,
+    and otherwise every row.  At each design, _reachable_rows keeps those
+    that can win for the draws' own feature vectors, which span a narrow
+    cone: on the nominal bundle one to nine of its 32 stress and 23
+    temperature hull rows.
     """
 
     def __init__(self, output: surrogate.OutputModel, u_z: np.ndarray):
@@ -213,8 +246,9 @@ class _RowMax:
         g = np.stack(
             [a @ shift(m.poly, u_d @ m.subspace.w1[:2]) for m, a in self._bases]
         )
-        out = self._vectors[0] @ g
-        for v in self._vectors[1:]:  # column-wise max, one n-length row at a time
+        rows = _reachable_rows(self._vectors, g)
+        out = rows[0] @ g
+        for v in rows[1:]:  # column-wise max, one n-length row at a time
             np.maximum(out, v @ g, out=out)
         return out
 
@@ -247,10 +281,16 @@ def _qp(hess, g, rows, jac):
     it is the best feasible such candidate.  Returns (d, multipliers) or None."""
     best = (np.inf, None)
     for k in range(3):
+        # [[hess, -J.T], [J, 0]] d, lam = [-g, -rows] for the k active rows J,
+        # filled in place for each active set of that size
+        kkt, rhs = np.zeros((2 + k, 2 + k)), np.empty(2 + k)
+        kkt[:2, :2], rhs[:2] = hess, -g
         for act in map(list, combinations(range(rows.size), k)):
-            kkt = np.block([[hess, -jac[act].T], [jac[act], np.zeros((k, k))]])
+            kkt[2:, :2] = jac[act]
+            kkt[:2, 2:] = -jac[act].T
+            rhs[2:] = -rows[act]
             try:
-                sol = np.linalg.solve(kkt, np.concatenate([-g, -rows[act]]))
+                sol = np.linalg.solve(kkt, rhs)
             except np.linalg.LinAlgError:  # dependent rows
                 continue
             d, lam = sol[:2], np.zeros(rows.size)
@@ -372,14 +412,37 @@ def solve(
     an elastic phase reruns it on the squared scaled violations from the
     least-infeasible point, which is reported with feasible=False.
     """
-    try:
-        start = normalize_inputs(np.array([d0.v, d0.P]), b.input_bounds[:2])
-    except ValueError as e:
-        raise ValueError(f"initial design ({d0.v}, {d0.P}): {e}") from None
+    return solve_starts(b, cfg, [d0])[0]
+
+
+def solve_starts(
+    b: surrogate.SurrogateBundle, cfg: OptimizeConfig, starts
+) -> list[OptimizationResult]:
+    """solve from each design in starts, every start on the same frozen
+    sample set: the draws and their bases are built once, and each start's
+    result equals a lone solve from it, bit for bit."""
+    points = []
+    for d0 in starts:
+        try:
+            x0 = normalize_inputs(np.array([d0.v, d0.P]), b.input_bounds[:2])
+        except ValueError as e:
+            raise ValueError(f"initial design ({d0.v}, {d0.P}): {e}") from None
+        points.append(x0)
+    row_max = _frozen_row_max(b, cfg)
+    return [_solve_from(_SolveState(b, cfg, row_max), x0) for x0 in points]
+
+
+def _frozen_row_max(b: surrogate.SurrogateBundle, cfg: OptimizeConfig):
+    """The (stress, temperature) _RowMax pair on cfg's frozen draws.  The
+    draws themselves are freed here, before any solve: only their bases
+    are needed."""
     rng = np.random.default_rng(cfg.seed)
-    z_raw = draw_material_samples(b.input_bounds[2:], cfg.n_mc, rng)
-    u_z = _material_inputs(b, z_raw)
-    state = _SolveState(b, cfg, (_RowMax(b.stress, u_z), _RowMax(b.temperature, u_z)))
+    u_z = _material_inputs(b, draw_material_samples(b.input_bounds[2:], cfg.n_mc, rng))
+    return _RowMax(b.stress, u_z), _RowMax(b.temperature, u_z)
+
+
+def _solve_from(state: _SolveState, start: np.ndarray) -> OptimizationResult:
+    """One solve's phases from a normalized start point (see solve)."""
 
     def energy_and_rows(x):
         e, _, rows = state.assess(x)

@@ -52,8 +52,8 @@ def estimate_quantile(values, alpha: float) -> float:
     # round half up, not banker's rounding
     k = int(np.floor(m * (1.0 - alpha) + 0.5))
     k = min(max(k, 1), m)
-    # k-th largest = (m - k)-th entry of the ascending sort
-    return float(np.sort(vals)[m - k])
+    # k-th largest = (m - k)-th entry of the ascending order
+    return float(np.partition(vals, m - k)[m - k])
 
 
 def estimate_superquantile(values, alpha: float) -> float:

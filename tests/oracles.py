@@ -26,6 +26,14 @@ def heat_flux(x, y, z, t, d, p):
     return amp * np.exp(-2.0 * ((x - d.v * t) ** 2 + y**2) / p.r**2) * depth
 
 
+def estimate_quantile_sort(values, alpha):
+    """risk.estimate_quantile read from a full ascending sort: the k-th
+    largest sample, k = round(m (1 - alpha)) half up, clamped to [1, m]."""
+    g = np.sort(np.asarray(values, dtype=float).ravel())
+    k = min(max(int(np.floor(g.size * (1.0 - alpha) + 0.5)), 1), g.size)
+    return float(g[g.size - k])
+
+
 def estimate_bpof_tail(values, alpha):
     """Tail-scanning estimate of the (bpof, threshold) pair at level alpha.
 
@@ -95,6 +103,17 @@ def row_max_samples(bundle, side, d, samples):
     return predict_row(bundle, side, xi).max(axis=0)
 
 
+def hull_row_max(row_max, u_d):
+    """optimize._RowMax's per-sample maximum over every row it keeps from
+    optimize._hull_columns, each row's values formed one v @ g at a time
+    on the solver's own feature values g.  Returns (max, g)."""
+    shift = surrogate.shift_coefficients
+    g = np.stack(
+        [a @ shift(m.poly, u_d @ m.subspace.w1[:2]) for m, a in row_max._bases]
+    )
+    return np.max([v @ g for v in row_max._vectors], axis=0), g
+
+
 def temperature_max_samples(bundle, d, samples):
     """row_max_samples on the temperature side."""
     return row_max_samples(bundle, "temperature", d, samples)
@@ -120,12 +139,7 @@ def slsqp_solve(bundle, cfg, d0):
     None when it evaluates no feasible point."""
     from scipy.optimize import minimize
 
-    z = optimize.draw_material_samples(
-        bundle.input_bounds[2:], cfg.n_mc, np.random.default_rng(cfg.seed)
-    )
-    u_z = optimize._material_inputs(bundle, z)
-    row_max = (optimize._RowMax(bundle.stress, u_z),
-               optimize._RowMax(bundle.temperature, u_z))
+    row_max = optimize._frozen_row_max(bundle, cfg)
     state = optimize._SolveState(bundle, cfg, row_max)
     x0 = normalize_inputs(np.array([d0.v, d0.P]), bundle.input_bounds[:2])
     minimize(

@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 from oracles import (
     evaluate_constraints,
+    hull_row_max,
     row_max_samples,
     slsqp_solve,
     temperature_max_samples,
@@ -46,6 +47,7 @@ from pbfopt.optimize import (
     draw_material_samples,
     energy,
     solve,
+    solve_starts,
     stress_max_samples,
 )
 from pbfopt.reduction import ActiveSubspace, normalize_inputs
@@ -403,6 +405,176 @@ class TestEvaluatorAgainstFullRows:
         features = k2_bundle.stress.features
         assert len(calls) == len(features)
         assert all(s is m.poly for s, m in zip(calls, features))
+
+
+def exact_feature(direction, coefficients) -> FeatureSurrogate:
+    """A one-variable polynomial feature along a direction of halves: on
+    inputs in eighths its values, shifted or not, round nowhere."""
+    sub = ActiveSubspace(
+        w1=np.asarray(direction, dtype=float).reshape(-1, 1),
+        eigenvalues=np.zeros(6),
+        r=1,
+    )
+    c = np.asarray(coefficients, dtype=float)
+    return FeatureSurrogate(sub, PolySurrogate(n_vars=1, degree=c.size - 1,
+                                               coefficients=c, r2=1.0))
+
+
+# the leading feature (eta/2 + 1)^2 + 7 > 0 for |eta| <= 2, and one whose
+# sign changes; with integer right vectors every row value is exact
+POSITIVE = exact_feature([0.5, 0.5, 0.5, 0.5, 0, 0], [8.0, 1.0, 0.25])
+SIGNED = exact_feature([0.5, 0.5, 0.5, 0.5, 0, 0], [0.0, 1.0])
+OTHERS = (
+    exact_feature([0.5, 0, 0, 0.5, 0.5, 0.5], [0.5, 1.0, -0.25]),
+    exact_feature([0, 0.5, 0.5, 0, 0.5, 0], [-1.0, 0.5]),
+)
+
+
+def exact_bundle(lead, k: int) -> SurrogateBundle:
+    """k features per side, lead first, on the box [0, 2]^6 (so that u =
+    x - 1), with integer right vectors that repeat rows and line them up."""
+    rng = np.random.default_rng(k)
+    vectors = rng.integers(-3, 4, size=(40, k)).astype(float)
+    vectors = np.vstack([vectors, vectors[:10], 2.0 * vectors[:5]])
+    output = OutputModel(vectors, (lead, *OTHERS[: k - 1]))
+    return SurrogateBundle(np.tile([0.0, 2.0], (6, 1)), output, output)
+
+
+def eighths(rng, n: int) -> np.ndarray:
+    """n material samples on the grid of eighths in [0, 2]^4."""
+    return rng.integers(0, 17, size=(n, 4)) / 8.0
+
+
+def lifted(output: OutputModel, intercept: float) -> OutputModel:
+    """output with its leading feature's constant term set to intercept."""
+    m = output.features[0]
+    c = m.poly.coefficients.copy()
+    c[0] = intercept
+    first = replace(m, poly=replace(m.poly, coefficients=c))
+    return replace(output, features=(first, *output.features[1:]))
+
+
+class TestReachableRows:
+    """The row max over the rows the draws can reach is the max over every
+    row, bit for bit."""
+
+    DESIGNS = [(0.25, 1.75), (1.0, 1.0), (1.875, 0.125), (0.0, 2.0)]
+
+    def row_maxima(self, bundle, side, d, z):
+        """The solver's row max, the max over every hull row, the rows
+        kept, the hull rows and the feature values."""
+        u_z = normalize_inputs(z, bundle.input_bounds[2:])
+        u_d = normalize_inputs(np.array([d.v, d.P]), bundle.input_bounds[:2])
+        row_max = optimize._RowMax(getattr(bundle, side), u_z)
+        every, g = hull_row_max(row_max, u_d)
+        kept = optimize._reachable_rows(row_max._vectors, g)
+        return row_max(u_d), every, kept, row_max._vectors, g
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_positive_lead_prunes_and_keeps_the_max(self, k):
+        bundle = exact_bundle(POSITIVE, k)
+        z = eighths(np.random.default_rng(30 + k), 3000)
+        for v, p in self.DESIGNS:
+            d = DesignPoint(v=v, P=p)
+            got, every, kept, hull, g = self.row_maxima(bundle, "stress", d, z)
+            assert (g[0] > 0.0).all()
+            assert len(kept) < len(hull)
+            assert np.array_equal(got, every)
+            assert np.array_equal(got, row_max_samples(bundle, "stress", d, z))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_non_positive_lead_keeps_every_row(self, k):
+        bundle = exact_bundle(SIGNED, k)
+        z = eighths(np.random.default_rng(40 + k), 3000)
+        for v, p in self.DESIGNS:
+            d = DesignPoint(v=v, P=p)
+            got, every, kept, hull, g = self.row_maxima(bundle, "stress", d, z)
+            assert (g[0] <= 0.0).any()
+            assert np.array_equal(kept, hull)
+            assert np.array_equal(got, every)
+            assert np.array_equal(got, row_max_samples(bundle, "stress", d, z))
+
+    def test_a_negative_lead_keeps_the_row_it_makes_win(self):
+        # r = g[1] / g[0] spans [-0.1, 0], where (1, 0) beats (0, 1) at both
+        # ends; yet in the second column g[0] < 0 and (0, 1) wins
+        vectors = np.array([[1.0, 0.0], [0.0, 1.0]])
+        g = np.array([[1.0, -1.0], [0.0, 0.1]])
+        assert np.array_equal(optimize._reachable_rows(vectors, g), vectors)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and 0 * inf
+    def test_overflowing_ratio_keeps_every_row(self):
+        vectors = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+        g = np.array([[1e-310, 1.0], [1e10, 1.0]])
+        assert np.array_equal(optimize._reachable_rows(vectors, g), vectors)
+
+    def test_repeated_and_collinear_rows_tie(self):
+        # every row on the line x + y = 2 is worth 2 at r = 1, inside the box
+        # [0.5, 1.5] of g[1] / g[0]; (0, 0) is beaten at both corners
+        line = np.array([[2, 0], [2, 0], [0, 2], [1, 1], [1, 1], [-1, 3], [3, -1],
+                         [1.5, 0.5]])
+        vectors = np.vstack([line, [[0.0, 0.0]]])
+        g = np.array([[1.0, 2.0, 4.0, 0.5], [0.5, 2.0, 6.0, 0.25]])
+        kept = optimize._reachable_rows(vectors, g)
+        assert np.array_equal(kept, line)
+        assert np.array_equal(np.max(kept @ g, axis=0), np.max(vectors @ g, axis=0))
+        # on [1.9, 2.1] the repeated row (-1, 3) beats every other at both corners
+        g = np.array([[1.0, 10.0, 10.0], [2.0, 19.0, 21.0]])
+        vectors = np.vstack([line, [[-1.0, 3.0]]])
+        assert np.array_equal(optimize._reachable_rows(vectors, g), [[-1, 3]] * 2)
+
+    @pytest.mark.parametrize("side", ["stress", "temperature"])
+    @pytest.mark.parametrize("bundle", ["k2_bundle", "k3_bundle"])
+    def test_random_bundles_match_every_row_bit_for_bit(self, request, bundle, side):
+        b = request.getfixturevalue(bundle)
+        b = replace(b, **{side: lifted(getattr(b, side), 40.0)})
+        z = draw_material_samples(
+            physical_bounds()[2:], 4000, np.random.default_rng(17)
+        )
+        for v, p in [(100.0, 200.0), (232.5, 200.0), (550.0, 110.0), (1000.0, 20.0)]:
+            d = DesignPoint(v=v, P=p)
+            got, every, kept, hull, g = self.row_maxima(b, side, d, z)
+            assert (g[0] > 0.0).all()
+            assert len(kept) < len(hull)
+            assert np.array_equal(got, every)
+            want = row_max_samples(b, side, d, z)
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+class TestSharedDraws:
+    """One frozen sample set serves every start."""
+
+    def test_run_optimization_builds_each_basis_once(
+        self, k2_bundle, tmp_path, monkeypatch
+    ):
+        calls = []
+        basis = surrogate.basis
+
+        def counting(s, eta):
+            calls.append(s)
+            return basis(s, eta)
+
+        cfg = pipeline.PipelineConfig(
+            optimize=OptimizeConfig(tau=12.0, temp_window=(6.0, 9.0), n_mc=2000),
+            out_dir=str(tmp_path),
+        )
+        monkeypatch.setattr(surrogate, "basis", counting)
+        results = pipeline.run_optimization(cfg, k2_bundle)
+        monkeypatch.undo()
+        features = k2_bundle.stress.features + k2_bundle.temperature.features
+        assert len(calls) == len(features)
+        assert all(s is m.poly for s, m in zip(calls, features))
+        assert len(results) == len(pipeline.DEFAULT_STARTS)
+        for (v, p), res in zip(pipeline.DEFAULT_STARTS, results):
+            lone = solve(k2_bundle, cfg.optimize, DesignPoint(v=v, P=p))
+            assert res.history.tobytes() == lone.history.tobytes()
+            assert (res.d_star, res.zeta_star, res.feasible) == (
+                lone.d_star, lone.zeta_star, lone.feasible)
+
+    def test_a_bad_start_is_rejected_before_any_basis(self, toy_bundle, monkeypatch):
+        monkeypatch.setattr(surrogate, "basis", None)
+        starts = [DesignPoint(v=500.0, P=160.0), DesignPoint(v=50.0, P=100.0)]
+        with pytest.raises(ValueError, match=r"initial design \(50.0, 100.0\)"):
+            solve_starts(toy_bundle, OptimizeConfig(), starts)
 
 
 class TestNumpyOnlyRuntime:

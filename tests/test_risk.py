@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import estimate_bpof_minform_scan, estimate_bpof_tail
+from oracles import (
+    estimate_bpof_minform_scan,
+    estimate_bpof_tail,
+    estimate_quantile_sort,
+)
 
 from pbfopt import risk
 
@@ -86,6 +90,16 @@ class TestQuantile:
             risk.estimate_quantile([], 0.5)
         with pytest.raises(ValueError, match="non-finite"):
             risk.estimate_quantile([1.0, np.nan], 0.5)
+
+    def test_tied_samples_match_the_sort(self):
+        # few distinct values, so the k-th largest sits inside a run of ties
+        rng = np.random.default_rng(17)
+        for m in (1, 2, 7, 100, 20_000):
+            vals = rng.integers(0, 4, size=m).astype(float) * 0.5
+            for alpha in (0.01, 0.5, 0.9, 0.95, 0.99):
+                want = estimate_quantile_sort(vals, alpha)
+                assert risk.estimate_quantile(vals, alpha) == want
+        assert risk.estimate_quantile([3.0] * 9, 0.95) == 3.0
 
     @given(sample_lists, st.floats(min_value=0.01, max_value=0.99))
     def test_ordering_independent_and_bounded(self, vals, alpha):
