@@ -5,8 +5,7 @@ buffered failure-probability budget on maximum residual stress and a
 melt-window band on the mean maximum temperature.  One frozen Monte Carlo
 sample set per solve turns the stochastic constraints into deterministic
 functions of the design (sample average approximation with common random
-numbers), and solve_starts solves every start on the same set.  The
-buffered probability is the minimum over zeta < tau of
+numbers).  The buffered probability is the minimum over zeta < tau of
 mean((sigma - zeta)^+) / (tau - zeta); each evaluation solves that inner
 minimization exactly, so zeta is reported but never searched.
 """
@@ -32,7 +31,6 @@ __all__ = [
     "stress_max_samples",
     "is_feasible",
     "solve",
-    "solve_starts",
 ]
 
 CONSTRAINT_BPOF = "bpof"
@@ -412,37 +410,14 @@ def solve(
     an elastic phase reruns it on the squared scaled violations from the
     least-infeasible point, which is reported with feasible=False.
     """
-    return solve_starts(b, cfg, [d0])[0]
-
-
-def solve_starts(
-    b: surrogate.SurrogateBundle, cfg: OptimizeConfig, starts
-) -> list[OptimizationResult]:
-    """solve from each design in starts, every start on the same frozen
-    sample set: the draws and their bases are built once, and each start's
-    result equals a lone solve from it, bit for bit."""
-    points = []
-    for d0 in starts:
-        try:
-            x0 = normalize_inputs(np.array([d0.v, d0.P]), b.input_bounds[:2])
-        except ValueError as e:
-            raise ValueError(f"initial design ({d0.v}, {d0.P}): {e}") from None
-        points.append(x0)
-    row_max = _frozen_row_max(b, cfg)
-    return [_solve_from(_SolveState(b, cfg, row_max), x0) for x0 in points]
-
-
-def _frozen_row_max(b: surrogate.SurrogateBundle, cfg: OptimizeConfig):
-    """The (stress, temperature) _RowMax pair on cfg's frozen draws.  The
-    draws themselves are freed here, before any solve: only their bases
-    are needed."""
+    try:
+        start = normalize_inputs(np.array([d0.v, d0.P]), b.input_bounds[:2])
+    except ValueError as e:
+        raise ValueError(f"initial design ({d0.v}, {d0.P}): {e}") from None
     rng = np.random.default_rng(cfg.seed)
     u_z = _material_inputs(b, draw_material_samples(b.input_bounds[2:], cfg.n_mc, rng))
-    return _RowMax(b.stress, u_z), _RowMax(b.temperature, u_z)
-
-
-def _solve_from(state: _SolveState, start: np.ndarray) -> OptimizationResult:
-    """One solve's phases from a normalized start point (see solve)."""
+    state = _SolveState(b, cfg, (_RowMax(b.stress, u_z), _RowMax(b.temperature, u_z)))
+    del u_z  # only its bases are needed from here
 
     def energy_and_rows(x):
         e, _, rows = state.assess(x)

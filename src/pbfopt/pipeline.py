@@ -32,8 +32,7 @@ from .optimize import (
     OptimizeConfig,
     OptimizationResult,
     draw_material_samples,
-    solve,  # not called here, but perfbench/tracing.py wraps it by this name
-    solve_starts,
+    solve,
     stress_max_samples,
 )
 from .reduction import (
@@ -532,8 +531,7 @@ def _check_bundle_bounds(b: SurrogateBundle, cfg: PipelineConfig) -> None:
 def run_optimization(
     cfg: PipelineConfig, bundle: SurrogateBundle, starts=DEFAULT_STARTS
 ):
-    """Solve from every start on one frozen sample set (solve_starts);
-    persists optimize.json + the history CSV.
+    """Solve from every start; persists optimize.json + the history CSV.
 
     The best record is the lowest-energy feasible solution, or the
     lowest-energy infeasible one if no start produced a feasible point.
@@ -541,9 +539,7 @@ def run_optimization(
     if len(starts) < 1:
         raise ValueError("need at least one initial design")
     _check_bundle_bounds(bundle, cfg)
-    results = solve_starts(
-        bundle, cfg.optimize, [DesignPoint(v=s[0], P=s[1]) for s in starts]
-    )
+    results = [solve(bundle, cfg.optimize, DesignPoint(v=s[0], P=s[1])) for s in starts]
     # lowest-energy feasible result; infeasible ones only count as a
     # fallback when nothing is feasible
     best_i = min(

@@ -139,7 +139,12 @@ def slsqp_solve(bundle, cfg, d0):
     None when it evaluates no feasible point."""
     from scipy.optimize import minimize
 
-    row_max = optimize._frozen_row_max(bundle, cfg)
+    z = optimize.draw_material_samples(
+        bundle.input_bounds[2:], cfg.n_mc, np.random.default_rng(cfg.seed)
+    )
+    u_z = optimize._material_inputs(bundle, z)
+    row_max = (optimize._RowMax(bundle.stress, u_z),
+               optimize._RowMax(bundle.temperature, u_z))
     state = optimize._SolveState(bundle, cfg, row_max)
     x0 = normalize_inputs(np.array([d0.v, d0.P]), bundle.input_bounds[:2])
     minimize(

@@ -47,7 +47,6 @@ from pbfopt.optimize import (
     draw_material_samples,
     energy,
     solve,
-    solve_starts,
     stress_max_samples,
 )
 from pbfopt.reduction import ActiveSubspace, normalize_inputs
@@ -538,43 +537,6 @@ class TestReachableRows:
             assert np.array_equal(got, every)
             want = row_max_samples(b, side, d, z)
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
-
-
-class TestSharedDraws:
-    """One frozen sample set serves every start."""
-
-    def test_run_optimization_builds_each_basis_once(
-        self, k2_bundle, tmp_path, monkeypatch
-    ):
-        calls = []
-        basis = surrogate.basis
-
-        def counting(s, eta):
-            calls.append(s)
-            return basis(s, eta)
-
-        cfg = pipeline.PipelineConfig(
-            optimize=OptimizeConfig(tau=12.0, temp_window=(6.0, 9.0), n_mc=2000),
-            out_dir=str(tmp_path),
-        )
-        monkeypatch.setattr(surrogate, "basis", counting)
-        results = pipeline.run_optimization(cfg, k2_bundle)
-        monkeypatch.undo()
-        features = k2_bundle.stress.features + k2_bundle.temperature.features
-        assert len(calls) == len(features)
-        assert all(s is m.poly for s, m in zip(calls, features))
-        assert len(results) == len(pipeline.DEFAULT_STARTS)
-        for (v, p), res in zip(pipeline.DEFAULT_STARTS, results):
-            lone = solve(k2_bundle, cfg.optimize, DesignPoint(v=v, P=p))
-            assert res.history.tobytes() == lone.history.tobytes()
-            assert (res.d_star, res.zeta_star, res.feasible) == (
-                lone.d_star, lone.zeta_star, lone.feasible)
-
-    def test_a_bad_start_is_rejected_before_any_basis(self, toy_bundle, monkeypatch):
-        monkeypatch.setattr(surrogate, "basis", None)
-        starts = [DesignPoint(v=500.0, P=160.0), DesignPoint(v=50.0, P=100.0)]
-        with pytest.raises(ValueError, match=r"initial design \(50.0, 100.0\)"):
-            solve_starts(toy_bundle, OptimizeConfig(), starts)
 
 
 class TestNumpyOnlyRuntime:

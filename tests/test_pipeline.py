@@ -561,7 +561,7 @@ class TestOptimizationStage:
         bounds[2] = (600.0, 700.0)
         other = replace(cfg, input_bounds=bounds, out_dir=str(tmp_path))
         solves = []
-        monkeypatch.setattr(pipeline, "solve_starts", lambda *a: solves.append(a))
+        monkeypatch.setattr(pipeline, "solve", lambda *a: solves.append(a))
         with pytest.raises(ValueError, match="bounds"):
             run_optimization(other, bundle, ((500.0, 160.0),))
         assert solves == []
