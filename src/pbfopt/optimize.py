@@ -3,17 +3,17 @@
 Minimizes beam energy per scan over the design (v, P) subject to a
 buffered failure-probability budget on maximum residual stress and a
 melt-window band on the mean maximum temperature.  One frozen Monte Carlo
-sample set per solve turns the stochastic constraints into deterministic
-functions of the design (sample average approximation with common random
-numbers).  The buffered probability is the minimum over zeta < tau of
-mean((sigma - zeta)^+) / (tau - zeta); each evaluation solves that inner
-minimization exactly, so zeta is reported but never searched.
+sample set per run_optimization, shared by its starts, turns the stochastic
+constraints into deterministic functions of the design (sample average
+approximation with common random numbers).  The buffered probability is the
+minimum over zeta < tau of mean((sigma - zeta)^+) / (tau - zeta); each
+evaluation solves that inner minimization exactly, so zeta is reported but
+never searched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -276,27 +276,61 @@ def is_feasible(cfg: OptimizeConfig, lhs, t_hat):
 def _qp(hess, g, rows, jac):
     """Minimize g.d + d.hess.d / 2 subject to rows + jac @ d >= 0 in the plane:
     the minimizer solves the equality problem of at most two active rows, so
-    it is the best feasible such candidate.  Returns (d, multipliers) or None."""
+    it is the best feasible such candidate.  The KKT systems of each active
+    set size are solved in one stacked call (_solve_stack); the sets whose
+    rows are a zero row, or two equal or opposite rows, are exactly singular
+    and skipped.  Candidates are tried in order of size, then of
+    itertools.combinations, and a later one wins only with a strictly lower
+    value.  Returns (d, multipliers) or None."""
+    n = rows.size
+    zero = ~jac.any(axis=1)
+    i, j = np.triu_indices(n, 1)  # the pairs in itertools.combinations order
+    dependent = (
+        zero[i] | zero[j] | (jac[i] == jac[j]).all(1) | (jac[i] == -jac[j]).all(1)
+    )
     best = (np.inf, None)
-    for k in range(3):
-        # [[hess, -J.T], [J, 0]] d, lam = [-g, -rows] for the k active rows J,
-        # filled in place for each active set of that size
-        kkt, rhs = np.zeros((2 + k, 2 + k)), np.empty(2 + k)
-        kkt[:2, :2], rhs[:2] = hess, -g
-        for act in map(list, combinations(range(rows.size), k)):
-            kkt[2:, :2] = jac[act]
-            kkt[:2, 2:] = -jac[act].T
-            rhs[2:] = -rows[act]
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:  # dependent rows
-                continue
-            d, lam = sol[:2], np.zeros(rows.size)
-            lam[act] = np.maximum(sol[2:], 0.0)
-            q = g @ d + 0.5 * d @ hess @ d
-            if q < best[0] and np.all(rows + jac @ d >= -1e-9):  # up to rounding
-                best = (q, (d, lam))
+    for act in (
+        np.empty((1, 0), dtype=int),
+        np.flatnonzero(~zero)[:, None],
+        np.column_stack([i, j])[~dependent],
+    ):
+        # [[hess, -J.T], [J, 0]] d, lam = [-g, -rows] for the k active rows J
+        m, k = act.shape
+        kkt, rhs = np.zeros((m, 2 + k, 2 + k)), np.empty((m, 2 + k))
+        kkt[:, :2, :2], rhs[:, :2] = hess, -g
+        kkt[:, 2:, :2] = jac[act]
+        kkt[:, :2, 2:] = -jac[act].transpose(0, 2, 1)
+        rhs[:, 2:] = -rows[act]
+        sol = _solve_stack(kkt, rhs)
+        # numpy's matmul forms each (1, 2) @ (2, 1) item with the dot kernel of
+        # a 1-D g @ d and each (n, 2) @ (2, 1) item with the kernel of jac @ d,
+        # so q and the fit test are those of one system at a time, bit for bit
+        d, d_col = sol[:, None, :2], sol[:, :2, None]
+        q = (d @ g[:, None] + 0.5 * d @ hess @ d_col)[:, 0, 0]
+        fits = np.all(rows + (jac @ d_col)[:, :, 0] >= -1e-9, axis=1)  # up to rounding
+        for c in np.flatnonzero(fits):
+            if q[c] < best[0]:
+                lam = np.zeros(n)
+                lam[act[c]] = np.maximum(sol[c, 2:], 0.0)
+                best = (q[c], (sol[c, :2], lam))
     return best[1]
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solutions of the stacked systems a @ x = b in one np.linalg.solve
+    call.  If LAPACK meets an exactly singular member, which makes the whole
+    call raise, the systems are solved one at a time instead and a singular
+    one's solution is NaN, which no comparison passes."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for x, a_i, b_i in zip(out, a, b):
+            try:
+                x[:] = np.linalg.solve(a_i, b_i)
+            except np.linalg.LinAlgError:  # dependent rows
+                pass
+        return out
 
 
 def _sqp(fun, x: np.ndarray) -> None:
@@ -400,24 +434,44 @@ class _SolveState:
         return is_feasible(self.cfg, lhs, t_hat)
 
 
+def _frozen_row_max(b: surrogate.SurrogateBundle, cfg: OptimizeConfig):
+    """The (stress, temperature) _RowMax pair on the frozen sample set: cfg.n_mc
+    material draws in b's box from an RNG seeded with cfg.seed.  Building it
+    draws the samples and builds every feature's basis and the hull rows."""
+    rng = np.random.default_rng(cfg.seed)
+    u_z = _material_inputs(b, draw_material_samples(b.input_bounds[2:], cfg.n_mc, rng))
+    return _RowMax(b.stress, u_z), _RowMax(b.temperature, u_z)
+
+
+def _start_point(b: surrogate.SurrogateBundle, d0: DesignPoint) -> np.ndarray:
+    """d0 in b's normalized design box; a ValueError names d0 when it is not
+    finite or lies outside the box."""
+    try:
+        return normalize_inputs(np.array([d0.v, d0.P], dtype=float), b.input_bounds[:2])
+    except ValueError as e:
+        raise ValueError(f"initial design ({d0.v}, {d0.P}): {e}") from None
+
+
 def solve(
-    b: surrogate.SurrogateBundle, cfg: OptimizeConfig, d0: DesignPoint
+    b: surrogate.SurrogateBundle,
+    cfg: OptimizeConfig,
+    d0: DesignPoint,
+    row_max: tuple[_RowMax, _RowMax] | None = None,
 ) -> OptimizationResult:
     """Minimize scan energy subject to the risk and melt-window constraints.
 
-    Runs one SQP (_sqp) over (v, P) in b's design box from d0 on one frozen
+    Runs one SQP (_sqp) over (v, P) in b's design box from d0 on the frozen
     sample set and reports the best feasible evaluated point.  Without one,
     an elastic phase reruns it on the squared scaled violations from the
-    least-infeasible point, which is reported with feasible=False.
+    least-infeasible point, which is reported with feasible=False.  row_max
+    is that set's _RowMax pair from _frozen_row_max(b, cfg), which a caller
+    with several starts builds once and passes to each; it is built here
+    when not given.
     """
-    try:
-        start = normalize_inputs(np.array([d0.v, d0.P]), b.input_bounds[:2])
-    except ValueError as e:
-        raise ValueError(f"initial design ({d0.v}, {d0.P}): {e}") from None
-    rng = np.random.default_rng(cfg.seed)
-    u_z = _material_inputs(b, draw_material_samples(b.input_bounds[2:], cfg.n_mc, rng))
-    state = _SolveState(b, cfg, (_RowMax(b.stress, u_z), _RowMax(b.temperature, u_z)))
-    del u_z  # only its bases are needed from here
+    start = _start_point(b, d0)
+    if row_max is None:
+        row_max = _frozen_row_max(b, cfg)
+    state = _SolveState(b, cfg, row_max)
 
     def energy_and_rows(x):
         e, _, rows = state.assess(x)

@@ -31,6 +31,8 @@ import numpy as np
 from .optimize import (
     OptimizeConfig,
     OptimizationResult,
+    _frozen_row_max,
+    _start_point,
     draw_material_samples,
     solve,
     stress_max_samples,
@@ -533,13 +535,22 @@ def run_optimization(
 ):
     """Solve from every start; persists optimize.json + the history CSV.
 
-    The best record is the lowest-energy feasible solution, or the
-    lowest-energy infeasible one if no start produced a feasible point.
+    Every start is checked before any work, and all of them solve on one
+    frozen sample set, built once.  The best record is the lowest-energy
+    feasible solution, or the lowest-energy infeasible one if no start
+    produced a feasible point.
     """
     if len(starts) < 1:
         raise ValueError("need at least one initial design")
     _check_bundle_bounds(bundle, cfg)
-    results = [solve(bundle, cfg.optimize, DesignPoint(v=s[0], P=s[1])) for s in starts]
+    designs = []
+    for s in starts:
+        if np.shape(s) != (2,):
+            raise ValueError(f"initial design {s!r} is not a pair (v, P)")
+        designs.append(DesignPoint(v=s[0], P=s[1]))
+        _start_point(bundle, designs[-1])
+    row_max = _frozen_row_max(bundle, cfg.optimize)
+    results = [solve(bundle, cfg.optimize, d0, row_max) for d0 in designs]
     # lowest-energy feasible result; infeasible ones only count as a
     # fallback when nothing is feasible
     best_i = min(

@@ -4,6 +4,8 @@ None of these is part of the package: each is a direct, unoptimized
 statement of a quantity some package code computes another way.
 """
 
+from itertools import combinations
+
 import numpy as np
 
 from pbfopt import optimize, pipeline, risk, surrogate, thermal
@@ -139,13 +141,7 @@ def slsqp_solve(bundle, cfg, d0):
     None when it evaluates no feasible point."""
     from scipy.optimize import minimize
 
-    z = optimize.draw_material_samples(
-        bundle.input_bounds[2:], cfg.n_mc, np.random.default_rng(cfg.seed)
-    )
-    u_z = optimize._material_inputs(bundle, z)
-    row_max = (optimize._RowMax(bundle.stress, u_z),
-               optimize._RowMax(bundle.temperature, u_z))
-    state = optimize._SolveState(bundle, cfg, row_max)
+    state = optimize._SolveState(bundle, cfg, optimize._frozen_row_max(bundle, cfg))
     x0 = normalize_inputs(np.array([d0.v, d0.P]), bundle.input_bounds[:2])
     minimize(
         lambda x: state.assess(x)[0],
@@ -156,6 +152,31 @@ def slsqp_solve(bundle, cfg, d0):
         options={"ftol": 1e-10, "maxiter": 200},
     )
     return None if state.best_feasible is None else state.best_feasible[0]
+
+
+def qp_per_system(hess, g, rows, jac):
+    """optimize._qp with one np.linalg.solve per active set: the KKT system
+    of every set of at most two rows, in order of size and then of
+    itertools.combinations, skipping those LAPACK finds singular; the best
+    feasible candidate wins, a later one only with a strictly lower value."""
+    best = (np.inf, None)
+    for k in range(3):
+        kkt, rhs = np.zeros((2 + k, 2 + k)), np.empty(2 + k)
+        kkt[:2, :2], rhs[:2] = hess, -g
+        for act in map(list, combinations(range(rows.size), k)):
+            kkt[2:, :2] = jac[act]
+            kkt[:2, 2:] = -jac[act].T
+            rhs[2:] = -rows[act]
+            try:
+                sol = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:  # dependent rows
+                continue
+            d, lam = sol[:2], np.zeros(rows.size)
+            lam[act] = np.maximum(sol[2:], 0.0)
+            q = g @ d + 0.5 * d @ hess @ d
+            if q < best[0] and np.all(rows + jac @ d >= -1e-9):
+                best = (q, (d, lam))
+    return best[1]
 
 
 def buffered_superquantile_se(values, zeta, alpha):

@@ -33,6 +33,7 @@ import pytest
 from oracles import (
     evaluate_constraints,
     hull_row_max,
+    qp_per_system,
     row_max_samples,
     slsqp_solve,
     temperature_max_samples,
@@ -833,6 +834,142 @@ class TestFeasibilityRule:
         assert optimize.is_feasible(cfg, lhs, t_hat).tolist() == want
         for a, t, w in zip(lhs, t_hat, want):
             assert bool(optimize.is_feasible(cfg, a, t)) is w
+
+
+def sqp_rows(c, a, x):
+    """The rows _sqp hands _qp: constraint rows c with Jacobian a, then the
+    box rows 1 - x and 1 + x."""
+    c, a = np.asarray(c, dtype=float), np.asarray(a, dtype=float).reshape(-1, 2)
+    rows = np.concatenate([c, 1.0 - x, 1.0 + x])
+    return rows, np.vstack([a, -np.eye(2), np.eye(2)])
+
+
+def random_hessian(rng) -> np.ndarray:
+    m = rng.normal(size=(2, 2))
+    return m @ m.T + 0.1 * np.eye(2)
+
+
+class TestQpAgainstPerSystem:
+    """_qp's stacked KKT solves return exactly what one np.linalg.solve per
+    active set returns (oracles.qp_per_system), None included."""
+
+    def assert_same(self, hess, g, rows, jac):
+        got, want = optimize._qp(hess, g, rows, jac), qp_per_system(hess, g, rows, jac)
+        if want is None:
+            assert got is None
+            return None
+        assert got is not None
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        return got
+
+    def count_solves(self, monkeypatch):
+        calls = []
+        linalg_solve = np.linalg.solve
+
+        def counting(a, b):
+            calls.append(np.shape(a))
+            return linalg_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        return calls
+
+    def test_random_main_phase_cases(self):
+        rng = np.random.default_rng(41)
+        active = set()
+        for _ in range(300):
+            x = rng.uniform(-1.0, 1.0, size=2)
+            c = rng.normal(scale=0.5, size=3)
+            rows, jac = sqp_rows(c, rng.normal(size=(3, 2)), x)
+            step = self.assert_same(random_hessian(rng), rng.normal(size=2), rows, jac)
+            if step is not None:
+                active.add(int(np.count_nonzero(step[1])))
+        assert active == {0, 1, 2}  # each active set size wins somewhere
+
+    def test_zero_rows(self):
+        # a margin row clipped at 1 on both sides of its difference step
+        # has a zero Jacobian row; so does one that is violated everywhere
+        rng = np.random.default_rng(42)
+        for c0 in (1.0, 0.0, -0.5):
+            for _ in range(20):
+                x = rng.uniform(-1.0, 1.0, size=2)
+                a = rng.normal(size=(3, 2))
+                a[1] = 0.0
+                c = np.array([rng.normal(scale=0.5), c0, rng.normal(scale=0.5)])
+                rows, jac = sqp_rows(c, a, x)
+                self.assert_same(random_hessian(rng), rng.normal(size=2), rows, jac)
+
+    @pytest.mark.parametrize(
+        "g, a, d_want, lam_want",
+        [
+            # the one-row candidates of rows 0 and 1 tie
+            ([1.0, 0.0], [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]], [-0.5, 0.0], [0.5, 0.0, 0.0]),
+            # the two-row candidates of rows (0, 2) and (1, 2) tie
+            ([1.0, 1.0], [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [-0.5, -0.5], [0.5, 0.0, 0.5]),
+        ],
+    )
+    def test_equal_rows_tie_to_the_first(self, g, a, d_want, lam_want):
+        # rows 0 and 1 are the same row, so the candidates that differ only
+        # in which of them is active have the same d and value; the first
+        # in candidate order wins and carries the multiplier
+        rows, jac = sqp_rows([0.5, 0.5, 0.5], a, np.zeros(2))
+        d, lam = self.assert_same(np.eye(2), np.array(g), rows, jac)
+        assert np.array_equal(d, d_want)
+        assert np.array_equal(lam, lam_want + [0.0] * 4)
+
+    def test_equal_and_opposite_rows(self):
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            x = rng.uniform(-1.0, 1.0, size=2)
+            a = rng.normal(size=(3, 2))
+            c = rng.normal(scale=0.5, size=3)
+            a[1] = a[0] if rng.uniform() < 0.5 else -a[0]
+            a[2] = rng.choice([-1.0, 1.0]) * np.eye(2)[rng.integers(2)]  # a box row
+            rows, jac = sqp_rows(c, a, x)
+            self.assert_same(random_hessian(rng), rng.normal(size=2), rows, jac)
+
+    def test_elastic_phase_box_rows_only(self):
+        rng = np.random.default_rng(44)
+        for x in [rng.uniform(-1.0, 1.0, size=2) for _ in range(50)] + [
+            np.array([1.0, -1.0]),
+            np.array([-1.0, 0.25]),
+        ]:
+            rows, jac = sqp_rows([], [], x)
+            assert rows.size == 4
+            self.assert_same(random_hessian(rng), rng.normal(scale=3.0, size=2), rows, jac)
+
+    @pytest.mark.parametrize(
+        "c, a",
+        [
+            ([-0.5], [[0.0, 0.0]]),  # a violated row no step can change
+            ([-1.0, -1.0], [[1.0, 0.0], [-1.0, 0.0]]),  # d_v >= 1 and d_v <= -1
+            ([-3.0], [[1.0, 0.0]]),  # only past the box edge
+        ],
+    )
+    def test_infeasible_linearization(self, c, a):
+        rows, jac = sqp_rows(c, a, np.zeros(2))
+        assert self.assert_same(np.eye(2), np.ones(2), rows, jac) is None
+
+    def test_one_stacked_solve_per_active_set_size(self, monkeypatch):
+        # the box rows come in opposite pairs, so the two-row stack holds
+        # exactly singular sets unless they are left out
+        rng = np.random.default_rng(45)
+        rows, jac = sqp_rows(rng.normal(size=3), rng.normal(size=(3, 2)), np.zeros(2))
+        calls = self.count_solves(monkeypatch)
+        optimize._qp(random_hessian(rng), rng.normal(size=2), rows, jac)
+        assert calls == [(1, 2, 2), (7, 3, 3), (21 - 2, 4, 4)]
+
+    def test_other_exact_singularity_solves_one_at_a_time(self, monkeypatch):
+        # (1, 2) and (2, 4) are neither equal nor opposite, but LAPACK's
+        # elimination of one by the other leaves an exact zero pivot
+        rows, jac = sqp_rows([0.25, 0.5, 1.0], [[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]], np.zeros(2))
+        calls = self.count_solves(monkeypatch)
+        step = self.assert_same(np.eye(2), np.array([1.0, 1.0]), rows, jac)
+        ours = calls[: len(calls) - (1 + 7 + comb(7, 2))]  # the oracle's come last
+        # row 2 is zero and the box rows pair off, leaving 21 - 6 - 2 pairs
+        stacked = [(1, 2, 2), (6, 3, 3), (13, 4, 4)]
+        assert ours == stacked + [(4, 4)] * stacked[2][0]
+        assert step is not None
 
 
 class TestConfigValidation:

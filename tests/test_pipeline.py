@@ -17,8 +17,13 @@ import numpy as np
 import pytest
 from oracles import buffered_superquantile_se, maximin_doe_pdist, predict_row
 
-from pbfopt import cli, pipeline, risk, thermal
-from pbfopt.optimize import OptimizeConfig, draw_material_samples, is_feasible
+from pbfopt import cli, pipeline, risk, surrogate, thermal
+from pbfopt.optimize import (
+    OptimizeConfig,
+    draw_material_samples,
+    is_feasible,
+    solve,
+)
 from pbfopt.pipeline import (
     DEFAULT_STARTS,
     INPUT_NAMES,
@@ -566,6 +571,76 @@ class TestOptimizationStage:
             run_optimization(other, bundle, ((500.0, 160.0),))
         assert solves == []
         assert not (tmp_path / "optimize.json").exists()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((5000.0, 100.0), "outside bounds"),
+            ((np.nan, 100.0), "outside bounds"),
+            ((500.0,), "not a pair"),
+            ((500.0, 160.0, 1.0), "not a pair"),
+            (500.0, "not a pair"),
+        ],
+    )
+    def test_bad_start_rejected_before_any_work(
+        self, trained, tmp_path, monkeypatch, bad, message
+    ):
+        # the bad start comes second: the first is never drawn for or solved
+        cfg, bundle = trained
+        cfg = replace(cfg, out_dir=str(tmp_path))
+        work = []
+        monkeypatch.setattr(pipeline, "solve", lambda *a: work.append(a))
+        monkeypatch.setattr(pipeline, "_frozen_row_max", lambda *a: work.append(a))
+        named = re.escape(f"initial design {bad!r}")
+        with pytest.raises(ValueError, match=f"{named}.*{message}"):
+            run_optimization(cfg, bundle, ((500.0, 160.0), bad))
+        assert work == []
+        assert not (tmp_path / "optimize.json").exists()
+
+
+class TestSharedDraws:
+    """One run_optimization solves every start on one frozen sample set,
+    built once, and each start's solve is the one it makes alone."""
+
+    STARTS = ((500.0, 160.0), (400.0, 100.0), (600.0, 100.0))
+
+    def assert_standalone_histories(self, cfg, bundle, results):
+        for s, res in zip(self.STARTS, results):
+            alone = solve(bundle, cfg.optimize, DesignPoint(*s))
+            assert np.array_equal(res.history, alone.history)
+
+    def test_feasible_starts_match_standalone_solves(self, trained, tmp_path):
+        cfg, bundle = trained
+        cfg = replace(cfg, out_dir=str(tmp_path))
+        results = run_optimization(cfg, bundle, self.STARTS)
+        assert all(r.feasible for r in results)
+        self.assert_standalone_histories(cfg, bundle, results)
+
+    def test_elastic_starts_match_standalone_solves(self, trained, tmp_path):
+        # no design of the synthetic bundle reaches this melt window, so
+        # every start ends in the elastic phase
+        cfg, bundle = trained
+        opt = replace(cfg.optimize, temp_window=(1.0e8, 2.0e8))
+        cfg = replace(cfg, out_dir=str(tmp_path), optimize=opt)
+        results = run_optimization(cfg, bundle, self.STARTS)
+        assert not any(r.feasible for r in results)
+        self.assert_standalone_histories(cfg, bundle, results)
+
+    def test_one_basis_build_per_feature(self, trained, tmp_path, monkeypatch):
+        cfg, bundle = trained
+        cfg = replace(cfg, out_dir=str(tmp_path))
+        calls = []
+        basis = surrogate.basis
+
+        def counting(s, eta):
+            calls.append(s)
+            return basis(s, eta)
+
+        monkeypatch.setattr(surrogate, "basis", counting)
+        run_optimization(cfg, bundle, self.STARTS)
+        features = bundle.stress.features + bundle.temperature.features
+        assert len(calls) == len(features)
+        assert all(s is m.poly for s, m in zip(calls, features))
 
 
 class TestValidation:
