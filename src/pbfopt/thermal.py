@@ -28,15 +28,17 @@ blends, into the float64 probe trace, and checked against the band; a block
 whose runs have all failed stops at that chunk's end.  The trace is
 interpolated linearly between step ends to the 31 snapshot instants.
 
-The per-cell arrays (temperature, peak, dt, rho, cp, kappa, rate, squares and
-face fluxes) are FIELD_DTYPE, float32: the step is bound by memory bandwidth,
-and float32 halves its bytes.  The beam deposit is computed in float64 and
-cast as it is added.  The per-run scalars, the beam positions and erf (whose
-high-word trick needs float64), the probe trace and the bilinear resampling
-stay float64, so every result is float64.  Against float64 fields, over the
-50 validation draws at the baseline optimum, the probe moves by at most
-1.8e-3 degC and the peak field by 3.8e-3 degC: three orders under the
-step's own 4.8 degC time error there.
+A step folds its constants into its terms: rho*Cp/dt is a quadratic in T with
+a coefficient column per run, kappa carries 1e-3 and the x faces' weight, and
+both go by Horner, so a step makes 21 passes over its per-cell arrays
+(temperature, peak, kappa, rate, rho*Cp/dt and face fluxes).  These are
+FIELD_DTYPE, float32: the step is bound by memory bandwidth, and float32 halves
+its bytes.  The beam deposit is computed in float64 and cast as it is written.
+The per-run scalars, the beam positions and erf (whose high-word trick needs
+float64), the probe trace and the resampling stay float64, so every result is
+float64.  Against float64 fields, over the 50 validation draws at the baseline
+optimum, the probe moves by at most 1.8e-3 degC and the peak field by 3.8e-3
+degC, three orders under the step's own 4.8 degC time error there.
 
 Units: mm, s, W, degC internally.  Conductivity is supplied in W/(m*K)
 and converted by 1e-3; density in kg/m^3 converted by 1e-9.
@@ -268,14 +270,14 @@ def _depth_deposit(nz: int, dz: float, h: float, z0: float) -> np.ndarray:
     return frac * z0 / dz
 
 
-def _poly(t: np.ndarray, c) -> np.ndarray:
+def _poly(t: np.ndarray, c, out=None) -> np.ndarray:
     """c[0] + t * (c[1] + t * (... + t * c[-1])): np.polyval's bits on c reversed,
-    but in place, which takes about 0.6x its time."""
-    acc = c[-1] * t
+    but in place (in out, if given), which takes about 0.6x its time."""
+    acc = np.multiply(c[-1], t, out=out)
     for ci in c[-2:0:-1]:
         acc += ci
         acc *= t
-    return acc + c[0]
+    return np.add(acc, c[0], out=acc)
 
 
 def _erf(x) -> np.ndarray:
@@ -393,17 +395,22 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
     n_steps = n_steps.astype(int).tolist()
     amp = 2.0 * p.A * power / (np.pi * p.r**2 * p.z0)
     cells = nx * nz  # one run's (z, x) field after another, x fastest
-    T, peak, dt_c, rho_c = (np.repeat(a.astype(FIELD_DTYPE), cells)
-                            for a in (t0, t0, dt, rho))
-    cp, kap, rate, sq = (np.empty_like(T) for _ in range(4))
+    # the step's constants folded in: rho cp(T) / dt = A0 + T (A1 + T A2), a column
+    # of A per run, and kappa' = kappa(T) 1e-3 0.5 / dx^2 = B0 + T (B1 + T B2)
+    heat = (np.array([p.a0, p.a1, p.a2])[:, None] * rho / dt).astype(FIELD_DTYPE)[..., None]
+    cond = tuple(b * 1e-3 * 0.5 / dx**2 for b in (p.b0, p.b1, p.b2))
+    T, peak = (np.repeat(t0.astype(FIELD_DTYPE), cells) for _ in range(2))
+    kap, rate, den = (np.empty_like(T) for _ in range(3))
     T3, peak3, rate3 = (a.reshape(-1, nz, nx) for a in (T, peak, rate))  # views
     # face fluxes f[off + k], cells k to k + off; at walls and run boundaries 0
     fx, fz = np.zeros(T.size + 1, FIELD_DTYPE), np.zeros(T.size + nx, FIELD_DTYPE)
-    faces = [(0.5 / dx / dx, 1, fx, fx[1:].reshape(-1, nz, nx)[..., -1]),
-             (0.5 / dz / dz, nx, fz, fz[nx:].reshape(-1, nz, nx)[:, -1])]
+    faces = [(None, 1, fx, fx[1:].reshape(-1, nz, nx)[..., -1]),
+             (dx**2 / dz**2, nx, fz, fz[nx:].reshape(-1, nz, nx)[:, -1])]
     gz = _depth_deposit(nz, dz, p.h, p.z0)  # per cell row, index 0 = bottom
     j0 = int(np.flatnonzero(gz)[0])  # the beam reaches rows j0 to the top
-    tc_k4, rad_coeff = (p.Tc + KELVIN_OFFSET) ** 4, STEFAN_BOLTZMANN_MM * p.eps_s
+    gz_amp = gz[j0:, None] * amp[:, None, None]  # (runs, rows, 1), float64
+    deposit = np.empty((len(order), nz - j0, nx), FIELD_DTYPE)
+    tc_k4, rad = (p.Tc + KELVIN_OFFSET) ** 4, STEFAN_BOLTZMANN_MM * p.eps_s / dz
     # the probe keeps one cell and one set of bilinear weights throughout; a step
     # copies only the cell's four corners (x, z offsets 00, 01, 10, 11) of each run
     i, j, wx, wz = _bilinear_cell((nx, nz), dx / 2, dx, dz / 2, dz, p.l / 2.0, p.h)
@@ -417,7 +424,7 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
     trace = np.empty((n_steps[0] + 1, len(order)))  # probe at each step's end
     trace[0] = blend(T[corners][None])
     fail = np.zeros(len(order), int)  # each run's first step out of the band, or 0
-    n = len(order)
+    n, built = len(order), 0
     with np.errstate(all="ignore"):  # a failed run steps on, never read
         for start in range(1, n_steps[0] + 1, DEPOSIT_STEPS):
             stop = min(start + DEPOSIT_STEPS, n_steps[0] + 1)
@@ -431,34 +438,36 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
             for k, step in enumerate(range(start, stop)):
                 while n_steps[n - 1] < step:
                     n -= 1
-                m = n * cells
-                Tn, cpn, kapn, raten, sqn = T[:m], cp[:m], kap[:m], rate[:m], sq[:m]
-                # Cp = a0 + a1 T + a2 T^2 and kappa = b0 + b1 T + b2 T^2, in place
-                np.square(Tn, out=sqn)
-                for c0, c1, c2, prop in ((p.a0, p.a1, p.a2, cpn), (p.b0, p.b1, p.b2, kapn)):
-                    np.add(np.multiply(Tn, c1, out=prop), c0, out=prop)
-                    prop += np.multiply(sqn, c2, out=raten)
-                kapn *= 1e-3
+                if n != built:  # the views of the n runs still stepping
+                    built, m = n, n * cells
+                    Tn, kapn, raten, denn, peakn = (a[:m] for a in (T, kap, rate, den, peak))
+                    Tr, denr = (a.reshape(n, cells) for a in (Tn, denn))
+                    flux_views = [(w, f[off:m], kapn[off:], kapn[:-off], Tn[off:], Tn[:-off],
+                                   raten[:-off], wall[:n]) for w, off, f, wall in faces]
+                    sides = fx[1 : m + 1], fx[:m], fz[nx : m + nx], fz[:m]
+                    depositn, gz_ampn, rate_beam = deposit[:n], gz_amp[:n], rate3[:n, j0:]
+                    T_top, rate_top, heatn = T3[:n, -1], rate3[:n, -1], heat[:, :n]
+                _poly(Tn, cond, out=kapn)  # kappa', in place
                 # conduction, mean face conductivity: each face's share of its two
-                # cells' rates, (kappa_i + kappa_j) (T_j - T_i) times 0.5 / h / h
-                for weight, off, f, wall in faces:
-                    flux = f[off:m]
-                    np.add(kapn[off:], kapn[:-off], out=flux)
-                    flux *= np.subtract(Tn[off:], Tn[:-off], out=sqn[:-off])
-                    flux *= weight
-                    wall[:n] = 0.0
-                np.subtract(fx[1 : m + 1], fx[:m], out=raten)
-                raten += fz[nx : m + nx]
-                raten -= fz[:m]
-                deposit = gx[k, :n, None] * gz[j0:, None] * amp[:n, None, None]
-                rate3[:n, j0:] += deposit.astype(FIELD_DTYPE)
+                # cells' rates, (kappa'_i + kappa'_j) [dx^2 / dz^2 on z] (T_j - T_i)
+                for weight, flux, kap_j, kap_i, T_j, T_i, diff, wall in flux_views:
+                    np.add(kap_j, kap_i, out=flux)
+                    if weight is not None:
+                        flux *= weight
+                    flux *= np.subtract(T_j, T_i, out=diff)
+                    wall[...] = 0.0
+                np.subtract(sides[0], sides[1], out=raten)
+                raten += sides[2]
+                raten -= sides[3]
+                np.multiply(gx[k, :n, None], gz_ampn, out=depositn, casting="same_kind")
+                rate_beam += depositn
                 # top-surface radiation out of the top cell row
-                rate3[:n, -1] -= rad_coeff * ((T3[:n, -1] + KELVIN_OFFSET) ** 4 - tc_k4) / dz
-                # T += dt * rate / (rho * cp)
-                raten *= dt_c[:m]
-                raten /= np.multiply(cpn, rho_c[:m], out=cpn)
+                rate_top -= ((T_top + KELVIN_OFFSET) ** 4 - tc_k4) * rad
+                # T += rate / (rho cp / dt), with rho cp / dt = A0 + T (A1 + T A2) per run
+                _poly(Tr, heatn, out=denr)
+                raten /= denn
                 Tn += raten
-                np.maximum(peak[:m], Tn, out=peak[:m])
+                np.maximum(peakn, Tn, out=peakn)
                 chunk[k] = T[corners]
             # the chunk's probe against the band; a run past its end repeats its
             # last probe, so its first failure is at or before its own end

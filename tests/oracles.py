@@ -211,23 +211,37 @@ def maximin_doe_pdist(M, bounds, seed):
 
 def material_props(T, p):
     """Temperature-dependent (Cp in J/(kg K), kappa in W/(m K)) in T's
-    float dtype; the kernel evaluates the same quadratics in place."""
+    float dtype; the kernel evaluates them folded (folded_constants)."""
     T = np.asarray(T)
     cp = p.a0 + p.a1 * T + p.a2 * T**2
     kap = p.b0 + p.b1 * T + p.b2 * T**2
     return cp, kap
 
 
+def folded_constants(p, dx, dz, rho, dt):
+    """The constants thermal._step_block folds into its step, in float64:
+    rho Cp(T) / dt = A0 + T (A1 + T A2) for a run of density rho (kg/mm^3)
+    and step dt; kappa(T) 1e-3 0.5 / dx^2 = B0 + T (B1 + T B2), the x faces'
+    conductance; dx^2 / dz^2, the z faces' weight over the x faces'; and
+    sigma eps / dz, radiation's.  Returns ((A0, A1, A2), (B0, B1, B2),
+    z_ratio, rad)."""
+    heat = tuple(a * rho / dt for a in (p.a0, p.a1, p.a2))
+    cond = tuple(b * 1e-3 * 0.5 / dx**2 for b in (p.b0, p.b1, p.b2))
+    return heat, cond, dx**2 / dz**2, thermal.STEFAN_BOLTZMANN_MM * p.eps_s / dz
+
+
 def solve_field_per_run(d, z, p, grid, *ceiling, dtype=thermal.FIELD_DTYPE):
     """One run of the thermal solver stepped on its own, one field at a
     time: the loop thermal._solve_field advances in lockstep blocks, with
     the step thermal._plan gives for its default or the given ceiling (a
-    multiple of Tliq).  The fields are of the given dtype, the kernel's by
-    default, and the float64 beam deposit is cast to it where the kernel
-    casts it.  A run fails when its probe leaves [clamp_lo, 3 Tliq], or
-    when at its end the field is not finite or the peak is over the plan's
-    top; one that fails under a top below 3 Tliq is solved again at 3 Tliq,
-    as thermal._solve_field does.
+    multiple of Tliq).  It steps with the kernel's arithmetic in its order:
+    the folded_constants, Horner's form for kappa and for rho Cp / dt, and
+    the z faces' weight on their conductivity sum.  The fields are of the
+    given dtype, the kernel's by default, and the float64 beam deposit is
+    cast to it where the kernel casts it.  A run fails when its probe
+    leaves [clamp_lo, 3 Tliq], or when at its end the field is not finite
+    or the peak is over the plan's top; one that fails under a top below
+    3 Tliq is solved again at 3 Tliq, as thermal._solve_field does.
 
     Returns (temps, peak_sim, final_sim, peak_field), peak_field being the
     peak resampled to the stress grid as thermal.simulate_batch does.
@@ -245,9 +259,11 @@ def solve_field_per_run(d, z, p, grid, *ceiling, dtype=thermal.FIELD_DTYPE):
     T = np.full((nx, nz), float(z.T0), dtype=dtype)
     peak = T.copy()
     amp = 2.0 * p.A * d.P / (np.pi * p.r**2 * p.z0)
-    gz = thermal._depth_deposit(nz, dz, p.h, p.z0)
+    gz_amp = thermal._depth_deposit(nz, dz, p.h, p.z0) * amp
     tc_k4 = (p.Tc + thermal.KELVIN_OFFSET) ** 4
-    rad_coeff = thermal.STEFAN_BOLTZMANN_MM * p.eps_s
+    # the kernel's folded constants, A in the field dtype
+    heat, (b0, b1, b2), z_ratio, rad = folded_constants(p, dx, dz, rho, dt)
+    a0, a1, a2 = (dtype(a) for a in heat)
 
     cell = thermal._bilinear_cell(T.shape, xc[0], dx, zc[0], dz, p.l / 2.0, p.h)
     trace = np.empty(n_steps + 1)
@@ -255,23 +271,22 @@ def solve_field_per_run(d, z, p, grid, *ceiling, dtype=thermal.FIELD_DTYPE):
     error = None
     for step in range(1, n_steps + 1):
         t_old = (step - 1) * dt
-        cp, kap = material_props(T, p)
-        kap = kap * 1e-3
+        kap = b0 + T * (b1 + T * b2)
         rate = np.zeros_like(T)
-        # a face's share of each neighbour's rate: the mean conductivity times
-        # the gradient, over h, in the kernel's one weight 0.5 / h / h
-        fx = (kap[1:, :] + kap[:-1, :]) * (T[1:, :] - T[:-1, :]) * (0.5 / dx / dx)
+        # a face's share of each neighbour's rate: the sum of the two folded
+        # conductivities, on z faces times dx^2 / dz^2, times the difference
+        fx = (kap[1:, :] + kap[:-1, :]) * (T[1:, :] - T[:-1, :])
         rate[:-1, :] += fx
         rate[1:, :] -= fx
-        fz = (kap[:, 1:] + kap[:, :-1]) * (T[:, 1:] - T[:, :-1]) * (0.5 / dz / dz)
+        fz = (kap[:, 1:] + kap[:, :-1]) * z_ratio * (T[:, 1:] - T[:, :-1])
         rate[:, :-1] += fz
         rate[:, 1:] -= fz
         if d.P > 0:
             gx = thermal._gauss_deposit(x_edges, d.v * t_old, p.r, dx)
-            rate += (amp * np.outer(gx, gz)).astype(dtype)
+            rate += np.outer(gx, gz_amp).astype(dtype)
         t_k = T[:, -1] + thermal.KELVIN_OFFSET
-        rate[:, -1] -= rad_coeff * (t_k**4 - tc_k4) / dz
-        T = T + dt * rate / (rho * cp)
+        rate[:, -1] -= (t_k**4 - tc_k4) * rad
+        T = T + rate / (a0 + T * (a1 + T * a2))
         np.maximum(peak, T, out=peak)
         probe = trace[step] = thermal._bilinear(T, *cell)
         if not clamp_lo <= probe <= clamp_hi:

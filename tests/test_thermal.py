@@ -1,13 +1,16 @@
 """Thermal solver tests: flux arithmetic, equilibrium, monotonicity, grids."""
 
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import heat_flux, material_props, solve_field_per_run
+from oracles import folded_constants, heat_flux, material_props, solve_field_per_run
 
-from pbfopt import thermal
+from pbfopt import pipeline, thermal
+from pbfopt.optimize import draw_material_samples
 from pbfopt.thermal import (
     DESIGN_BOUNDS,
     DesignPoint,
@@ -18,6 +21,7 @@ from pbfopt.thermal import (
 )
 
 NOMINAL_Z = RandomInputs(T0=650.0, Y=825.0, E=110.0, rho=612.0)
+BASELINE_PATH = Path(__file__).parent / "data" / "regression_baseline.json"
 
 
 def planned(runs, p, grid, *ceiling):
@@ -781,11 +785,12 @@ class TestFieldDtype:
         (DesignPoint(233.966, 200.0), RandomInputs(T0, 825.0, 110.0, rho))
         for T0 in thermal.RANDOM_INPUT_BOUNDS["T0"]
         for rho in thermal.RANDOM_INPUT_BOUNDS["rho"]]
-    # the largest differences from float64 seen on the default grid were
-    # 1.80e-3 degC on the probe and 3.80e-3 degC on the peak field, over the
-    # 50 validation draws at the baseline d*; these runs reach 5.9e-4 and
-    # 1.2e-3.  The bounds leave about 2.7x on the larger pair, and stay three
-    # orders under the explicit step's own 4.8 degC time error at d*
+    # the largest differences from float64 seen on the default grid, with the
+    # step's constants folded in, are 1.80e-3 degC on the probe and 3.80e-3
+    # degC on the peak field, over the 50 validation draws at the baseline d*;
+    # the runs above reach 5.9e-4 and 1.2e-3.  The bounds leave about 2.6x on
+    # the larger pair, and stay three orders under the explicit step's own
+    # 4.8 degC time error at d*
     PROBE_BOUND, PEAK_BOUND = 5e-3, 1e-2
 
     def test_float32_fields_stay_within_the_bound_of_float64(self):
@@ -796,6 +801,32 @@ class TestFieldDtype:
             temps, _, _, peak_field = solve_field_per_run(*run, p, grid, dtype=np.float64)
             assert np.abs(snap.temps - temps).max() < self.PROBE_BOUND
             assert np.abs(snap.peak_field - peak_field).max() < self.PEAK_BOUND
+
+    def test_validation_draws_stay_within_the_bound_of_float64(self, monkeypatch):
+        # the 50 seed-3 validation draws at the baseline d* (on P = 200 W, so
+        # its speed is P l / E), which set the largest differences above.  The
+        # float64 side is the kernel itself with float64 fields, which takes
+        # tenths of a second where the per-run loop takes seconds; it equals
+        # the per-run loop in float64 bit for bit on the first and last draw
+        p, grid = ModelParams(), SimGridConfig()
+        with open(BASELINE_PATH, encoding="utf-8") as f:
+            e_star = json.load(f)["optimal_energy"]
+        cfg = pipeline.PipelineConfig()
+        d = DesignPoint(200.0 * cfg.model.l / e_star, 200.0)
+        draws = draw_material_samples(cfg.input_bounds[2:], cfg.n_val,
+                                      np.random.default_rng(cfg.seed_validation))
+        runs = [(d, RandomInputs(*map(float, z))) for z in draws]
+        assert len(runs) == 50 and thermal.FIELD_DTYPE == np.float32
+        snaps = thermal.simulate_batch(*zip(*runs), p, grid)
+        monkeypatch.setattr(thermal, "FIELD_DTYPE", np.float64)
+        wide = thermal.simulate_batch(*zip(*runs), p, grid)
+        for k in (0, -1):
+            temps, _, _, peak_field = solve_field_per_run(*runs[k], p, grid, dtype=np.float64)
+            assert np.array_equal(wide[k].temps, temps)
+            assert np.array_equal(wide[k].peak_field, peak_field)
+        for snap, ref in zip(snaps, wide, strict=True):
+            assert np.abs(snap.temps - ref.temps).max() < self.PROBE_BOUND
+            assert np.abs(snap.peak_field - ref.peak_field).max() < self.PEAK_BOUND
 
     def test_results_are_float64(self):
         snap = thermal.simulate(DesignPoint(550.0, 110.0), NOMINAL_Z,
@@ -818,6 +849,37 @@ class TestFieldDtype:
         split = thermal.simulate_batch(designs, inputs, grid=grid)
         for a, b in zip(whole, split, strict=True):
             assert_same(a, b)
+
+
+class TestFoldedConstants:
+    """The constants the kernel folds into its step, which the per-run oracle
+    shares bit for bit, against the physics they stand for, in float64."""
+
+    @pytest.mark.parametrize("p", [ModelParams(), TestStabilityBound.DIP])
+    @pytest.mark.parametrize("grid", [SimGridConfig(), SimGridConfig(40, 13),
+                                      SimGridConfig(9, 5)])
+    def test_fold_keeps_the_step(self, p, grid):
+        dx, dz = p.l / grid.cells_x, p.h / grid.cells_z
+        d = DesignPoint(233.966, 200.0)
+        for T0 in thermal.RANDOM_INPUT_BOUNDS["T0"]:  # the box corners in (T0, rho)
+            for rho_s in thermal.RANDOM_INPUT_BOUNDS["rho"]:
+                rho, dt, _, lo, _ = thermal._plan(d, RandomInputs(T0, 825.0, 110.0, rho_s),
+                                                  p, grid)
+                (a0, a1, a2), (b0, b1, b2), z_ratio, rad = folded_constants(p, dx, dz, rho, dt)
+                T = np.linspace(lo, 3.0 * p.Tliq, 2001)
+                cp, kap = material_props(T, p)
+                # rho cp / dt, which the step divides the rate by
+                np.testing.assert_allclose(a0 + T * (a1 + T * a2), rho * cp / dt,
+                                           rtol=1e-12, atol=0)
+                # the x faces' conductance per unit conductivity sum: kappa in
+                # W/(mm K), half of the two cells' sum, over dx^2
+                x_weight = kap * 1e-3 * 0.5 / dx**2
+                np.testing.assert_allclose(b0 + T * (b1 + T * b2), x_weight,
+                                           rtol=1e-12, atol=0)
+                np.testing.assert_allclose(z_ratio * x_weight, kap * 1e-3 * 0.5 / dz**2,
+                                           rtol=1e-12, atol=0)
+        # the top row loses eps sigma (T_K^4 - Tc_K^4) over its depth dz
+        assert rad == pytest.approx(p.eps_s * thermal.STEFAN_BOLTZMANN_MM / dz, rel=1e-12)
 
 
 class TestBulkDensity:
