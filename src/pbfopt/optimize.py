@@ -222,7 +222,10 @@ class _RowMax:
     A design only shifts each feature's active variables by u_d @ w1[:2],
     so the monomial basis of the material part u_z @ w1[2:] is built once,
     n_mc x (coefficients over its features) x 8 bytes, and each design folds
-    its shift into the coefficients.  Two cuts leave the max unchanged.
+    its shift into the coefficients.  The bases are column-major
+    (design_matrix), so each feature's product basis @ coefficients streams
+    the basis columns once instead of taking n_mc short dot products.
+    Two cuts leave the max unchanged.
     Once, _hull_columns keeps the rows that can win for some feature vector
     g: for one or two features the right vectors' convex hull vertices,
     and otherwise every row.  At each design, _reachable_rows keeps those

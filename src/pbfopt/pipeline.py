@@ -132,6 +132,10 @@ class PipelineConfig:
         object.__setattr__(self, "input_bounds", check_bounds(self.input_bounds))
         if self.input_bounds.shape != (len(INPUT_NAMES), 2):
             raise ValueError(f"input_bounds must be {(len(INPUT_NAMES), 2)}")
+        # every field must have the type its JSON key takes (_canonical), so a
+        # config built here meets the rules of one loaded from a file, and a
+        # mistyped value is named before the range checks below compare it
+        config_to_dict(self)
         if self.M < 43:
             raise ValueError(
                 "M must be at least 43: the symmetric DOE mirrors its points "
@@ -610,9 +614,11 @@ def validate(
     agree up to Monte Carlo error.
     """
     _check_bundle_bounds(b, cfg)
-    # the surrogate side rejects a design outside the training box; say so
-    # before the simulations run
+    # the surrogate side rejects a design outside the training box, and a
+    # non-finite zeta gives no superquantile; say so before the simulations run
     normalize_inputs(np.array([d_star.v, d_star.P]), cfg.input_bounds[:2])
+    if not np.isfinite(zeta_star):
+        raise ValueError(f"zeta must be finite, got {zeta_star}")
     alpha = cfg.optimize.alpha_t
     z_val = draw_material_samples(
         cfg.input_bounds[2:], cfg.n_val, np.random.default_rng(cfg.seed_validation)

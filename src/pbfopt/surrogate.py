@@ -156,7 +156,8 @@ def predict(s: PolySurrogate, eta) -> np.ndarray:
 def basis(s: PolySurrogate, eta) -> np.ndarray:
     """The (n, n_coefficients) monomial design matrix of s's basis at n
     points, given as fit takes them: an (n, r) array, or a 1-D array of n
-    points in one variable."""
+    points in one variable.  Column-major, as design_matrix builds it, so
+    basis @ c streams each column once."""
     e = _check_etas(eta)
     if e.shape[1] != s.n_vars:
         raise ValueError(f"expected {s.n_vars} active variables, got {e.shape[1]}")

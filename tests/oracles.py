@@ -85,6 +85,27 @@ def estimate_bpof_minform_scan(values, tau):
     return float(min(max(float(ratios[best]), 0.0), 1.0)), float(cand[best])
 
 
+def design_matrix_row_major(x, exps):
+    """reduction.design_matrix filled row-major: each column formed as a
+    temporary by the same multiplies in the same order, then copied in."""
+    n_pts, n_vars = x.shape
+    max_pow = [max(e[i] for e in exps) for i in range(n_vars)]
+    pows = []
+    for i in range(n_vars):
+        cols = [np.ones(n_pts)]
+        for _ in range(max_pow[i]):
+            cols.append(cols[-1] * x[:, i])
+        pows.append(cols)
+    out = np.empty((n_pts, len(exps)))
+    for j, e in enumerate(exps):
+        col = pows[0][e[0]].copy()
+        for i in range(1, n_vars):
+            if e[i]:
+                col *= pows[i][e[i]]
+        out[:, j] = col
+    return out
+
+
 def predict_row(bundle, side, xi):
     """Full predicted output row of one side ("temperature" or "stress")
     at one raw input vector: feature predictions times right vectors.  An

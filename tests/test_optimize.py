@@ -454,6 +454,18 @@ def lifted(output: OutputModel, intercept: float) -> OutputModel:
     return replace(output, features=(first, *output.features[1:]))
 
 
+@pytest.mark.parametrize("name", ["toy_bundle", "k2_bundle", "k3_bundle"])
+def test_row_max_bases_are_column_major(name, request):
+    # a row-major basis makes each feature's product n_mc short dot products
+    bundle = request.getfixturevalue(name)
+    u_z = np.random.default_rng(8).uniform(-1.0, 1.0, size=(500, 4))
+    for side in ("temperature", "stress"):
+        row_max = optimize._RowMax(getattr(bundle, side), u_z)
+        assert len(row_max._bases) == len(getattr(bundle, side).features)
+        for _, a in row_max._bases:
+            assert a.shape[0] == 500 and a.flags.f_contiguous
+
+
 class TestReachableRows:
     """The row max over the rows the draws can reach is the max over every
     row, bit for bit."""

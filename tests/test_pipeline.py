@@ -163,6 +163,35 @@ class TestConfigSerialization:
             PipelineConfig(**kwargs)
 
     @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            ({"k_max": 2.5}, "'k_max' must be an integer"),
+            ({"n_val": 12.5}, "'n_val' must be an integer"),
+            ({"M": 50.5}, "'M' must be an integer"),
+            ({"seed_doe": True}, "'seed_doe' must be an integer"),
+            ({"c_r": "0.5"}, "'c_r' must be a number"),
+            (
+                {"optimize": OptimizeConfig(n_mc=1000.5)},
+                "'optimize.n_mc' must be an integer",
+            ),
+            (
+                {"optimize": OptimizeConfig(temp_window=(1700.0, 1800.0, 1900.0))},
+                "'optimize.temp_window' must be two numbers",
+            ),
+        ],
+        ids=["k_max", "n_val", "M", "seed_doe", "c_r", "n_mc", "temp_window"],
+    )
+    def test_python_configs_meet_the_json_rules(self, kwargs, key, monkeypatch):
+        # a config built in Python fails on construction, as its JSON form
+        # would on loading, before any simulation starts
+        runs = []
+        monkeypatch.setattr(pipeline, "simulate_batch", lambda *a: runs.append(a))
+        monkeypatch.setattr(pipeline, "_run_batch", lambda *a: runs.append(a))
+        with pytest.raises(ValueError, match=key):
+            run_training(PipelineConfig(**kwargs))
+        assert runs == []
+
+    @pytest.mark.parametrize(
         "doc, key",
         [
             ({"optimize": {"v_bounds": [100.0, 1000.0]}}, "'v_bounds'"),
@@ -737,6 +766,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="bounds"):
             validate(DesignPoint(v=500.0, P=100.0), 2.0, bundle, other)
 
+    @pytest.mark.parametrize("zeta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_zeta_rejected_before_drawing_or_simulating(
+        self, trained, monkeypatch, zeta
+    ):
+        cfg, bundle = trained
+        cfg = replace(cfg, synthetic=False)  # the real model would simulate
+        calls = []
+        for name in ("draw_material_samples", "simulate_batch", "_run_batch"):
+            monkeypatch.setattr(pipeline, name, lambda *a, n=name: calls.append(n))
+        with pytest.raises(ValueError, match="zeta must be finite"):
+            validate(DesignPoint(v=500.0, P=100.0), zeta, bundle, cfg)
+        assert calls == []
+
 
 def write_cli_config(path: Path, out_dir: Path, optimize=(), **extra) -> Path:
     doc = {
@@ -826,6 +868,17 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert "--zeta" in err and "--design" in err
+
+    @pytest.mark.parametrize("zeta", ["nan", "inf", "-inf"])
+    def test_validate_rejects_a_non_finite_zeta(
+        self, workspace, tmp_path, capsys, zeta
+    ):
+        out, cfg_path = trained_dir(workspace, tmp_path)
+        argv = ["validate", "--config", str(cfg_path), "--design", "500,100",
+                f"--zeta={zeta}"]
+        assert cli.main(argv) == 1
+        assert "zeta must be finite" in capsys.readouterr().err
+        assert not (out / "validation.json").exists()
 
     def test_validate_explicit_design_keeps_the_config_settings(self, workspace):
         root, cfg_path = workspace

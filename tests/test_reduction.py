@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reconstruct
+from oracles import design_matrix_row_major, reconstruct
 
 from pbfopt import reduction, thermal
 
@@ -442,3 +442,23 @@ class TestActiveVars:
         xi = np.array([0.2, 0.5, -0.3, 0.1, 0.0, 0.7])
         perp = np.array([1.0, -1.0, 0, 0, 0, 0]) / np.sqrt(2.0)
         assert (xi + 3.0 * perp) @ s.w1 == pytest.approx(xi @ s.w1)
+
+
+class TestDesignMatrixLayout:
+    """design_matrix is column-major and equal, bit for bit, to the same
+    multiplies filled row-major."""
+
+    @pytest.mark.parametrize("n_vars", [1, 2, 3])
+    @pytest.mark.parametrize("degree", range(7))
+    def test_column_major_and_equal_to_row_major(self, n_vars, degree):
+        rng = np.random.default_rng(100 * n_vars + degree)
+        exps = reduction.monomial_exponents(n_vars, degree)
+        for x in (
+            rng.uniform(-1.0, 1.0, size=(257, n_vars)),
+            rng.uniform(-1.0, 1.0, size=(1, n_vars)),
+            rng.normal(size=(40, n_vars + 2))[::3, 1 : n_vars + 1],  # a strided view
+        ):
+            got = reduction.design_matrix(x, exps)
+            assert got.shape == (x.shape[0], len(exps))
+            assert got.flags.f_contiguous
+            assert np.array_equal(got, design_matrix_row_major(x, exps))
