@@ -8,12 +8,15 @@ constraints into deterministic functions of the design (sample average
 approximation with common random numbers).  The buffered probability is the
 minimum over zeta < tau of mean((sigma - zeta)^+) / (tau - zeta); each
 evaluation solves that inner minimization exactly, so zeta is reported but
-never searched.
+never searched.  On the frozen draws those functions are piecewise smooth in
+the design, and each evaluation also returns their exact gradients, which
+the SQP takes as its Jacobian: no evaluation is spent on differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
@@ -39,7 +42,11 @@ HISTORY_COLUMNS = ("v", "P", "zeta", "energy", "bpof_lhs", "t_max_hat")
 
 # slack allowed when a point is judged feasible (see is_feasible)
 CONSTRAINT_TOL = 1e-4
-_FD_STEP = 1e-6  # difference step in normalized units; the SQP stops below it
+_STEP_TOL = 1e-6  # the SQP stops on a step below this, in normalized units
+# the SQP's QP asks each constraint row for this much slack, far above
+# rounding, so a step onto a linearized boundary lands inside it: pof's
+# exceedance count jumps one draw a rounding error outside
+_ROW_MARGIN = 1e-9
 _MAX_ITERS = 500  # SQP iterations per phase; solves stop long before it
 
 
@@ -77,8 +84,9 @@ class OptimizeConfig:
 class OptimizationResult:
     """Solver outcome plus the full evaluation history.
 
-    iterations counts surrogate evaluations, one per history row, finite
-    differences and the elastic phase included.
+    iterations counts surrogate evaluations, one per history row: the SQP's
+    iterates and backtracking trials, the elastic phase's included.  Each
+    evaluation gives its exact Jacobian too, so no row is a difference point.
     """
 
     d_star: DesignPoint
@@ -126,7 +134,7 @@ def stress_max_samples(b: surrogate.SurrogateBundle, d: DesignPoint, samples):
 
 
 def _risk(sigma: np.ndarray, cfg: OptimizeConfig):
-    """The risk constraint on one sample set: (lhs, zeta, row).
+    """The risk constraint on one sample set: (lhs, zeta, row, slope).
 
     lhs is the constraint value, bPOF at tau in bpof mode and the plain
     exceedance frequency in pof mode.  zeta solves the inner minimization
@@ -135,20 +143,34 @@ def _risk(sigma: np.ndarray, cfg: OptimizeConfig):
     the design: rho is the alpha-superquantile in bpof mode (bPOF_tau <=
     1 - alpha exactly when rho <= tau; Rockafellar & Royset 2010), and in
     pof mode the (k + 1)-th largest sample, k = floor((1 - alpha) n),
-    exceeded by at most k samples.
+    exceeded by at most k samples.  slope = (draws, weights), weights an
+    array or one scalar, gives the row's gradient as the weighted sum of
+    those draws' gradients.  In bpof mode it is exact: each tail draw above
+    the quantile weighs 1 / (n (1 - alpha)) and the quantile's own draw the
+    rest of 1 (Hong & Liu 2009).  In pof mode it averages the order
+    statistics within isqrt(k) ranks of rho (Hong 2009); the single order
+    statistic's gradient stalls the SQP.
     """
     if not np.isfinite(cfg.tau):
-        return 0.0, float(sigma.max()), 1.0
+        return 0.0, float(sigma.max()), 1.0, (np.empty(0, dtype=int), 0.0)
     bpof, zeta = risk.estimate_bpof_minform(sigma, cfg.tau)
     # tau equal to the sample maximum returns zeta = tau; zeta must stay below
     zeta = min(zeta, float(np.nextafter(cfg.tau, -np.inf)))
+    n = sigma.size
     if cfg.constraint_kind == CONSTRAINT_POF:
-        k = int((1.0 - cfg.alpha_t) * sigma.size)
-        lhs = risk.estimate_pof(sigma, cfg.tau)
-        rho = np.partition(sigma, -k - 1)[-k - 1]
+        k = int((1.0 - cfg.alpha_t) * n)
+        mid, m = n - k - 1, isqrt(k)
+        lo, hi = max(mid - m, 0), min(mid + m, n - 1)
+        order = np.argpartition(sigma, (lo, mid, hi))
+        lhs, rho = risk.estimate_pof(sigma, cfg.tau), sigma[order[mid]]
+        draws, weights = order[lo : hi + 1], 1.0 / (hi + 1 - lo)
     else:
-        lhs, rho = bpof, risk.estimate_superquantile(sigma, cfg.alpha_t)
-    return lhs, zeta, 1.0 - rho / cfg.tau
+        q = risk.estimate_quantile(sigma, cfg.alpha_t)
+        lhs, rho = bpof, risk.buffered_superquantile(sigma, q, cfg.alpha_t)
+        tail, share = np.flatnonzero(sigma > q), 1.0 / (n * (1.0 - cfg.alpha_t))
+        draws = np.append(tail, np.argmax(sigma == q))
+        weights = np.append(np.full(tail.size, share), 1.0 - tail.size * share)
+    return lhs, zeta, 1.0 - rho / cfg.tau, (draws, -weights / cfg.tau)
 
 
 def _planar_hull(points: np.ndarray) -> np.ndarray:
@@ -239,19 +261,72 @@ class _RowMax:
             (m, surrogate.basis(m.poly, u_z @ m.subspace.w1[2:]))
             for m in output.features
         ]
+        self._sums = [a.sum(axis=0) for _, a in self._bases]  # for gradient
         vectors = output.right_vectors
         self._vectors = vectors[_hull_columns(vectors)]
 
     def __call__(self, u_d: np.ndarray) -> np.ndarray:
+        return self.evaluate(u_d)[0]
+
+    def evaluate(self, u_d: np.ndarray):
+        """(out, at): the per-sample maximum at u_d, and what gradient needs
+        of it: each feature's shifted coefficients, the reachable rows, the
+        feature values g and out."""
         shift = surrogate.shift_coefficients
-        g = np.stack(
-            [a @ shift(m.poly, u_d @ m.subspace.w1[:2]) for m, a in self._bases]
-        )
+        coeffs = [shift(m.poly, u_d @ m.subspace.w1[:2]) for m, _ in self._bases]
+        g = np.stack([a @ c for (_, a), c in zip(self._bases, coeffs)])
         rows = _reachable_rows(self._vectors, g)
         out = rows[0] @ g
         for v in rows[1:]:  # column-wise max, one n-length row at a time
             np.maximum(out, v @ g, out=out)
-        return out
+        return out, (coeffs, rows, g, out)
+
+    def gradient(self, at, weights, draws=None) -> np.ndarray:
+        """The sum over `draws` of weights (one each, or one scalar) times
+        the gradient in u_d of each one's maximum at evaluate's call `at`;
+        with draws None, over every sample with one scalar weight, which
+        needs all of `at` (only its first two items otherwise).  A sample's
+        maximum is its winning row v @ g, and a design only shifts each
+        feature's active variables by u_d @ w1[:2], so its gradient is
+        sum_k v_k basis_k @ (d c_k / d shift) @ w1_k[:2].T.  Over every
+        sample, the basis products are the stored column sums through the
+        row that wins at the mean feature values, corrected on the samples
+        that it loses: on the nominal bundle few or none."""
+        coeffs, rows, *full = at
+        if draws is None:
+            g, out = full
+            top = rows[np.argmax(rows @ g.mean(axis=1))]
+            draws = np.flatnonzero(top @ g < out) if len(rows) > 1 else []
+            base, weights = weights * top, np.full(len(draws), weights)
+        else:
+            top, base = 0.0, np.zeros(rows.shape[1])
+        picked = [a[draws] for _, a in self._bases]
+        g = np.stack([p @ c for p, c in zip(picked, coeffs)])  # the draws' features
+        lead = (_winning_rows(rows, g) - top) * np.reshape(weights, (-1, 1))
+        return sum(
+            (b * s + v @ p) @ surrogate.derivative_coefficients(m.poly, c).T
+            @ m.subspace.w1[:2].T
+            for b, s, v, p, c, (m, _) in zip(
+                base, self._sums, lead.T, picked, coeffs, self._bases
+            )
+        )
+
+
+def _winning_rows(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """For each column of feature values g, the first of `rows` that attains
+    the max of rows @ g, found by a running max in O(columns) memory."""
+    best, win = np.full(g.shape[1], -np.inf), np.zeros(g.shape[1], dtype=int)
+    for j, v in enumerate(rows):
+        val = v @ g
+        win[val > best] = j
+        np.maximum(best, val, out=best)
+    return rows[win]
+
+
+def _window_width(cfg: OptimizeConfig) -> float:
+    """_margins' unit for t_hat: the melt window's width, 1 if an edge is open."""
+    lo, hi = cfg.temp_window
+    return (hi - lo) if np.isfinite(hi - lo) else 1.0
 
 
 def _margins(cfg: OptimizeConfig, lhs, t_hat) -> np.ndarray:
@@ -259,9 +334,8 @@ def _margins(cfg: OptimizeConfig, lhs, t_hat) -> np.ndarray:
     risk budget left over as a fraction of the budget, then the distances
     of t_hat above the window's lower edge and below its upper edge in
     window widths.  On arrays the three margins run along the last axis."""
-    budget = 1.0 - cfg.alpha_t
+    budget, scale = 1.0 - cfg.alpha_t, _window_width(cfg)
     lo, hi = cfg.temp_window
-    scale = (hi - lo) if np.isfinite(hi - lo) else 1.0
     return np.stack(
         [(budget - lhs) / budget, (t_hat - lo) / scale, (hi - t_hat) / scale],
         axis=-1,
@@ -337,25 +411,20 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _sqp(fun, x: np.ndarray) -> None:
-    """Minimize fun(x)[0] subject to fun(x)[1:] >= 0 over the box [-1, 1]^2 by
-    SQP: forward-difference gradients, the QP (_qp) on a Powell-damped BFGS
-    Hessian of the Lagrangian (Powell 1978), backtracking on the l1 merit
-    f + mu * sum(c^-), and a least-squares restoration step that relaxes the
-    rows when their linearization has no feasible point.  Stops when the step
-    vanishes, when backtracking finds no descent, or after _MAX_ITERS."""
+    """Minimize fun(x)[0][0] subject to fun(x)[0][1:] >= 0 over the box
+    [-1, 1]^2 by SQP, fun(x) giving those values and their Jacobian: the QP
+    (_qp) on a Powell-damped BFGS Hessian of the Lagrangian (Powell 1978),
+    backtracking on the l1 merit f + mu * sum(c^-), and a least-squares
+    restoration step that relaxes the rows when their linearization has no
+    feasible point.  Stops when the step, proposed or taken, falls below
+    _STEP_TOL, when backtracking finds no descent, or after _MAX_ITERS."""
     def l1(c):  # total violation of rows c >= 0
         return np.maximum(-c, 0.0).sum()
 
-    def jacobian(x, f):  # forward differences, stepping inward at the box edge
-        hs = np.where(x + _FD_STEP <= 1.0, _FD_STEP, -_FD_STEP)
-        cols = [(fun(x + h * e) - f) / h for h, e in zip(hs, np.eye(2))]
-        return np.column_stack(cols)
-
-    f, hess, mu = fun(x), np.eye(2), 0.0
-    jac = jacobian(x, f)
+    (f, jac), hess, mu = fun(x), np.eye(2), 0.0
     for _ in range(_MAX_ITERS):
         c, a, g = f[1:], jac[1:], jac[0]
-        rows = np.concatenate([c, 1.0 - x, 1.0 + x])
+        rows = np.concatenate([c - _ROW_MARGIN, 1.0 - x, 1.0 + x])
         jac_rows = np.vstack([a, -np.eye(2), np.eye(2)])
         step = _qp(hess, g, rows, jac_rows)
         if step is None:  # relax each row to a least-squares restoration step
@@ -368,16 +437,17 @@ def _sqp(fun, x: np.ndarray) -> None:
         if drop > 0.0:  # Nocedal & Wright (18.36): d descends on the merit
             mu = max(mu, (g @ d + 0.5 * d @ hess @ d) / (0.5 * drop))
         slope = g @ d - mu * drop
-        if np.abs(d).max() < _FD_STEP or not slope < 0.0:
+        if np.abs(d).max() < _STEP_TOL or not slope < 0.0:
             return
         for t in 0.5 ** np.arange(20):  # backtracking
             x_t = np.clip(x + t * d, -1.0, 1.0)
-            f_t = fun(x_t)
+            f_t, jac_t = fun(x_t)
             if f_t[0] + mu * l1(f_t[1:]) <= f[0] + mu * l1(c) + 1e-4 * t * slope:
                 break
         else:  # no descent along d
             return
-        jac_t = jacobian(x_t, f_t)
+        if np.abs(x_t - x).max() < _STEP_TOL:  # crawling, as on a kink
+            return
         s, y = x_t - x, jac_t[0] - jac_t[1:].T @ lam - (g - a.T @ lam)
         hs = hess @ s
         if s @ y < 0.2 * s @ hs:  # Powell's damping keeps hess positive definite
@@ -404,20 +474,39 @@ class _SolveState:
         self.box_mid = 0.5 * (box[:, 0] + box[:, 1])
         self.box_half = 0.5 * (box[:, 1] - box[:, 0])
 
-    def assess(self, x: np.ndarray):
+    def assess(self, x: np.ndarray, elastic: bool = False):
         """Evaluate one solver point, a design in normalized coordinates;
         records history and incumbents.  Returns the energy, the scaled
-        constraint violations (the negative part of _margins) and the
-        solver's constraint rows: _margins with its risk row in stress
-        units (_risk)."""
+        constraint violations (the negative part of _margins), the solver's
+        constraint rows (_margins with its risk row in stress units, _risk)
+        and the exact Jacobian in x of the energy and those rows on the
+        frozen draws.  With elastic, the Jacobian's risk row is that of
+        _margins' own, the bPOF or POF margin.  POF's gradient is 0 almost
+        everywhere.  bPOF is sum((sigma - zeta)^+) / n (tau - zeta) at a
+        zeta that is one draw's value, and stays that draw's nearby: so each
+        of the m draws above zeta weighs 1 / n (tau - zeta) in its gradient
+        and that draw (n bPOF - m) / n (tau - zeta)."""
         cfg = self.cfg
-        xc = np.clip(x, -1.0, 1.0)  # the evaluated design lives at the clip
-        v, p = self.box_mid + self.box_half * xc
+        v, p = self.box_mid + self.box_half * np.clip(x, -1.0, 1.0)
+        # evaluated at the design's own normalized coordinates, as
+        # normalize_inputs maps them, so each history row reproduces exactly
+        xc = np.clip((np.array([v, p]) - self.box_mid) / self.box_half, -1.0, 1.0)
         d = DesignPoint(v=v, P=p)
         stress_max, temperature_max = self.row_max
-        sigma = stress_max(xc)
-        lhs, zeta, risk_row = _risk(sigma, cfg)
-        t_hat = float(temperature_max(xc).mean())
+        sigma, at = stress_max.evaluate(xc)
+        at = at[:2]  # the risk draws' features come from their basis rows
+        lhs, zeta, risk_row, (draws, weights) = _risk(sigma, cfg)
+        if elastic and cfg.constraint_kind == CONSTRAINT_BPOF and 0.0 < lhs < 1.0:
+            above, n = np.flatnonzero(sigma > zeta), sigma.size
+            draws = np.append(above, np.argmax(sigma == zeta))
+            weights = np.append(np.ones(above.size), lhs * n - above.size)
+            weights *= -1.0 / (n * (cfg.tau - zeta) * (1.0 - cfg.alpha_t))
+        elif elastic:  # 0 at bPOF 0 or 1, and POF's almost everywhere
+            draws, weights = draws[:0], 0.0
+        risk_grad = stress_max.gradient(at, weights, draws)
+        temps, at = temperature_max.evaluate(xc)
+        t_hat = float(temps.mean())
+        dt = temperature_max.gradient(at, 1.0 / temps.size) / _window_width(cfg)
         e = energy(d, cfg.scan_length)
         margins = _margins(cfg, lhs, t_hat)
         viol = np.maximum(-margins, 0.0)
@@ -431,7 +520,9 @@ class _SolveState:
         if self.least_infeasible is None or key < self.least_infeasible[:2]:
             self.least_infeasible = (total_viol, e, xc, row)
         margins[0] = risk_row
-        return e, viol, margins
+        de = [-e / v * self.box_half[0], cfg.scan_length / v * self.box_half[1]]
+        jac = np.array([de, risk_grad, dt, -dt])
+        return e, viol, margins, jac
 
     def _is_feasible(self, lhs, t_hat):
         return is_feasible(self.cfg, lhs, t_hat)
@@ -477,12 +568,14 @@ def solve(
     state = _SolveState(b, cfg, row_max)
 
     def energy_and_rows(x):
-        e, _, rows = state.assess(x)
+        e, _, rows, jac = state.assess(x)
         # a row above 1 is never active, and an open window edge makes it inf
-        return np.append(e, np.minimum(rows, 1.0))
+        jac[1:][rows > 1.0] = 0.0
+        return np.append(e, np.minimum(rows, 1.0)), jac
 
     def squared_violation(x):
-        return np.array([np.sum(state.assess(x)[1] ** 2)])
+        _, viol, _, jac = state.assess(x, elastic=True)
+        return np.array([np.sum(viol**2)]), (-2.0 * viol @ jac[1:])[None]
 
     _sqp(energy_and_rows, start)
     if state.best_feasible is None:  # the elastic phase

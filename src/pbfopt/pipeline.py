@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import ExitStack
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -134,8 +134,14 @@ class PipelineConfig:
             raise ValueError(f"input_bounds must be {(len(INPUT_NAMES), 2)}")
         # every field must have the type its JSON key takes (_canonical), so a
         # config built here meets the rules of one loaded from a file, and a
-        # mistyped value is named before the range checks below compare it
-        config_to_dict(self)
+        # mistyped value is named before the range checks below compare it;
+        # each field then holds its canonical value, a numpy integer an int
+        for name, value in _fields_to_dict(self).items():
+            object.__setattr__(self, name, value)
+        for section in _NESTED:
+            sub = getattr(self, section)
+            canonical = _fields_to_dict(sub, f"{section}.")
+            object.__setattr__(self, section, replace(sub, **canonical))
         if self.M < 43:
             raise ValueError(
                 "M must be at least 43: the symmetric DOE mirrors its points "
@@ -200,16 +206,18 @@ def _canonical(key: str, value, default):
     """value checked against the type of its field's default, in canonical
     JSON form.
 
-    int fields take integers (a bool is not one), float fields take any
-    number and store a float, bool fields take only booleans, str fields
-    take strings and pair fields take two numbers, stored as floats.  So
-    equal configurations have one canonical form and share a hash.
+    int fields take integers, numpy's too, and store an int (a bool is not
+    one, nor numpy's), float fields take any number and store a float, bool
+    fields take only booleans, str fields take strings and pair fields take
+    two numbers, stored as floats.  So equal configurations have one
+    canonical form and share a hash.
     """
     if isinstance(default, bool):
         ok, kind = isinstance(value, bool), "true or false"
     elif isinstance(default, int):
-        ok = isinstance(value, int) and not isinstance(value, bool)
+        ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
         kind = "an integer"
+        value = int(value) if ok else value
     elif isinstance(default, float):
         ok, kind = _is_number(value), "a number"
         value = float(value) if ok else value

@@ -131,7 +131,8 @@ def estimate_bpof_minform(values, tau: float) -> tuple[float, float]:
     last = np.flatnonzero(g[:k] != g[1 : k + 1])
     cand = np.concatenate([[gmin - span], g[last]])
     idx = np.concatenate([[0], last + 1])
-    ratios = (suffix[idx] - (g.size - idx) * cand) / (g.size * (tau - cand))
+    with np.errstate(over="ignore"):  # a candidate just below tau: inf never wins
+        ratios = (suffix[idx] - (g.size - idx) * cand) / (g.size * (tau - cand))
     best = int(np.argmin(ratios))
     zeta, bpof = float(cand[best]), float(ratios[best])
     return float(min(max(bpof, 0.0), 1.0)), zeta

@@ -30,6 +30,7 @@ __all__ = [
     "predict",
     "basis",
     "shift_coefficients",
+    "derivative_coefficients",
     "r2_score",
     "bundle_to_dict",
     "bundle_from_dict",
@@ -56,6 +57,19 @@ def _shift_table(n_vars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     weights.setflags(write=False)
     gaps.setflags(write=False)
     return weights, gaps
+
+
+@lru_cache(maxsize=None)
+def _derivative_table(n_vars: int, degree: int) -> np.ndarray:
+    """(n_vars, n, n) matrices D: D[j][beta, alpha] = alpha_j where alpha is
+    beta plus one in variable j, so D[j] @ c differentiates in eta_j."""
+    exps = np.array(monomial_exponents(n_vars, degree))
+    steps = exps[None, :, :] - exps[:, None, :]  # alpha - beta over [beta, alpha]
+    table = np.stack(
+        [(steps == e).all(axis=-1) * exps[:, j] for j, e in enumerate(np.eye(n_vars))]
+    )
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -171,6 +185,14 @@ def shift_coefficients(s: PolySurrogate, offset) -> np.ndarray:
     weights, gaps = _shift_table(s.n_vars, s.degree)
     powers = (np.asarray(offset, dtype=float) ** gaps).prod(axis=-1)
     return (weights * powers) @ s.coefficients
+
+
+def derivative_coefficients(s: PolySurrogate, coefficients) -> np.ndarray:
+    """(n_vars, n_coefficients) array whose row j holds, in s's basis, the
+    coefficients of the derivative in eta_j of the polynomial with the given
+    coefficients.  Shifting and differentiating commute, so on
+    shift_coefficients(s, offset) it is their derivative in offset."""
+    return _derivative_table(s.n_vars, s.degree) @ coefficients
 
 
 @dataclass(frozen=True)

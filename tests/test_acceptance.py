@@ -407,6 +407,15 @@ def test_criterion_09_validation_protocol(nominal_chain):
     )
 
 
+def test_nominal_starts_take_few_evaluations(nominal_chain):
+    """With exact gradients on the frozen draws, each default start of the
+    nominal solve is feasible within 10 surrogate evaluations."""
+    results = nominal_chain.results
+    assert len(results) == len(pipeline.DEFAULT_STARTS)
+    assert all(r.feasible for r in results)
+    assert max(r.iterations for r in results) <= 10, [r.iterations for r in results]
+
+
 def test_nominal_solver_scenarios(nominal_chain):
     """The SQP on the nominal bundle at tau = 607 MPa, just above the stress
     superquantile q* at d* (about 604.8), and at tau = q* - 0.5 MPa, just

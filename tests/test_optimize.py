@@ -25,7 +25,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
-from math import comb
+from math import comb, isqrt
 from pathlib import Path
 
 import numpy as np
@@ -284,7 +284,7 @@ class TestEvaluateConstraints:
         d = DesignPoint(v=300.0, P=100.0)
         sigma = stress_max_samples(toy_bundle, d, z)
         cfg = OptimizeConfig(tau=float(sigma.max()))
-        _, zeta, _ = optimize._risk(sigma, cfg)
+        _, zeta, _, _ = optimize._risk(sigma, cfg)
         assert zeta < cfg.tau
         evaluate_constraints(d, zeta, toy_bundle, z, cfg)
 
@@ -298,7 +298,7 @@ class TestEvaluateConstraints:
         assert row == 1.0 - np.sort(sigma)[-101] / 610.0
         for kind in ("bpof", "pof"):
             cfg = OptimizeConfig(tau=np.inf, constraint_kind=kind)
-            assert optimize._risk(sigma, cfg) == (0.0, sigma.max(), 1.0)
+            assert optimize._risk(sigma, cfg)[:3] == (0.0, sigma.max(), 1.0)
 
     def test_empty_samples_rejected(self, toy_bundle):
         with pytest.raises(ValueError, match="empty"):
@@ -825,6 +825,93 @@ class TestAgainstSlsqp:
             slsqp_solve(b, cfg, DesignPoint(*start)), rel=1e-3
         )
         assert res.iterations <= 40
+
+
+def central_differences(fun, x, h=1e-6):
+    """Central-difference Jacobian of fun at x, one column per coordinate."""
+    return np.column_stack(
+        [(fun(x + h * e) - fun(x - h * e)) / (2.0 * h) for e in np.eye(2)]
+    )
+
+
+# (bundle, tau, melt window): at most of JACOBIAN_POINTS bPOF lies strictly
+# between 0 and 1, so the elastic risk row is live, and at some the melt
+# window's lower edge is violated
+JACOBIAN_CASES = [
+    ("toy_bundle", 740.0, (1650.0, 1815.0)),
+    ("k2_bundle", 12.0, (6.0, 9.0)),
+    ("k3_bundle", 15.0, (6.0, 9.0)),
+]
+JACOBIAN_POINTS = ([0.1, 0.2], [-0.3, 0.5], [0.6, -0.4])  # normalized designs
+
+
+def jacobian_state(b, tau, window, kind):
+    cfg = OptimizeConfig(
+        tau=tau, temp_window=window, n_mc=2000, seed=7, constraint_kind=kind
+    )
+    return cfg, optimize._SolveState(b, cfg, optimize._frozen_row_max(b, cfg))
+
+
+class TestExactJacobian:
+    """_SolveState.assess's Jacobian on the frozen draws, at interior
+    designs away from kinks: the row max switching rows, or the order of
+    the draws changing, within the difference step."""
+
+    @pytest.mark.parametrize("kind", ["bpof", "pof"])
+    @pytest.mark.parametrize("bundle, tau, window", JACOBIAN_CASES)
+    def test_matches_central_differences(self, request, bundle, tau, window, kind):
+        cfg, state = jacobian_state(request.getfixturevalue(bundle), tau, window, kind)
+
+        def main(x):  # the energy and the solver's rows
+            e, _, rows, _ = state.assess(x)
+            return np.append(e, rows)
+
+        def elastic(x):  # the energy and _margins itself, risk row bPOF's or POF's
+            state.assess(x)
+            _, _, _, e, lhs, t_hat = state.history[-1]
+            return np.append(e, optimize._margins(cfg, lhs, t_hat))
+
+        # pof's risk row takes its neighbours' gradients too (see below); on
+        # the toy bundle every draw's stress has the same gradient
+        rows = [0, 2, 3] if kind == "pof" and bundle != "toy_bundle" else [0, 1, 2, 3]
+        for x in map(np.array, JACOBIAN_POINTS):
+            for fun, phase in ((main, False), (elastic, True)):
+                want = central_differences(fun, x)[rows]
+                got = state.assess(x, elastic=phase)[3][rows]
+                np.testing.assert_allclose(
+                    got, want, rtol=1e-6, atol=1e-9 * np.abs(want).max()
+                )
+
+    @pytest.mark.parametrize("kind", ["bpof", "pof"])
+    @pytest.mark.parametrize("bundle, tau, window", JACOBIAN_CASES)
+    def test_risk_row_is_the_tail_mean(self, request, bundle, tau, window, kind):
+        """-tau times the risk row's gradient: in bpof mode the mean of the
+        top k = n (1 - alpha) draws' gradients, the superquantile's (Hong &
+        Liu 2009); in pof mode the mean over the draws within isqrt(k) ranks
+        of the (k + 1)-th largest.  Each draw's gradient is a central
+        difference of the full-row oracle."""
+        b = request.getfixturevalue(bundle)
+        cfg, state = jacobian_state(b, tau, window, kind)
+        z = draw_material_samples(
+            b.input_bounds[2:], cfg.n_mc, np.random.default_rng(cfg.seed)
+        )
+        (v_lo, v_hi), (p_lo, p_hi) = b.input_bounds[:2]
+
+        def sigma(x):
+            v = 0.5 * (v_lo + v_hi) + 0.5 * (v_hi - v_lo) * x[0]
+            p = 0.5 * (p_lo + p_hi) + 0.5 * (p_hi - p_lo) * x[1]
+            return row_max_samples(b, "stress", DesignPoint(v, p), z)
+
+        k = round(cfg.n_mc * (1.0 - cfg.alpha_t))
+        for x in map(np.array, JACOBIAN_POINTS):
+            descending = np.argsort(sigma(x))[::-1]
+            if kind == "bpof":
+                picked = descending[:k]
+            else:
+                picked = descending[k - isqrt(k) : k + isqrt(k) + 1]
+            want = central_differences(sigma, x)[picked].mean(axis=0)
+            got = -cfg.tau * state.assess(x)[3][1]
+            np.testing.assert_allclose(got, want, rtol=1e-6)
 
 
 def test_iterations_count_every_evaluation(toy_bundle):

@@ -120,6 +120,20 @@ class TestConfigSerialization:
         b = PipelineConfig(optimize=OptimizeConfig(**floats))
         assert config_hash(a) == config_hash(b)
 
+    def test_numpy_integers_hash_as_ints(self):
+        cfg = PipelineConfig(
+            M=np.int64(60),
+            grid=SimGridConfig(cells_x=np.int64(64)),
+            optimize=OptimizeConfig(n_mc=np.int32(2000)),
+        )
+        want = PipelineConfig(M=60, optimize=OptimizeConfig(n_mc=2000))
+        assert config_hash(cfg) == config_hash(want)
+        stored = (cfg.M, cfg.grid.cells_x, cfg.optimize.n_mc)
+        assert [type(x) for x in stored] == [int] * 3
+        for flag in (True, np.bool_(True)):
+            with pytest.raises(ValueError, match="'M' must be an integer"):
+                PipelineConfig(M=flag)
+
     @pytest.mark.parametrize(
         "doc, key",
         [

@@ -1,8 +1,10 @@
 """Risk estimator tests against brute-force and analytic oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     estimate_bpof_minform_scan,
@@ -251,11 +253,23 @@ class TestBpofMinform:
             assert got == estimate_bpof_minform_scan(vals, tau)
 
     @given(sample_lists, finite_floats)
+    @example([22.0, -23.0, -3.9997639996858037e-308], 0.0)
     def test_bounds_and_pof_dominance(self, vals, tau):
         bpof, zeta = risk.estimate_bpof_minform(vals, tau)
         assert 0.0 <= bpof <= 1.0
         assert zeta <= tau
         assert bpof >= risk.estimate_pof(vals, tau) - 1e-12
+
+    def test_candidate_just_below_tau_does_not_warn(self):
+        # its ratio overflows to inf, which never wins the minimum
+        vals, tau = [22.0, -23.0, -3.9997639996858037e-308], 0.0
+        with np.errstate(over="ignore"):  # the oracle's ratio overflows too
+            want = estimate_bpof_minform_scan(vals, tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = risk.estimate_bpof_minform(vals, tau)
+        assert got == want
+        assert got == (pytest.approx(68.0 / 69.0), -23.0)
 
     def test_scale_equivariance_exact_for_binary_scales(self):
         rng = np.random.default_rng(5)

@@ -247,6 +247,34 @@ class TestShiftCoefficients:
         assert surrogate.shift_coefficients(s, [1.0]).tolist() == [6.0, 8.0, 3.0]
 
 
+class TestDerivativeCoefficients:
+    @pytest.mark.parametrize("n_vars", [1, 2, 3])
+    @pytest.mark.parametrize("degree", range(7))
+    def test_basis_product_is_the_central_difference(self, n_vars, degree):
+        rng = np.random.default_rng(300 + 10 * n_vars + degree)
+        coeffs = rng.normal(size=math.comb(n_vars + degree, degree))
+        s = surrogate.PolySurrogate(
+            n_vars=n_vars, degree=degree, coefficients=coeffs, r2=0.0
+        )
+        eta, h = rng.uniform(-1, 1, size=(30, n_vars)), 1e-6
+        rows = surrogate.derivative_coefficients(s, coeffs)
+        assert rows.shape == (n_vars, coeffs.size)
+        for row, e in zip(rows, h * np.eye(n_vars)):
+            up, down = surrogate.predict(s, eta + e), surrogate.predict(s, eta - e)
+            want = (up - down) / (2 * h)
+            got = surrogate.basis(s, eta) @ row
+            assert np.abs(got - want).max() <= 1e-7 * np.abs(coeffs).max()
+
+    def test_one_variable_hand_values(self):
+        # d/dx (1 + 2x + 3x^2) = 2 + 6x
+        s = surrogate.PolySurrogate(
+            n_vars=1, degree=2, coefficients=np.array([1.0, 2.0, 3.0]), r2=0.0
+        )
+        assert surrogate.derivative_coefficients(s, s.coefficients).tolist() == [
+            [2.0, 6.0, 0.0]
+        ]
+
+
 class TestPolySurrogateValidation:
     def test_coefficient_count_enforced(self):
         with pytest.raises(ValueError, match="coefficients"):
