@@ -458,30 +458,25 @@ def _sqp(fun, x: np.ndarray) -> None:
 
 
 class _SolveState:
-    """Shared bookkeeping across solver phases: history and incumbents.
-    row_max is the (stress, temperature) _RowMax pair on the frozen draws.
-    The solver searches b's design box in b's own normalized coordinates."""
+    """The history, one HISTORY_COLUMNS row per evaluation, is a solve's only
+    record.  row_max is the (stress, temperature) _RowMax pair on the frozen
+    draws.  The solver searches b's design box in b's normalized coordinates."""
 
     def __init__(self, b, cfg: OptimizeConfig, row_max: tuple[_RowMax, _RowMax]):
         self.cfg = cfg
         self.row_max = row_max
         self.history: list[list[float]] = []
-        # (energy, history row) and (violation, energy, clipped search point,
-        # history row); the elastic phase starts at the latter's point
-        self.best_feasible: tuple[float, list] | None = None
-        self.least_infeasible: tuple[float, float, np.ndarray, list] | None = None
         box = b.input_bounds[:2]
         self.box_mid = 0.5 * (box[:, 0] + box[:, 1])
         self.box_half = 0.5 * (box[:, 1] - box[:, 0])
 
     def assess(self, x: np.ndarray, elastic: bool = False):
-        """Evaluate one solver point, a design in normalized coordinates;
-        records history and incumbents.  Returns the energy, the scaled
-        constraint violations (the negative part of _margins), the solver's
-        constraint rows (_margins with its risk row in stress units, _risk)
-        and the exact Jacobian in x of the energy and those rows on the
-        frozen draws.  With elastic, the Jacobian's risk row is that of
-        _margins' own, the bPOF or POF margin.  POF's gradient is 0 almost
+        """Evaluate one solver point, a design in normalized coordinates, and
+        append its history row.  Returns the energy, the constraint rows and
+        the exact Jacobian in x of the energy and those rows on the frozen
+        draws.  The rows are the solver's, _margins with its risk row in
+        stress units (_risk); with elastic, they are _margins itself, whose
+        risk row is the bPOF or POF margin.  POF's gradient is 0 almost
         everywhere.  bPOF is sum((sigma - zeta)^+) / n (tau - zeta) at a
         zeta that is one draw's value, and stays that draw's nearby: so each
         of the m draws above zeta weighs 1 / n (tau - zeta) in its gradient
@@ -508,24 +503,26 @@ class _SolveState:
         t_hat = float(temps.mean())
         dt = temperature_max.gradient(at, 1.0 / temps.size) / _window_width(cfg)
         e = energy(d, cfg.scan_length)
-        margins = _margins(cfg, lhs, t_hat)
-        viol = np.maximum(-margins, 0.0)
-        row = [v, p, zeta, e, lhs, t_hat]
-        self.history.append(row)
-        total_viol = float(viol.sum())
-        if self._is_feasible(lhs, t_hat):
-            if self.best_feasible is None or e < self.best_feasible[0]:
-                self.best_feasible = (e, row)
-        key = (total_viol, e)
-        if self.least_infeasible is None or key < self.least_infeasible[:2]:
-            self.least_infeasible = (total_viol, e, xc, row)
-        margins[0] = risk_row
+        self.history.append([v, p, zeta, e, lhs, t_hat])
+        rows = _margins(cfg, lhs, t_hat)
+        if not elastic:
+            rows[0] = risk_row
         de = [-e / v * self.box_half[0], cfg.scan_length / v * self.box_half[1]]
-        jac = np.array([de, risk_grad, dt, -dt])
-        return e, viol, margins, jac
+        return e, rows, np.array([de, risk_grad, dt, -dt])
 
     def _is_feasible(self, lhs, t_hat):
         return is_feasible(self.cfg, lhs, t_hat)
+
+
+def _reported_row(cfg: OptimizeConfig, rows) -> int:
+    """The index of the row to report among HISTORY_COLUMNS rows: the first
+    of least energy among those that pass is_feasible or, with none, among
+    those of least total violation (the negative part of _margins)."""
+    e, lhs, t_hat = np.asarray(rows, dtype=float)[:, 3:].T
+    ok = is_feasible(cfg, lhs, t_hat)
+    violation = np.maximum(-_margins(cfg, lhs, t_hat), 0.0).sum(axis=1)
+    first = ~ok if ok.any() else violation
+    return int(np.lexsort((e, first))[0])  # a stable sort: ties keep the first row
 
 
 def _frozen_row_max(b: surrogate.SurrogateBundle, cfg: OptimizeConfig):
@@ -555,12 +552,11 @@ def solve(
     """Minimize scan energy subject to the risk and melt-window constraints.
 
     Runs one SQP (_sqp) over (v, P) in b's design box from d0 on the frozen
-    sample set and reports the best feasible evaluated point.  Without one,
-    an elastic phase reruns it on the squared scaled violations from the
-    least-infeasible point, which is reported with feasible=False.  row_max
-    is that set's _RowMax pair from _frozen_row_max(b, cfg), which a caller
-    with several starts builds once and passes to each; it is built here
-    when not given.
+    sample set; with no feasible point, an elastic phase reruns it on the
+    squared scaled violations from the least-infeasible one.  It reports the
+    history row that _reported_row picks.  row_max is that set's _RowMax
+    pair from _frozen_row_max(b, cfg), which a caller with several starts
+    builds once and passes to each; it is built here when not given.
     """
     start = _start_point(b, d0)
     if row_max is None:
@@ -568,28 +564,27 @@ def solve(
     state = _SolveState(b, cfg, row_max)
 
     def energy_and_rows(x):
-        e, _, rows, jac = state.assess(x)
+        e, rows, jac = state.assess(x)
         # a row above 1 is never active, and an open window edge makes it inf
         jac[1:][rows > 1.0] = 0.0
         return np.append(e, np.minimum(rows, 1.0)), jac
 
     def squared_violation(x):
-        _, viol, _, jac = state.assess(x, elastic=True)
+        _, rows, jac = state.assess(x, elastic=True)
+        viol = np.maximum(-rows, 0.0)
         return np.array([np.sum(viol**2)]), (-2.0 * viol @ jac[1:])[None]
 
     _sqp(energy_and_rows, start)
-    if state.best_feasible is None:  # the elastic phase
-        _sqp(squared_violation, state.least_infeasible[2])
-
-    feasible = state.best_feasible is not None
-    row = state.best_feasible[1] if feasible else state.least_infeasible[3]
-    v, p, zeta_star, e, lhs, t_hat = row
+    v, p, _, _, lhs, t_hat = state.history[_reported_row(cfg, state.history)]
+    if not state._is_feasible(lhs, t_hat):  # the elastic phase
+        _sqp(squared_violation, _start_point(b, DesignPoint(v=v, P=p)))
+    v, p, zeta_star, e, lhs, t_hat = state.history[_reported_row(cfg, state.history)]
     return OptimizationResult(
         d_star=DesignPoint(v=v, P=p),
         zeta_star=float(zeta_star),
         energy=float(e),
         bpof_lhs=float(lhs),
         t_max_hat=float(t_hat),
-        feasible=feasible,
+        feasible=bool(state._is_feasible(lhs, t_hat)),
         history=np.asarray(state.history, dtype=float),
     )

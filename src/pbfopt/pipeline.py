@@ -32,6 +32,7 @@ from .optimize import (
     OptimizeConfig,
     OptimizationResult,
     _frozen_row_max,
+    _reported_row,
     _start_point,
     draw_material_samples,
     solve,
@@ -548,9 +549,9 @@ def run_optimization(
     """Solve from every start; persists optimize.json + the history CSV.
 
     Every start is checked before any work, and all of them solve on one
-    frozen sample set, built once.  The best record is the lowest-energy
-    feasible solution, or the lowest-energy infeasible one if no start
-    produced a feasible point.
+    frozen sample set, built once.  The best record is the start whose point
+    _reported_row picks by the rule that picks each start's: the lowest-energy
+    feasible one or, if no start is feasible, the least infeasible.
     """
     if len(starts) < 1:
         raise ValueError("need at least one initial design")
@@ -563,12 +564,9 @@ def run_optimization(
         _start_point(bundle, designs[-1])
     row_max = _frozen_row_max(bundle, cfg.optimize)
     results = [solve(bundle, cfg.optimize, d0, row_max) for d0 in designs]
-    # lowest-energy feasible result; infeasible ones only count as a
-    # fallback when nothing is feasible
-    best_i = min(
-        range(len(results)),
-        key=lambda i: (not results[i].feasible, results[i].energy),
-    )
+    reported = [(r.d_star.v, r.d_star.P, r.zeta_star, r.energy, r.bpof_lhs,
+                 r.t_max_hat) for r in results]
+    best_i = _reported_row(cfg.optimize, reported)
     doc = {
         **_report_header(cfg),
         "bundle_digest": bundle_digest(bundle),

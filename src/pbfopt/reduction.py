@@ -222,10 +222,6 @@ class QuadraticModel:
     n_vars: int
     coeffs: np.ndarray
 
-    def __call__(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return design_matrix(x, monomial_exponents(self.n_vars, 2)) @ self.coeffs
-
     def gradient(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n = self.n_vars

@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from pbfopt import optimize, pipeline, risk, surrogate, thermal
-from pbfopt.reduction import normalize_inputs
+from pbfopt.reduction import design_matrix, monomial_exponents, normalize_inputs
 
 
 def heat_flux(x, y, z, t, d, p):
@@ -106,6 +106,13 @@ def design_matrix_row_major(x, exps):
     return out
 
 
+def quadratic_values(model, x):
+    """A reduction.QuadraticModel's values at the rows of x: its coefficients
+    times the monomial basis that fit_quadratic fitted them on."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return design_matrix(x, monomial_exponents(model.n_vars, 2)) @ model.coeffs
+
+
 def predict_row(bundle, side, xi):
     """Full predicted output row of one side ("temperature" or "stress")
     at one raw input vector: feature predictions times right vectors.  An
@@ -158,8 +165,9 @@ def evaluate_constraints(d, zeta, bundle, samples, cfg):
 def slsqp_solve(bundle, cfg, d0):
     """Lowest feasible energy that scipy's SLSQP finds on the solver's own
     problem: the same frozen draws, normalized design box and constraint
-    rows (optimize._SolveState.assess), with forward-difference gradients.
-    None when it evaluates no feasible point."""
+    rows (optimize._SolveState.assess), with forward-difference gradients;
+    the lowest energy among its history's rows that pass is_feasible, None
+    when it evaluates no feasible point."""
     from scipy.optimize import minimize
 
     state = optimize._SolveState(bundle, cfg, optimize._frozen_row_max(bundle, cfg))
@@ -169,10 +177,12 @@ def slsqp_solve(bundle, cfg, d0):
         x0,
         method="SLSQP",
         bounds=[(-1.0, 1.0)] * 2,
-        constraints=[{"type": "ineq", "fun": lambda x: state.assess(x)[2]}],
+        constraints=[{"type": "ineq", "fun": lambda x: state.assess(x)[1]}],
         options={"ftol": 1e-10, "maxiter": 200},
     )
-    return None if state.best_feasible is None else state.best_feasible[0]
+    _, _, _, e, lhs, t_hat = np.asarray(state.history).T
+    ok = optimize.is_feasible(cfg, lhs, t_hat)
+    return e[ok].min() if ok.any() else None
 
 
 def qp_per_system(hess, g, rows, jac):

@@ -186,6 +186,13 @@ def risk_result(toy_bundle):
     return cfg, solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
 
 
+@pytest.fixture(scope="module")
+def unattainable_result(toy_bundle):
+    # no design reaches this melt window: every start ends infeasible
+    cfg = OptimizeConfig(n_mc=1000, seed=4, temp_window=(2200.0, 2300.0))
+    return cfg, solve(toy_bundle, cfg, DesignPoint(v=500.0, P=160.0))
+
+
 class TestEnergy:
     def test_hand_values(self):
         assert energy(DesignPoint(v=500.0, P=160.0)) == pytest.approx(0.64)
@@ -614,18 +621,35 @@ class TestWindowConstrainedSolve:
         assert np.isfinite(res.history).all()
         assert res.iterations > 0
 
-    def test_reported_energy_is_best_feasible_history_row(self, window_result):
-        cfg, res = window_result
+    @pytest.mark.parametrize("result", ["window_result", "unattainable_result"])
+    def test_reported_energy_is_best_feasible_history_row(self, request, result):
+        cfg, res = request.getfixturevalue(result)
         v, p, zeta, e, lhs, t_hat = res.history.T
         budget = (1.0 - cfg.alpha_t) + optimize.CONSTRAINT_TOL
-        scale = cfg.temp_window[1] - cfg.temp_window[0]
+        lo, hi = cfg.temp_window
+        scale = hi - lo
         ok = (
             (lhs <= budget)
-            & (t_hat >= cfg.temp_window[0] - optimize.CONSTRAINT_TOL * scale)
-            & (t_hat <= cfg.temp_window[1] + optimize.CONSTRAINT_TOL * scale)
+            & (t_hat >= lo - optimize.CONSTRAINT_TOL * scale)
+            & (t_hat <= hi + optimize.CONSTRAINT_TOL * scale)
         )
-        assert ok.any()
-        assert res.energy == pytest.approx(e[ok].min(), rel=1e-9)
+        assert ok.any() == res.feasible
+        if ok.any():
+            assert res.energy == pytest.approx(e[ok].min(), rel=1e-9)
+            return
+        # none feasible: the first row of least total violation, then of least
+        # energy, which here is not the least-energy row
+        share = 1.0 - cfg.alpha_t
+        violation = (
+            np.maximum(lhs - share, 0.0) / share
+            + np.maximum(lo - t_hat, 0.0) / scale
+            + np.maximum(t_hat - hi, 0.0) / scale
+        )
+        i = min(range(len(e)), key=lambda k: (violation[k], e[k]))
+        assert e[i] > e.min()
+        reported = (res.d_star.v, res.d_star.P, res.zeta_star, res.energy,
+                    res.bpof_lhs, res.t_max_hat)
+        assert np.array_equal(reported, res.history[i])
 
 
 class TestRiskConstrainedSolve:
@@ -754,6 +778,24 @@ class TestUnattainableWindow:
         assert p_lo <= res.d_star.P <= p_hi
 
 
+def test_best_start_is_least_infeasible_when_none_is_feasible(k2_bundle, tmp_path):
+    """With no feasible start, run_optimization's best record is the start of
+    least total violation, by the rule that picks each start's own point;
+    here the lowest-energy start, d0 = (600, 100), violates the most."""
+    ocfg = OptimizeConfig(
+        tau=6.0, temp_window=(40.0, 50.0), n_mc=2000, seed=7, constraint_kind="pof"
+    )
+    cfg = pipeline.PipelineConfig(optimize=ocfg, out_dir=str(tmp_path))
+    results = pipeline.run_optimization(cfg, k2_bundle)
+    assert not any(r.feasible for r in results)
+    margins = [optimize._margins(ocfg, r.bpof_lhs, r.t_max_hat) for r in results]
+    violation = [np.maximum(-m, 0.0).sum() for m in margins]
+    doc = json.loads((tmp_path / "optimize.json").read_text(encoding="utf-8"))
+    assert doc["best"] == doc["starts"][int(np.argmin(violation))]
+    assert doc["best"]["d0"] == [500.0, 160.0]
+    assert doc["best"]["energy"] > min(r.energy for r in results)
+
+
 class TestUnconstrainedCorner:
     def test_box_corner_when_constraints_disabled(self, toy_bundle):
         cfg = OptimizeConfig(
@@ -863,7 +905,7 @@ class TestExactJacobian:
         cfg, state = jacobian_state(request.getfixturevalue(bundle), tau, window, kind)
 
         def main(x):  # the energy and the solver's rows
-            e, _, rows, _ = state.assess(x)
+            e, rows, _ = state.assess(x)
             return np.append(e, rows)
 
         def elastic(x):  # the energy and _margins itself, risk row bPOF's or POF's
@@ -877,7 +919,7 @@ class TestExactJacobian:
         for x in map(np.array, JACOBIAN_POINTS):
             for fun, phase in ((main, False), (elastic, True)):
                 want = central_differences(fun, x)[rows]
-                got = state.assess(x, elastic=phase)[3][rows]
+                got = state.assess(x, elastic=phase)[2][rows]
                 np.testing.assert_allclose(
                     got, want, rtol=1e-6, atol=1e-9 * np.abs(want).max()
                 )
@@ -910,7 +952,7 @@ class TestExactJacobian:
             else:
                 picked = descending[k - isqrt(k) : k + isqrt(k) + 1]
             want = central_differences(sigma, x)[picked].mean(axis=0)
-            got = -cfg.tau * state.assess(x)[3][1]
+            got = -cfg.tau * state.assess(x)[2][1]
             np.testing.assert_allclose(got, want, rtol=1e-6)
 
 
