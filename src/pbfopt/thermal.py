@@ -14,10 +14,13 @@ its density, time step, step count, clamp range and beam; sorted by step
 count, those still stepping are a leading prefix.  Every element gets a
 single-run step's arithmetic in its order, so no result depends on the
 block.  The beam's cell averages take erf from a port of fdlibm's (_erf),
-for a chunk of DEPOSIT_STEPS steps per call.  The step is the grid's
-cfl_factor share of the largest one that keeps the explicit scheme's maximum
-principle (_stable_step): rho*min Cp(T) / ((kappa(T) + kappa_max)*(1/dx^2 +
-1/dz^2)) up to its plan's top, 1.5 Tliq, above every run in the design box.
+for a chunk of DEPOSIT_STEPS (32) steps per call, and the chunk's deposit
+on the rows the beam reaches is built in one product, a (DEPOSIT_STEPS,
+runs, rows, x) buffer, of which a step only adds its own slice.  The step
+is the grid's cfl_factor share of the largest one that keeps the explicit
+scheme's maximum principle (_stable_step): rho*min Cp(T) / ((kappa(T) +
+kappa_max)*(1/dx^2 + 1/dz^2)) up to its plan's top, 1.5 Tliq, above every
+run in the design box.
 A run fails if its probe leaves [min(T0, Tc) - 50, 3 Tliq] by its last step
 or, at its end, its field is not finite or its peak is over the top; it is
 solved again with the 3 Tliq plan, under which a failure is final.
@@ -28,17 +31,24 @@ blends, into the float64 probe trace, and checked against the band; a block
 whose runs have all failed stops at that chunk's end.  The trace is
 interpolated linearly between step ends to the 31 snapshot instants.
 
-A step folds its constants into its terms: rho*Cp/dt is a quadratic in T with
-a coefficient column per run, kappa carries 1e-3 and the x faces' weight, and
-both go by Horner, so a step makes 21 passes over its per-cell arrays
-(temperature, peak, kappa, rate, rho*Cp/dt and face fluxes).  These are
-FIELD_DTYPE, float32: the step is bound by memory bandwidth, and float32 halves
-its bytes.  The beam deposit is computed in float64 and cast as it is written.
-The per-run scalars, the beam positions and erf (whose high-word trick needs
-float64), the probe trace and the resampling stay float64, so every result is
-float64.  Against float64 fields, over the 50 validation draws at the baseline
-optimum, the probe moves by at most 1.8e-3 degC and the peak field by 3.8e-3
-degC, three orders under the step's own 4.8 degC time error there.
+A step folds its constants into its terms: rho*Cp/dt is a quadratic in T whose
+three coefficients are per-cell arrays, each run's value repeated over its
+cells once per block so that Horner streams contiguous arrays, kappa carries
+1e-3 and the x faces' weight, and both go by Horner, so a step makes 21 passes
+over its per-cell arrays (temperature, peak, kappa, rate, rho*Cp/dt and face
+fluxes).  A block keeps 10 of them, those 7 and the 3
+coefficients: 1.0 MiB for 16 runs on the default grid, and 0.375 MiB more for
+the deposit buffer.  These are FIELD_DTYPE, float32: the step is bound by
+memory bandwidth, and float32 halves its bytes.  The beam deposit is computed
+in float64 and cast as it is written.  The erf call's float64 temporaries set
+the kernel's allocation peak, which grows with DEPOSIT_STEPS: a batch of the
+seed-0 44-run training DOE peaks at 3.3 MiB traced, against 4.5 MiB with
+64-step chunks.  The per-run scalars, the beam positions and erf (whose
+high-word trick needs float64), the probe trace and the resampling stay
+float64, so every result is float64.  Against float64 fields, over the 50
+validation draws at the baseline optimum, the probe moves by at most 1.8e-3
+degC and the peak field by 3.8e-3 degC, three orders under the step's own
+4.8 degC time error there.
 
 Units: mm, s, W, degC internally.  Conductivity is supplied in W/(m*K)
 and converted by 1e-3; density in kg/m^3 converted by 1e-9.
@@ -70,7 +80,9 @@ STEFAN_BOLTZMANN_MM = 5.67e-14  # W / (mm^2 K^4)
 KELVIN_OFFSET = 273.15
 BLOCK_RUNS = 16  # runs stepped together in one lockstep block
 FIELD_DTYPE = np.float32  # the kernel's per-cell arrays; see the module docstring
-DEPOSIT_STEPS = 64  # steps per chunk: one erf call for their beams, one probe check
+# steps per chunk: one erf call and one deposit build for their beams, one probe
+# check; the erf call's temporaries grow with it and set the kernel's peak memory
+DEPOSIT_STEPS = 32
 TOP_CEILING = 3.0  # x Tliq: the probe band's top and the last plan's top
 _UNIT = (1.0, 0.0, 0.0)  # the quadratic 1, denominator of a plain quadratic
 
@@ -367,8 +379,11 @@ def _plan(d: DesignPoint, z: RandomInputs, p: ModelParams, grid: SimGridConfig,
     # about 3e-4 of that conduction sum at 1.5 Tliq (9e-4 at 3 Tliq), and the
     # beam term does not depend on T
     top = ceiling * p.Tliq
-    dt_stable = _stable_step(rho, clamp_lo, top, p, grid)
-    n_steps = max(1, int(np.ceil(p.l / d.v / dt_stable)))
+    steps = p.l / d.v / _stable_step(rho, clamp_lo, top, p, grid)
+    if not steps < 2.0**63:  # inf once l / v overflows; the kernel counts in int64
+        raise ValueError(f"scanning speed {d.v!r} mm/s is too small: the scan "
+                         f"takes {steps:.3g} steps")
+    n_steps = max(1, int(np.ceil(steps)))
     return rho, p.l / d.v / n_steps, n_steps, clamp_lo, top
 
 
@@ -395,9 +410,11 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
     n_steps = n_steps.astype(int).tolist()
     amp = 2.0 * p.A * power / (np.pi * p.r**2 * p.z0)
     cells = nx * nz  # one run's (z, x) field after another, x fastest
-    # the step's constants folded in: rho cp(T) / dt = A0 + T (A1 + T A2), a column
-    # of A per run, and kappa' = kappa(T) 1e-3 0.5 / dx^2 = B0 + T (B1 + T B2)
-    heat = (np.array([p.a0, p.a1, p.a2])[:, None] * rho / dt).astype(FIELD_DTYPE)[..., None]
+    # the step's constants folded in: rho cp(T) / dt = A0 + T (A1 + T A2), each A
+    # one run's value repeated over its cells so that Horner streams contiguous
+    # rows, and kappa' = kappa(T) 1e-3 0.5 / dx^2 = B0 + T (B1 + T B2)
+    heat = np.repeat((np.array([p.a0, p.a1, p.a2])[:, None] * rho / dt).astype(FIELD_DTYPE),
+                     cells, axis=1)
     cond = tuple(b * 1e-3 * 0.5 / dx**2 for b in (p.b0, p.b1, p.b2))
     T, peak = (np.repeat(t0.astype(FIELD_DTYPE), cells) for _ in range(2))
     kap, rate, den = (np.empty_like(T) for _ in range(3))
@@ -409,7 +426,7 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
     gz = _depth_deposit(nz, dz, p.h, p.z0)  # per cell row, index 0 = bottom
     j0 = int(np.flatnonzero(gz)[0])  # the beam reaches rows j0 to the top
     gz_amp = gz[j0:, None] * amp[:, None, None]  # (runs, rows, 1), float64
-    deposit = np.empty((len(order), nz - j0, nx), FIELD_DTYPE)
+    deposit = np.empty((DEPOSIT_STEPS, len(order), nz - j0, nx), FIELD_DTYPE)
     tc_k4, rad = (p.Tc + KELVIN_OFFSET) ** 4, STEFAN_BOLTZMANN_MM * p.eps_s / dz
     # the probe keeps one cell and one set of bilinear weights throughout; a step
     # copies only the cell's four corners (x, z offsets 00, 01, 10, 11) of each run
@@ -435,18 +452,19 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
             ahead = np.arange(start - 1, stop - 1)
             beam = v[:n, None] * (ahead[:, None, None] * dt[:n, None])
             gx = _gauss_deposit(x_edges, beam, p.r, dx)  # (steps, runs, cells)
+            np.multiply(gx[:, :, None], gz_amp[:n], out=deposit[: stop - start, :n],
+                        casting="same_kind")  # each step's, cast to FIELD_DTYPE
             for k, step in enumerate(range(start, stop)):
                 while n_steps[n - 1] < step:
                     n -= 1
                 if n != built:  # the views of the n runs still stepping
                     built, m = n, n * cells
                     Tn, kapn, raten, denn, peakn = (a[:m] for a in (T, kap, rate, den, peak))
-                    Tr, denr = (a.reshape(n, cells) for a in (Tn, denn))
                     flux_views = [(w, f[off:m], kapn[off:], kapn[:-off], Tn[off:], Tn[:-off],
                                    raten[:-off], wall[:n]) for w, off, f, wall in faces]
                     sides = fx[1 : m + 1], fx[:m], fz[nx : m + nx], fz[:m]
-                    depositn, gz_ampn, rate_beam = deposit[:n], gz_amp[:n], rate3[:n, j0:]
-                    T_top, rate_top, heatn = T3[:n, -1], rate3[:n, -1], heat[:, :n]
+                    rate_beam, T_top, rate_top = rate3[:n, j0:], T3[:n, -1], rate3[:n, -1]
+                    heatn = heat[:, :m]
                 _poly(Tn, cond, out=kapn)  # kappa', in place
                 # conduction, mean face conductivity: each face's share of its two
                 # cells' rates, (kappa'_i + kappa'_j) [dx^2 / dz^2 on z] (T_j - T_i)
@@ -459,12 +477,11 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
                 np.subtract(sides[0], sides[1], out=raten)
                 raten += sides[2]
                 raten -= sides[3]
-                np.multiply(gx[k, :n, None], gz_ampn, out=depositn, casting="same_kind")
-                rate_beam += depositn
+                rate_beam += deposit[k, :n]
                 # top-surface radiation out of the top cell row
                 rate_top -= ((T_top + KELVIN_OFFSET) ** 4 - tc_k4) * rad
-                # T += rate / (rho cp / dt), with rho cp / dt = A0 + T (A1 + T A2) per run
-                _poly(Tr, heatn, out=denr)
+                # T += rate / (rho cp / dt), with rho cp / dt = A0 + T (A1 + T A2) per cell
+                _poly(Tn, heatn, out=denn)
                 raten /= denn
                 Tn += raten
                 np.maximum(peakn, Tn, out=peakn)

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +346,14 @@ class TestSimulate:
         with pytest.raises(ValueError, match="rho"):
             thermal.simulate(DesignPoint(500.0, 100.0), RandomInputs(650, 825, 110, 0.0))
 
+    @pytest.mark.parametrize("v", [5e-324, 1e-300])
+    def test_tiny_speed_rejected_before_stepping(self, monkeypatch, v):
+        # l / v overflows to inf at the first, and at the second the step
+        # count overflows the kernel's int64
+        monkeypatch.setattr(thermal, "_step_block", lambda *a: pytest.fail("stepped"))
+        with pytest.raises(ValueError, match="scanning speed"):
+            thermal.simulate(DesignPoint(v, 100.0), NOMINAL_Z)
+
     def test_low_preheat_runs_clean(self):
         # preheat below chamber temperature must not trip the cold clamp
         z = RandomInputs(T0=585.0, Y=742.5, E=100.0, rho=550.8)
@@ -435,6 +444,36 @@ class TestLockstepBatch:
             temps, _, _, peak_field = solve_field_per_run(*run, p, grid)
             assert np.array_equal(raw.temps, temps)
             assert np.array_equal(raw.peak_field, peak_field)
+
+    def test_deposit_chunk_changes_no_result(self, monkeypatch):
+        # at the 3 Tliq plan, runs of 32, 35, 64, 65 and 97 steps end on and
+        # inside the edges of 7-, 32- and 64-step chunks, and the powered slow
+        # scan leaves the probe band inside a chunk of each while a run of its
+        # 282 steps goes on; 1-step chunks are the reference
+        p, grid, z = ModelParams(), self.GRID, NOMINAL_Z
+        dt = thermal._stable_step(thermal.bulk_density(z.rho), min(z.T0, p.Tc) - 50.0,
+                                  3.0 * p.Tliq, p, grid)  # no speed enters it
+        targets = [32, 35, 64, 65, 97]
+        runs = [(DesignPoint(p.l / (dt * (n - 0.5)), P), z)
+                for n, P in zip(targets, (150.0, 120.0, 180.0, 90.0, 60.0))]
+        runs += [(DesignPoint(100.0, 2000.0), z), (DesignPoint(100.0, 200.0), z)]
+        block = planned(runs, p, grid, 3.0)
+        assert [plan[2] for _, _, plan in block[:5]] == targets
+        results = {}
+        for chunk in (1, 7, 32, 64):
+            monkeypatch.setattr(thermal, "DEPOSIT_STEPS", chunk)
+            results[chunk] = thermal._step_block(block, p, grid)
+        error = results[1][5]
+        assert isinstance(error, SimulationError)
+        assert all(error.step % chunk not in (0, 1) for chunk in (7, 32, 64))
+        assert block[6][2][2] > error.step
+        for chunk in (7, 32, 64):
+            for a, b in zip(results[1], results[chunk], strict=True):
+                assert type(a) is type(b)
+                if isinstance(a, SimulationError):
+                    assert (str(b), b.step) == (str(a), a.step)
+                else:
+                    assert_same(a, b)
 
     @staticmethod
     def probe_failure(run, p, grid):
@@ -849,6 +888,29 @@ class TestFieldDtype:
         split = thermal.simulate_batch(designs, inputs, grid=grid)
         for a, b in zip(whole, split, strict=True):
             assert_same(a, b)
+
+
+class TestAllocationPeak:
+    """The memory one batch allocates at its peak, as tracemalloc traces it
+    (numpy reports its array buffers there)."""
+
+    # 3.32 MiB on the seed-0 44-run training DOE at the default grid, 4.54 MiB
+    # with 64-step erf chunks and the deposit built step by step; the erf
+    # chunk's temporaries set it
+    BOUND_MIB = 4.0
+
+    def test_training_doe_batch_stays_under_the_bound(self):
+        cfg = pipeline.PipelineConfig()
+        doe = pipeline.generate_doe(44, cfg.input_bounds, 0)
+        designs = [DesignPoint(*map(float, r[:2])) for r in doe]
+        inputs = [RandomInputs(*map(float, r[2:])) for r in doe]
+        tracemalloc.start()
+        try:
+            thermal.simulate_batch(designs, inputs, cfg.model, cfg.grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 <= self.BOUND_MIB
 
 
 class TestFoldedConstants:
