@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "FeatureDecomposition",
     "ActiveSubspace",
-    "QuadraticModel",
     "decompose",
     "error_curve",
     "select_feature_count",
@@ -26,7 +25,6 @@ __all__ = [
     "monomial_exponents",
     "design_matrix",
     "least_squares",
-    "fit_quadratic",
     "estimate_gradients",
     "discover",
 ]
@@ -215,26 +213,10 @@ def least_squares(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-@dataclass(frozen=True)
-class QuadraticModel:
-    """Full quadratic: constant, linear and pair terms, in monomial order."""
-
-    n_vars: int
-    coeffs: np.ndarray
-
-    def gradient(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        n = self.n_vars
-        grad = np.tile(self.coeffs[1 : n + 1], (x.shape[0], 1))
-        pairs = combinations_with_replacement(range(n), 2)
-        for c, (i, j) in zip(self.coeffs[n + 1 :], pairs):
-            grad[:, i] += c * x[:, j]
-            grad[:, j] += c * x[:, i]
-        return grad
-
-
-def fit_quadratic(inputs, values) -> QuadraticModel:
-    """Least-squares full quadratic over normalized inputs."""
+def estimate_gradients(inputs, values) -> np.ndarray:
+    """Analytic gradients, at each input row, of the least-squares full
+    quadratic over normalized inputs: constant, linear and pair terms, in
+    monomial order."""
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(values, dtype=float).ravel()
     if x.ndim != 2 or x.shape[0] != y.size:
@@ -246,20 +228,20 @@ def fit_quadratic(inputs, values) -> QuadraticModel:
             f"need at least {len(exps)} samples for a {n}-variable quadratic, "
             f"got {x.shape[0]}"
         )
-    return QuadraticModel(n_vars=n, coeffs=least_squares(design_matrix(x, exps), y))
-
-
-def estimate_gradients(inputs, values) -> np.ndarray:
-    """Analytic gradients of the global quadratic fit at each input row."""
-    x = np.asarray(inputs, dtype=float)
-    return fit_quadratic(x, values).gradient(x)
+    coeffs = least_squares(design_matrix(x, exps), y)
+    grad = np.tile(coeffs[1 : n + 1], (x.shape[0], 1))
+    pairs = combinations_with_replacement(range(n), 2)
+    for c, (i, j) in zip(coeffs[n + 1 :], pairs):
+        grad[:, i] += c * x[:, j]
+        grad[:, j] += c * x[:, i]
+    return grad
 
 
 def discover(gradients) -> ActiveSubspace:
     """Active subspace from the gradient covariance (1/M) sum g g^T.
 
     The active dimension r maximizes the eigenvalue ratio lambda_r /
-    lambda_{r+1} over r = 1..3, with trailing eigenvalues floored at
+    lambda_{r+1} over r = 1..MAX_ACTIVE_DIM, with trailing eigenvalues floored at
     EIGENVALUE_FLOOR times lambda_1 so that numerically-zero directions
     cannot win the ratio; eigenvector signs fix the largest-magnitude
     component positive.

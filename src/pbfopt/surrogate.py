@@ -16,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .reduction import ActiveSubspace, design_matrix, least_squares, monomial_exponents
+from .reduction import (
+    MAX_ACTIVE_DIM, ActiveSubspace, design_matrix, least_squares, monomial_exponents,
+)
 
 __all__ = [
     "PolySurrogate",
@@ -41,7 +43,6 @@ SCHEMA_VERSION = 1
 # the bundle's outputs, each an OutputModel field and a bundle.json section
 OUTPUT_NAMES = ("temperature", "stress")
 MAX_DEGREE = 6
-MAX_ACTIVE_VARS = 3
 # a lower degree wins whenever its training r2 sits within this margin of
 # the best degree tried
 DEGREE_R2_MARGIN = 0.01
@@ -62,12 +63,10 @@ def _shift_table(n_vars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=None)
 def _derivative_table(n_vars: int, degree: int) -> np.ndarray:
     """(n_vars, n, n) matrices D: D[j][beta, alpha] = alpha_j where alpha is
-    beta plus one in variable j, so D[j] @ c differentiates in eta_j."""
-    exps = np.array(monomial_exponents(n_vars, degree))
-    steps = exps[None, :, :] - exps[:, None, :]  # alpha - beta over [beta, alpha]
-    table = np.stack(
-        [(steps == e).all(axis=-1) * exps[:, j] for j, e in enumerate(np.eye(n_vars))]
-    )
+    beta plus one in variable j, so D[j] @ c differentiates in eta_j: the shift
+    weights on the pairs whose power gap is one in variable j alone."""
+    weights, gaps = _shift_table(n_vars, degree)
+    table = np.stack([weights * (gaps == e).all(axis=-1) for e in np.eye(n_vars)])
     table.setflags(write=False)
     return table
 
@@ -82,8 +81,8 @@ class PolySurrogate:
     r2: float
 
     def __post_init__(self):
-        if not 1 <= self.n_vars <= MAX_ACTIVE_VARS:
-            raise ValueError(f"n_vars must lie in [1, {MAX_ACTIVE_VARS}]")
+        if not 1 <= self.n_vars <= MAX_ACTIVE_DIM:
+            raise ValueError(f"n_vars must lie in [1, {MAX_ACTIVE_DIM}]")
         if not 0 <= self.degree <= MAX_DEGREE:
             raise ValueError(f"degree must lie in [0, {MAX_DEGREE}]")
         coeffs = np.asarray(self.coefficients, dtype=float)
@@ -113,8 +112,8 @@ def _check_etas(etas) -> np.ndarray:
     e = np.asarray(etas, dtype=float)
     if e.ndim == 1:
         e = e[:, None]
-    if e.ndim != 2 or not 1 <= e.shape[1] <= MAX_ACTIVE_VARS:
-        raise ValueError("active variables must be (M, r) with r in [1, 3]")
+    if e.ndim != 2 or not 1 <= e.shape[1] <= MAX_ACTIVE_DIM:
+        raise ValueError(f"active variables must be (M, r), r in [1, {MAX_ACTIVE_DIM}]")
     return e
 
 
@@ -147,18 +146,12 @@ def fit_best_degree(etas, values) -> PolySurrogate:
     lowest degree whose r2 comes within DEGREE_R2_MARGIN of the best."""
     e = _check_etas(etas)
     y = np.asarray(values, dtype=float).ravel()
-    fits = []
-    for degree in range(1, MAX_DEGREE + 1):
-        if y.size <= comb(e.shape[1] + degree, degree):
-            break
-        fits.append(fit(e, y, degree))
+    fits = [fit(e, y, degree) for degree in range(1, MAX_DEGREE + 1)
+            if y.size > comb(e.shape[1] + degree, degree)]
     if not fits:
         raise ValueError("too few samples to fit even a linear model")
     best = max(f.r2 for f in fits)
-    for f in fits:
-        if f.r2 >= best - DEGREE_R2_MARGIN:
-            return f
-    return fits[-1]
+    return next(f for f in fits if f.r2 >= best - DEGREE_R2_MARGIN)
 
 
 def predict(s: PolySurrogate, eta) -> np.ndarray:

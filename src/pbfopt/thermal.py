@@ -23,7 +23,8 @@ kappa_max)*(1/dx^2 + 1/dz^2)) up to its plan's top, 1.5 Tliq, above every
 run in the design box.
 A run fails if its probe leaves [min(T0, Tc) - 50, 3 Tliq] by its last step
 or, at its end, its field is not finite or its peak is over the top; it is
-solved again with the 3 Tliq plan, under which a failure is final.
+solved again with the 3 Tliq plan, under which a failure is final.  A run
+whose 3 Tliq plan would take over MAX_STEPS steps is rejected before any step.
 
 The probe (top-surface center) lies between four cells, and a step copies
 only those of each run.  After a chunk of steps they are blended as _bilinear
@@ -84,6 +85,10 @@ FIELD_DTYPE = np.float32  # the kernel's per-cell arrays; see the module docstri
 # check; the erf call's temporaries grow with it and set the kernel's peak memory
 DEPOSIT_STEPS = 32
 TOP_CEILING = 3.0  # x Tliq: the probe band's top and the last plan's top
+# the most steps a run may be planned: 27x the 39,009 of the design box's slowest
+# run at its TOP_CEILING plan on a 4x finer grid than the default; a 16-run
+# block's float64 probe trace at the limit takes 128 MiB
+MAX_STEPS = 2**20
 _UNIT = (1.0, 0.0, 0.0)  # the quadratic 1, denominator of a plain quadratic
 
 # fdlibm's s_erf.c (Sun Microsystems, 1993): numerator and denominator
@@ -378,12 +383,14 @@ def _plan(d: DesignPoint, z: RandomInputs, p: ModelParams, grid: SimGridConfig,
     # the nominal model, 4 eps sigma T^3 / dz on the top row, linearised at top, is
     # about 3e-4 of that conduction sum at 1.5 Tliq (9e-4 at 3 Tliq), and the
     # beam term does not depend on T
-    top = ceiling * p.Tliq
-    steps = p.l / d.v / _stable_step(rho, clamp_lo, top, p, grid)
-    if not steps < 2.0**63:  # inf once l / v overflows; the kernel counts in int64
+    # the TOP_CEILING plan's step is the smallest, so a run under the limit there
+    # stays under it when _solve_field plans it again with that top
+    most = p.l / d.v / _stable_step(rho, clamp_lo, TOP_CEILING * p.Tliq, p, grid)
+    if not most <= MAX_STEPS:  # inf once l / v overflows
         raise ValueError(f"scanning speed {d.v!r} mm/s is too small: the scan "
-                         f"takes {steps:.3g} steps")
-    n_steps = max(1, int(np.ceil(steps)))
+                         f"takes {most:.3g} steps, over MAX_STEPS = {MAX_STEPS}")
+    top = ceiling * p.Tliq
+    n_steps = max(1, int(np.ceil(p.l / d.v / _stable_step(rho, clamp_lo, top, p, grid))))
     return rho, p.l / d.v / n_steps, n_steps, clamp_lo, top
 
 

@@ -9,7 +9,12 @@ from itertools import combinations
 import numpy as np
 
 from pbfopt import optimize, pipeline, risk, surrogate, thermal
-from pbfopt.reduction import design_matrix, monomial_exponents, normalize_inputs
+from pbfopt.reduction import (
+    design_matrix,
+    least_squares,
+    monomial_exponents,
+    normalize_inputs,
+)
 
 
 def heat_flux(x, y, z, t, d, p):
@@ -106,11 +111,28 @@ def design_matrix_row_major(x, exps):
     return out
 
 
-def quadratic_values(model, x):
-    """A reduction.QuadraticModel's values at the rows of x: its coefficients
-    times the monomial basis that fit_quadratic fitted them on."""
+def fit_quadratic(x, y):
+    """Coefficients of the least-squares full quadratic over the rows of x,
+    in monomial order: the fit whose gradients reduction.estimate_gradients
+    returns."""
+    return least_squares(design_matrix(x, monomial_exponents(x.shape[1], 2)), y)
+
+
+def quadratic_values(coeffs, x):
+    """The values at the rows of x of the full quadratic with fit_quadratic's
+    coefficients: those coefficients times the monomial basis."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    return design_matrix(x, monomial_exponents(model.n_vars, 2)) @ model.coeffs
+    return design_matrix(x, monomial_exponents(x.shape[1], 2)) @ coeffs
+
+
+def derivative_table(n_vars, degree):
+    """surrogate._derivative_table built explicitly: D[j][beta, alpha] =
+    alpha_j where alpha - beta is the unit vector of variable j."""
+    exps = np.array(monomial_exponents(n_vars, degree))
+    steps = exps[None, :, :] - exps[:, None, :]  # alpha - beta over [beta, alpha]
+    return np.stack(
+        [(steps == e).all(axis=-1) * exps[:, j] for j, e in enumerate(np.eye(n_vars))]
+    )
 
 
 def predict_row(bundle, side, xi):

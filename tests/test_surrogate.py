@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import predict_row
+from oracles import derivative_table, predict_row
 
 from pbfopt import pipeline, reduction, surrogate, thermal
 
@@ -264,6 +264,14 @@ class TestDerivativeCoefficients:
             want = (up - down) / (2 * h)
             got = surrogate.basis(s, eta) @ row
             assert np.abs(got - want).max() <= 1e-7 * np.abs(coeffs).max()
+
+    @pytest.mark.parametrize("n_vars", [1, 2, 3])
+    @pytest.mark.parametrize("degree", range(7))
+    def test_table_is_the_explicit_construction(self, n_vars, degree):
+        got = surrogate._derivative_table(n_vars, degree)
+        want = derivative_table(n_vars, degree)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
     def test_one_variable_hand_values(self):
         # d/dx (1 + 2x + 3x^2) = 2 + 6x

@@ -346,13 +346,27 @@ class TestSimulate:
         with pytest.raises(ValueError, match="rho"):
             thermal.simulate(DesignPoint(500.0, 100.0), RandomInputs(650, 825, 110, 0.0))
 
-    @pytest.mark.parametrize("v", [5e-324, 1e-300])
+    @pytest.mark.parametrize("v", [5e-324, 1e-300, 1e-3])
     def test_tiny_speed_rejected_before_stepping(self, monkeypatch, v):
-        # l / v overflows to inf at the first, and at the second the step
-        # count overflows the kernel's int64
+        # l / v overflows to inf at the first, at the second the step count
+        # overflows int64, and the third would trace 1.1e8 steps, 0.9 GB
         monkeypatch.setattr(thermal, "_step_block", lambda *a: pytest.fail("stepped"))
         with pytest.raises(ValueError, match="scanning speed"):
             thermal.simulate(DesignPoint(v, 100.0), NOMINAL_Z)
+
+    def test_step_limit_holds_at_the_top_ceiling_plan(self, monkeypatch):
+        # a run whose own plan fits the limit but whose TOP_CEILING re-solve
+        # would not is rejected before it steps
+        d, p, grid = DesignPoint(100.0, 200.0), ModelParams(), SimGridConfig()
+        low = thermal._plan(d, NOMINAL_Z, p, grid)[2]
+        high = thermal._plan(d, NOMINAL_Z, p, grid, thermal.TOP_CEILING)[2]
+        assert low < high <= thermal.MAX_STEPS
+        monkeypatch.setattr(thermal, "_step_block", lambda *a: pytest.fail("stepped"))
+        monkeypatch.setattr(thermal, "MAX_STEPS", high - 1)
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            thermal.simulate(d, NOMINAL_Z, p, grid)
+        monkeypatch.setattr(thermal, "MAX_STEPS", high)
+        assert thermal._plan(d, NOMINAL_Z, p, grid)[2] == low
 
     def test_low_preheat_runs_clean(self):
         # preheat below chamber temperature must not trip the cold clamp
