@@ -81,6 +81,11 @@ def buffered_superquantile(values, zeta: float, alpha: float) -> float:
     empirical quantile, validation at the optimizer's zeta.
     """
     vals = _as_samples(values)
+    alpha = float(alpha)
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    if not np.isfinite(zeta):
+        raise ValueError("zeta must be finite")
     return float(zeta + np.maximum(vals - zeta, 0.0).mean() / (1.0 - alpha))
 
 

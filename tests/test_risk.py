@@ -1,5 +1,6 @@
 """Risk estimator tests against brute-force and analytic oracles."""
 
+import math
 import warnings
 
 import numpy as np
@@ -164,6 +165,28 @@ class TestSuperquantile:
         ests = [risk.estimate_superquantile(vals, a) for a in levels]
         for lo, hi in zip(ests, ests[1:]):
             assert hi >= lo - 1e-9 * max(1.0, abs(lo))
+
+
+class TestBufferedSuperquantile:
+    @pytest.mark.parametrize("alpha, expected", [(0.0, 2.0 + 1.0 / 3.0),
+                                                 (0.5, 2.0 + 2.0 / 3.0)])
+    def test_hand_evaluated_bound(self, alpha, expected):
+        # the excess over zeta = 2 is (0, 0, 1), mean 1/3, over 1 - alpha
+        assert risk.buffered_superquantile([1.0, 2.0, 3.0], 2.0, alpha) == pytest.approx(
+            expected, rel=1e-15)
+
+    @pytest.mark.parametrize("zeta, alpha, match", [
+        (2.0, 1.5, "alpha"),  # would return 1.333, under zeta
+        (2.0, 1.0, "alpha"),  # would divide by zero
+        (2.0, -0.1, "alpha"),
+        (2.0, math.nan, "alpha"),
+        (math.nan, 0.5, "zeta"),
+        (math.inf, 0.5, "zeta"),
+        (-math.inf, 0.5, "zeta"),
+    ])
+    def test_rejects_bad_level_and_anchor(self, zeta, alpha, match):
+        with pytest.raises(ValueError, match=match):
+            risk.buffered_superquantile([1.0, 2.0, 3.0], zeta, alpha)
 
 
 # --------------------------------------------------------------------- pof

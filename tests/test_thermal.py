@@ -904,6 +904,49 @@ class TestFieldDtype:
             assert_same(a, b)
 
 
+class TestAlignedFields:
+    """The kernel's per-cell arrays start where its stores run fastest, on a
+    64-byte cache line; where they start changes no result."""
+
+    @pytest.mark.parametrize("shape", [(200,), (7, 65), (3, 26, 64), (2, 3, 5, 64)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [0, 1, SimGridConfig().cells_x])
+    def test_element_lead_starts_a_cache_line(self, shape, dtype, lead):
+        a, b = (thermal._aligned_empty(shape, dtype, lead) for _ in range(2))
+        for x in (a, b):
+            assert x.shape == shape and x.dtype == dtype
+            assert (x.ctypes.data + lead * x.itemsize) % 64 == 0
+            assert x.flags.c_contiguous and x.flags.writeable
+        assert not np.shares_memory(a, b)
+
+    def test_misaligned_fields_change_no_result(self, monkeypatch):
+        # the hottest box corner takes its 3 Tliq solve (TestStepCeiling); the
+        # others are cooler, one unpowered from the coldest preheat, and their
+        # step counts differ
+        p, grid, hot = ModelParams(r=0.1), SimGridConfig(16, 8), TestStepCeiling.CORNER
+        cold = RandomInputs(585.0, 825.0, 110.0, 673.2)
+        designs = [hot[0], DesignPoint(550.0, 60.0), DesignPoint(300.0, 0.0),
+                   DesignPoint(200.0, 50.0), DesignPoint(1000.0, 200.0)]
+        inputs = [hot[1], hot[1], cold, cold, hot[1]]
+        assert len({thermal._plan(d, z, p, grid)[2] for d, z in zip(designs, inputs)}) == 5
+        aligned = thermal.simulate_batch(designs, inputs, p, grid)
+        lines, step = thermal._aligned_empty, thermal._step_block
+        offsets, blocks = set(), []
+
+        def off_line(shape, dtype, lead=0):  # element lead 4 bytes past a cache line
+            a = lines((int(np.prod(shape)) + 1,), dtype, lead)[1:].reshape(shape)
+            offsets.add((a.ctypes.data + lead * a.itemsize) % 64)
+            return a
+        monkeypatch.setattr(thermal, "_aligned_empty", off_line)
+        monkeypatch.setattr(thermal, "_step_block",
+                            lambda runs, *a: blocks.append(len(runs)) or step(runs, *a))
+        shifted = thermal.simulate_batch(designs, inputs, p, grid)
+        assert thermal.FIELD_DTYPE == np.float32 and offsets == {4}
+        assert blocks == [5, 1]  # the hot run's 3 Tliq solve
+        for a, b in zip(aligned, shifted, strict=True):
+            assert_same(a, b)
+
+
 class TestAllocationPeak:
     """The memory one batch allocates at its peak, as tracemalloc traces it
     (numpy reports its array buffers there)."""
@@ -912,19 +955,39 @@ class TestAllocationPeak:
     # with 64-step erf chunks and the deposit built step by step; the erf
     # chunk's temporaries set it
     BOUND_MIB = 4.0
+    # 3.06 MiB on the 50 seed-3 validation draws at the baseline d*, in blocks
+    # of 12 and 13 runs of equal step count; the fields' 64-byte over-allocation
+    # adds about 0.003 MiB of it
+    VALIDATION_BOUND_MIB = 3.5
 
-    def test_training_doe_batch_stays_under_the_bound(self):
+    @staticmethod
+    def traced_peak_mib(designs, inputs):
         cfg = pipeline.PipelineConfig()
-        doe = pipeline.generate_doe(44, cfg.input_bounds, 0)
-        designs = [DesignPoint(*map(float, r[:2])) for r in doe]
-        inputs = [RandomInputs(*map(float, r[2:])) for r in doe]
         tracemalloc.start()
         try:
             thermal.simulate_batch(designs, inputs, cfg.model, cfg.grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / 2**20 <= self.BOUND_MIB
+        return peak / 2**20
+
+    def test_training_doe_batch_stays_under_the_bound(self):
+        cfg = pipeline.PipelineConfig()
+        doe = pipeline.generate_doe(44, cfg.input_bounds, 0)
+        designs = [DesignPoint(*map(float, r[:2])) for r in doe]
+        inputs = [RandomInputs(*map(float, r[2:])) for r in doe]
+        assert self.traced_peak_mib(designs, inputs) <= self.BOUND_MIB
+
+    def test_validation_batch_stays_under_its_bound(self):
+        cfg = pipeline.PipelineConfig()
+        with open(BASELINE_PATH, encoding="utf-8") as f:
+            e_star = json.load(f)["optimal_energy"]
+        d = DesignPoint(200.0 * cfg.model.l / e_star, 200.0)
+        draws = draw_material_samples(cfg.input_bounds[2:], cfg.n_val,
+                                      np.random.default_rng(cfg.seed_validation))
+        inputs = [RandomInputs(*map(float, z)) for z in draws]
+        assert len(inputs) == 50
+        assert self.traced_peak_mib([d] * 50, inputs) <= self.VALIDATION_BOUND_MIB
 
 
 class TestFoldedConstants:
