@@ -43,6 +43,8 @@ HISTORY_COLUMNS = ("v", "P", "zeta", "energy", "bpof_lhs", "t_max_hat")
 # slack allowed when a point is judged feasible (see is_feasible)
 CONSTRAINT_TOL = 1e-4
 _STEP_TOL = 1e-6  # the SQP stops on a step below this, in normalized units
+# line search steps 1, 1/2, ..., 1/2^11; with no feasible design, 20 such steps
+_LINE_SEARCH_TRIALS = 12  # crawled on tiny decreases, to 2,356 evaluations a start
 # the SQP's QP asks each constraint row for this much slack, far above
 # rounding, so a step onto a linearized boundary lands inside it: pof's
 # exceedance count jumps one draw a rounding error outside
@@ -416,8 +418,8 @@ def _sqp(fun, x: np.ndarray) -> None:
     (_qp) on a Powell-damped BFGS Hessian of the Lagrangian (Powell 1978),
     backtracking on the l1 merit f + mu * sum(c^-), and a least-squares
     restoration step that relaxes the rows when their linearization has no
-    feasible point.  Stops when the step, proposed or taken, falls below
-    _STEP_TOL, when backtracking finds no descent, or after _MAX_ITERS."""
+    feasible point.  Stops on a proposed step below _STEP_TOL, when none of
+    the _LINE_SEARCH_TRIALS halving steps descends, or after _MAX_ITERS."""
     def l1(c):  # total violation of rows c >= 0
         return np.maximum(-c, 0.0).sum()
 
@@ -439,14 +441,12 @@ def _sqp(fun, x: np.ndarray) -> None:
         slope = g @ d - mu * drop
         if np.abs(d).max() < _STEP_TOL or not slope < 0.0:
             return
-        for t in 0.5 ** np.arange(20):  # backtracking
+        for t in 0.5 ** np.arange(_LINE_SEARCH_TRIALS):  # backtracking
             x_t = np.clip(x + t * d, -1.0, 1.0)
             f_t, jac_t = fun(x_t)
             if f_t[0] + mu * l1(f_t[1:]) <= f[0] + mu * l1(c) + 1e-4 * t * slope:
                 break
         else:  # no descent along d
-            return
-        if np.abs(x_t - x).max() < _STEP_TOL:  # crawling, as on a kink
             return
         s, y = x_t - x, jac_t[0] - jac_t[1:].T @ lam - (g - a.T @ lam)
         hs = hess @ s

@@ -796,6 +796,24 @@ def test_best_start_is_least_infeasible_when_none_is_feasible(k2_bundle, tmp_pat
     assert doc["best"]["energy"] > min(r.energy for r in results)
 
 
+def test_infeasible_starts_stop_without_crawling(k2_bundle):
+    """No design meets this melt window and risk budget: each start's line
+    searches then stop after their halving budget instead of accepting tiny
+    decreases deep down it, and the least total scaled violation among the
+    four default starts is still reached."""
+    cfg = OptimizeConfig(tau=9.0, temp_window=(6.0, 9.0), n_mc=2000, seed=7)
+    row_max = optimize._frozen_row_max(k2_bundle, cfg)
+    results = [
+        solve(k2_bundle, cfg, DesignPoint(*d0), row_max)
+        for d0 in pipeline.DEFAULT_STARTS
+    ]
+    assert not any(r.feasible for r in results)
+    assert max(r.iterations for r in results) <= 500
+    margins = [optimize._margins(cfg, r.bpof_lhs, r.t_max_hat) for r in results]
+    violation = min(np.maximum(-m, 0.0).sum() for m in margins)
+    assert violation == pytest.approx(0.2676968, rel=1e-6)
+
+
 class TestUnconstrainedCorner:
     def test_box_corner_when_constraints_disabled(self, toy_bundle):
         cfg = OptimizeConfig(
