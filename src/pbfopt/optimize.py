@@ -466,7 +466,7 @@ class _SolveState:
         self.cfg = cfg
         self.row_max = row_max
         self.history: list[list[float]] = []
-        box = b.input_bounds[:2]
+        self.box = box = b.input_bounds[:2]
         self.box_mid = 0.5 * (box[:, 0] + box[:, 1])
         self.box_half = 0.5 * (box[:, 1] - box[:, 0])
 
@@ -483,9 +483,8 @@ class _SolveState:
         and that draw (n bPOF - m) / n (tau - zeta)."""
         cfg = self.cfg
         v, p = self.box_mid + self.box_half * np.clip(x, -1.0, 1.0)
-        # evaluated at the design's own normalized coordinates, as
-        # normalize_inputs maps them, so each history row reproduces exactly
-        xc = np.clip((np.array([v, p]) - self.box_mid) / self.box_half, -1.0, 1.0)
+        # normalized by the public rule, so a history row reproduces exactly
+        xc = normalize_inputs(np.array([v, p]), self.box)
         d = DesignPoint(v=v, P=p)
         stress_max, temperature_max = self.row_max
         sigma, at = stress_max.evaluate(xc)
@@ -510,6 +509,7 @@ class _SolveState:
         de = [-e / v * self.box_half[0], cfg.scan_length / v * self.box_half[1]]
         return e, rows, np.array([de, risk_grad, dt, -dt])
 
+    # not called here, but perfbench/tracing.py calls it by this name
     def _is_feasible(self, lhs, t_hat):
         return is_feasible(self.cfg, lhs, t_hat)
 
@@ -576,7 +576,7 @@ def solve(
 
     _sqp(energy_and_rows, start)
     v, p, _, _, lhs, t_hat = state.history[_reported_row(cfg, state.history)]
-    if not state._is_feasible(lhs, t_hat):  # the elastic phase
+    if not is_feasible(cfg, lhs, t_hat):  # the elastic phase
         _sqp(squared_violation, _start_point(b, DesignPoint(v=v, P=p)))
     v, p, zeta_star, e, lhs, t_hat = state.history[_reported_row(cfg, state.history)]
     return OptimizationResult(
@@ -585,6 +585,6 @@ def solve(
         energy=float(e),
         bpof_lhs=float(lhs),
         t_max_hat=float(t_hat),
-        feasible=bool(state._is_feasible(lhs, t_hat)),
+        feasible=bool(is_feasible(cfg, lhs, t_hat)),
         history=np.asarray(state.history, dtype=float),
     )

@@ -471,17 +471,16 @@ def run_simulations(cfg: PipelineConfig):
 
 
 def _fit_output(cfg: PipelineConfig, u: np.ndarray, data: np.ndarray):
-    """Truncation-error curve and the fitted output model of one data matrix."""
-    errs = error_curve(data, min(cfg.k_max, min(data.shape)))
+    """The error curve and the fitted output model of one data matrix, from one SVD."""
+    full = decompose(data, min(data.shape))
+    errs = error_curve(data, full, min(cfg.k_max, min(data.shape)))
     k = select_feature_count(errs, cfg.err_threshold, cfg.min_gain)
-    dec = decompose(data, k)
     features = []
-    for j in range(k):
-        f = dec.features[:, j]
+    for f in full.features[:, :k].T:
         sub = discover(estimate_gradients(u, f))
         poly = fit_best_degree(u @ sub.w1, f)
         features.append(FeatureSurrogate(subspace=sub, poly=poly))
-    return errs, OutputModel(dec.right_vectors, tuple(features))
+    return errs, OutputModel(full.right_vectors[:, :k], tuple(features))
 
 
 def train_from_matrices(

@@ -1,9 +1,10 @@
 """Truncated-SVD feature extraction and active-subspace discovery.
 
 Snapshot matrices (runs x outputs) compress to features F = U_k Sigma_k
-with right vectors V_k; per-feature active subspaces come from the
-eigendecomposition of the gradient covariance of a global quadratic fit
-over the normalized inputs.
+with right vectors V_k.  One SVD per matrix feeds both the error curve
+that sizes k and the k kept features.  Per-feature active subspaces come
+from the eigendecomposition of the gradient covariance of a global
+quadratic fit over the normalized inputs.
 """
 
 from __future__ import annotations
@@ -89,28 +90,28 @@ def decompose(data, k: int) -> FeatureDecomposition:
     )
 
 
-def error_curve(data, k_max: int) -> np.ndarray:
-    """Mean relative row reconstruction error for k = 1..k_max (one SVD).
+def error_curve(data, full: FeatureDecomposition, k_max: int) -> np.ndarray:
+    """Mean relative row reconstruction error of data for k = 1..k_max.
 
-    The residual of row i at truncation k has squared norm equal to the
-    tail sum of (U_ij sigma_j)^2 over j > k, so the whole curve falls out
-    of suffix sums without rebuilding reconstructions.
+    full is decompose(data, min(data.shape)), the one SVD of data that also
+    gives the kept features as its first k columns.  The residual of row i
+    at truncation k has squared norm equal to the tail sum of full's squared
+    features (U_ij sigma_j)^2 over j > k, so the whole curve falls out of
+    suffix sums without rebuilding reconstructions.
     """
     m = _check_matrix(data)
     rank_cap = min(m.shape)
     if not 1 <= k_max <= rank_cap:
         raise ValueError(f"k_max must lie in [1, {rank_cap}], got {k_max}")
+    if full.features.shape != (m.shape[0], rank_cap):
+        raise ValueError("error_curve needs the full-rank decompose of data")
     row_norms = np.linalg.norm(m, axis=1)
     if np.any(row_norms == 0.0):
         raise ValueError("zero-norm row: relative error undefined")
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    comp_sq = (u * s) ** 2  # M x rank, per-component energy
+    comp_sq = np.pad(full.features**2, ((0, 0), (0, 1)))  # M x (rank + 1), last 0
     # tail_sq[:, k] = sum of comp_sq[:, k:] = squared residual at truncation k
-    tail_sq = np.concatenate(
-        [np.cumsum(comp_sq[:, ::-1], axis=1)[:, ::-1], np.zeros((m.shape[0], 1))],
-        axis=1,
-    )
-    errs = np.sqrt(np.maximum(tail_sq[:, 1 : k_max + 1], 0.0)) / row_norms[:, None]
+    tail_sq = np.cumsum(comp_sq[:, ::-1], axis=1)[:, ::-1]
+    errs = np.sqrt(tail_sq[:, 1 : k_max + 1]) / row_norms[:, None]
     return errs.mean(axis=0)
 
 

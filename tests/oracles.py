@@ -10,6 +10,7 @@ import numpy as np
 
 from pbfopt import optimize, pipeline, risk, surrogate, thermal
 from pbfopt.reduction import (
+    FeatureDecomposition,
     design_matrix,
     least_squares,
     monomial_exponents,
@@ -238,6 +239,31 @@ def buffered_superquantile_se(values, zeta, alpha):
     vals = np.asarray(values, dtype=float)
     excess = np.maximum(vals - zeta, 0.0)
     return float(excess.std(ddof=1) / ((1.0 - alpha) * np.sqrt(vals.size)))
+
+
+def two_svd_reduction(data, k_max, k):
+    """The error curve for k = 1..k_max and the k-column decomposition of
+    data, each from its own SVD: reduction's error_curve and decompose as
+    they were before one full-rank SVD fed both."""
+    m = np.asarray(data, dtype=float)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    comp_sq = (u * s) ** 2
+    tail_sq = np.concatenate(
+        [np.cumsum(comp_sq[:, ::-1], axis=1)[:, ::-1], np.zeros((m.shape[0], 1))],
+        axis=1,
+    )
+    row_norms = np.linalg.norm(m, axis=1)
+    errs = np.sqrt(np.maximum(tail_sq[:, 1 : k_max + 1], 0.0)) / row_norms[:, None]
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    u, vt = u[:, :k].copy(), vt[:k].copy()
+    for j, row in enumerate(vt):  # largest-magnitude right-vector entry positive
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+            u[:, j] *= -1.0
+    dec = FeatureDecomposition(
+        features=u * s[:k], right_vectors=vt.T, singular_values=s[:k].copy()
+    )
+    return errs.mean(axis=0), dec
 
 
 def reconstruct(decomposition):

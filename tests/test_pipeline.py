@@ -415,6 +415,20 @@ class TestSyntheticTraining:
         for n in names:
             assert (out / n).read_bytes() == before[n], n
 
+    def test_one_svd_per_snapshot_matrix(self, trained, tmp_path, monkeypatch):
+        cfg, _ = trained
+        data = [np.loadtxt(Path(cfg.out_dir) / f"{n}.csv", delimiter=",")
+                for n in ("doe", "T", "S")]
+        svd, shapes = np.linalg.svd, []
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        pipeline.train_from_matrices(replace(cfg, out_dir=str(tmp_path)), *data)
+        assert shapes == [(48, 31), (48, 448)]  # T once, then S once
+
     @pytest.mark.parametrize("name, cols", [("doe", 5), ("T", 30), ("S", 400)])
     def test_mis_sized_matrices_are_rejected_before_fitting(
         self, trained, tmp_path, monkeypatch, name, cols

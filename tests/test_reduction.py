@@ -9,6 +9,7 @@ from oracles import (
     fit_quadratic,
     quadratic_values,
     reconstruct,
+    two_svd_reduction,
 )
 
 from pbfopt import reduction, thermal
@@ -153,14 +154,16 @@ class TestReconstructionError:
     def test_curve_matches_direct_oracle(self):
         rng = np.random.default_rng(11)
         a = rng.normal(size=(12, 8))
-        assert reduction.error_curve(a, 8) == pytest.approx(
+        full = reduction.decompose(a, 8)
+        assert reduction.error_curve(a, full, 8) == pytest.approx(
             direct_error_curve(a, 8), abs=1e-12
         )
 
     def test_curve_non_increasing(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
-            errs = reduction.error_curve(rng.normal(size=(15, 9)), 9)
+            a = rng.normal(size=(15, 9))
+            errs = reduction.error_curve(a, reduction.decompose(a, 9), 9)
             assert np.all(np.diff(errs) <= 1e-14)
 
     def test_rank_two_matrix_vanishes_at_two(self):
@@ -168,7 +171,7 @@ class TestReconstructionError:
         u1, u2 = np.linalg.qr(rng.normal(size=(20, 2)))[0].T
         v1, v2 = np.linalg.qr(rng.normal(size=(6, 2)))[0].T
         a = 3.0 * np.outer(u1, v1) + np.outer(u2, v2)
-        errs = reduction.error_curve(a, 4)
+        errs = reduction.error_curve(a, reduction.decompose(a, 6), 4)
         assert errs[0] > 1e-3
         assert errs[1] < 1e-12
         assert errs[3] < 1e-12
@@ -186,7 +189,43 @@ class TestReconstructionError:
     def test_zero_row_rejected(self):
         a = np.vstack([np.zeros(4), np.ones(4), np.arange(4.0)])
         with pytest.raises(ValueError, match="zero-norm"):
-            reduction.error_curve(a, 2)
+            reduction.error_curve(a, reduction.decompose(a, 3), 2)
+
+
+def rank_three(rng):
+    return rng.normal(size=(16, 3)) @ rng.normal(size=(3, 9))
+
+
+def column_signs_flipped(rng):
+    a = rng.normal(size=(14, 8)) + 1.0
+    return a * np.where(rng.uniform(size=8) < 0.5, -1.0, 1.0)
+
+
+class TestOneSvd:
+    """The error curve and the kept features of a matrix come from its one
+    full-rank decompose, bit for bit as two separate SVDs gave them."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda rng: rng.normal(size=(12, 7)), rank_three, column_signs_flipped],
+        ids=["full_rank", "rank_deficient", "sign_flipped"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_curve_and_kept_features_match_two_svds(self, make, seed):
+        a = make(np.random.default_rng(seed))
+        rank = min(a.shape)
+        full = reduction.decompose(a, rank)
+        for k in range(1, rank + 1):
+            want_errs, want = two_svd_reduction(a, rank, k)
+            assert np.array_equal(reduction.error_curve(a, full, rank), want_errs)
+            assert np.array_equal(full.features[:, :k], want.features)
+            assert np.array_equal(full.right_vectors[:, :k], want.right_vectors)
+            assert np.array_equal(full.singular_values[:k], want.singular_values)
+
+    def test_curve_rejects_a_truncated_decomposition(self):
+        a = np.random.default_rng(3).normal(size=(10, 6))
+        with pytest.raises(ValueError, match="full-rank"):
+            reduction.error_curve(a, reduction.decompose(a, 5), 4)
 
 
 class TestSelectFeatureCount:
