@@ -54,7 +54,9 @@ _MAX_ITERS = 500  # SQP iterations per phase; solves stop long before it
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Solver settings; defaults reproduce the nominal study setup."""
+    """Solver settings; defaults reproduce the nominal study setup.  temp_window
+    defaults to [1650, 1815], [Tliq, 1.1 Tliq] of the default liquidus: a study
+    that sets model.Tliq keeps that window until it sets temp_window too."""
 
     alpha_t: float = 0.95
     tau: float = 825.0

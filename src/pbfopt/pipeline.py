@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -199,8 +198,8 @@ _GROUPS = {
 }
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_number(x) -> bool:  # numpy's too; np.bool_ is neither of its kinds
+    return isinstance(x, (int, float, np.integer, np.floating)) and type(x) is not bool
 
 
 def _canonical(key: str, value, default):
@@ -208,10 +207,10 @@ def _canonical(key: str, value, default):
     JSON form.
 
     int fields take integers, numpy's too, and store an int (a bool is not
-    one, nor numpy's), float fields take any number and store a float, bool
-    fields take only booleans, str fields take strings and pair fields take
-    two numbers, stored as floats.  So equal configurations have one
-    canonical form and share a hash.
+    one, nor numpy's), float fields take any number, numpy's too, and store
+    a float, bool fields take only booleans, str fields take strings and
+    pair fields take two numbers, stored as floats.  So equal configurations
+    have one canonical form and share a hash.
     """
     if isinstance(default, bool):
         ok, kind = isinstance(value, bool), "true or false"
@@ -435,19 +434,13 @@ def _run_batch(cfg: PipelineConfig, rows: np.ndarray, what: str):
         return [_synthetic_rows(cfg, xi) for xi in rows]
     designs = [DesignPoint(v=float(xi[0]), P=float(xi[1])) for xi in rows]
     inputs = [RandomInputs(*map(float, xi[2:])) for xi in rows]
-    with ExitStack() as stack:
-        map_blocks = map
-        if cfg.workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            map_blocks = stack.enter_context(ProcessPoolExecutor(cfg.workers)).map
-        try:
-            snaps = simulate_batch(designs, inputs, cfg.model, cfg.grid, map_blocks)
-        except SimulationError as e:
-            raise SimulationError(
-                f"{what} run {e.run} failed for inputs {rows[e.run].tolist()}: {e}",
-                e.step, e.run,
-            ) from e
+    try:
+        snaps = simulate_batch(designs, inputs, cfg.model, cfg.grid, cfg.workers)
+    except SimulationError as e:
+        raise SimulationError(
+            f"{what} run {e.run} failed for inputs {rows[e.run].tolist()}: {e}",
+            e.step, e.run,
+        ) from e
     return [
         (s.temps, field_to_row(residual_stress(s, z, cfg.c_r)))
         for s, z in zip(snaps, inputs)

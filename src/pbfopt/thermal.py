@@ -557,14 +557,16 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
 
 def simulate_batch(designs, inputs, p: ModelParams | None = None,
                    grid: SimGridConfig | None = None,
-                   map_blocks=map) -> list[TemperatureSnapshot]:
+                   workers: int = 1) -> list[TemperatureSnapshot]:
     """One scan per (design, random inputs) pair, snapshots in that order.
 
     Every run is checked and planned before any steps.  Sorted by step count,
     the runs go in as many blocks as BLOCK_RUNS-run ones would take, of sizes
-    that differ by at most one, to _solve_field through map_blocks (map, or a
-    process pool's), which changes no result.  The lowest-indexed failed
-    run raises its SimulationError with .run set; map skips blocks above it."""
+    that differ by at most one, and every block goes to _solve_field; with
+    workers > 1 over a pool of that many processes, which changes no result.
+    The lowest-indexed failed run raises its SimulationError with .run set."""
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     p = ModelParams() if p is None else p
     grid = SimGridConfig() if grid is None else grid
     runs = [(d, z, _plan(d, z, p, grid)) for d, z in zip(designs, inputs, strict=True)]
@@ -572,15 +574,17 @@ def simulate_batch(designs, inputs, p: ModelParams | None = None,
     count = -(-len(order) // BLOCK_RUNS)
     blocks = [order[len(order) * i // count : len(order) * (i + 1) // count]
               for i in range(count)]
-    snaps, sent = [None] * len(runs), []  # results by run; the blocks handed out
+    solve = partial(_solve_field, p=p, grid=grid)
+    jobs = [[runs[k] for k in block] for block in blocks]
+    if workers == 1:
+        solved = map(solve, jobs)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    def todo():  # map takes a block once the last one is solved, a pool all at once
-        for block in blocks:
-            if not any(isinstance(snaps[k], SimulationError) for k in range(min(block))):
-                sent.append(block)
-                yield [runs[k] for k in block]
-    solved = map_blocks(partial(_solve_field, p=p, grid=grid), todo())
-    for results, block in zip(solved, sent):  # a block joins sent before its result
+        with ProcessPoolExecutor(workers) as pool:
+            solved = list(pool.map(solve, jobs))
+    snaps = [None] * len(runs)
+    for block, results in zip(blocks, solved):
         for k, r in zip(block, results):
             snaps[k] = r
     for k, s in enumerate(snaps):

@@ -240,6 +240,12 @@ class TestSurrogateMaxima:
         u = normalize_rows(xi, physical_bounds())
         assert got == pytest.approx(700.0 + u @ STRESS_COEFFS, abs=1e-9)
 
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_samples_not_four_wide_rejected(self, toy_bundle, width):
+        d = DesignPoint(v=430.0, P=85.0)
+        with pytest.raises(ValueError, match=r"material samples must be \(n, 4\) rows"):
+            stress_max_samples(toy_bundle, d, np.ones((3, width)))
+
     def test_temperature_matches_linear_form(self, toy_bundle):
         rng = np.random.default_rng(43)
         z = draw_material_samples(physical_bounds()[2:], 300, rng)

@@ -274,6 +274,55 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="finite"):
             config_from_dict({"bounds": bounds})
 
+    @pytest.mark.parametrize(
+        "kwargs, path, want",
+        [
+            ({"c_r": np.int64(1)}, "c_r", 1.0),
+            ({"c_r": np.float32(0.5)}, "c_r", 0.5),
+            ({"optimize": OptimizeConfig(tau=np.int64(800))}, "optimize.tau", 800.0),
+            (
+                {"optimize": OptimizeConfig(temp_window=np.array([1650, 1815]))},
+                "optimize.temp_window",
+                (1650.0, 1815.0),
+            ),
+        ],
+        ids=["c_r-int64", "c_r-float32", "tau-int64", "temp_window-array"],
+    )
+    def test_numpy_numbers_stored_as_floats(self, kwargs, path, want):
+        cfg = PipelineConfig(**kwargs)
+        value = cfg
+        for name in path.split("."):
+            value = getattr(value, name)
+        assert value == want
+        values = value if isinstance(value, tuple) else (value,)
+        assert {type(x) for x in values} == {float}
+        same = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+        assert config_hash(same) == config_hash(cfg)
+
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            ({"c_r": True}, "'c_r' must be a number"),
+            ({"c_r": np.bool_(True)}, "'c_r' must be a number"),
+            (
+                {"optimize": OptimizeConfig(temp_window=(np.bool_(False), 1815.0))},
+                "'optimize.temp_window' must be two numbers",
+            ),
+        ],
+        ids=["bool", "np.bool_", "temp_window-np.bool_"],
+    )
+    def test_booleans_are_not_numbers(self, kwargs, key):
+        with pytest.raises(ValueError, match=key):
+            PipelineConfig(**kwargs)
+
+    def test_input_bounds_must_be_six_by_two(self):
+        with pytest.raises(ValueError, match=re.escape("input_bounds must be (6, 2)")):
+            PipelineConfig(input_bounds=default_input_bounds()[:5])
+
+    def test_other_schema_version_rejected(self):
+        with pytest.raises(ValueError, match="unsupported config schema version"):
+            config_from_dict({"schema_version": 2})
+
     def test_file_round_trip(self, tmp_path):
         cfg = PipelineConfig(M=50, seed_mc=77)
         path = tmp_path / "cfg.json"

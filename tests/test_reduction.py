@@ -186,6 +186,12 @@ class TestReconstructionError:
                 np.sqrt(np.sum(s[k:] ** 2)), rel=1e-10
             )
 
+    @pytest.mark.parametrize("k_max", [0, 5])
+    def test_k_max_out_of_range_rejected(self, k_max):
+        a = np.random.default_rng(15).normal(size=(6, 4))
+        with pytest.raises(ValueError, match=rf"k_max must lie in \[1, 4\], got {k_max}"):
+            reduction.error_curve(a, reduction.decompose(a, 4), k_max)
+
     def test_zero_row_rejected(self):
         a = np.vstack([np.zeros(4), np.ones(4), np.arange(4.0)])
         with pytest.raises(ValueError, match="zero-norm"):
@@ -322,6 +328,11 @@ class TestNormalizeInputs:
         with pytest.raises(ValueError, match="lower bound"):
             reduction.normalize_inputs(np.zeros(2), [[0.0, 1.0], [2.0, 2.0]])
 
+    @pytest.mark.parametrize("bounds", [[0.0, 1.0], [[0.0, 1.0, 2.0]], np.zeros((2, 2, 2))])
+    def test_bounds_not_n_by_2_rejected(self, bounds):
+        with pytest.raises(ValueError, match=r"bounds must be an \(n, 2\) array"):
+            reduction.check_bounds(bounds)
+
     @pytest.mark.parametrize("edge", [np.nan, np.inf, -np.inf])
     def test_non_finite_bounds_rejected(self, edge):
         with pytest.raises(ValueError, match="finite"):
@@ -389,6 +400,10 @@ class TestQuadraticGradients:
         x = np.tile(np.linspace(-1, 1, 6), (40, 1))
         with pytest.raises(ValueError, match="rank-deficient"):
             reduction.estimate_gradients(x, np.ones(40))
+
+    def test_one_value_per_row_required(self, sample):
+        with pytest.raises(ValueError, match="one value per row"):
+            reduction.estimate_gradients(sample, sample[1:, 0])
 
 
 class TestDiscover:

@@ -206,6 +206,10 @@ class TestPof:
         # strict exceedance: samples equal to tau are not failures
         assert risk.estimate_pof([5.0, 5.0, 7.0], 5.0) == pytest.approx(1 / 3)
 
+    def test_nan_tau_rejected(self):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            risk.estimate_pof([1.0, 2.0, 3.0], np.nan)
+
 
 # ------------------------------------------------------------------- bpof
 
@@ -311,6 +315,10 @@ class TestBpofMinform:
         risk.estimate_bpof_minform(vals, 2.5)
         risk.estimate_quantile(vals, 0.5)
         assert np.array_equal(vals, copy)
+
+    def test_nan_tau_rejected(self):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            risk.estimate_bpof_minform([1.0, 2.0, 3.0], np.nan)
 
 
 class TestBpofTail:

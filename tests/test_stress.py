@@ -118,3 +118,7 @@ class TestRowLayout:
         grid2 = np.zeros((NX, NZ))
         grid2[0, 1] = 9.0  # first point, second height level
         assert stress.field_to_row(grid2)[NX] == 9.0
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"expected \(32, 14\) grid, got \(14, 32\)"):
+            stress.field_to_row(np.zeros((NZ, NX)))

@@ -100,6 +100,16 @@ class TestFit:
         with pytest.raises(ValueError, match="degree"):
             surrogate.fit(eta, eta, 7)
 
+    def test_rejects_four_active_variables(self):
+        etas = np.random.default_rng(3).uniform(-1.0, 1.0, size=(40, 4))
+        with pytest.raises(ValueError, match=r"active variables must be \(M, r\)"):
+            surrogate.fit(etas, etas.sum(axis=1), 1)
+
+    def test_rejects_a_value_count_mismatch(self):
+        etas = np.random.default_rng(4).uniform(-1.0, 1.0, size=(40, 2))
+        with pytest.raises(ValueError, match="one value per input row required"):
+            surrogate.fit(etas, np.zeros(39), 1)
+
 
 class TestR2Score:
     def test_perfect_and_mean_baseline(self):
@@ -295,6 +305,26 @@ class TestPolySurrogateValidation:
             surrogate.PolySurrogate(
                 n_vars=1, degree=1, coefficients=np.zeros(2), r2=1.5
             )
+
+    @pytest.mark.parametrize("n_vars", [0, surrogate.MAX_ACTIVE_DIM + 1])
+    def test_n_vars_range_enforced(self, n_vars):
+        with pytest.raises(ValueError, match=r"n_vars must lie in \[1, 3\]"):
+            surrogate.PolySurrogate(
+                n_vars=n_vars, degree=1, coefficients=np.zeros(n_vars + 1), r2=0.0
+            )
+
+    @pytest.mark.parametrize("degree", [-1, surrogate.MAX_DEGREE + 1])
+    def test_degree_range_enforced(self, degree):
+        with pytest.raises(ValueError, match=r"degree must lie in \[0, 6\]"):
+            surrogate.PolySurrogate(
+                n_vars=1, degree=degree, coefficients=np.zeros(2), r2=0.0
+            )
+
+    def test_feature_arity_must_equal_subspace_dimension(self):
+        subspace = reduction.ActiveSubspace(np.eye(6)[:, :2], np.ones(6), 2)
+        poly = surrogate.PolySurrogate(n_vars=1, degree=1, coefficients=np.zeros(2), r2=0.0)
+        with pytest.raises(ValueError, match="polynomial arity must equal"):
+            surrogate.FeatureSurrogate(subspace, poly)
 
 
 def build_ridge_bundle(m=60, noise=0.0, seed=71):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import re
 import tracemalloc
 from pathlib import Path
@@ -22,6 +23,10 @@ from pbfopt.thermal import (
 )
 
 NOMINAL_Z = RandomInputs(T0=650.0, Y=825.0, E=110.0, rho=612.0)
+# at NOMINAL_Z only run 1, a 20 kW beam, fails
+ONE_FAILURE = [DesignPoint(550.0, 100.0), DesignPoint(100.0, 20000.0),
+               DesignPoint(150.0, 100.0), DesignPoint(300.0, 100.0),
+               DesignPoint(600.0, 100.0), DesignPoint(900.0, 100.0)]
 BASELINE_PATH = Path(__file__).parent / "data" / "regression_baseline.json"
 
 
@@ -213,6 +218,7 @@ class TestModelParamsValidation:
         ({"l": np.inf}, "l must be finite"),
         ({"Tc": np.nan}, "Tc must be finite"),
         ({"Tliq": np.nan}, "Tliq must be finite"),
+        ({"l": 0.0}, "part dimensions must be positive"),
     ])
     def test_rejects_parameters_no_run_can_use(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -595,30 +601,58 @@ class TestFlatBlock:
         b = thermal.simulate(DesignPoint(100.0, 200.0), NOMINAL_Z, grid=grid)
         assert_same(a, b)
 
-    def test_blocks_above_a_known_failure_are_skipped(self, monkeypatch):
+    def test_blocks_above_a_known_failure_are_solved(self, monkeypatch):
         # by step count the blocks of two are runs [1, 2], [3, 0] and [4, 5];
-        # run 1 fails in the first, so only the block holding run 0 is needed
+        # run 1 fails in the first, and the blocks above it are solved all the
+        # same, which cannot change the error raised
         grid, z = SimGridConfig(16, 8), NOMINAL_Z
-        designs = [DesignPoint(550.0, 100.0), DesignPoint(100.0, 20000.0),
-                   DesignPoint(150.0, 100.0), DesignPoint(300.0, 100.0),
-                   DesignPoint(600.0, 100.0), DesignPoint(900.0, 100.0)]
         monkeypatch.setattr(thermal, "BLOCK_RUNS", 2)
         solve, calls = thermal._solve_field, []
         monkeypatch.setattr(thermal, "_solve_field",
                             lambda runs, **kw: calls.append(len(runs)) or solve(runs, **kw))
         with pytest.raises(SimulationError) as alone:
-            thermal.simulate(designs[1], z, grid=grid)
+            thermal.simulate(ONE_FAILURE[1], z, grid=grid)
         calls.clear()
-        with pytest.raises(SimulationError) as skipped:
-            thermal.simulate_batch(designs, [z] * 6, grid=grid)
-        assert calls == [2, 2]
-        with pytest.raises(SimulationError) as eager:  # as a pool: every block solved
-            thermal.simulate_batch(designs, [z] * 6, grid=grid,
-                                   map_blocks=lambda f, blocks: list(map(f, blocks)))
-        assert calls == [2, 2, 2, 2, 2]
-        for info in (skipped, eager):
-            assert (str(info.value), info.value.step, info.value.run) == (
-                str(alone.value), alone.value.step, 1)
+        with pytest.raises(SimulationError) as info:
+            thermal.simulate_batch(ONE_FAILURE, [z] * 6, grid=grid)
+        assert calls == [2, 2, 2]
+        assert (str(info.value), info.value.step, info.value.run) == (
+            str(alone.value), alone.value.step, 1)
+
+
+class TestWorkers:
+    """A process pool solves the same blocks: same snapshots, same error."""
+
+    def test_failing_batch_raises_the_same_error_under_a_pool(self, monkeypatch):
+        grid, z = SimGridConfig(16, 8), NOMINAL_Z
+        monkeypatch.setattr(thermal, "BLOCK_RUNS", 2)  # three blocks, run 1 in the first
+        with pytest.raises(SimulationError) as alone:
+            thermal.simulate(ONE_FAILURE[1], z, grid=grid)
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(SimulationError) as info:
+                thermal.simulate_batch(ONE_FAILURE, [z] * 6, grid=grid, workers=workers)
+            raised.append((str(info.value), info.value.step, info.value.run))
+        assert raised == [(str(alone.value), alone.value.step, 1)] * 2
+
+    def test_mixed_batch_is_the_same_under_a_pool(self):
+        runs = TestLockstepBatch.mixed_runs()  # two blocks of BLOCK_RUNS or fewer
+        serial, pooled = (thermal.simulate_batch(*zip(*runs), grid=TestLockstepBatch.GRID,
+                                                 workers=workers) for workers in (1, 2))
+        for a, b in zip(serial, pooled, strict=True):
+            assert np.array_equal(a.temps, b.temps)
+            assert np.array_equal(a.peak_field, b.peak_field)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            thermal.simulate_batch([DesignPoint(550.0, 110.0)], [NOMINAL_Z], workers=workers)
+
+    def test_simulation_error_survives_pickling(self):
+        # a pool worker sends a failed run's error back through pickle
+        error = pickle.loads(pickle.dumps(SimulationError("probe left the band", 17, 4)))
+        assert (type(error), str(error), error.step, error.run) == (
+            SimulationError, "probe left the band", 17, 4)
 
 
 class TestStepCeiling:
