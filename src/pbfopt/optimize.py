@@ -43,8 +43,8 @@ HISTORY_COLUMNS = ("v", "P", "zeta", "energy", "bpof_lhs", "t_max_hat")
 # slack allowed when a point is judged feasible (see is_feasible)
 CONSTRAINT_TOL = 1e-4
 _STEP_TOL = 1e-6  # the SQP stops on a step below this, in normalized units
-# line search steps 1, 1/2, ..., 1/2^11; with no feasible design, 20 such steps
-_LINE_SEARCH_TRIALS = 12  # crawled on tiny decreases, to 2,356 evaluations a start
+# line search trials (steps 1, 1/2, ..., 1/2^11): 8 or 10 moved the best
+_LINE_SEARCH_TRIALS = 12  # violations of starts that find no feasible design
 # the SQP's QP asks each constraint row for this much slack, far above
 # rounding, so a step onto a linearized boundary lands inside it: pof's
 # exceedance count jumps one draw a rounding error outside
@@ -68,6 +68,11 @@ class OptimizeConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "temp_window", tuple(self.temp_window))
+        for name in ("n_mc", "seed"):  # the JSON rule for integers, as in pipeline
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ValueError(f"config key 'optimize.{name}' must be an integer, got {n!r}")
+            object.__setattr__(self, name, int(n))  # a numpy integer as a Python one
         if not 0.0 < self.alpha_t < 1.0:
             raise ValueError("alpha_t must lie in (0, 1)")
         if not self.tau > 0.0:
@@ -288,17 +293,15 @@ class _RowMax:
     def gradient(self, at, weights, draws=None) -> np.ndarray:
         """The sum over `draws` of weights (one each, or one scalar) times
         the gradient in u_d of each one's maximum at evaluate's call `at`;
-        with draws None, over every sample with one scalar weight, which
-        needs all of `at` (only its first two items otherwise).  A sample's
+        with draws None, over every sample with one scalar weight.  A sample's
         maximum is its winning row v @ g, and a design only shifts each
         feature's active variables by u_d @ w1[:2], so its gradient is
         sum_k v_k basis_k @ (d c_k / d shift) @ w1_k[:2].T.  Over every
         sample, the basis products are the stored column sums through the
         row that wins at the mean feature values, corrected on the samples
         that it loses: on the nominal bundle few or none."""
-        coeffs, rows, *full = at
+        coeffs, rows, g, out = at
         if draws is None:
-            g, out = full
             top = rows[np.argmax(rows @ g.mean(axis=1))]
             draws = np.flatnonzero(top @ g < out) if len(rows) > 1 else []
             base, weights = weights * top, np.full(len(draws), weights)
@@ -490,7 +493,6 @@ class _SolveState:
         d = DesignPoint(v=v, P=p)
         stress_max, temperature_max = self.row_max
         sigma, at = stress_max.evaluate(xc)
-        at = at[:2]  # the risk draws' features come from their basis rows
         lhs, zeta, risk_row, (draws, weights) = _risk(sigma, cfg)
         if elastic and cfg.constraint_kind == CONSTRAINT_BPOF and 0.0 < lhs < 1.0:
             above, n = np.flatnonzero(sigma > zeta), sigma.size

@@ -427,11 +427,12 @@ def _synthetic_rows(cfg: PipelineConfig, xi: np.ndarray):
 
 
 def _run_batch(cfg: PipelineConfig, rows: np.ndarray, what: str):
-    """Probe-history and serialized stress rows of every run, in run-index
-    order.  The runs advance in lockstep blocks (thermal.simulate_batch);
-    with workers > 1 the blocks are spread over a process pool."""
+    """The batch as two float64 matrices (T, S), one row per run in run-index
+    order: probe histories and serialized stress rows.  The runs advance in
+    lockstep blocks (thermal.simulate_batch), over a process pool if workers > 1."""
     if cfg.synthetic:
-        return [_synthetic_rows(cfg, xi) for xi in rows]
+        T, S = zip(*(_synthetic_rows(cfg, xi) for xi in rows))
+        return np.array(T), np.array(S)
     designs = [DesignPoint(v=float(xi[0]), P=float(xi[1])) for xi in rows]
     inputs = [RandomInputs(*map(float, xi[2:])) for xi in rows]
     try:
@@ -441,19 +442,15 @@ def _run_batch(cfg: PipelineConfig, rows: np.ndarray, what: str):
             f"{what} run {e.run} failed for inputs {rows[e.run].tolist()}: {e}",
             e.step, e.run,
         ) from e
-    return [
-        (s.temps, field_to_row(residual_stress(s, z, cfg.c_r)))
-        for s, z in zip(snaps, inputs)
-    ]
+    S = [field_to_row(residual_stress(s, z, cfg.c_r)) for s, z in zip(snaps, inputs)]
+    return np.array([s.temps for s in snaps]), np.array(S)
 
 
 def run_simulations(cfg: PipelineConfig):
     """DOE + all training simulations; persists doe.csv, T.csv, S.csv."""
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)  # fail before simulating
     doe = generate_doe(cfg.M, cfg.input_bounds, cfg.seed_doe)
-    pairs = _run_batch(cfg, doe, "training")
-    T = np.vstack([p[0] for p in pairs])
-    S = np.vstack([p[1] for p in pairs])
+    T, S = _run_batch(cfg, doe, "training")
     for name, data in (("doe.csv", doe), ("T.csv", T), ("S.csv", S)):
         write_artifact(cfg.out_dir, name, data)
     return doe, T, S
@@ -583,8 +580,8 @@ def run_optimization(
 
 
 def simulate_stress_maxima(cfg: PipelineConfig, d: DesignPoint, samples) -> np.ndarray:
-    """Maximum residual stress from one simulation per material sample, a
-    (k, 4) array of (T0, Y, E, rho) rows with k >= 1 (one row may be 1-D)."""
+    """Each run's maximum residual stress (S's row maxima), one run per material
+    sample of a (k, 4) array of (T0, Y, E, rho) rows, k >= 1 (one row may be 1-D)."""
     z = np.atleast_2d(np.asarray(samples, dtype=float))
     if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] != 4:
         raise ValueError("validation samples must be a (k, 4) array of (T0, Y, E, rho) "
@@ -592,8 +589,7 @@ def simulate_stress_maxima(cfg: PipelineConfig, d: DesignPoint, samples) -> np.n
     rows = np.column_stack(
         [np.full(z.shape[0], d.v), np.full(z.shape[0], d.P), z]
     )
-    pairs = _run_batch(cfg, rows, "validation")
-    return np.array([p[1].max() for p in pairs])
+    return _run_batch(cfg, rows, "validation")[1].max(axis=1)
 
 
 def validate(

@@ -22,6 +22,7 @@ P* = 50.38, E* = 0.21551.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -1155,6 +1156,24 @@ class TestConfigValidation:
     def test_bad_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
             OptimizeConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, shown",
+        [({"n_mc": 2e4}, "'optimize.n_mc' must be an integer, got 20000.0"),
+         ({"seed": 1.5}, "'optimize.seed' must be an integer, got 1.5"),
+         ({"seed": True}, "'optimize.seed' must be an integer, got True"),
+         ({"n_mc": np.bool_(True)}, "'optimize.n_mc' must be an integer")],
+        ids=["n_mc float", "seed float", "seed bool", "n_mc numpy bool"],
+    )
+    def test_counts_must_be_integers(self, kwargs, shown):
+        # rejected on construction, not later inside numpy's sampling
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            OptimizeConfig(**kwargs)
+
+    def test_numpy_integers_stored_as_python_ints(self):
+        cfg = OptimizeConfig(n_mc=np.int32(2000), seed=np.int64(3))
+        assert (cfg.n_mc, cfg.seed) == (2000, 3)
+        assert type(cfg.n_mc) is int and type(cfg.seed) is int
 
     def test_defaults_are_valid(self):
         cfg = OptimizeConfig()

@@ -184,12 +184,9 @@ class TestConfigSerialization:
             ({"M": 50.5}, "'M' must be an integer"),
             ({"seed_doe": True}, "'seed_doe' must be an integer"),
             ({"c_r": "0.5"}, "'c_r' must be a number"),
+            ({"optimize": {"n_mc": 1000.5}}, "'optimize.n_mc' must be an integer"),
             (
-                {"optimize": OptimizeConfig(n_mc=1000.5)},
-                "'optimize.n_mc' must be an integer",
-            ),
-            (
-                {"optimize": OptimizeConfig(temp_window=(1700.0, 1800.0, 1900.0))},
+                {"optimize": {"temp_window": (1700.0, 1800.0, 1900.0)}},
                 "'optimize.temp_window' must be two numbers",
             ),
         ],
@@ -202,6 +199,8 @@ class TestConfigSerialization:
         monkeypatch.setattr(pipeline, "simulate_batch", lambda *a: runs.append(a))
         monkeypatch.setattr(pipeline, "_run_batch", lambda *a: runs.append(a))
         with pytest.raises(ValueError, match=key):
+            if "optimize" in kwargs:  # OptimizeConfig itself may reject its keys
+                kwargs = {**kwargs, "optimize": OptimizeConfig(**kwargs["optimize"])}
             run_training(PipelineConfig(**kwargs))
         assert runs == []
 
@@ -592,11 +591,10 @@ class TestSimulationBatch:
         )
         rows = np.column_stack([np.full(3, 1000.0), np.full(3, 20.0), z])
         cfg = PipelineConfig(out_dir=str(tmp_path))
-        serial = pipeline._run_batch(cfg, rows, "training")
-        pooled = pipeline._run_batch(replace(cfg, workers=2), rows, "training")
-        for (t1, s1), (t2, s2) in zip(serial, pooled, strict=True):
-            assert np.array_equal(t1, t2)
-            assert np.array_equal(s1, s2)
+        t1, s1 = pipeline._run_batch(cfg, rows, "training")
+        t2, s2 = pipeline._run_batch(replace(cfg, workers=2), rows, "training")
+        assert np.array_equal(t1, t2)
+        assert np.array_equal(s1, s2)
 
     def test_matrices_stay_float64(self, tmp_path):
         # the kernel's fields are float32; the probe rows, the stress rows and
@@ -1087,6 +1085,15 @@ class TestCli:
         for flag in ("--alpha", "--tau", "--n-mc", "--seed", "--out"):
             assert cli.main(["optimize", flag, "1"]) == 2
         capsys.readouterr()
+
+    def test_default_config_without_artifacts(self, tmp_path, monkeypatch, capsys):
+        # with no --config the default PipelineConfig reads ./out
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["model", "info"]) == 1
+        assert capsys.readouterr().err == (
+            "error: missing artifact out/bundle.json; run `pbfopt train` first\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_domain_errors_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -261,6 +261,18 @@ class TestSimulate:
         with pytest.raises(ValueError, match=match):
             thermal.simulate(d, NOMINAL_Z)
 
+    def test_non_finite_field_rejected(self):
+        # one step of an absurd power 1 mm from the probe: the field overflows,
+        # while the probe's cells get exactly nothing and stay in band
+        d, z = DesignPoint(1e6, 1e40), RandomInputs(650.0, 825.0, 110.0, 612.0)
+        message = "^field became non-finite by step 1$"
+        with pytest.raises(SimulationError, match=message) as e:
+            thermal.simulate(d, z)
+        assert e.value.step == 1
+        with pytest.raises(SimulationError, match=message) as e:
+            thermal.simulate_batch([DesignPoint(500.0, 100.0), d], [z, z])
+        assert (e.value.step, e.value.run) == (1, 1)
+
     def test_power_monotonicity(self):
         maxima = []
         for P in (20.0, 65.0, 110.0, 155.0, 200.0):
