@@ -22,7 +22,7 @@ import numpy as np
 
 from . import risk, surrogate
 from .reduction import normalize_inputs
-from .thermal import DesignPoint, ModelParams
+from .thermal import DesignPoint, ModelParams, _canonicalize
 
 __all__ = [
     "OptimizeConfig",
@@ -67,12 +67,7 @@ class OptimizeConfig:
     scan_length: float = 2.0
 
     def __post_init__(self):
-        object.__setattr__(self, "temp_window", tuple(self.temp_window))
-        for name in ("n_mc", "seed"):  # the JSON rule for integers, as in pipeline
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-                raise ValueError(f"config key 'optimize.{name}' must be an integer, got {n!r}")
-            object.__setattr__(self, name, int(n))  # a numpy integer as a Python one
+        _canonicalize(self, "optimize.")
         if not 0.0 < self.alpha_t < 1.0:
             raise ValueError("alpha_t must lie in (0, 1)")
         if not self.tau > 0.0:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +63,8 @@ from .thermal import (
     RandomInputs,
     SimGridConfig,
     SimulationError,
+    _canonical,
+    _canonicalize,
     simulate,  # not called here, but perfbench/tracing.py wraps it by this name
     simulate_batch,
 )
@@ -129,19 +131,10 @@ class PipelineConfig:
     synthetic: bool = False
 
     def __post_init__(self):
+        _canonicalize(self, "")  # each nested section canonicalized its own
         object.__setattr__(self, "input_bounds", check_bounds(self.input_bounds))
         if self.input_bounds.shape != (len(INPUT_NAMES), 2):
             raise ValueError(f"input_bounds must be {(len(INPUT_NAMES), 2)}")
-        # every field must have the type its JSON key takes (_canonical), so a
-        # config built here meets the rules of one loaded from a file, and a
-        # mistyped value is named before the range checks below compare it;
-        # each field then holds its canonical value, a numpy integer an int
-        for name, value in _fields_to_dict(self).items():
-            object.__setattr__(self, name, value)
-        for section in _NESTED:
-            sub = getattr(self, section)
-            canonical = _fields_to_dict(sub, f"{section}.")
-            object.__setattr__(self, section, replace(sub, **canonical))
         if self.M < 43:
             raise ValueError(
                 "M must be at least 43: the symmetric DOE mirrors its points "
@@ -198,52 +191,12 @@ _GROUPS = {
 }
 
 
-def _is_number(x) -> bool:  # numpy's too; np.bool_ is neither of its kinds
-    return isinstance(x, (int, float, np.integer, np.floating)) and type(x) is not bool
-
-
-def _canonical(key: str, value, default):
-    """value checked against the type of its field's default, in canonical
-    JSON form.
-
-    int fields take integers, numpy's too, and store an int (a bool is not
-    one, nor numpy's), float fields take any number, numpy's too, and store
-    a float, bool fields take only booleans, str fields take strings and
-    pair fields take two numbers, stored as floats.  So equal configurations
-    have one canonical form and share a hash.
-    """
-    if isinstance(default, bool):
-        ok, kind = isinstance(value, bool), "true or false"
-    elif isinstance(default, int):
-        ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        kind = "an integer"
-        value = int(value) if ok else value
-    elif isinstance(default, float):
-        ok, kind = _is_number(value), "a number"
-        value = float(value) if ok else value
-    elif isinstance(default, str):
-        ok, kind = isinstance(value, str), "a string"
-    else:  # a (lo, hi) pair
-        ok = (
-            isinstance(value, (list, tuple, np.ndarray))
-            and len(value) == 2
-            and all(map(_is_number, value))
-        )
-        kind = "two numbers"
-        value = [float(x) for x in value] if ok else value
-    if not ok:
-        raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
-    return value
-
-
-def _fields_to_dict(obj, prefix: str = "") -> dict:
-    """Canonical values of a config dataclass's fields that have a plain
-    default; dataclass-valued fields use a default factory instead."""
-    return {
-        f.name: _canonical(prefix + f.name, getattr(obj, f.name), f.default)
-        for f in fields(obj)
-        if f.default is not MISSING
-    }
+def _fields_to_dict(obj) -> dict:
+    """JSON values of a config dataclass's fields that have a plain default,
+    canonical since its __post_init__ (_canonicalize), a pair as a list;
+    dataclass-valued fields use a default factory instead."""
+    doc = {f.name: getattr(obj, f.name) for f in fields(obj) if f.default is not MISSING}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
@@ -251,7 +204,7 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
     for section, keys in _GROUPS.items():
         doc[section] = {key: doc.pop(name) for key, name in keys.items()}
     for section in _NESTED:
-        doc[section] = _fields_to_dict(getattr(cfg, section), f"{section}.")
+        doc[section] = _fields_to_dict(getattr(cfg, section))
     doc["bounds"] = dict(zip(INPUT_NAMES, cfg.input_bounds.tolist()))
     doc["schema_version"] = _SCHEMA_VERSION
     return doc

@@ -70,7 +70,7 @@ and converted by 1e-3; density in kg/m^3 converted by 1e-9.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -172,6 +172,57 @@ class RandomInputs:
     rho: float
 
 
+def _is_number(x) -> bool:  # numpy's too; np.bool_ is neither of its kinds
+    return isinstance(x, (int, float, np.integer, np.floating)) and type(x) is not bool
+
+
+def _canonical(key: str, value, default):
+    """value checked against the type of its field's default, in canonical
+    JSON form.
+
+    int fields take integers, numpy's too, and store an int (a bool is not
+    one, nor numpy's), float fields take any number, numpy's too, and store
+    a float, bool fields take only booleans, str fields take strings and
+    pair fields take two numbers, stored as a tuple of floats.  So equal
+    configurations have one canonical form and share a hash.
+    """
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        kind = "an integer"
+        value = int(value) if ok else value
+    elif isinstance(default, float):
+        ok, kind = _is_number(value), "a number"
+        value = float(value) if ok else value
+    elif isinstance(default, str):
+        ok, kind = isinstance(value, str), "a string"
+    else:  # a (lo, hi) pair
+        ok = (
+            isinstance(value, (list, tuple, np.ndarray))
+            and len(value) == 2
+            and all(map(_is_number, value))
+        )
+        kind = "two numbers"
+        value = tuple(float(x) for x in value) if ok else value
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
+    return value
+
+
+def _canonicalize(obj, prefix: str) -> None:
+    """Store the _canonical value of each field of config section obj that has
+    a plain default, checked under its JSON key prefix + name, before any range
+    check; a field whose default factory is a class must hold an instance."""
+    for f in fields(obj):
+        key, value = prefix + f.name, getattr(obj, f.name)
+        if f.default is not MISSING:
+            object.__setattr__(obj, f.name, _canonical(key, value, f.default))
+        elif isinstance(f.default_factory, type) and not isinstance(value, f.default_factory):
+            raise ValueError(f"config key {key!r} must be an instance of "
+                             f"{f.default_factory.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Material, beam and geometry parameters with nominal defaults:
@@ -194,6 +245,7 @@ class ModelParams:
     h: float = 0.65  # part height, mm
 
     def __post_init__(self):
+        _canonicalize(self, "model.")
         for f in fields(self):
             if not np.isfinite(getattr(self, f.name)):
                 raise ValueError(f"model parameter {f.name} must be finite")
@@ -226,11 +278,7 @@ class SimGridConfig:
     cfl_factor: float = 0.8
 
     def __post_init__(self):
-        for name in ("cells_x", "cells_z"):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {n!r}")
-            object.__setattr__(self, name, int(n))  # a numpy integer as a Python one
+        _canonicalize(self, "grid.")
         if self.cells_x < 4 or self.cells_z < 4:
             raise ValueError("grid needs at least 4 cells per direction")
         if not 0 < self.cfl_factor <= 1:
@@ -563,7 +611,8 @@ def simulate_batch(designs, inputs, p: ModelParams | None = None,
     Every run is checked and planned before any steps.  Sorted by step count,
     the runs go in as many blocks as BLOCK_RUNS-run ones would take, of sizes
     that differ by at most one, and every block goes to _solve_field; with
-    workers > 1 over a pool of that many processes, which changes no result.
+    workers > 1 over a pool of that many processes, or one per block if fewer,
+    which changes no result.
     The lowest-indexed failed run raises its SimulationError with .run set."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -576,7 +625,8 @@ def simulate_batch(designs, inputs, p: ModelParams | None = None,
               for i in range(count)]
     solve = partial(_solve_field, p=p, grid=grid)
     jobs = [[runs[k] for k in block] for block in blocks]
-    if workers == 1:
+    workers = min(workers, len(jobs))  # a pool starts all its processes at once
+    if workers <= 1:
         solved = map(solve, jobs)
     else:
         from concurrent.futures import ProcessPoolExecutor

@@ -10,7 +10,7 @@ pins the whole reduce-discover-fit chain end to end.
 import json
 import re
 import shutil
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -284,8 +284,9 @@ class TestConfigSerialization:
                 "optimize.temp_window",
                 (1650.0, 1815.0),
             ),
+            ({"model": ModelParams(Tliq=np.float32(1650))}, "model.Tliq", 1650.0),
         ],
-        ids=["c_r-int64", "c_r-float32", "tau-int64", "temp_window-array"],
+        ids=["c_r-int64", "c_r-float32", "tau-int64", "temp_window-array", "Tliq-float32"],
     )
     def test_numpy_numbers_stored_as_floats(self, kwargs, path, want):
         cfg = PipelineConfig(**kwargs)
@@ -299,20 +300,68 @@ class TestConfigSerialization:
         assert config_hash(same) == config_hash(cfg)
 
     @pytest.mark.parametrize(
-        "kwargs, key",
+        "build, key",
         [
-            ({"c_r": True}, "'c_r' must be a number"),
-            ({"c_r": np.bool_(True)}, "'c_r' must be a number"),
+            (lambda: PipelineConfig(c_r=True), "'c_r' must be a number"),
+            (lambda: PipelineConfig(c_r=np.bool_(True)), "'c_r' must be a number"),
             (
-                {"optimize": OptimizeConfig(temp_window=(np.bool_(False), 1815.0))},
+                lambda: OptimizeConfig(temp_window=(np.bool_(False), 1815.0)),
                 "'optimize.temp_window' must be two numbers",
             ),
         ],
         ids=["bool", "np.bool_", "temp_window-np.bool_"],
     )
-    def test_booleans_are_not_numbers(self, kwargs, key):
+    def test_booleans_are_not_numbers(self, build, key):
         with pytest.raises(ValueError, match=key):
-            PipelineConfig(**kwargs)
+            build()
+
+    @pytest.mark.parametrize(
+        "build, key",
+        [
+            (lambda: OptimizeConfig(tau=True), "'optimize.tau' must be a number"),
+            (
+                lambda: OptimizeConfig(scan_length=True),
+                "'optimize.scan_length' must be a number",
+            ),
+            (lambda: OptimizeConfig(tau="825"), "'optimize.tau' must be a number"),
+            (lambda: ModelParams(A=True), "'model.A' must be a number"),
+            (lambda: ModelParams(r="0.2"), "'model.r' must be a number"),
+            (lambda: SimGridConfig(cfl_factor=True), "'grid.cfl_factor' must be a number"),
+            (lambda: SimGridConfig(cfl_factor="0.8"), "'grid.cfl_factor' must be a number"),
+            (
+                lambda: OptimizeConfig(temp_window=[1, 2, 3]),
+                "'optimize.temp_window' must be two numbers",
+            ),
+            (lambda: PipelineConfig(model="x"), "'model' must be an instance of ModelParams"),
+            (
+                lambda: PipelineConfig(optimize={"tau": 1}),
+                "'optimize' must be an instance of OptimizeConfig",
+            ),
+        ],
+        ids=[
+            "tau-bool", "scan_length-bool", "tau-str", "A-bool", "r-str",
+            "cfl_factor-bool", "cfl_factor-str", "temp_window-3", "model-str",
+            "optimize-dict",
+        ],
+    )
+    def test_sections_built_alone_meet_the_json_rules(self, build, key):
+        # each section checks its own keys under its JSON prefix, before any
+        # range check compares a mistyped value
+        with pytest.raises(ValueError, match=f"config key {key}"):
+            build()
+
+    def test_field_defaults_are_kinds_the_rule_knows(self):
+        # _canonical reads a field's kind off its default, and takes any
+        # default that is not a bool, int, float or str for a pair
+        for cls in (ModelParams, SimGridConfig, OptimizeConfig, PipelineConfig):
+            for f in fields(cls):
+                if f.default is MISSING:
+                    continue
+                d = f.default
+                pair = isinstance(d, tuple) and len(d) == 2
+                assert isinstance(d, (bool, int, float, str)) or (
+                    pair and all(type(x) in (int, float) for x in d)
+                ), f"{cls.__name__}.{f.name}"
 
     def test_input_bounds_must_be_six_by_two(self):
         with pytest.raises(ValueError, match=re.escape("input_bounds must be (6, 2)")):

@@ -232,7 +232,7 @@ class TestModelParamsValidation:
         # a cell count must be an integer, and a bool is not one
         for name, bad in (("cells_x", 64.5), ("cells_x", "64"), ("cells_z", 26.0),
                           ("cells_z", True), ("cells_x", np.float64(64.0))):
-            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            with pytest.raises(ValueError, match=f"'grid.{name}' must be an integer"):
                 SimGridConfig(**{name: bad})
         grid = SimGridConfig(np.int64(16), np.int32(8))
         assert_same(thermal.simulate(DesignPoint(550.0, 110.0), NOMINAL_Z, grid=grid),
@@ -654,6 +654,36 @@ class TestWorkers:
         for a, b in zip(serial, pooled, strict=True):
             assert np.array_equal(a.temps, b.temps)
             assert np.array_equal(a.peak_field, b.peak_field)
+
+    def test_pool_has_no_more_processes_than_blocks(self, monkeypatch):
+        # a fork pool starts all of its processes at the first submit, so
+        # workers beyond the block count would sit idle; no real pool starts
+        import concurrent.futures
+
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(thermal, "BLOCK_RUNS", 1)
+        grid, designs = SimGridConfig(16, 8), ONE_FAILURE[2:5]
+        serial = thermal.simulate_batch(designs, [NOMINAL_Z] * 3, grid=grid)
+        pooled = thermal.simulate_batch(designs, [NOMINAL_Z] * 3, grid=grid, workers=64)
+        thermal.simulate_batch(designs[:1], [NOMINAL_Z], grid=grid, workers=64)
+        assert sizes == [3]  # three blocks; the one-block batch runs in process
+        for a, b in zip(serial, pooled, strict=True):
+            assert_same(a, b)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_rejected(self, workers):
