@@ -27,10 +27,11 @@ _MATRICES = ("doe.csv", "T.csv", "S.csv")
 
 
 def _parse_design(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"design must be 'v,P', got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        v, p = map(float, text.split(","))
+    except ValueError:  # a count other than two, or a non-number
+        raise argparse.ArgumentTypeError(f"design must be 'v,P', got {text!r}") from None
+    return v, p
 
 
 def _load_cfg(args) -> pipeline.PipelineConfig:

@@ -134,7 +134,7 @@ def _material_inputs(b: surrogate.SurrogateBundle, samples) -> np.ndarray:
 def stress_max_samples(b: surrogate.SurrogateBundle, d: DesignPoint, samples):
     """Predicted maximum residual stress for each material sample."""
     u_d = normalize_inputs(np.array([d.v, d.P]), b.input_bounds[:2])
-    return _RowMax(b.stress, _material_inputs(b, samples))(u_d)
+    return _RowMax(b.stress, _material_inputs(b, samples)).evaluate(u_d)[0]
 
 
 def _risk(sigma: np.ndarray, cfg: OptimizeConfig):
@@ -268,9 +268,6 @@ class _RowMax:
         self._sums = [a.sum(axis=0) for _, a in self._bases]  # for gradient
         vectors = output.right_vectors
         self._vectors = vectors[_hull_columns(vectors)]
-
-    def __call__(self, u_d: np.ndarray) -> np.ndarray:
-        return self.evaluate(u_d)[0]
 
     def evaluate(self, u_d: np.ndarray):
         """(out, at): the per-sample maximum at u_d, and what gradient needs

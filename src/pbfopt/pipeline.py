@@ -415,8 +415,8 @@ def run_simulations(cfg: PipelineConfig):
 
 def _fit_output(cfg: PipelineConfig, u: np.ndarray, data: np.ndarray):
     """The error curve and the fitted output model of one data matrix, from one SVD."""
-    full = decompose(data, min(data.shape))
-    errs = error_curve(data, full, min(cfg.k_max, min(data.shape)))
+    full = decompose(data)
+    errs = error_curve(full, min(cfg.k_max, min(data.shape)))
     k = select_feature_count(errs, cfg.err_threshold, cfg.min_gain)
     features = []
     for f in full.features[:, :k].T:

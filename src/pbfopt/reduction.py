@@ -1,10 +1,10 @@
-"""Truncated-SVD feature extraction and active-subspace discovery.
+"""SVD feature extraction and active-subspace discovery.
 
-Snapshot matrices (runs x outputs) compress to features F = U_k Sigma_k
-with right vectors V_k.  One SVD per matrix feeds both the error curve
-that sizes k and the k kept features.  Per-feature active subspaces come
-from the eigendecomposition of the gradient covariance of a global
-quadratic fit over the normalized inputs.
+A snapshot matrix (runs x outputs) is factorized once, as its full thin
+SVD F V^T with features F = U Sigma: the error curve that sizes k reads it,
+and its first k columns are the rank-k truncation that is kept.  Per-feature
+active subspaces come from the eigendecomposition of the gradient
+covariance of a global quadratic fit over the normalized inputs.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ EIGENVALUE_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class FeatureDecomposition:
-    """Truncated SVD of a snapshot matrix: features = U_k Sigma_k."""
+    """Full thin SVD of a snapshot matrix, features = U Sigma; the first k
+    columns of features and right_vectors are its rank-k truncation."""
 
-    features: np.ndarray  # M x k
-    right_vectors: np.ndarray  # N x k
-    singular_values: np.ndarray  # k
+    features: np.ndarray  # M x min(M, N)
+    right_vectors: np.ndarray  # N x min(M, N)
+    row_norms: np.ndarray  # M, the norm of each data row
 
 
 @dataclass(frozen=True)
@@ -74,44 +75,33 @@ def _fix_signs(rows: np.ndarray, *partners: np.ndarray) -> None:
                 m[:, j] *= -1.0
 
 
-def decompose(data, k: int) -> FeatureDecomposition:
-    """Thin SVD truncated to k columns with a deterministic sign convention."""
+def decompose(data) -> FeatureDecomposition:
+    """The full thin SVD of data, each right vector's largest-magnitude entry positive."""
     m = _check_matrix(data)
-    rank_cap = min(m.shape)
-    if not 1 <= k <= rank_cap:
-        raise ValueError(f"k must lie in [1, {rank_cap}], got {k}")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    u, vt = u[:, :k].copy(), vt[:k].copy()
     _fix_signs(vt, u)
     return FeatureDecomposition(
-        features=u * s[:k],
-        right_vectors=vt.T,
-        singular_values=s[:k].copy(),
+        features=u * s, right_vectors=vt.T, row_norms=np.linalg.norm(m, axis=1)
     )
 
 
-def error_curve(data, full: FeatureDecomposition, k_max: int) -> np.ndarray:
-    """Mean relative row reconstruction error of data for k = 1..k_max.
+def error_curve(full: FeatureDecomposition, k_max: int) -> np.ndarray:
+    """Mean relative row reconstruction error for k = 1..k_max of the data
+    that full = decompose(data) factorizes.
 
-    full is decompose(data, min(data.shape)), the one SVD of data that also
-    gives the kept features as its first k columns.  The residual of row i
-    at truncation k has squared norm equal to the tail sum of full's squared
-    features (U_ij sigma_j)^2 over j > k, so the whole curve falls out of
-    suffix sums without rebuilding reconstructions.
+    The residual of row i at truncation k has squared norm equal to the tail
+    sum of full's squared features (U_ij sigma_j)^2 over j > k, so the whole
+    curve falls out of suffix sums without rebuilding reconstructions.
     """
-    m = _check_matrix(data)
-    rank_cap = min(m.shape)
+    rank_cap = full.features.shape[1]
     if not 1 <= k_max <= rank_cap:
         raise ValueError(f"k_max must lie in [1, {rank_cap}], got {k_max}")
-    if full.features.shape != (m.shape[0], rank_cap):
-        raise ValueError("error_curve needs the full-rank decompose of data")
-    row_norms = np.linalg.norm(m, axis=1)
-    if np.any(row_norms == 0.0):
+    if np.any(full.row_norms == 0.0):
         raise ValueError("zero-norm row: relative error undefined")
     comp_sq = np.pad(full.features**2, ((0, 0), (0, 1)))  # M x (rank + 1), last 0
     # tail_sq[:, k] = sum of comp_sq[:, k:] = squared residual at truncation k
     tail_sq = np.cumsum(comp_sq[:, ::-1], axis=1)[:, ::-1]
-    errs = np.sqrt(tail_sq[:, 1 : k_max + 1]) / row_norms[:, None]
+    errs = np.sqrt(tail_sq[:, 1 : k_max + 1]) / full.row_norms[:, None]
     return errs.mean(axis=0)
 
 

@@ -244,7 +244,7 @@ def buffered_superquantile_se(values, zeta, alpha):
 def two_svd_reduction(data, k_max, k):
     """The error curve for k = 1..k_max and the k-column decomposition of
     data, each from its own SVD: reduction's error_curve and decompose as
-    they were before one full-rank SVD fed both."""
+    they were before one full SVD fed both."""
     m = np.asarray(data, dtype=float)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     comp_sq = (u * s) ** 2
@@ -261,14 +261,15 @@ def two_svd_reduction(data, k_max, k):
             row *= -1.0
             u[:, j] *= -1.0
     dec = FeatureDecomposition(
-        features=u * s[:k], right_vectors=vt.T, singular_values=s[:k].copy()
+        features=u * s[:k], right_vectors=vt.T, row_norms=row_norms
     )
     return errs.mean(axis=0), dec
 
 
-def reconstruct(decomposition):
-    """Rank-k approximation F V_k^T of the decomposed snapshot matrix."""
-    return decomposition.features @ decomposition.right_vectors.T
+def reconstruct(decomposition, k=None):
+    """Rank-k approximation F_k V_k^T of the decomposed snapshot matrix from
+    the first k columns of its factors, all of them when k is None."""
+    return decomposition.features[:, :k] @ decomposition.right_vectors[:, :k].T
 
 
 def maximin_doe_pdist(M, bounds, seed):

@@ -224,9 +224,9 @@ def test_criterion_04_svd_suite():
     t0 = time.perf_counter()
     rng = np.random.default_rng(104)
     data = rng.normal(size=(30, 12)) + 2.0
-    full = reduction.decompose(data, 12)
+    full = reduction.decompose(data)
     rel = np.linalg.norm(data - reconstruct(full)) / np.linalg.norm(data)
-    errs = reduction.error_curve(data, full, 10)
+    errs = reduction.error_curve(full, 10)
     k_t = reduction.select_feature_count(CURVE_TEMPERATURE, 0.05, 0.02)
     k_s = reduction.select_feature_count(CURVE_STRESS, 0.05, 0.02)
     elapsed = time.perf_counter() - t0

@@ -160,7 +160,7 @@ def solver_row_max(bundle, side, d, samples) -> np.ndarray:
     """The solver's per-sample maximum of one output's row at design d."""
     u_z = normalize_inputs(samples, bundle.input_bounds[2:])
     u_d = normalize_inputs(np.array([d.v, d.P]), bundle.input_bounds[:2])
-    return optimize._RowMax(getattr(bundle, side), u_z)(u_d)
+    return optimize._RowMax(getattr(bundle, side), u_z).evaluate(u_d)[0]
 
 
 def smooth_right_vectors(rng, n_cols: int) -> np.ndarray:
@@ -494,7 +494,7 @@ class TestReachableRows:
         row_max = optimize._RowMax(getattr(bundle, side), u_z)
         every, g = hull_row_max(row_max, u_d)
         kept = optimize._reachable_rows(row_max._vectors, g)
-        return row_max(u_d), every, kept, row_max._vectors, g
+        return row_max.evaluate(u_d)[0], every, kept, row_max._vectors, g
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_positive_lead_prunes_and_keeps_the_max(self, k):

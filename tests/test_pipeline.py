@@ -993,6 +993,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--zeta" in err and "--design" in err
 
+    @pytest.mark.parametrize("text", ["1,2,3", "500,abc"])
+    def test_bad_design_is_a_usage_error_naming_the_value(self, text, capsys):
+        assert cli.main(["optimize", "--d0", text]) == 2
+        err = capsys.readouterr().err
+        assert f"design must be 'v,P', got {text!r}" in err
+        assert "_parse_design" not in err
+
     @pytest.mark.parametrize("zeta", ["nan", "inf", "-inf"])
     def test_validate_rejects_a_non_finite_zeta(
         self, workspace, tmp_path, capsys, zeta

@@ -351,12 +351,12 @@ def build_ridge_bundle(m=60, noise=0.0, seed=71):
     )
 
     def side(data):
-        dec = reduction.decompose(data, 1)
+        dec = reduction.decompose(data)
         grads = reduction.estimate_gradients(u, dec.features[:, 0])
         sub = reduction.discover(grads)
         poly = surrogate.fit_best_degree(u @ sub.w1, dec.features[:, 0])
         return surrogate.OutputModel(
-            dec.right_vectors, (surrogate.FeatureSurrogate(sub, poly),)
+            dec.right_vectors[:, :1], (surrogate.FeatureSurrogate(sub, poly),)
         )
 
     bundle = surrogate.SurrogateBundle(
@@ -429,7 +429,7 @@ class TestBundlePrediction:
                 2.0 - u[:, 1] + 0.05 * u[:, 0] ** 2,
             ]
         )
-        dec = reduction.decompose(data, 3)
+        dec = reduction.decompose(data)
         models = []
         total_res = 0.0
         for k in range(3):
