@@ -565,7 +565,10 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
                 raten -= sides[3]
                 rate_beam += deposit[k, :n]
                 # top-surface radiation out of the top cell row
-                rate_top -= ((T_top + KELVIN_OFFSET) ** 4 - tc_k4) * rad
+                # T_K^4 as (T_K^2)^2: numpy's float32 ** 4 follows its SIMD dispatch
+                hot = T_top + KELVIN_OFFSET
+                hot *= hot
+                rate_top -= (hot * hot - tc_k4) * rad
                 # T += rate / (rho cp / dt), with rho cp / dt = A0 + T (A1 + T A2) per cell
                 _poly(Tn, heatn, out=denn)
                 raten /= denn

@@ -365,7 +365,8 @@ def solve_field_per_run(d, z, p, grid, *ceiling, dtype=thermal.FIELD_DTYPE):
             gx = thermal._gauss_deposit(x_edges, d.v * t_old, p.r, dx)
             rate += np.outer(gx, gz_amp).astype(dtype)
         t_k = T[:, -1] + thermal.KELVIN_OFFSET
-        rate[:, -1] -= (t_k**4 - tc_k4) * rad
+        t_k *= t_k
+        rate[:, -1] -= (t_k * t_k - tc_k4) * rad
         T = T + rate / (a0 + T * (a1 + T * a2))
         np.maximum(peak, T, out=peak)
         probe = trace[step] = thermal._bilinear(T, *cell)
