@@ -8,8 +8,8 @@ volumetric Gaussian moving along the top surface at scanning speed v with
 a cubic depth profile vanishing at penetration depth z0.
 
 Runs step in lockstep blocks of up to BLOCK_RUNS, each field one flat array
-in z-major (run, z, x) order, so a field operation is one unit-stride loop
-and faces across a wall or a run boundary carry zero flux.  Each run keeps
+in z-major (run, z, x) order, so a cell row is one unit-stride loop, and
+faces across a wall or a run boundary carry zero flux.  Each run keeps
 its density, time step, step count, clamp range and beam; sorted by step
 count, those still stepping are a leading prefix.  Every element gets a
 single-run step's arithmetic in its order, so no result depends on the
@@ -32,37 +32,34 @@ blends, into the float64 probe trace, and checked against the band; a block
 whose runs have all failed stops at that chunk's end.  The trace is
 interpolated linearly between step ends to the 31 snapshot instants.
 
-A step folds its constants into its terms: rho*Cp/dt is a quadratic in T whose
-three coefficients are per-cell arrays, each run's value repeated over its
-cells once per block so that Horner streams contiguous arrays, kappa carries
-1e-3 and the x faces' weight, and both go by Horner, so a step makes 21 passes
-over its per-cell arrays (temperature, peak, kappa, rate, rho*Cp/dt and face
-fluxes).  A block keeps 10 of them, those 7 and the 3
-coefficients: 1.0 MiB for 16 runs on the default grid, and 0.375 MiB more for
-the deposit buffer.  These are FIELD_DTYPE, float32: the step is bound by
-memory bandwidth, and float32 halves its bytes.  The beam deposit is computed
-in float64 and cast as it is written.  The erf call's float64 temporaries set
-the kernel's allocation peak, which grows with DEPOSIT_STEPS: a batch of the
-seed-0 44-run training DOE peaks at 3.3 MiB traced, against 4.5 MiB with
-64-step chunks.  The per-run scalars, the beam positions and erf (whose
-high-word trick needs float64), the probe trace and the resampling stay
-float64, so every result is float64.  Against float64 fields, over the 50
-validation draws at the baseline optimum, the probe moves by at most 1.8e-3
-degC and the peak field by 3.8e-3 degC, three orders under the step's own
-4.8 degC time error there.
+The step itself is C (_step.c), one call per chunk, row by row: kappa by
+Horner over the runs still stepping, then per run and cell row the x and z
+face fluxes into row buffers (the z faces below a row are the row below's,
+buffered before its update), the rate, the deposit, the top row's radiation,
+rho*Cp/dt by Horner in its run's three coefficients, the update in place and
+the peak, and last the probe corners.  Each cell takes the float operations
+of a numpy step in their order (tests/oracles.py keeps that step), so its
+results are those bits, on any machine: the library is built without -march
+and without fused multiply-adds (_CFLAGS), and radiation's T_K^4 is
+(T_K^2)^2, plain IEEE arithmetic where numpy's float32 ** 4 follows its SIMD
+dispatch.  The first simulation in a process builds it with the system C
+compiler (_CC, "cc", which must be on PATH; without one it raises OSError
+before any step) unless a build of the same source, compiler version and flags
+is in $XDG_CACHE_HOME/pbfopt or ~/.cache/pbfopt, and loads it with ctypes,
+before any process pool starts, so that the pool's processes inherit it.
 
-Each of the block's per-cell arrays, the three coefficients one by one, and
-the deposit buffer start on a 64-byte cache line (_aligned_empty); the face
-flux buffers fx and fz do so at fx[1] and fz[nx], where their flux views
-start.  glibc's malloc aligns only to 16 bytes, and on an AVX-512 core a
-float32 add, subtract, multiply or divide of 20,800 elements (numpy 2.4)
-takes 4.3 us into a separate output on a cache line but 6.5 to 9.3 us into
-one 16, 32 or 48 bytes off it.  Seven of the step's 21 passes write such an
-output: kappa, the two face fluxes, the two face differences, rate and the
-first Horner pass of rho*Cp/dt.  Only addresses change, so results are bit
-for bit those of unaligned arrays, and a batch of the 50 validation draws at
-the baseline optimum takes 0.85x to 0.89x the time (0.86x for the training
-DOE above) on a 2-core AVX-512 Xeon.
+The fields, 3 per-cell arrays (temperature, peak and kappa) and the deposit
+buffer, are FIELD_DTYPE, float32, which halves the bytes that a step moves;
+the C step takes float32 alone, and ctypes refuses an array of another dtype
+or layout.  The beam deposit is computed in float64 and cast as it is written.
+The erf call's float64 temporaries set the kernel's allocation peak, which
+grows with DEPOSIT_STEPS: a batch of the seed-0 44-run training DOE peaks at
+2.7 MiB traced, against 4.9 MiB with 64-step chunks.  The per-run scalars, the
+beam positions and erf (whose high-word trick needs float64), the probe trace
+and the resampling stay float64, so every result is float64.  Against float64
+fields, over the 50 validation draws at the baseline optimum, the probe moves
+by at most 1.8e-3 degC and the peak field by 3.8e-3 degC, three orders under
+the step's own 4.8 degC time error there.
 
 Units: mm, s, W, degC internally.  Conductivity is supplied in W/(m*K)
 and converted by 1e-3; density in kg/m^3 converted by 1e-9.
@@ -70,8 +67,11 @@ and converted by 1e-3; density in kg/m^3 converted by 1e-9.
 
 from __future__ import annotations
 
+import hashlib
+import os
 from dataclasses import MISSING, dataclass, fields
-from functools import partial
+from functools import cache, partial
+from pathlib import Path
 
 import numpy as np
 
@@ -93,11 +93,15 @@ STRESS_GRID_SHAPE = (32, 14)
 STEFAN_BOLTZMANN_MM = 5.67e-14  # W / (mm^2 K^4)
 KELVIN_OFFSET = 273.15
 BLOCK_RUNS = 16  # runs stepped together in one lockstep block
-FIELD_DTYPE = np.float32  # the kernel's per-cell arrays; see the module docstring
+FIELD_DTYPE = np.float32  # the fields' dtype, the C step's float; see the module docstring
 # steps per chunk: one erf call and one deposit build for their beams, one probe
 # check; the erf call's temporaries grow with it and set the kernel's peak memory
 DEPOSIT_STEPS = 32
-_CACHE_LINE = 64  # bytes; where the kernel's per-cell arrays start (_aligned_empty)
+# the C compiler that builds _step.c on first use, and its flags: no fused
+# multiply-adds, which would change the step's bits, and no -march, which would
+# tie the build to one machine
+_CC = "cc"
+_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 TOP_CEILING = 3.0  # x Tliq: the probe band's top and the last plan's top
 # the most steps a run may be planned: 27x the 39,009 of the design box's slowest
 # run at its TOP_CEILING plan on a 4x finer grid than the default; a 16-run
@@ -349,16 +353,6 @@ def _depth_deposit(nz: int, dz: float, h: float, z0: float) -> np.ndarray:
     return frac * z0 / dz
 
 
-def _aligned_empty(shape, dtype, lead: int = 0) -> np.ndarray:
-    """An empty C-ordered array whose flat element lead starts a 64-byte cache
-    line: a slice of a buffer 64 bytes longer, which it keeps alive."""
-    dtype = np.dtype(dtype)
-    nbytes = int(np.prod(shape)) * dtype.itemsize
-    raw = np.empty(nbytes + _CACHE_LINE, np.uint8)
-    skip = -(raw.ctypes.data + lead * dtype.itemsize) % _CACHE_LINE
-    return raw[skip : skip + nbytes].view(dtype).reshape(shape)
-
-
 def _poly(t: np.ndarray, c, out=None) -> np.ndarray:
     """c[0] + t * (c[1] + t * (... + t * c[-1])): np.polyval's bits on c reversed,
     but in place (in out, if given), which takes about 0.6x its time."""
@@ -466,6 +460,62 @@ def _plan(d: DesignPoint, z: RandomInputs, p: ModelParams, grid: SimGridConfig,
     return rho, p.l / d.v / n_steps, n_steps, clamp_lo, top
 
 
+def _cache_dir() -> Path:
+    """Where compiled steps are kept: $XDG_CACHE_HOME/pbfopt, else ~/.cache/pbfopt."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    return (Path(base) if os.path.isabs(base) else Path.home() / ".cache") / "pbfopt"
+
+
+def _build(source: Path, cache: Path) -> Path:
+    """The shared library of the C source, compiled by _CC with _CFLAGS into the
+    cache directory cache unless a build of the same source, compiler version
+    and flags is there: compiled to a temporary file there, then moved in place."""
+    import shutil
+    import subprocess
+    import tempfile
+
+    cc = shutil.which(_CC)
+    if cc is None:
+        raise OSError(f"the thermal step is C compiled on first use: no C compiler "
+                      f"{_CC!r} on PATH")
+    version = subprocess.run([cc, "--version"], capture_output=True, text=True,
+                             check=True).stdout
+    key = hashlib.sha256(b"\0".join([source.read_bytes(), version.encode(),
+                                      " ".join(_CFLAGS).encode()])).hexdigest()
+    lib = cache / f"{source.stem}-{key[:16]}.so"
+    if not lib.exists():
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            done = subprocess.run([cc, *_CFLAGS, "-o", tmp, str(source)],
+                                  capture_output=True, text=True)
+            if done.returncode:
+                raise OSError(f"{_CC} {' '.join(_CFLAGS)} failed on {source}:\n"
+                              f"{done.stderr}")
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return lib
+
+
+@cache
+def _step_kernel():
+    """The compiled step, pbfopt_step_chunk of _step.c, built and loaded once per
+    process; every array argument is checked for its dtype and C order."""
+    import ctypes
+
+    def array(dtype):
+        return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+    lib = ctypes.CDLL(str(_build(Path(__file__).with_name("_step.c"), _cache_dir())))
+    fn = lib.pbfopt_step_chunk
+    fn.argtypes = ([ctypes.c_int64] * 7 + [array(np.int64)] + [array(FIELD_DTYPE)] * 6
+                   + [array(np.int64), array(FIELD_DTYPE)] + [ctypes.c_float] * 7)
+    fn.restype = None
+    return fn
+
+
 def _solve_field(runs, p: ModelParams, grid: SimGridConfig):
     """The block job of simulate_batch: _step_block, then again with the TOP_CEILING
     plan for the runs that failed under a lower top; per run a snapshot or error."""
@@ -486,48 +536,35 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
     order = sorted(range(len(runs)), key=lambda k: -runs[k][2][2])  # most steps first
     rho, dt, n_steps, lo, top, v, power, t0 = np.array(
         [(*runs[k][2], runs[k][0].v, runs[k][0].P, runs[k][1].T0) for k in order], float).T
-    n_steps = n_steps.astype(int).tolist()
+    n_steps = n_steps.astype(np.int64)
     amp = 2.0 * p.A * power / (np.pi * p.r**2 * p.z0)
     cells = nx * nz  # one run's (z, x) field after another, x fastest
-    # the step's constants folded in: rho cp(T) / dt = A0 + T (A1 + T A2), each A
-    # one run's value repeated over its cells so that Horner streams contiguous
-    # rows, and kappa' = kappa(T) 1e-3 0.5 / dx^2 = B0 + T (B1 + T B2)
-    size = len(order) * cells
-
-    def per_run(values):  # each run's value over its cells, filled in place
-        a = _aligned_empty((size,), FIELD_DTYPE)
-        a.reshape(-1, cells)[...] = values[:, None]
-        return a
-    heat = [per_run(a * rho / dt) for a in (p.a0, p.a1, p.a2)]
+    # the step's constants folded in: rho cp(T) / dt = A0 + T (A1 + T A2) per run,
+    # and kappa' = kappa(T) 1e-3 0.5 / dx^2 = B0 + T (B1 + T B2), both by Horner
+    heat = np.array([a * rho / dt for a in (p.a0, p.a1, p.a2)], FIELD_DTYPE)
     cond = tuple(b * 1e-3 * 0.5 / dx**2 for b in (p.b0, p.b1, p.b2))
-    T, peak = per_run(t0), per_run(t0)
-    kap, rate, den = (_aligned_empty((size,), FIELD_DTYPE) for _ in range(3))
-    T3, peak3, rate3 = (a.reshape(-1, nz, nx) for a in (T, peak, rate))  # views
-    # face fluxes f[off + k], cells k to k + off; at walls and run boundaries 0;
-    # aligned where the flux views f[off:] start
-    fx, fz = (_aligned_empty((size + off,), FIELD_DTYPE, off) for off in (1, nx))
-    fx[...], fz[...] = 0.0, 0.0
-    faces = [(None, 1, fx, fx[1:].reshape(-1, nz, nx)[..., -1]),
-             (dx**2 / dz**2, nx, fz, fz[nx:].reshape(-1, nz, nx)[:, -1])]
+    T = np.repeat(t0.astype(FIELD_DTYPE), cells)
+    peak, kap = T.copy(), np.empty_like(T)
+    rows = np.empty(3 * nx + 1, FIELD_DTYPE)  # the C step's face buffers
+    T3, peak3 = T.reshape(-1, nz, nx), peak.reshape(-1, nz, nx)  # views
     gz = _depth_deposit(nz, dz, p.h, p.z0)  # per cell row, index 0 = bottom
     j0 = int(np.flatnonzero(gz)[0])  # the beam reaches rows j0 to the top
     gz_amp = gz[j0:, None] * amp[:, None, None]  # (runs, rows, 1), float64
-    deposit = _aligned_empty((DEPOSIT_STEPS, len(order), nz - j0, nx), FIELD_DTYPE)
+    deposit = np.empty((DEPOSIT_STEPS, len(order), nz - j0, nx), FIELD_DTYPE)
     tc_k4, rad = (p.Tc + KELVIN_OFFSET) ** 4, STEFAN_BOLTZMANN_MM * p.eps_s / dz
     # the probe keeps one cell and one set of bilinear weights throughout; a step
     # copies only the cell's four corners (x, z offsets 00, 01, 10, 11) of each run
     i, j, wx, wz = _bilinear_cell((nx, nz), dx / 2, dx, dz / 2, dz, p.l / 2.0, p.h)
     corners = (j + np.array([0, 1, 0, 1])) * nx + i + np.array([0, 0, 1, 1])
-    corners = corners[:, None] + cells * np.arange(len(order))  # (4, runs), flat in T
     chunk = np.empty((DEPOSIT_STEPS, 4, len(order)), FIELD_DTYPE)
 
     def blend(rows):  # _bilinear's arithmetic on recorded corners, (steps, runs)
         return _bilinear(np.moveaxis(rows.reshape(-1, 2, 2, len(order)), 0, 2), 0, 0, wx, wz)
     hi = TOP_CEILING * p.Tliq
     trace = np.empty((n_steps[0] + 1, len(order)))  # probe at each step's end
-    trace[0] = blend(T[corners][None])
+    trace[0] = blend(T.reshape(-1, cells)[:, corners].T[None])
     fail = np.zeros(len(order), int)  # each run's first step out of the band, or 0
-    n, built = len(order), 0
+    n, advance = len(order), _step_kernel()
     with np.errstate(all="ignore"):  # a failed run steps on, never read
         for start in range(1, n_steps[0] + 1, DEPOSIT_STEPS):
             stop = min(start + DEPOSIT_STEPS, n_steps[0] + 1)
@@ -540,41 +577,9 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
             gx = _gauss_deposit(x_edges, beam, p.r, dx)  # (steps, runs, cells)
             np.multiply(gx[:, :, None], gz_amp[:n], out=deposit[: stop - start, :n],
                         casting="same_kind")  # each step's, cast to FIELD_DTYPE
-            for k, step in enumerate(range(start, stop)):
-                while n_steps[n - 1] < step:
-                    n -= 1
-                if n != built:  # the views of the n runs still stepping
-                    built, m = n, n * cells
-                    Tn, kapn, raten, denn, peakn = (a[:m] for a in (T, kap, rate, den, peak))
-                    flux_views = [(w, f[off:m], kapn[off:], kapn[:-off], Tn[off:], Tn[:-off],
-                                   raten[:-off], wall[:n]) for w, off, f, wall in faces]
-                    sides = fx[1 : m + 1], fx[:m], fz[nx : m + nx], fz[:m]
-                    rate_beam, T_top, rate_top = rate3[:n, j0:], T3[:n, -1], rate3[:n, -1]
-                    heatn = [a[:m] for a in heat]
-                _poly(Tn, cond, out=kapn)  # kappa', in place
-                # conduction, mean face conductivity: each face's share of its two
-                # cells' rates, (kappa'_i + kappa'_j) [dx^2 / dz^2 on z] (T_j - T_i)
-                for weight, flux, kap_j, kap_i, T_j, T_i, diff, wall in flux_views:
-                    np.add(kap_j, kap_i, out=flux)
-                    if weight is not None:
-                        flux *= weight
-                    flux *= np.subtract(T_j, T_i, out=diff)
-                    wall[...] = 0.0
-                np.subtract(sides[0], sides[1], out=raten)
-                raten += sides[2]
-                raten -= sides[3]
-                rate_beam += deposit[k, :n]
-                # top-surface radiation out of the top cell row
-                # T_K^4 as (T_K^2)^2: numpy's float32 ** 4 follows its SIMD dispatch
-                hot = T_top + KELVIN_OFFSET
-                hot *= hot
-                rate_top -= (hot * hot - tc_k4) * rad
-                # T += rate / (rho cp / dt), with rho cp / dt = A0 + T (A1 + T A2) per cell
-                _poly(Tn, heatn, out=denn)
-                raten /= denn
-                Tn += raten
-                np.maximum(peakn, Tn, out=peakn)
-                chunk[k] = T[corners]
+            advance(nx, nz, j0, len(order), n, start, stop, n_steps, T, peak, kap, rows,
+                    heat, deposit, corners, chunk, *cond, dx**2 / dz**2, KELVIN_OFFSET,
+                    tc_k4, rad)
             # the chunk's probe against the band; a run past its end repeats its
             # last probe, so its first failure is at or before its own end
             probe = trace[start:stop] = blend(chunk[: stop - start])
@@ -590,7 +595,7 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
     stress_cell = _bilinear_cell((nx, nz), dx / 2, dx, dz / 2, dz, xq, zq)
     out = []
     for s in np.argsort(order):  # in input order
-        step, end = int(fail[s]), n_steps[s]
+        step, end = int(fail[s]), int(n_steps[s])
         if step:
             out.append(SimulationError(f"probe temperature {trace[step, s]:.1f} degC "
                                        f"outside [{lo[s]:.1f}, {hi:.1f}] at step {step}", step))
@@ -622,6 +627,7 @@ def simulate_batch(designs, inputs, p: ModelParams | None = None,
     p = ModelParams() if p is None else p
     grid = SimGridConfig() if grid is None else grid
     runs = [(d, z, _plan(d, z, p, grid)) for d, z in zip(designs, inputs, strict=True)]
+    _step_kernel()  # built and loaded here, so a pool's processes inherit it
     order = sorted(range(len(runs)), key=lambda k: -runs[k][2][2])
     count = -(-len(order) // BLOCK_RUNS)
     blocks = [order[len(order) * i // count : len(order) * (i + 1) // count]

@@ -387,3 +387,143 @@ def solve_field_per_run(d, z, p, grid, *ceiling, dtype=thermal.FIELD_DTYPE):
     )
     cell = thermal._bilinear_cell(peak.shape, xc[0], dx, zc[0], dz, xq, zq)
     return temps, peak, T, thermal._bilinear(peak, *cell)
+
+
+def lockstep_block(runs, p, grid, dtype=np.float32):
+    """thermal._step_block with its step in numpy, on fields of the given dtype:
+    the compiled step's float operations in their order, one whole-block array
+    operation at a time, so at float32 its results are the kernel's bit for bit.
+    Runs are (design, random inputs, thermal._plan) triples; returns a snapshot
+    or SimulationError per run, in their order."""
+    nx, nz = grid.cells_x, grid.cells_z
+    dx, dz = p.l / nx, p.h / nz
+    x_edges = np.arange(nx + 1) * dx
+    order = sorted(range(len(runs)), key=lambda k: -runs[k][2][2])  # most steps first
+    rho, dt, n_steps, lo, top, v, power, t0 = np.array(
+        [(*runs[k][2], runs[k][0].v, runs[k][0].P, runs[k][1].T0) for k in order], float).T
+    n_steps = n_steps.astype(int).tolist()
+    amp = 2.0 * p.A * power / (np.pi * p.r**2 * p.z0)
+    cells = nx * nz  # one run's (z, x) field after another, x fastest
+    size = len(order) * cells
+
+    def per_run(values):  # each run's value over its cells
+        return np.repeat(values.astype(dtype), cells)
+    heat = [per_run(a * rho / dt) for a in (p.a0, p.a1, p.a2)]
+    cond = tuple(b * 1e-3 * 0.5 / dx**2 for b in (p.b0, p.b1, p.b2))
+    T, peak = per_run(t0), per_run(t0)
+    kap, rate, den = (np.empty(size, dtype) for _ in range(3))
+    T3, peak3, rate3 = (a.reshape(-1, nz, nx) for a in (T, peak, rate))  # views
+    # face fluxes f[off + k], cells k to k + off; at walls and run boundaries 0
+    fx, fz = (np.zeros(size + off, dtype) for off in (1, nx))
+    faces = [(None, 1, fx, fx[1:].reshape(-1, nz, nx)[..., -1]),
+             (dx**2 / dz**2, nx, fz, fz[nx:].reshape(-1, nz, nx)[:, -1])]
+    gz = thermal._depth_deposit(nz, dz, p.h, p.z0)
+    j0 = int(np.flatnonzero(gz)[0])
+    gz_amp = gz[j0:, None] * amp[:, None, None]
+    deposit = np.empty((thermal.DEPOSIT_STEPS, len(order), nz - j0, nx), dtype)
+    tc_k4 = (p.Tc + thermal.KELVIN_OFFSET) ** 4
+    rad = thermal.STEFAN_BOLTZMANN_MM * p.eps_s / dz
+    i, j, wx, wz = thermal._bilinear_cell((nx, nz), dx / 2, dx, dz / 2, dz, p.l / 2.0, p.h)
+    corners = (j + np.array([0, 1, 0, 1])) * nx + i + np.array([0, 0, 1, 1])
+    corners = corners[:, None] + cells * np.arange(len(order))  # (4, runs), flat in T
+    chunk = np.empty((thermal.DEPOSIT_STEPS, 4, len(order)), dtype)
+
+    def blend(rows):
+        return thermal._bilinear(np.moveaxis(rows.reshape(-1, 2, 2, len(order)), 0, 2),
+                                 0, 0, wx, wz)
+    hi = thermal.TOP_CEILING * p.Tliq
+    trace = np.empty((n_steps[0] + 1, len(order)))
+    trace[0] = blend(T[corners][None])
+    fail = np.zeros(len(order), int)
+    n, built = len(order), 0
+    with np.errstate(all="ignore"):
+        for start in range(1, n_steps[0] + 1, thermal.DEPOSIT_STEPS):
+            stop = min(start + thermal.DEPOSIT_STEPS, n_steps[0] + 1)
+            while n_steps[n - 1] < start:
+                n -= 1
+            ahead = np.arange(start - 1, stop - 1)
+            beam = v[:n, None] * (ahead[:, None, None] * dt[:n, None])
+            gx = thermal._gauss_deposit(x_edges, beam, p.r, dx)
+            np.multiply(gx[:, :, None], gz_amp[:n], out=deposit[: stop - start, :n],
+                        casting="same_kind")
+            for k, step in enumerate(range(start, stop)):
+                while n_steps[n - 1] < step:
+                    n -= 1
+                if n != built:  # the views of the n runs still stepping
+                    built, m = n, n * cells
+                    Tn, kapn, raten, denn, peakn = (a[:m] for a in (T, kap, rate, den, peak))
+                    flux_views = [(w, f[off:m], kapn[off:], kapn[:-off], Tn[off:], Tn[:-off],
+                                   raten[:-off], wall[:n]) for w, off, f, wall in faces]
+                    sides = fx[1 : m + 1], fx[:m], fz[nx : m + nx], fz[:m]
+                    rate_beam, T_top, rate_top = rate3[:n, j0:], T3[:n, -1], rate3[:n, -1]
+                    heatn = [a[:m] for a in heat]
+                thermal._poly(Tn, cond, out=kapn)
+                # each face's share of its two cells' rates: (kappa'_i + kappa'_j)
+                # [dx^2 / dz^2 on z] (T_j - T_i)
+                for weight, flux, kap_j, kap_i, T_j, T_i, diff, wall in flux_views:
+                    np.add(kap_j, kap_i, out=flux)
+                    if weight is not None:
+                        flux *= weight
+                    flux *= np.subtract(T_j, T_i, out=diff)
+                    wall[...] = 0.0
+                np.subtract(sides[0], sides[1], out=raten)
+                raten += sides[2]
+                raten -= sides[3]
+                rate_beam += deposit[k, :n]
+                hot = T_top + thermal.KELVIN_OFFSET
+                hot *= hot
+                rate_top -= (hot * hot - tc_k4) * rad
+                thermal._poly(Tn, heatn, out=denn)
+                raten /= denn
+                Tn += raten
+                np.maximum(peakn, Tn, out=peakn)
+                chunk[k] = T[corners]
+            probe = trace[start:stop] = blend(chunk[: stop - start])
+            bad = ~((lo <= probe) & (probe <= hi))
+            new = (fail == 0) & bad.any(0)
+            fail[new] = start + bad.argmax(0)[new]
+            if fail.all():
+                break
+    xq, zq = np.meshgrid(np.linspace(0.0, p.l, thermal.STRESS_GRID_SHAPE[0]),
+                         np.linspace(0.0, p.h, thermal.STRESS_GRID_SHAPE[1]), indexing="ij")
+    stress_cell = thermal._bilinear_cell((nx, nz), dx / 2, dx, dz / 2, dz, xq, zq)
+    out = []
+    for s in np.argsort(order):  # in input order
+        step, end = int(fail[s]), n_steps[s]
+        if step:
+            out.append(thermal.SimulationError(
+                f"probe temperature {trace[step, s]:.1f} degC "
+                f"outside [{lo[s]:.1f}, {hi:.1f}] at step {step}", step))
+        elif not np.isfinite(T3[s]).all():
+            out.append(thermal.SimulationError(f"field became non-finite by step {end}", end))
+        elif not (hottest := peak3[s].max()) <= top[s]:
+            out.append(thermal.SimulationError(f"peak field {hottest:.1f} degC over the plan's "
+                                               f"top {top[s]:.1f} degC by step {end}", end))
+        else:
+            times = thermal.snapshot_times(v[s], p.l)
+            temps = np.interp(times, np.arange(end + 1) * dt[s], trace[: end + 1, s])
+            out.append(thermal.TemperatureSnapshot(
+                times, temps, thermal._bilinear(peak3[s].T, *stress_cell)))
+    return out
+
+
+def lockstep_batch(designs, inputs, p, grid, dtype=np.float32):
+    """thermal.simulate_batch's results, or its first error, by lockstep_block in
+    the same blocks, with the same 3 Tliq re-solve of failed runs."""
+    runs = [(d, z, thermal._plan(d, z, p, grid)) for d, z in zip(designs, inputs, strict=True)]
+    order = sorted(range(len(runs)), key=lambda k: -runs[k][2][2])
+    count = -(-len(order) // thermal.BLOCK_RUNS)
+    snaps = [None] * len(runs)
+    for i in range(count):
+        block = order[len(order) * i // count : len(order) * (i + 1) // count]
+        out = lockstep_block([runs[k] for k in block], p, grid, dtype)
+        for b, k in enumerate(block):
+            if isinstance(out[b], thermal.SimulationError) and runs[k][2][4] < 3.0 * p.Tliq:
+                plan = thermal._plan(*runs[k][:2], p, grid, thermal.TOP_CEILING)
+                [out[b]] = lockstep_block([(*runs[k][:2], plan)], p, grid, dtype)
+            snaps[k] = out[b]
+    for k, s in enumerate(snaps):
+        if isinstance(s, thermal.SimulationError):
+            s.run = k
+            raise s
+    return snaps

@@ -1,15 +1,28 @@
 """Thermal solver tests: flux arithmetic, equilibrium, monotonicity, grids."""
 
+import ctypes
+import functools
 import json
 import math
+import os
 import pickle
 import re
+import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import folded_constants, heat_flux, material_props, solve_field_per_run
+from oracles import (
+    folded_constants,
+    heat_flux,
+    lockstep_batch,
+    lockstep_block,
+    material_props,
+    solve_field_per_run,
+)
 
 from pbfopt import pipeline, thermal
 from pbfopt.optimize import draw_material_samples
@@ -38,6 +51,18 @@ def planned(runs, p, grid, *ceiling):
 def assert_same(a, b):
     for field in ("times", "temps", "peak_field"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+def validation_runs():
+    """The 50 seed-3 validation draws at the baseline d*, on P = 200 W, so its
+    speed is P l / E, as (design, random inputs) runs."""
+    cfg = pipeline.PipelineConfig()
+    with open(BASELINE_PATH, encoding="utf-8") as f:
+        e_star = json.load(f)["optimal_energy"]
+    d = DesignPoint(200.0 * cfg.model.l / e_star, 200.0)
+    draws = draw_material_samples(cfg.input_bounds[2:], cfg.n_val,
+                                  np.random.default_rng(cfg.seed_validation))
+    return [(d, RandomInputs(*map(float, z))) for z in draws]
 
 
 class TestSnapshotTimes:
@@ -931,24 +956,17 @@ class TestFieldDtype:
             assert np.abs(snap.temps - temps).max() < self.PROBE_BOUND
             assert np.abs(snap.peak_field - peak_field).max() < self.PEAK_BOUND
 
-    def test_validation_draws_stay_within_the_bound_of_float64(self, monkeypatch):
+    def test_validation_draws_stay_within_the_bound_of_float64(self):
         # the 50 seed-3 validation draws at the baseline d* (on P = 200 W, so
         # its speed is P l / E), which set the largest differences above.  The
-        # float64 side is the kernel itself with float64 fields, which takes
+        # float64 side is the numpy lockstep step in float64, which takes
         # tenths of a second where the per-run loop takes seconds; it equals
         # the per-run loop in float64 bit for bit on the first and last draw
         p, grid = ModelParams(), SimGridConfig()
-        with open(BASELINE_PATH, encoding="utf-8") as f:
-            e_star = json.load(f)["optimal_energy"]
-        cfg = pipeline.PipelineConfig()
-        d = DesignPoint(200.0 * cfg.model.l / e_star, 200.0)
-        draws = draw_material_samples(cfg.input_bounds[2:], cfg.n_val,
-                                      np.random.default_rng(cfg.seed_validation))
-        runs = [(d, RandomInputs(*map(float, z))) for z in draws]
+        runs = validation_runs()
         assert len(runs) == 50 and thermal.FIELD_DTYPE == np.float32
         snaps = thermal.simulate_batch(*zip(*runs), p, grid)
-        monkeypatch.setattr(thermal, "FIELD_DTYPE", np.float64)
-        wide = thermal.simulate_batch(*zip(*runs), p, grid)
+        wide = lockstep_batch(*zip(*runs), p, grid, np.float64)
         for k in (0, -1):
             temps, _, _, peak_field = solve_field_per_run(*runs[k], p, grid, dtype=np.float64)
             assert np.array_equal(wide[k].temps, temps)
@@ -980,60 +998,168 @@ class TestFieldDtype:
             assert_same(a, b)
 
 
-class TestAlignedFields:
-    """The kernel's per-cell arrays start where its stores run fastest, on a
-    64-byte cache line; where they start changes no result."""
+class TestCompiledStep:
+    """The C step against the numpy lockstep step it replaced (oracles), bit
+    for bit, and how it is built, cached and loaded."""
 
-    @pytest.mark.parametrize("shape", [(200,), (7, 65), (3, 26, 64), (2, 3, 5, 64)])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("lead", [0, 1, SimGridConfig().cells_x])
-    def test_element_lead_starts_a_cache_line(self, shape, dtype, lead):
-        a, b = (thermal._aligned_empty(shape, dtype, lead) for _ in range(2))
-        for x in (a, b):
-            assert x.shape == shape and x.dtype == dtype
-            assert (x.ctypes.data + lead * x.itemsize) % 64 == 0
-            assert x.flags.c_contiguous and x.flags.writeable
-        assert not np.shares_memory(a, b)
+    @pytest.fixture(scope="class", params=["training DOE", "validation draws"])
+    def batch(self, request):
+        # the 120-run nominal training DOE, whose probe moved when radiation
+        # went from ** 4 to squares, and the 50 validation draws at d*; with the
+        # numpy step's snapshots
+        p, grid, cfg = ModelParams(), SimGridConfig(), pipeline.PipelineConfig()
+        if request.param == "training DOE":
+            doe = pipeline.generate_doe(cfg.M, cfg.input_bounds, cfg.seed_doe)
+            runs = [(DesignPoint(*map(float, r[:2])), RandomInputs(*map(float, r[2:])))
+                    for r in doe]
+        else:
+            runs = validation_runs()
+        return runs, lockstep_batch(*zip(*runs), p, grid)
 
-    def test_misaligned_fields_change_no_result(self, monkeypatch):
-        # the hottest box corner takes its 3 Tliq solve (TestStepCeiling); the
-        # others are cooler, one unpowered from the coldest preheat, and their
-        # step counts differ
-        p, grid, hot = ModelParams(r=0.1), SimGridConfig(16, 8), TestStepCeiling.CORNER
-        cold = RandomInputs(585.0, 825.0, 110.0, 673.2)
-        designs = [hot[0], DesignPoint(550.0, 60.0), DesignPoint(300.0, 0.0),
-                   DesignPoint(200.0, 50.0), DesignPoint(1000.0, 200.0)]
-        inputs = [hot[1], hot[1], cold, cold, hot[1]]
-        assert len({thermal._plan(d, z, p, grid)[2] for d, z in zip(designs, inputs)}) == 5
-        aligned = thermal.simulate_batch(designs, inputs, p, grid)
-        lines, step = thermal._aligned_empty, thermal._step_block
-        offsets, blocks = set(), []
-
-        def off_line(shape, dtype, lead=0):  # element lead 4 bytes past a cache line
-            a = lines((int(np.prod(shape)) + 1,), dtype, lead)[1:].reshape(shape)
-            offsets.add((a.ctypes.data + lead * a.itemsize) % 64)
-            return a
-        monkeypatch.setattr(thermal, "_aligned_empty", off_line)
-        monkeypatch.setattr(thermal, "_step_block",
-                            lambda runs, *a: blocks.append(len(runs)) or step(runs, *a))
-        shifted = thermal.simulate_batch(designs, inputs, p, grid)
-        assert thermal.FIELD_DTYPE == np.float32 and offsets == {4}
-        assert blocks == [5, 1]  # the hot run's 3 Tliq solve
-        for a, b in zip(aligned, shifted, strict=True):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batches_match_the_numpy_step(self, batch, workers):
+        runs, expected = batch
+        assert len(runs) in (120, 50)
+        snaps = thermal.simulate_batch(*zip(*runs), ModelParams(), SimGridConfig(),
+                                       workers=workers)
+        for a, b in zip(snaps, expected, strict=True):
             assert_same(a, b)
+
+    def test_block_with_a_failing_run_matches_the_numpy_step(self):
+        # at the 3 Tliq plan the powered slow scan leaves the probe band at step
+        # 131 while the block's other runs go on (TestLockstepBatch)
+        p, grid, z = ModelParams(), TestLockstepBatch.GRID, NOMINAL_Z
+        runs = [(DesignPoint(550.0, 200.0), z), (DesignPoint(100.0, 2000.0), z),
+                (DesignPoint(100.0, 200.0), z), (DesignPoint(400.0, 150.0), z)]
+        block = planned(runs, p, grid, 3.0)
+        raw, expected = thermal._step_block(block, p, grid), lockstep_block(block, p, grid)
+        assert [type(r) for r in raw] == [thermal.TemperatureSnapshot, SimulationError,
+                                          thermal.TemperatureSnapshot,
+                                          thermal.TemperatureSnapshot]
+        for a, b in zip(raw, expected, strict=True):
+            assert type(a) is type(b)
+            if isinstance(a, SimulationError):
+                assert (str(a), a.step) == (str(b), b.step)
+            else:
+                assert_same(a, b)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_batch_raises_the_numpy_steps_error(self, monkeypatch, workers):
+        grid, z = SimGridConfig(16, 8), NOMINAL_Z
+        monkeypatch.setattr(thermal, "BLOCK_RUNS", 2)  # three blocks, run 1 in the first
+        with pytest.raises(SimulationError) as expected:
+            lockstep_batch(ONE_FAILURE, [z] * 6, ModelParams(), grid)
+        with pytest.raises(SimulationError) as info:
+            thermal.simulate_batch(ONE_FAILURE, [z] * 6, grid=grid, workers=workers)
+        assert (str(info.value), info.value.step, info.value.run) == (
+            str(expected.value), expected.value.step, expected.value.run)
+        assert info.value.run == 1
+
+    @staticmethod
+    def chunk_args(nx=4, nz=4):
+        """One valid call of the C step: a 1-run block at 1000 degC, one step."""
+        f32 = np.float32
+        return dict(nx=nx, nz=nz, j0=2, runs=1, n=1, start=1, stop=2,
+                    n_steps=np.ones(1, np.int64), T=np.full(nx * nz, 1000.0, f32),
+                    peak=np.full(nx * nz, 1000.0, f32), kap=np.empty(nx * nz, f32),
+                    rows=np.empty(3 * nx + 1, f32), heat=np.ones((3, 1), f32),
+                    deposit=np.ones((1, 1, nz - 2, nx), f32),
+                    corners=np.arange(4, dtype=np.int64), chunk=np.empty((1, 4, 1), f32),
+                    consts=(1e-3, 0.0, 0.0, 1.0, 273.15, 0.0, 0.0))
+
+    def test_arrays_of_another_dtype_or_layout_are_refused(self):
+        step, args = thermal._step_kernel(), self.chunk_args()
+        *head, consts = args.values()
+        step(*head, *consts)
+        # on the deposit rows, rate 1 over rho cp / dt = 1000 + 1000 + 1e6
+        assert args["T"][-1] == np.float32(1000.0) + np.float32(1.0) / np.float32(1002001.0)
+        strided = np.ones((1, 1, 2, 2 * args["nx"]), np.float32)[..., ::2]
+        for key, bad in (("T", args["T"].astype(np.float64)),
+                         ("T", np.empty(2 * args["T"].size, np.float32)[::2]),
+                         ("deposit", strided), ("n_steps", np.ones(1, np.int32)),
+                         ("corners", args["corners"].astype(np.float32))):
+            assert bad.shape == args[key].shape
+            *head, consts = {**args, key: bad}.values()
+            before = args["T"].copy()
+            with pytest.raises(ctypes.ArgumentError):
+                step(*head, *consts)
+            assert np.array_equal(args["T"], before)
+
+    def test_missing_compiler_is_named_before_any_step(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("PATH", str(tmp_path))  # no compiler on it
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(thermal, "_step_kernel",
+                            functools.cache(thermal._step_kernel.__wrapped__))
+        monkeypatch.setattr(thermal, "_step_block", lambda *a: pytest.fail("stepped"))
+        with pytest.raises(OSError, match=r"no C compiler 'cc' on PATH"):
+            thermal.simulate(DesignPoint(550.0, 110.0), NOMINAL_Z, grid=SimGridConfig(16, 8))
+        assert not (tmp_path / "cache").exists()
+
+    def test_cache_directory(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert thermal._cache_dir() == tmp_path / "pbfopt"
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        for unset in ("", "relative/cache"):  # a relative path is not a base directory
+            monkeypatch.setenv("XDG_CACHE_HOME", unset)
+            assert thermal._cache_dir() == tmp_path / "home" / ".cache" / "pbfopt"
+
+    def test_changed_source_byte_builds_a_new_library(self, tmp_path):
+        source, cache = tmp_path / "_step.c", tmp_path / "cache"
+        text = Path(thermal.__file__).with_name("_step.c").read_bytes()
+        source.write_bytes(text)
+        first = thermal._build(source, cache)
+        assert thermal._build(source, cache) == first
+        at = text.index(b"The")
+        source.write_bytes(text[:at] + b"t" + text[at + 1 :])  # one byte of a comment
+        second = thermal._build(source, cache)
+        assert second != first and {p.name for p in cache.iterdir()} == {first.name,
+                                                                          second.name}
+        assert cache.stat().st_mode & 0o777 == 0o700
+
+    def test_fresh_interpreters_build_once(self, tmp_path):
+        # importing builds nothing; the first batch, over a pool of two, builds
+        # once in the parent; a second interpreter finds the build and only
+        # asks the compiler for its version
+        real = shutil.which("cc")
+        assert real is not None
+        bin_dir, log = tmp_path / "bin", tmp_path / "cc.log"
+        bin_dir.mkdir()
+        wrapper = bin_dir / "cc"
+        wrapper.write_text(f'#!/bin/sh\necho "$@" >> "{log}"\nexec "{real}" "$@"\n')
+        wrapper.chmod(0o755)
+        src = Path(thermal.__file__).resolve().parents[1]
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
+               "PATH": f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}",
+               "PYTHONPATH": str(src)}
+        batch = ("from pbfopt import thermal\n"
+                 "thermal.BLOCK_RUNS = 2\n"
+                 "d, z = thermal.DesignPoint(550.0, 100.0), "
+                 "thermal.RandomInputs(650.0, 825.0, 110.0, 612.0)\n"
+                 "thermal.simulate_batch([d] * 4, [z] * 4, "
+                 "grid=thermal.SimGridConfig(16, 8), workers=2)\n")
+
+        def run(code):
+            subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+            return log.read_text().splitlines() if log.exists() else []
+        assert run("import pbfopt.thermal") == []
+        assert not (tmp_path / "cache").exists()
+        first = run(batch)
+        builds = [line for line in first if line != "--version"]
+        assert len(builds) == 1 and " ".join(thermal._CFLAGS) in builds[0]
+        assert run(batch)[len(first):] == ["--version"]
+        [lib] = (tmp_path / "cache" / "pbfopt").iterdir()
+        assert lib.suffix == ".so"
 
 
 class TestAllocationPeak:
     """The memory one batch allocates at its peak, as tracemalloc traces it
     (numpy reports its array buffers there)."""
 
-    # 3.32 MiB on the seed-0 44-run training DOE at the default grid, 4.54 MiB
-    # with 64-step erf chunks and the deposit built step by step; the erf
-    # chunk's temporaries set it
+    # 2.74 MiB on the seed-0 44-run training DOE at the default grid, 4.90 MiB
+    # with 64-step erf chunks; the erf chunk's temporaries set it
     BOUND_MIB = 4.0
-    # 3.06 MiB on the 50 seed-3 validation draws at the baseline d*, in blocks
-    # of 12 and 13 runs of equal step count; the fields' 64-byte over-allocation
-    # adds about 0.003 MiB of it
+    # 2.57 MiB on the 50 seed-3 validation draws at the baseline d*, in blocks
+    # of 12 and 13 runs of equal step count
     VALIDATION_BOUND_MIB = 3.5
 
     @staticmethod
@@ -1055,15 +1181,9 @@ class TestAllocationPeak:
         assert self.traced_peak_mib(designs, inputs) <= self.BOUND_MIB
 
     def test_validation_batch_stays_under_its_bound(self):
-        cfg = pipeline.PipelineConfig()
-        with open(BASELINE_PATH, encoding="utf-8") as f:
-            e_star = json.load(f)["optimal_energy"]
-        d = DesignPoint(200.0 * cfg.model.l / e_star, 200.0)
-        draws = draw_material_samples(cfg.input_bounds[2:], cfg.n_val,
-                                      np.random.default_rng(cfg.seed_validation))
-        inputs = [RandomInputs(*map(float, z)) for z in draws]
-        assert len(inputs) == 50
-        assert self.traced_peak_mib([d] * 50, inputs) <= self.VALIDATION_BOUND_MIB
+        runs = validation_runs()
+        assert len(runs) == 50
+        assert self.traced_peak_mib(*zip(*runs)) <= self.VALIDATION_BOUND_MIB
 
 
 class TestFoldedConstants:
