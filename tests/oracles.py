@@ -508,22 +508,16 @@ def lockstep_block(runs, p, grid, dtype=np.float32):
 
 
 def lockstep_batch(designs, inputs, p, grid, dtype=np.float32):
-    """thermal.simulate_batch's results, or its first error, by lockstep_block in
-    the same blocks, with the same 3 Tliq re-solve of failed runs."""
+    """thermal.simulate_batch's snapshots, or its lowest-indexed run's error, by
+    lockstep_block on the whole batch as one block (no result depends on the
+    block), each failed run solved again at the TOP_CEILING plan."""
     runs = [(d, z, thermal._plan(d, z, p, grid)) for d, z in zip(designs, inputs, strict=True)]
-    order = sorted(range(len(runs)), key=lambda k: -runs[k][2][2])
-    count = -(-len(order) // thermal.BLOCK_RUNS)
-    snaps = [None] * len(runs)
-    for i in range(count):
-        block = order[len(order) * i // count : len(order) * (i + 1) // count]
-        out = lockstep_block([runs[k] for k in block], p, grid, dtype)
-        for b, k in enumerate(block):
-            if isinstance(out[b], thermal.SimulationError) and runs[k][2][4] < 3.0 * p.Tliq:
-                plan = thermal._plan(*runs[k][:2], p, grid, thermal.TOP_CEILING)
-                [out[b]] = lockstep_block([(*runs[k][:2], plan)], p, grid, dtype)
-            snaps[k] = out[b]
-    for k, s in enumerate(snaps):
-        if isinstance(s, thermal.SimulationError):
-            s.run = k
-            raise s
-    return snaps
+    out = lockstep_block(runs, p, grid, dtype)
+    for k, (d, z, plan) in enumerate(runs):
+        if isinstance(out[k], thermal.SimulationError) and plan[4] < 3.0 * p.Tliq:
+            [out[k]] = lockstep_block([(d, z, thermal._plan(d, z, p, grid, 3.0))],
+                                      p, grid, dtype)
+        if isinstance(out[k], thermal.SimulationError):
+            out[k].run = k
+            raise out[k]
+    return out

@@ -1006,7 +1006,7 @@ class TestCompiledStep:
     def batch(self, request):
         # the 120-run nominal training DOE, whose probe moved when radiation
         # went from ** 4 to squares, and the 50 validation draws at d*; with the
-        # numpy step's snapshots
+        # numpy step's snapshots, all in one block
         p, grid, cfg = ModelParams(), SimGridConfig(), pipeline.PipelineConfig()
         if request.param == "training DOE":
             doe = pipeline.generate_doe(cfg.M, cfg.input_bounds, cfg.seed_doe)
@@ -1094,6 +1094,13 @@ class TestCompiledStep:
         with pytest.raises(OSError, match=r"no C compiler 'cc' on PATH"):
             thermal.simulate(DesignPoint(550.0, 110.0), NOMINAL_Z, grid=SimGridConfig(16, 8))
         assert not (tmp_path / "cache").exists()
+
+    def test_compiler_error_is_raised_with_its_output(self, tmp_path):
+        source, cache = tmp_path / "_step.c", tmp_path / "cache"
+        source.write_text("void pbfopt_step_chunk(void) { not C }\n")
+        with pytest.raises(OSError, match=r"(?s)failed on .*_step\.c:\n.*error"):
+            thermal._build(source, cache)
+        assert list(cache.iterdir()) == []  # no library, no temporary file
 
     def test_cache_directory(self, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
