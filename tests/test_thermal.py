@@ -998,6 +998,50 @@ class TestFieldDtype:
             assert_same(a, b)
 
 
+class TestAlignedFields:
+    """Where the fields the C step reads and writes start in memory changes no
+    result."""
+
+    def test_misaligned_fields_change_no_result(self, monkeypatch):
+        # the hottest box corner takes its 3 Tliq solve (TestStepCeiling); the
+        # others are cooler, one unpowered from the coldest preheat, and their
+        # step counts differ
+        p, grid, hot = ModelParams(r=0.1), SimGridConfig(16, 8), TestStepCeiling.CORNER
+        cold = RandomInputs(585.0, 825.0, 110.0, 673.2)
+        designs = [hot[0], DesignPoint(550.0, 60.0), DesignPoint(300.0, 0.0),
+                   DesignPoint(200.0, 50.0), DesignPoint(1000.0, 200.0)]
+        inputs = [hot[1], hot[1], cold, cold, hot[1]]
+        assert len({thermal._plan(d, z, p, grid)[2] for d, z in zip(designs, inputs)}) == 5
+        aligned = thermal.simulate_batch(designs, inputs, p, grid)
+        kernel, step = thermal._step_kernel(), thermal._step_block
+        offsets, blocks = set(), []
+
+        def off_line(a):  # a copy of a whose first element is 4 bytes past a cache line
+            if not (isinstance(a, np.ndarray) and a.dtype == thermal.FIELD_DTYPE):
+                return a
+            raw = np.empty(a.nbytes + 128, np.uint8)
+            at = -raw.ctypes.data % 64 + 4
+            b = raw[at : at + a.nbytes].view(a.dtype).reshape(a.shape)
+            b[...] = a
+            offsets.add(b.ctypes.data % 64)
+            return b
+
+        def shifted_kernel(*args):  # the C step on off-line copies, copied back
+            moved = [off_line(a) for a in args]
+            kernel(*moved)
+            for a, b in zip(args, moved):
+                if b is not a:
+                    a[...] = b
+        monkeypatch.setattr(thermal, "_step_kernel", lambda: shifted_kernel)
+        monkeypatch.setattr(thermal, "_step_block",
+                            lambda runs, *a: blocks.append(len(runs)) or step(runs, *a))
+        shifted = thermal.simulate_batch(designs, inputs, p, grid)
+        assert thermal.FIELD_DTYPE == np.float32 and offsets == {4}
+        assert blocks == [5, 1]  # the hot run's 3 Tliq solve
+        for a, b in zip(aligned, shifted, strict=True):
+            assert_same(a, b)
+
+
 class TestCompiledStep:
     """The C step against the numpy lockstep step it replaced (oracles), bit
     for bit, and how it is built, cached and loaded."""
@@ -1054,6 +1098,23 @@ class TestCompiledStep:
         assert (str(info.value), info.value.step, info.value.run) == (
             str(expected.value), expected.value.step, expected.value.run)
         assert info.value.run == 1
+
+    @pytest.mark.parametrize("p", [ModelParams(), TestStabilityBound.DIP],
+                             ids=["nominal", "dip"])
+    @pytest.mark.parametrize("grid", [SimGridConfig(9, 5), SimGridConfig(16, 8),
+                                      SimGridConfig(17, 6), SimGridConfig(31, 7),
+                                      SimGridConfig(40, 13), SimGridConfig(65, 9)],
+                             ids=lambda g: f"{g.cells_x}x{g.cells_z}")
+    def test_grids_match_the_numpy_step(self, p, grid):
+        # row lengths odd and even, on and off the vector widths, move the C
+        # loops' remainders, the probe cell and the first deposit row; the four
+        # corners of the design box at the hottest and coldest preheats
+        designs = [DesignPoint(v, P) for v in thermal.DESIGN_BOUNDS["v"]
+                   for P in thermal.DESIGN_BOUNDS["P"]] * 2
+        inputs = [TestStepCeiling.CORNER[1]] * 4 + [RandomInputs(585.0, 825.0, 110.0, 673.2)] * 4
+        snaps = thermal.simulate_batch(designs, inputs, p, grid)
+        for a, b in zip(snaps, lockstep_batch(designs, inputs, p, grid), strict=True):
+            assert_same(a, b)
 
     @staticmethod
     def chunk_args(nx=4, nz=4):
