@@ -13,14 +13,10 @@ faces across a wall or a run boundary carry zero flux.  Each run keeps
 its density, time step, step count, clamp range and beam; sorted by step
 count, those still stepping are a leading prefix.  Every element gets a
 single-run step's arithmetic in its order, so no result depends on the
-block.  The beam's cell averages take erf from a port of fdlibm's (_erf),
-for a chunk of DEPOSIT_STEPS (32) steps per call, and the chunk's deposit
-on the rows the beam reaches is built in one product, a (DEPOSIT_STEPS,
-runs, rows, x) buffer, of which a step only adds its own slice.  The step
-is the grid's cfl_factor share of the largest one that keeps the explicit
-scheme's maximum principle (_stable_step): rho*min Cp(T) / ((kappa(T) +
-kappa_max)*(1/dx^2 + 1/dz^2)) up to its plan's top, 1.5 Tliq, above every
-run in the design box.
+block.  The step is the grid's cfl_factor share of the largest one that
+keeps the explicit scheme's maximum principle (_stable_step): rho*min Cp(T)
+/ ((kappa(T) + kappa_max)*(1/dx^2 + 1/dz^2)) up to its plan's top, 1.5 Tliq,
+above every run in the design box.
 A run fails if its probe leaves [min(T0, Tc) - 50, 3 Tliq] by its last step
 or, at its end, its field is not finite or its peak is over the top; it is
 solved again with the 3 Tliq plan, under which a failure is final.  A run
@@ -32,34 +28,34 @@ blends, into the float64 probe trace, and checked against the band; a block
 whose runs have all failed stops at that chunk's end.  The trace is
 interpolated linearly between step ends to the 31 snapshot instants.
 
-The step itself is C (_step.c), one call per chunk, row by row: kappa by
-Horner over the runs still stepping, then per run and cell row the x and z
-face fluxes into row buffers (the z faces below a row are the row below's,
-buffered before its update), the rate, the deposit, the top row's radiation,
-rho*Cp/dt by Horner in its run's three coefficients, the update in place and
-the peak, and last the probe corners.  Each cell takes the float operations
-of a numpy step in their order (tests/oracles.py keeps that step), so its
-results are those bits, on any machine: the library is built without -march
-and without fused multiply-adds (_CFLAGS), and radiation's T_K^4 is
-(T_K^2)^2, plain IEEE arithmetic where numpy's float32 ** 4 follows its SIMD
-dispatch.  The first simulation in a process builds it with the system C
-compiler (_CC, "cc", which must be on PATH; without one it raises OSError
-before any step) unless a build of the same source, compiler version and flags
-is in $XDG_CACHE_HOME/pbfopt or ~/.cache/pbfopt, and loads it with ctypes,
-before any process pool starts, so that the pool's processes inherit it.
+The step itself is C (_step.c), one call per chunk of CHUNK_STEPS (32) steps,
+row by row: kappa by Horner over the runs still stepping, then per run its
+beam's cell averages along x, exact erf integrals over one row of cell edges
+with libm's erf, and per cell row the x and z face fluxes into row buffers (the
+z faces below a row are the row below's, buffered before its update), the
+rate, the deposit, the top row's radiation, rho*Cp/dt by Horner in its run's
+three coefficients, the update in place and the peak, and last the probe
+corners.  Each cell takes the float operations of a numpy step in their order
+(tests/oracles.py keeps that step, with math.erf, which is libm's), so its
+results are those bits on any machine whose libm has that erf: it is built
+without -march and without fused multiply-adds (_CFLAGS), and radiation's
+T_K^4 is (T_K^2)^2, plain IEEE arithmetic where numpy's float32 ** 4 follows
+its SIMD dispatch.  The first simulation in a process builds it with the
+system C compiler (_CC, "cc", which must be on PATH; without one it raises
+OSError before any step), linked to libm (_LIBS), unless a build of the same
+source, compiler version and flags is in $XDG_CACHE_HOME/pbfopt or
+~/.cache/pbfopt, and loads it with ctypes, before any process pool starts, so
+that the pool's processes inherit it.
 
-The fields, 3 per-cell arrays (temperature, peak and kappa) and the deposit
-buffer, are FIELD_DTYPE, float32, which halves the bytes that a step moves;
-the C step takes float32 alone, and ctypes refuses an array of another dtype
-or layout.  The beam deposit is computed in float64 and cast as it is written.
-The erf call's float64 temporaries set the kernel's allocation peak, which
-grows with DEPOSIT_STEPS: a batch of the seed-0 44-run training DOE peaks at
-2.7 MiB traced, against 4.9 MiB with 64-step chunks.  The per-run scalars, the
-beam positions and erf (whose high-word trick needs float64), the probe trace
-and the resampling stay float64, so every result is float64.  Against float64
-fields, over the 50 validation draws at the baseline optimum, the probe moves
-by at most 1.8e-3 degC and the peak field by 3.8e-3 degC, three orders under
-the step's own 4.8 degC time error there.
+The fields, 3 per-cell arrays (temperature, peak and kappa), are FIELD_DTYPE,
+float32, which halves the bytes that a step moves; the C step takes float32
+fields alone, and ctypes refuses an array of another dtype or layout.  The
+beam deposit is computed in float64, per cell as it is added, and cast there;
+no deposit is stored.  The per-run scalars, the beam positions and erf, the
+probe trace and the resampling stay float64, so every result is float64.
+Against float64 fields, over the 50 validation draws at the baseline optimum,
+the probe moves by at most 1.8e-3 degC and the peak field by 3.8e-3 degC,
+three orders under the step's own 4.8 degC time error there.
 
 Units: mm, s, W, degC internally.  Conductivity is supplied in W/(m*K)
 and converted by 1e-3; density in kg/m^3 converted by 1e-9.
@@ -94,58 +90,20 @@ STEFAN_BOLTZMANN_MM = 5.67e-14  # W / (mm^2 K^4)
 KELVIN_OFFSET = 273.15
 BLOCK_RUNS = 16  # runs stepped together in one lockstep block
 FIELD_DTYPE = np.float32  # the fields' dtype, the C step's float; see the module docstring
-# steps per chunk: one erf call and one deposit build for their beams, one probe
-# check; the erf call's temporaries grow with it and set the kernel's peak memory
-DEPOSIT_STEPS = 32
+# steps per chunk: one call of the C step, then one probe check
+CHUNK_STEPS = 32
 # the C compiler that builds _step.c on first use, and its flags: no fused
 # multiply-adds, which would change the step's bits, and no -march, which would
 # tie the build to one machine
 _CC = "cc"
 _CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
+_LIBS = ("-lm",)  # the libraries it links, after the source: erf is libm's
 TOP_CEILING = 3.0  # x Tliq: the probe band's top and the last plan's top
 # the most steps a run may be planned: 27x the 39,009 of the design box's slowest
 # run at its TOP_CEILING plan on a 4x finer grid than the default; a 16-run
 # block's float64 probe trace at the limit takes 128 MiB
 MAX_STEPS = 2**20
 _UNIT = (1.0, 0.0, 0.0)  # the quadratic 1, denominator of a plain quadratic
-
-# fdlibm's s_erf.c (Sun Microsystems, 1993): numerator and denominator
-# coefficients, lowest order first, of its rational forms in x^2 below 0.84375,
-# in |x| - 1 (plus erx) up to 1.25, and in 1/x^2 up to the high word 0x4006DB6E
-# (just above 1/0.35) and from there to 6
-_ERX = 8.45062911510467529297e-01
-_ERF_SMALL = ((1.28379167095512558561e-01, -3.25042107247001499370e-01,
-               -2.84817495755985104766e-02, -5.77027029648944159157e-03,
-               -2.37630166566501626084e-05),
-              (1.0, 3.97917223959155352819e-01, 6.50222499887672944485e-02,
-               5.08130628187576562776e-03, 1.32494738004321644526e-04,
-               -3.96022827877536812320e-06))
-_ERF_NEAR_ONE = ((-2.36211856075265944077e-03, 4.14856118683748331666e-01,
-                  -3.72207876035701323847e-01, 3.18346619901161753674e-01,
-                  -1.10894694282396677476e-01, 3.54783043256182359371e-02,
-                  -2.16637559486879084300e-03),
-                 (1.0, 1.06420880400844228286e-01, 5.40397917702171048937e-01,
-                  7.18286544141962662868e-02, 1.26171219808761642112e-01,
-                  1.36370839120290507362e-02, 1.19844998467991074170e-02))
-_ERF_TAILS = ((1.25, 2.8571434020996094,
-               (-9.86494403484714822705e-03, -6.93858572707181764372e-01,
-                -1.05586262253232909814e+01, -6.23753324503260060396e+01,
-                -1.62396669462573470355e+02, -1.84605092906711035994e+02,
-                -8.12874355063065934246e+01, -9.81432934416914548592e+00),
-               (1.0, 1.96512716674392571292e+01, 1.37657754143519042600e+02,
-                4.34565877475229228821e+02, 6.45387271733267880336e+02,
-                4.29008140027567833386e+02, 1.08635005541779435134e+02,
-                6.57024977031928170135e+00, -6.04244152148580987438e-02)),
-              (2.8571434020996094, 6.0,
-               (-9.86494292470009928597e-03, -7.99283237680523006574e-01,
-                -1.77579549177547519889e+01, -1.60636384855821916062e+02,
-                -6.37566443368389627722e+02, -1.02509513161107724954e+03,
-                -4.83519191608651397019e+02),
-               (1.0, 3.03380607434824582924e+01, 3.25792512996573918826e+02,
-                1.53672958608443695994e+03, 3.19985821950859553908e+03,
-                2.55305040643316442583e+03, 4.74528541206955367215e+02,
-                -2.24409524465858183362e+01)))
-
 
 class SimulationError(RuntimeError):
     """Raised when a run becomes numerically invalid; carries step and run index."""
@@ -353,47 +311,6 @@ def _depth_deposit(nz: int, dz: float, h: float, z0: float) -> np.ndarray:
     return frac * z0 / dz
 
 
-def _poly(t: np.ndarray, c, out=None) -> np.ndarray:
-    """c[0] + t * (c[1] + t * (... + t * c[-1])): np.polyval's bits on c reversed,
-    but in place (in out, if given), which takes about 0.6x its time."""
-    acc = np.multiply(c[-1], t, out=out)
-    for ci in c[-2:0:-1]:
-        acc += ci
-        acc *= t
-    return np.add(acc, c[0], out=acc)
-
-
-def _erf(x) -> np.ndarray:
-    """erf elementwise on any shape, within 1 ulp of math.erf: fdlibm's s_erf.c
-    on |x|, exactly odd through the sign; 1 from |x| = 6 on."""
-    x = np.asarray(x, dtype=float)
-    a = np.abs(x).ravel()
-    out = np.minimum(a, 1.0)  # nan stays nan
-    sel = np.flatnonzero(a < 0.84375)
-    t = a[sel]
-    z = t * t
-    out[sel] = t + t * (_poly(z, _ERF_SMALL[0]) / _poly(z, _ERF_SMALL[1]))
-    sel = np.flatnonzero((a >= 0.84375) & (a < 1.25))
-    s = a[sel] - 1.0
-    out[sel] = _ERX + _poly(s, _ERF_NEAR_ONE[0]) / _poly(s, _ERF_NEAR_ONE[1])
-    for lo, hi, num, den in _ERF_TAILS:  # 1 - erfc(|x|)
-        sel = np.flatnonzero((a >= lo) & (a < hi))
-        t = a[sel]
-        s = 1.0 / (t * t)
-        z = (t.view(np.uint64) & np.uint64(0xFFFFFFFF00000000)).view(float)  # low word 0
-        r = np.exp(-z * z - 0.5625) * np.exp((z - t) * (z + t)
-                                              + _poly(s, num) / _poly(s, den))
-        out[sel] = 1.0 - r / t
-    return np.copysign(out.reshape(x.shape), x)
-
-
-def _gauss_deposit(edges: np.ndarray, beam_x, r: float, dx: float) -> np.ndarray:
-    """Cell-averaged Gaussian factor along x via exact erf integrals, along the
-    last axis of edges - beam_x."""
-    s = _erf(np.sqrt(2.0) * (edges - beam_x) / r)
-    return np.sqrt(np.pi / 8.0) * (r / dx) * np.diff(s)
-
-
 def _bilinear_cell(shape, x0: float, dx: float, z0c: float, dz: float, xq, zq):
     """Clamped-edge bilinear lookup of the points (xq, zq) on a
     cell-centered grid of the given shape: the lower corner (i0, j0) of
@@ -481,14 +398,14 @@ def _build(source: Path, cache: Path) -> Path:
     version = subprocess.run([cc, "--version"], capture_output=True, text=True,
                              check=True).stdout
     key = hashlib.sha256(b"\0".join([source.read_bytes(), version.encode(),
-                                      " ".join(_CFLAGS).encode()])).hexdigest()
+                                      " ".join(_CFLAGS + _LIBS).encode()])).hexdigest()
     lib = cache / f"{source.stem}-{key[:16]}.so"
     if not lib.exists():
         cache.mkdir(mode=0o700, parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
         os.close(fd)
         try:
-            done = subprocess.run([cc, *_CFLAGS, "-o", tmp, str(source)],
+            done = subprocess.run([cc, *_CFLAGS, "-o", tmp, str(source), *_LIBS],
                                   capture_output=True, text=True)
             if done.returncode:
                 raise OSError(f"{_CC} {' '.join(_CFLAGS)} failed on {source}:\n"
@@ -510,8 +427,9 @@ def _step_kernel():
         return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
     lib = ctypes.CDLL(str(_build(Path(__file__).with_name("_step.c"), _cache_dir())))
     fn = lib.pbfopt_step_chunk
-    fn.argtypes = ([ctypes.c_int64] * 7 + [array(np.int64)] + [array(FIELD_DTYPE)] * 6
-                   + [array(np.int64), array(FIELD_DTYPE)] + [ctypes.c_float] * 7)
+    fn.argtypes = ([ctypes.c_int64] * 7 + [array(np.int64)] + [array(FIELD_DTYPE)] * 5
+                   + [array(np.float64)] * 4 + [array(np.int64), array(FIELD_DTYPE)]
+                   + [ctypes.c_float] * 7 + [ctypes.c_double] * 2)
     fn.restype = None
     return fn
 
@@ -532,10 +450,9 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
     """The lockstep kernel: runs (design, random inputs, _plan) to snapshots or errors."""
     nx, nz = grid.cells_x, grid.cells_z
     dx, dz = p.l / nx, p.h / nz
-    x_edges = np.arange(nx + 1) * dx
     order = sorted(range(len(runs)), key=lambda k: -runs[k][2][2])  # most steps first
-    rho, dt, n_steps, lo, top, v, power, t0 = np.array(
-        [(*runs[k][2], runs[k][0].v, runs[k][0].P, runs[k][1].T0) for k in order], float).T
+    rho, dt, n_steps, lo, top, v, power, t0 = np.array(  # each row C-contiguous
+        [(*runs[k][2], runs[k][0].v, runs[k][0].P, runs[k][1].T0) for k in order], float).T.copy()
     n_steps = n_steps.astype(np.int64)
     amp = 2.0 * p.A * power / (np.pi * p.r**2 * p.z0)
     cells = nx * nz  # one run's (z, x) field after another, x fastest
@@ -546,17 +463,17 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
     T = np.repeat(t0.astype(FIELD_DTYPE), cells)
     peak, kap = T.copy(), np.empty_like(T)
     rows = np.empty(3 * nx + 1, FIELD_DTYPE)  # the C step's face buffers
+    gx = np.empty(nx + 1)  # and its beam row, float64
     T3, peak3 = T.reshape(-1, nz, nx), peak.reshape(-1, nz, nx)  # views
     gz = _depth_deposit(nz, dz, p.h, p.z0)  # per cell row, index 0 = bottom
     j0 = int(np.flatnonzero(gz)[0])  # the beam reaches rows j0 to the top
-    gz_amp = gz[j0:, None] * amp[:, None, None]  # (runs, rows, 1), float64
-    deposit = np.empty((DEPOSIT_STEPS, len(order), nz - j0, nx), FIELD_DTYPE)
+    gz_amp = gz[j0:] * amp[:, None]  # (runs, rows), float64
     tc_k4, rad = (p.Tc + KELVIN_OFFSET) ** 4, STEFAN_BOLTZMANN_MM * p.eps_s / dz
     # the probe keeps one cell and one set of bilinear weights throughout; a step
     # copies only the cell's four corners (x, z offsets 00, 01, 10, 11) of each run
     i, j, wx, wz = _bilinear_cell((nx, nz), dx / 2, dx, dz / 2, dz, p.l / 2.0, p.h)
     corners = (j + np.array([0, 1, 0, 1])) * nx + i + np.array([0, 0, 1, 1])
-    chunk = np.empty((DEPOSIT_STEPS, 4, len(order)), FIELD_DTYPE)
+    chunk = np.empty((CHUNK_STEPS, 4, len(order)), FIELD_DTYPE)
 
     def blend(rows):  # _bilinear's arithmetic on recorded corners, (steps, runs)
         return _bilinear(np.moveaxis(rows.reshape(-1, 2, 2, len(order)), 0, 2), 0, 0, wx, wz)
@@ -566,20 +483,13 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
     fail = np.zeros(len(order), int)  # each run's first step out of the band, or 0
     n, advance = len(order), _step_kernel()
     with np.errstate(all="ignore"):  # a failed run steps on, never read
-        for start in range(1, n_steps[0] + 1, DEPOSIT_STEPS):
-            stop = min(start + DEPOSIT_STEPS, n_steps[0] + 1)
+        for start in range(1, n_steps[0] + 1, CHUNK_STEPS):
+            stop = min(start + CHUNK_STEPS, n_steps[0] + 1)
             while n_steps[n - 1] < start:
                 n -= 1
-            # beam deposition on its rows, cell-averaged in both directions; one
-            # erf call takes the beams of the chunk's steps
-            ahead = np.arange(start - 1, stop - 1)
-            beam = v[:n, None] * (ahead[:, None, None] * dt[:n, None])
-            gx = _gauss_deposit(x_edges, beam, p.r, dx)  # (steps, runs, cells)
-            np.multiply(gx[:, :, None], gz_amp[:n], out=deposit[: stop - start, :n],
-                        casting="same_kind")  # each step's, cast to FIELD_DTYPE
             advance(nx, nz, j0, len(order), n, start, stop, n_steps, T, peak, kap, rows,
-                    heat, deposit, corners, chunk, *cond, dx**2 / dz**2, KELVIN_OFFSET,
-                    tc_k4, rad)
+                    heat, v, dt, gz_amp, gx, corners, chunk, *cond, dx**2 / dz**2,
+                    KELVIN_OFFSET, tc_k4, rad, dx, p.r)
             # the chunk's probe against the band; a run past its end repeats its
             # last probe, so its first failure is at or before its own end
             probe = trace[start:stop] = blend(chunk[: stop - start])

@@ -4,6 +4,7 @@ None of these is part of the package: each is a direct, unoptimized
 statement of a quantity some package code computes another way.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -298,6 +299,28 @@ def material_props(T, p):
     return cp, kap
 
 
+def _poly(t, c, out=None):
+    """c[0] + t * (c[1] + t * (... + t * c[-1])), by Horner, in place in out if
+    given: the operations of the compiled step's quadratics, in their order."""
+    acc = np.multiply(c[-1], t, out=out)
+    for ci in c[-2:0:-1]:
+        acc += ci
+        acc *= t
+    return np.add(acc, c[0], out=acc)
+
+
+# math.erf elementwise: CPython's math.erf is the C library's erf, the one
+# the compiled step calls
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def gauss_deposit(edges, beam_x, r, dx):
+    """Cell-averaged Gaussian factor along x via exact erf integrals, along the
+    last axis of edges - beam_x, in the compiled step's double operations."""
+    s = _erf(np.sqrt(2.0) * (edges - beam_x) / r).astype(float)
+    return np.sqrt(np.pi / 8.0) * (r / dx) * np.diff(s)
+
+
 def folded_constants(p, dx, dz, rho, dt):
     """The constants thermal._step_block folds into its step, in float64:
     rho Cp(T) / dt = A0 + T (A1 + T A2) for a run of density rho (kg/mm^3)
@@ -362,7 +385,7 @@ def solve_field_per_run(d, z, p, grid, *ceiling, dtype=thermal.FIELD_DTYPE):
         rate[:, :-1] += fz
         rate[:, 1:] -= fz
         if d.P > 0:
-            gx = thermal._gauss_deposit(x_edges, d.v * t_old, p.r, dx)
+            gx = gauss_deposit(x_edges, d.v * t_old, p.r, dx)
             rate += np.outer(gx, gz_amp).astype(dtype)
         t_k = T[:, -1] + thermal.KELVIN_OFFSET
         t_k *= t_k
@@ -420,13 +443,13 @@ def lockstep_block(runs, p, grid, dtype=np.float32):
     gz = thermal._depth_deposit(nz, dz, p.h, p.z0)
     j0 = int(np.flatnonzero(gz)[0])
     gz_amp = gz[j0:, None] * amp[:, None, None]
-    deposit = np.empty((thermal.DEPOSIT_STEPS, len(order), nz - j0, nx), dtype)
+    deposit = np.empty((thermal.CHUNK_STEPS, len(order), nz - j0, nx), dtype)
     tc_k4 = (p.Tc + thermal.KELVIN_OFFSET) ** 4
     rad = thermal.STEFAN_BOLTZMANN_MM * p.eps_s / dz
     i, j, wx, wz = thermal._bilinear_cell((nx, nz), dx / 2, dx, dz / 2, dz, p.l / 2.0, p.h)
     corners = (j + np.array([0, 1, 0, 1])) * nx + i + np.array([0, 0, 1, 1])
     corners = corners[:, None] + cells * np.arange(len(order))  # (4, runs), flat in T
-    chunk = np.empty((thermal.DEPOSIT_STEPS, 4, len(order)), dtype)
+    chunk = np.empty((thermal.CHUNK_STEPS, 4, len(order)), dtype)
 
     def blend(rows):
         return thermal._bilinear(np.moveaxis(rows.reshape(-1, 2, 2, len(order)), 0, 2),
@@ -437,13 +460,13 @@ def lockstep_block(runs, p, grid, dtype=np.float32):
     fail = np.zeros(len(order), int)
     n, built = len(order), 0
     with np.errstate(all="ignore"):
-        for start in range(1, n_steps[0] + 1, thermal.DEPOSIT_STEPS):
-            stop = min(start + thermal.DEPOSIT_STEPS, n_steps[0] + 1)
+        for start in range(1, n_steps[0] + 1, thermal.CHUNK_STEPS):
+            stop = min(start + thermal.CHUNK_STEPS, n_steps[0] + 1)
             while n_steps[n - 1] < start:
                 n -= 1
             ahead = np.arange(start - 1, stop - 1)
             beam = v[:n, None] * (ahead[:, None, None] * dt[:n, None])
-            gx = thermal._gauss_deposit(x_edges, beam, p.r, dx)
+            gx = gauss_deposit(x_edges, beam, p.r, dx)
             np.multiply(gx[:, :, None], gz_amp[:n], out=deposit[: stop - start, :n],
                         casting="same_kind")
             for k, step in enumerate(range(start, stop)):
@@ -457,7 +480,7 @@ def lockstep_block(runs, p, grid, dtype=np.float32):
                     sides = fx[1 : m + 1], fx[:m], fz[nx : m + nx], fz[:m]
                     rate_beam, T_top, rate_top = rate3[:n, j0:], T3[:n, -1], rate3[:n, -1]
                     heatn = [a[:m] for a in heat]
-                thermal._poly(Tn, cond, out=kapn)
+                _poly(Tn, cond, out=kapn)
                 # each face's share of its two cells' rates: (kappa'_i + kappa'_j)
                 # [dx^2 / dz^2 on z] (T_j - T_i)
                 for weight, flux, kap_j, kap_i, T_j, T_i, diff, wall in flux_views:
@@ -473,7 +496,7 @@ def lockstep_block(runs, p, grid, dtype=np.float32):
                 hot = T_top + thermal.KELVIN_OFFSET
                 hot *= hot
                 rate_top -= (hot * hot - tc_k4) * rad
-                thermal._poly(Tn, heatn, out=denn)
+                _poly(Tn, heatn, out=denn)
                 raten /= denn
                 Tn += raten
                 np.maximum(peakn, Tn, out=peakn)

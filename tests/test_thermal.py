@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from oracles import (
     folded_constants,
+    gauss_deposit,
     heat_flux,
     lockstep_batch,
     lockstep_block,
@@ -128,7 +129,7 @@ class TestHeatFlux:
         dx, dz = p.l / grid.cells_x, p.h / grid.cells_z
         t = 0.0012
         edges = np.arange(grid.cells_x + 1) * dx
-        gx = thermal._gauss_deposit(edges, d.v * t, p.r, dx)
+        gx = gauss_deposit(edges, d.v * t, p.r, dx)
         gz = thermal._depth_deposit(grid.cells_z, dz, p.h, p.z0)
         amp = 2.0 * p.A * d.P / (np.pi * p.r**2 * p.z0)
         i, j = 24, grid.cells_z - 1  # top row cell near the beam
@@ -140,53 +141,6 @@ class TestHeatFlux:
         )
         quad = float(np.mean(vals))
         assert amp * gx[i] * gz[j] == pytest.approx(quad, rel=1e-4)
-
-
-class TestErf:
-    """The package's own erf (a port of fdlibm's s_erf.c) against math.erf."""
-
-    # the branch edges; the third is the double whose high word is 0x4006DB6E
-    EDGES = (0.84375, 1.25, 1.0 / 0.35, 2.8571434020996094, 6.0)
-
-    @staticmethod
-    def ulps(got, want):
-        return np.abs(got - want) / np.spacing(np.abs(want))
-
-    def test_within_one_ulp_of_math_erf(self):
-        x = np.linspace(-6.5, 6.5, 2_000_001)
-        edges = np.array(self.EDGES)
-        around = np.concatenate([edges, np.nextafter(edges, 0.0),
-                                 np.nextafter(edges, np.inf)])
-        x = np.concatenate([x, around, -around])
-        want = np.array([math.erf(t) for t in x])
-        assert self.ulps(thermal._erf(x), want).max() <= 1.0
-
-    def test_exactly_odd(self):
-        x = np.linspace(0.0, 7.0, 700_001)
-        got, mirror = thermal._erf(x), thermal._erf(-x)
-        assert np.array_equal(mirror, -got)
-        assert np.array_equal(np.signbit(mirror[1:]), np.ones(x.size - 1, bool))
-
-    def test_special_values(self):
-        got = thermal._erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
-        assert np.array_equal(got[:4], [0.0, 0.0, 1.0, -1.0])
-        assert list(np.signbit(got[:2])) == [False, True]
-        assert np.isnan(got[4])
-
-    def test_shape_changes_no_value(self):
-        # a scalar, one step's (runs, edges) and a chunk of steps' worth
-        rng = np.random.default_rng(21)
-        x = rng.uniform(-9.0, 9.0, size=(64, 16, 65))
-        x.flat[:15] = np.concatenate([np.array(self.EDGES), np.nextafter(self.EDGES, 0.0),
-                                      np.nextafter(self.EDGES, np.inf)])
-        chunk = thermal._erf(x)
-        assert chunk.shape == x.shape
-        for k in range(x.shape[0]):
-            assert np.array_equal(thermal._erf(x[k]), chunk[k])
-        for k in (0, 37):
-            scalars = [thermal._erf(t) for t in x[k].ravel().tolist()]
-            assert all(s.shape == () for s in scalars)
-            assert np.array_equal(np.reshape(scalars, x[k].shape), chunk[k])
 
 
 class TestMaterialProps:
@@ -475,11 +429,11 @@ class TestLockstepBatch:
 
 
     def test_runs_ending_inside_a_deposit_chunk_match_per_run_loop(self):
-        # one block whose runs take DEPOSIT_STEPS - 1, DEPOSIT_STEPS,
-        # DEPOSIT_STEPS + 1 and 2 DEPOSIT_STEPS + 1 steps, so runs drop out
-        # of the block inside a chunk of erf rows and at its ends
+        # one block whose runs take CHUNK_STEPS - 1, CHUNK_STEPS,
+        # CHUNK_STEPS + 1 and 2 CHUNK_STEPS + 1 steps, so runs drop out
+        # of the block inside a chunk of steps and at its ends
         p, grid, z = ModelParams(), self.GRID, NOMINAL_Z
-        chunk = thermal.DEPOSIT_STEPS
+        chunk = thermal.CHUNK_STEPS
         targets = [chunk - 1, chunk, chunk + 1, 2 * chunk + 1]
 
         def steps(v):
@@ -518,7 +472,7 @@ class TestLockstepBatch:
         assert [plan[2] for _, _, plan in block[:5]] == targets
         results = {}
         for chunk in (1, 7, 32, 64):
-            monkeypatch.setattr(thermal, "DEPOSIT_STEPS", chunk)
+            monkeypatch.setattr(thermal, "CHUNK_STEPS", chunk)
             results[chunk] = thermal._step_block(block, p, grid)
         error = results[1][5]
         assert isinstance(error, SimulationError)
@@ -545,7 +499,7 @@ class TestLockstepBatch:
 
     def test_run_leaving_the_band_mid_chunk_is_checked_after_its_steps(self):
         # at the 3 Tliq plan the powered slow scan leaves the probe band at step
-        # 131, inside its third erf chunk; the others end at steps 52 and 71,
+        # 131, inside its third chunk; the others end at steps 52 and 71,
         # before it, and 282, after it, and none fails
         p, grid, z = ModelParams(), self.GRID, NOMINAL_Z
         failing = (DesignPoint(100.0, 2000.0), z)
@@ -553,7 +507,7 @@ class TestLockstepBatch:
                 (DesignPoint(400.0, 150.0), z)]
         with pytest.raises(SimulationError) as alone:
             thermal.simulate(*failing, p, grid)
-        assert alone.value.step % thermal.DEPOSIT_STEPS not in (0, 1)
+        assert alone.value.step % thermal.CHUNK_STEPS not in (0, 1)
         block = planned(runs, p, grid, 3.0)
         assert sorted(plan[2] for _, _, plan in block)[-2] > alone.value.step
         raw = thermal._step_block(block, p, grid)
@@ -569,7 +523,7 @@ class TestLockstepBatch:
         self, monkeypatch
     ):
         # every run leaves the probe band at the 3 Tliq plan, the last at step
-        # 111 of the longest run's 282; stepping on would take 5 erf chunks
+        # 111 of the longest run's 282; stepping on would take 5 chunks
         p, grid, z = ModelParams(), self.GRID, NOMINAL_Z
         runs = [(DesignPoint(v, P), z) for v, P in ((100.0, 5000.0), (120.0, 3000.0),
                                                     (300.0, 3000.0))]
@@ -579,11 +533,11 @@ class TestLockstepBatch:
                 thermal.simulate(*run, p, grid)
             errors.append(alone.value)
         block = planned(runs, p, grid, 3.0)
-        chunks = -(-max(e.step for e in errors) // thermal.DEPOSIT_STEPS)
-        assert chunks < -(-block[0][2][2] // thermal.DEPOSIT_STEPS)
-        deposit, calls = thermal._gauss_deposit, []
-        monkeypatch.setattr(thermal, "_gauss_deposit",
-                            lambda *a: calls.append(1) or deposit(*a))
+        chunks = -(-max(e.step for e in errors) // thermal.CHUNK_STEPS)
+        assert chunks < -(-block[0][2][2] // thermal.CHUNK_STEPS)
+        kernel, calls = thermal._step_kernel(), []
+        monkeypatch.setattr(thermal, "_step_kernel",
+                            lambda: lambda *a: calls.append(1) or kernel(*a))
         raw = thermal._step_block(block, p, grid)
         assert len(calls) == chunks
         for run, r, alone in zip(runs, raw, errors, strict=True):
@@ -1016,11 +970,11 @@ class TestAlignedFields:
         kernel, step = thermal._step_kernel(), thermal._step_block
         offsets, blocks = set(), []
 
-        def off_line(a):  # a copy of a whose first element is 4 bytes past a cache line
-            if not (isinstance(a, np.ndarray) and a.dtype == thermal.FIELD_DTYPE):
+        def off_line(a):  # a copy of a whose first element is one element past a cache line
+            if not (isinstance(a, np.ndarray) and a.dtype in (thermal.FIELD_DTYPE, np.float64)):
                 return a
             raw = np.empty(a.nbytes + 128, np.uint8)
-            at = -raw.ctypes.data % 64 + 4
+            at = -raw.ctypes.data % 64 + a.itemsize
             b = raw[at : at + a.nbytes].view(a.dtype).reshape(a.shape)
             b[...] = a
             offsets.add(b.ctypes.data % 64)
@@ -1036,7 +990,7 @@ class TestAlignedFields:
         monkeypatch.setattr(thermal, "_step_block",
                             lambda runs, *a: blocks.append(len(runs)) or step(runs, *a))
         shifted = thermal.simulate_batch(designs, inputs, p, grid)
-        assert thermal.FIELD_DTYPE == np.float32 and offsets == {4}
+        assert thermal.FIELD_DTYPE == np.float32 and offsets == {4, 8}
         assert blocks == [5, 1]  # the hot run's 3 Tliq solve
         for a, b in zip(aligned, shifted, strict=True):
             assert_same(a, b)
@@ -1117,34 +1071,66 @@ class TestCompiledStep:
             assert_same(a, b)
 
     @staticmethod
-    def chunk_args(nx=4, nz=4):
-        """One valid call of the C step: a 1-run block at 1000 degC, one step."""
+    def chunk_args(nx=4, nz=4, j0=2, runs=2, v=0.5, dt=1.0, step=2):
+        """One valid call of the C step: a block of runs at 0 degC, so that no
+        bit of a deposit is lost in the sum, with no radiation and rho cp / dt
+        = 2, one step, on cells 0.125 mm wide, every beam of radius 0.2 mm at
+        x = v (step - 1) dt."""
         f32 = np.float32
-        return dict(nx=nx, nz=nz, j0=2, runs=1, n=1, start=1, stop=2,
-                    n_steps=np.ones(1, np.int64), T=np.full(nx * nz, 1000.0, f32),
-                    peak=np.full(nx * nz, 1000.0, f32), kap=np.empty(nx * nz, f32),
-                    rows=np.empty(3 * nx + 1, f32), heat=np.ones((3, 1), f32),
-                    deposit=np.ones((1, 1, nz - 2, nx), f32),
-                    corners=np.arange(4, dtype=np.int64), chunk=np.empty((1, 4, 1), f32),
-                    consts=(1e-3, 0.0, 0.0, 1.0, 273.15, 0.0, 0.0))
+        return dict(nx=nx, nz=nz, j0=j0, runs=runs, n=runs, start=step, stop=step + 1,
+                    n_steps=np.full(runs, step, np.int64), T=np.zeros(runs * nx * nz, f32),
+                    peak=np.zeros(runs * nx * nz, f32),
+                    kap=np.empty(runs * nx * nz, f32), rows=np.empty(3 * nx + 1, f32),
+                    heat=np.repeat(np.array([[2.0], [0.0], [0.0]], f32), runs, 1),
+                    v=np.full(runs, v), dt=np.full(runs, dt),
+                    gz_amp=np.linspace(1e3, 9e3, runs * (nz - j0)).reshape(runs, nz - j0),
+                    gx=np.empty(nx + 1), corners=np.arange(4, dtype=np.int64),
+                    chunk=np.empty((1, 4, runs), f32),
+                    consts=(1e-3, 0.0, 0.0, 1.0, 273.15, 0.0, 0.0, 0.125, 0.2))
 
     def test_arrays_of_another_dtype_or_layout_are_refused(self):
         step, args = thermal._step_kernel(), self.chunk_args()
         *head, consts = args.values()
         step(*head, *consts)
-        # on the deposit rows, rate 1 over rho cp / dt = 1000 + 1000 + 1e6
-        assert args["T"][-1] == np.float32(1000.0) + np.float32(1.0) / np.float32(1002001.0)
-        strided = np.ones((1, 1, 2, 2 * args["nx"]), np.float32)[..., ::2]
-        for key, bad in (("T", args["T"].astype(np.float64)),
-                         ("T", np.empty(2 * args["T"].size, np.float32)[::2]),
-                         ("deposit", strided), ("n_steps", np.ones(1, np.int32)),
-                         ("corners", args["corners"].astype(np.float32))):
+        assert args["T"][-1] > 0.0  # the top row's last cell takes the beam
+
+        def strided(a):
+            return np.repeat(a, 2, axis=-1)[..., ::2]
+        for key, bad in (("T", args["T"].astype(np.float64)), ("T", strided(args["T"])),
+                         ("n_steps", np.ones(2, np.int32)),
+                         ("corners", args["corners"].astype(np.float32)),
+                         *((key, args[key].astype(np.float32)) for key in
+                           ("v", "dt", "gz_amp", "gx")),
+                         *((key, strided(args[key])) for key in ("v", "dt", "gz_amp"))):
             assert bad.shape == args[key].shape
             *head, consts = {**args, key: bad}.values()
             before = args["T"].copy()
             with pytest.raises(ctypes.ArgumentError):
                 step(*head, *consts)
             assert np.array_equal(args["T"], before)
+
+    @pytest.mark.parametrize("v, dt, step", [
+        (0.0, 1.0, 2), (1.0, 1.0, 2), (2.0, 1.0, 2), (np.nextafter(0.625, 1.0), 1.0, 2),
+        (232.5, 2.0 / 232.5 / 481, 241),  # where v ((step - 1) dt) != (v (step - 1)) dt
+    ], ids=["x=0", "x=l/2", "x=l", "an ulp off a cell edge", "mid-scan"])
+    def test_one_step_deposit_matches_the_oracle(self, v, dt, step):
+        # one run at uniform T, so no face carries flux, and no radiation: each
+        # deposit row gains its deposit over rho cp / dt = 2, in the oracle's
+        # cell averages (math.erf), on 16 cells of 0.125 mm, l = 2 mm; the step
+        # leaves its beam's float64 cell averages in its gx row
+        nx, nz, j0 = 16, 6, 3
+        args = self.chunk_args(nx, nz, j0, runs=1, v=v, dt=dt, step=step)
+        *head, consts = args.values()
+        before = args["T"].reshape(nz, nx).copy()
+        thermal._step_kernel()(*head, *consts)
+        *_, dx, spot = consts
+        gx = gauss_deposit(np.arange(nx + 1) * dx, v * ((step - 1) * dt), spot, dx)
+        assert np.array_equal(args["gx"][:nx], gx)
+        deposit = np.outer(gx, args["gz_amp"][0]).T.astype(np.float32)
+        assert deposit.max() > 1e3
+        after = args["T"].reshape(nz, nx)
+        assert np.array_equal(after[j0:], before[j0:] + deposit / np.float32(2.0))
+        assert np.array_equal(after[:j0], before[:j0])
 
     def test_missing_compiler_is_named_before_any_step(self, monkeypatch, tmp_path):
         monkeypatch.setenv("PATH", str(tmp_path))  # no compiler on it
@@ -1186,8 +1172,8 @@ class TestCompiledStep:
 
     def test_fresh_interpreters_build_once(self, tmp_path):
         # importing builds nothing; the first batch, over a pool of two, builds
-        # once in the parent; a second interpreter finds the build and only
-        # asks the compiler for its version
+        # once in the parent, linking libm after the source; a second
+        # interpreter finds the build and only asks the compiler for its version
         real = shutil.which("cc")
         assert real is not None
         bin_dir, log = tmp_path / "bin", tmp_path / "cc.log"
@@ -1214,6 +1200,8 @@ class TestCompiledStep:
         first = run(batch)
         builds = [line for line in first if line != "--version"]
         assert len(builds) == 1 and " ".join(thermal._CFLAGS) in builds[0]
+        words = builds[0].split()
+        assert words.index("-lm") > words.index(str(src / "pbfopt" / "_step.c"))
         assert run(batch)[len(first):] == ["--version"]
         [lib] = (tmp_path / "cache" / "pbfopt").iterdir()
         assert lib.suffix == ".so"
@@ -1223,11 +1211,11 @@ class TestAllocationPeak:
     """The memory one batch allocates at its peak, as tracemalloc traces it
     (numpy reports its array buffers there)."""
 
-    # 2.74 MiB on the seed-0 44-run training DOE at the default grid, 4.90 MiB
-    # with 64-step erf chunks; the erf chunk's temporaries set it
+    # 0.61 MiB on the seed-0 44-run training DOE at the default grid, with the
+    # deposit in the C step (2.77 MiB with a numpy erf on 32-step chunks)
     BOUND_MIB = 4.0
-    # 2.57 MiB on the 50 seed-3 validation draws at the baseline d*, in blocks
-    # of 12 and 13 runs of equal step count
+    # 0.66 MiB on the 50 seed-3 validation draws at the baseline d*, in blocks
+    # of 12 and 13 runs of equal step count (2.54 MiB with the numpy erf)
     VALIDATION_BOUND_MIB = 3.5
 
     @staticmethod
