@@ -384,9 +384,10 @@ def _cache_dir() -> Path:
 
 
 def _build(source: Path, cache: Path) -> Path:
-    """The shared library of the C source, compiled by _CC with _CFLAGS into the
-    cache directory cache unless a build of the same source, compiler version
-    and flags is there: compiled to a temporary file there, then moved in place."""
+    """The shared library of the C source, compiled by _CC with _CFLAGS and linked
+    with _LIBS into the cache directory cache unless a build of the same source,
+    compiler version and flags is there: compiled to a temporary file there,
+    then moved in place."""
     import shutil
     import subprocess
     import tempfile
