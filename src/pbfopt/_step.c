@@ -8,11 +8,9 @@
  * operations of the numpy step this replaces, in their order, so the bits
  * do not depend on the block or the build: faces across a wall carry no
  * flux, and nothing here is contracted into a fused multiply-add
- * (-ffp-contract=off).  The beam's cell averages along x are exact erf
- * integrals, in double with libm's erf, one row of nx + 1 cell edges per
- * run and step, and each cell adds its double deposit cast to float; no
- * deposit is stored.  Every helper is static: glibc exports a legacy step()
- * of its own.
+ * (-ffp-contract=off).  The beam deposit is computed here, in double with
+ * libm's erf, and cast to float per cell; none is stored.  Every helper is
+ * static: glibc exports a legacy step() of its own.
  */
 #include <math.h>
 #include <stdint.h>
@@ -59,9 +57,9 @@ static void step_row(int64_t nx, int top, float *restrict t, float *restrict pea
  * beam amplitude per row from j0 as (runs, rows), corners the probe's four
  * cells within a run; each step's corner temperatures of every run go to
  * chunk as (step, 4, runs).  kap takes kappa' over the block, rows 3 nx + 1
- * floats of face buffers and gx nx + 1 doubles of the beam's row.  The beam of
- * a cell of width dx and spot radius spot at b averages
- * sqrt(pi / 8) (spot / dx) (erf(sqrt 2 (x1 - b) / spot) - erf(sqrt 2 (x0 - b) / spot)). */
+ * floats of face buffers and gx nx + 1 doubles of the beam's row: a beam of
+ * radius spot at b puts sqrt(pi / 8) (spot / dx) (erf(sqrt 2 (x1 - b) / spot)
+ * - erf(sqrt 2 (x0 - b) / spot)) on the cell [x0, x1]. */
 void pbfopt_step_chunk(int64_t nx, int64_t nz, int64_t j0, int64_t runs, int64_t n,
                        int64_t start, int64_t stop, const int64_t *n_steps,
                        float *T, float *peak, float *kap, float *rows,
@@ -90,8 +88,9 @@ void pbfopt_step_chunk(int64_t nx, int64_t nz, int64_t j0, int64_t runs, int64_t
             memset(below, 0, (size_t)nx * sizeof *below);
             for (int64_t j = 0; j < nz; j++) {
                 int64_t at = r * cells + j * nx;
-                step_row(nx, j == nz - 1, T + at, peak + at, kap + at, fx, above,
-                         below, j >= j0 ? gx : NULL, j >= j0 ? gz_amp[r * beam + j - j0] : 0.0,
+                int lit = j >= j0;
+                step_row(nx, j == nz - 1, T + at, peak + at, kap + at, fx, above, below,
+                         lit ? gx : NULL, lit ? gz_amp[r * beam + j - j0] : 0.0,
                          heat[r], heat[runs + r], heat[2 * runs + r],
                          wz, kelvin, tc4, rad);
                 float *swap = below;
