@@ -11,16 +11,34 @@
  * (-ffp-contract=off).  The beam deposit is computed here, in double with
  * libm's erf, and cast to float per cell; none is stored.  Every helper is
  * static: glibc exports a legacy step() of its own.
+ *
+ * CLONES has GCC emit the step three times, for x86-64-v4 (AVX-512),
+ * x86-64-v3 (AVX2) and the portable default, and glibc's loader picks one for
+ * the CPU when the library is opened (an ifunc).  The row takes it too: it is
+ * not inlined, and each clone of the step then calls its own clone of the row.
+ * Only GCC 11 or later on an x86-64 ELF target with glibc does this; anywhere
+ * else CLONES is empty and the one body is portable.  The bits do not depend
+ * on the clone: float add, multiply and divide and the double deposit product
+ * with its cast round the same at any vector width, nothing is reassociated or
+ * fused, and every clone calls libm's scalar erf.
  */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+#if defined(__GNUC__) && __GNUC__ >= 11 && !defined(__clang__) && defined(__x86_64__) \
+    && defined(__ELF__) && defined(__GLIBC__)
+#define CLONES __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#else
+#define CLONES
+#endif
 
 /* One row of one run: its x faces into fx (nx + 1, zero walls), its up faces
  * into up (zero on the top row), the rate with the deposit gx * amp (or none)
  * and, on the top row, the radiation, then T += rate / (rho cp / dt) in place
  * and the peak.  down holds the row below's up faces, computed before that
  * row's update, so no later row reads this row's old T. */
+CLONES
 static void step_row(int64_t nx, int top, float *restrict t, float *restrict peak,
                      const float *restrict kap, float *restrict fx,
                      float *restrict up, const float *restrict down,
@@ -60,6 +78,7 @@ static void step_row(int64_t nx, int top, float *restrict t, float *restrict pea
  * floats of face buffers and gx nx + 1 doubles of the beam's row: a beam of
  * radius spot at b puts sqrt(pi / 8) (spot / dx) (erf(sqrt 2 (x1 - b) / spot)
  * - erf(sqrt 2 (x0 - b) / spot)) on the cell [x0, x1]. */
+CLONES
 void pbfopt_step_chunk(int64_t nx, int64_t nz, int64_t j0, int64_t runs, int64_t n,
                        int64_t start, int64_t stop, const int64_t *n_steps,
                        float *T, float *peak, float *kap, float *rows,

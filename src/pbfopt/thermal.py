@@ -40,12 +40,18 @@ corners.  Each cell takes the float operations of a numpy step in their order
 results are those bits on any machine whose libm has that erf: it is built
 without -march and without fused multiply-adds (_CFLAGS), and radiation's
 T_K^4 is (T_K^2)^2, plain IEEE arithmetic where numpy's float32 ** 4 follows
-its SIMD dispatch.  The first simulation in a process builds it with the
-system C compiler (_CC, "cc", which must be on PATH; without one it raises
-OSError before any step), linked to libm (_LIBS), unless a build of the same
-source, compiler version and flags is in $XDG_CACHE_HOME/pbfopt or
-~/.cache/pbfopt, and loads it with ctypes, before any process pool starts, so
-that the pool's processes inherit it.
+its SIMD dispatch.  GCC 11 or later with glibc on x86-64 builds three clones
+of the step into the one library, for AVX-512 (x86-64-v4), AVX2 (x86-64-v3)
+and the portable default, and the loader picks one for the CPU when the
+library is opened; any other platform builds the portable step alone
+(_step.c's CLONES).  The clones give the same bits: each float operation
+rounds the same at any vector width, none is reassociated or fused, and each
+clone calls libm's scalar erf.  The first simulation in a process builds
+the library with the system C compiler (_CC, "cc", which must be on PATH;
+without one it raises OSError before any step), linked to libm (_LIBS),
+unless a build of the same source, compiler version and flags is in
+$XDG_CACHE_HOME/pbfopt or ~/.cache/pbfopt, and loads it with ctypes, before
+any process pool starts, so that the pool's processes inherit it.
 
 The fields, 3 per-cell arrays (temperature, peak and kappa), are FIELD_DTYPE,
 float32, which halves the bytes that a step moves; the C step takes float32
@@ -94,7 +100,7 @@ FIELD_DTYPE = np.float32  # the fields' dtype, the C step's float; see the modul
 CHUNK_STEPS = 32
 # the C compiler that builds _step.c on first use, and its flags: no fused
 # multiply-adds, which would change the step's bits, and no -march, which would
-# tie the build to one machine
+# tie the build to one machine (_step.c's clones cover AVX2 and AVX-512)
 _CC = "cc"
 _CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 _LIBS = ("-lm",)  # the libraries it links, after the source: erf is libm's

@@ -13,6 +13,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import clones
 import numpy as np
 import pytest
 from oracles import (
@@ -1205,6 +1206,32 @@ class TestCompiledStep:
         assert run(batch)[len(first):] == ["--version"]
         [lib] = (tmp_path / "cache" / "pbfopt").iterdir()
         assert lib.suffix == ".so"
+
+
+class TestClones:
+    """TestCompiledStep's grid and deposit cases, bit for bit against the
+    oracles, on each clone of the step: a copy of _step.c with its clone list
+    cut to one target and "default", built and loaded in place of
+    _step_kernel, which the loader must dispatch to that target's clone; and
+    on a copy without clones, the portable build of any other platform."""
+
+    @pytest.fixture(autouse=True, scope="class", params=[*clones.TARGETS, None],
+                    ids=lambda target: target or "no clones")
+    def clone(self, request, tmp_path_factory):
+        target = request.param
+        if target and (reason := clones.unsupported(target)):
+            pytest.skip(reason)
+        folder = tmp_path_factory.mktemp("clone")
+        step = clones.load(clones.cut_source(target, folder), folder)
+        assert clones.dispatched(step) == (target and clones.suffix(target))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(thermal, "_step_kernel", lambda: step)
+            yield
+
+    chunk_args = staticmethod(TestCompiledStep.chunk_args)
+    test_grids_match_the_numpy_step = TestCompiledStep.test_grids_match_the_numpy_step
+    test_one_step_deposit_matches_the_oracle = (
+        TestCompiledStep.test_one_step_deposit_matches_the_oracle)
 
 
 class TestAllocationPeak:
