@@ -382,7 +382,7 @@ def _synthetic_rows(cfg: PipelineConfig, xi: np.ndarray):
 def _run_batch(cfg: PipelineConfig, rows: np.ndarray, what: str):
     """The batch as two float64 matrices (T, S), one row per run in run-index
     order: probe histories and serialized stress rows.  The runs advance in
-    lockstep blocks (thermal.simulate_batch), over a process pool if workers > 1."""
+    lockstep blocks (thermal.simulate_batch), over a thread pool if workers > 1."""
     if cfg.synthetic:
         T, S = zip(*(_synthetic_rows(cfg, xi) for xi in rows))
         return np.array(T), np.array(S)

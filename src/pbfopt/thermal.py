@@ -50,8 +50,8 @@ clone calls libm's scalar erf.  The first simulation in a process builds
 the library with the system C compiler (_CC, "cc", which must be on PATH;
 without one it raises OSError before any step), linked to libm (_LIBS),
 unless a build of the same source, compiler version and flags is in
-$XDG_CACHE_HOME/pbfopt or ~/.cache/pbfopt, and loads it with ctypes, before
-any process pool starts, so that the pool's processes inherit it.
+$XDG_CACHE_HOME/pbfopt or ~/.cache/pbfopt, and loads it with ctypes.  ctypes
+releases the GIL for each call, so blocks on a thread pool step in parallel.
 
 The fields, 3 per-cell arrays (temperature, peak and kappa), are FIELD_DTYPE,
 float32, which halves the bytes that a step moves; the C step takes float32
@@ -117,9 +117,6 @@ class SimulationError(RuntimeError):
     def __init__(self, message: str, step: int, run: int = 0):
         super().__init__(message)
         self.step, self.run = step, run
-
-    def __reduce__(self):  # multi-argument init needs explicit pickle support
-        return (SimulationError, (self.args[0], self.step, self.run))
 
 
 @dataclass(frozen=True)
@@ -536,28 +533,26 @@ def simulate_batch(designs, inputs, p: ModelParams | None = None,
     Every run is checked and planned before any steps.  Sorted by step count,
     the runs go in as many blocks as BLOCK_RUNS-run ones would take, of sizes
     that differ by at most one, and every block goes to _solve_field; with
-    workers > 1 over a pool of that many processes, or one per block if fewer,
-    which changes no result.
+    workers > 1 over a pool of that many threads, which changes no result.
     The lowest-indexed failed run raises its SimulationError with .run set."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
     p = ModelParams() if p is None else p
     grid = SimGridConfig() if grid is None else grid
     runs = [(d, z, _plan(d, z, p, grid)) for d, z in zip(designs, inputs, strict=True)]
-    _step_kernel()  # built and loaded here, so a pool's processes inherit it
+    _step_kernel()  # built once, before any pool thread, and no compiler raises here
     order = sorted(range(len(runs)), key=lambda k: -runs[k][2][2])
     count = -(-len(order) // BLOCK_RUNS)
     blocks = [order[len(order) * i // count : len(order) * (i + 1) // count]
               for i in range(count)]
     solve = partial(_solve_field, p=p, grid=grid)
     jobs = [[runs[k] for k in block] for block in blocks]
-    workers = min(workers, len(jobs))  # a pool starts all its processes at once
-    if workers <= 1:
+    if workers == 1:  # in the calling thread
         solved = map(solve, jobs)
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
-        with ProcessPoolExecutor(workers) as pool:
+        with ThreadPoolExecutor(workers) as pool:
             solved = list(pool.map(solve, jobs))
     snaps = [None] * len(runs)
     for block, results in zip(blocks, solved):

@@ -5,11 +5,11 @@ import functools
 import json
 import math
 import os
-import pickle
 import re
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -547,7 +547,7 @@ class TestLockstepBatch:
 
     @pytest.mark.parametrize("count", [0, 17, 50])
     def test_blocks_are_balanced(self, monkeypatch, count):
-        # as many blocks as runs of BLOCK_RUNS take, so a process pool gets as
+        # as many blocks as runs of BLOCK_RUNS take, so a thread pool gets as
         # many, with sizes that differ by at most one
         rng, grid = np.random.default_rng(22), SimGridConfig(16, 8)
         bounds = {**thermal.DESIGN_BOUNDS, **thermal.RANDOM_INPUT_BOUNDS}
@@ -613,7 +613,7 @@ class TestFlatBlock:
 
 
 class TestWorkers:
-    """A process pool solves the same blocks: same snapshots, same error."""
+    """A thread pool solves the same blocks: same snapshots, same error."""
 
     def test_failing_batch_raises_the_same_error_under_a_pool(self, monkeypatch):
         grid, z = SimGridConfig(16, 8), NOMINAL_Z
@@ -635,46 +635,63 @@ class TestWorkers:
             assert np.array_equal(a.temps, b.temps)
             assert np.array_equal(a.peak_field, b.peak_field)
 
-    def test_pool_has_no_more_processes_than_blocks(self, monkeypatch):
-        # a fork pool starts all of its processes at the first submit, so
-        # workers beyond the block count would sit idle; no real pool starts
+    def test_pool_has_no_more_threads_than_blocks(self, monkeypatch):
+        # a thread pool starts a thread per submitted block at most, so 64
+        # workers on three blocks start three threads or fewer; one worker
+        # solves every block in the calling thread
         import concurrent.futures
 
-        sizes = []
+        sizes, started, solvers = [], [], set()
 
-        class Pool:
+        class Pool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
+                super().__init__(max_workers)
 
             def __exit__(self, *exc):
-                return False
+                try:
+                    return super().__exit__(*exc)
+                finally:
+                    started.append(len(self._threads))
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        solve = thermal._solve_field
+        monkeypatch.setattr(thermal, "_solve_field", lambda runs, **kw: solvers.add(
+            threading.get_ident()) or solve(runs, **kw))
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(thermal, "BLOCK_RUNS", 1)
         grid, designs = SimGridConfig(16, 8), ONE_FAILURE[2:5]
         serial = thermal.simulate_batch(designs, [NOMINAL_Z] * 3, grid=grid)
+        assert solvers == {threading.get_ident()} and sizes == []
+        solvers.clear()
         pooled = thermal.simulate_batch(designs, [NOMINAL_Z] * 3, grid=grid, workers=64)
-        thermal.simulate_batch(designs[:1], [NOMINAL_Z], grid=grid, workers=64)
-        assert sizes == [3]  # three blocks; the one-block batch runs in process
+        assert sizes == [64] and 1 <= started[0] <= 3
+        assert threading.get_ident() not in solvers and len(solvers) <= started[0]
         for a, b in zip(serial, pooled, strict=True):
             assert_same(a, b)
+
+    def test_other_errors_in_a_block_reach_the_caller(self, monkeypatch):
+        # an exception that is not a SimulationError, raised in one block's job
+        # on a pool thread, is raised by simulate_batch itself
+        class Boom(Exception):
+            pass
+
+        solve = thermal._solve_field
+
+        def fail_run_3(runs, **kw):
+            if runs[0][0] == ONE_FAILURE[3]:
+                raise Boom("block of run 3")
+            return solve(runs, **kw)
+        monkeypatch.setattr(thermal, "_solve_field", fail_run_3)
+        monkeypatch.setattr(thermal, "BLOCK_RUNS", 1)
+        designs = ONE_FAILURE[2:5]
+        with pytest.raises(Boom, match="block of run 3"):
+            thermal.simulate_batch(designs, [NOMINAL_Z] * 3, grid=SimGridConfig(16, 8),
+                                   workers=2)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_rejected(self, workers):
         with pytest.raises(ValueError, match="workers must be at least 1"):
             thermal.simulate_batch([DesignPoint(550.0, 110.0)], [NOMINAL_Z], workers=workers)
-
-    def test_simulation_error_survives_pickling(self):
-        # a pool worker sends a failed run's error back through pickle
-        error = pickle.loads(pickle.dumps(SimulationError("probe left the band", 17, 4)))
-        assert (type(error), str(error), error.step, error.run) == (
-            SimulationError, "probe left the band", 17, 4)
 
 
 class TestStepCeiling:
@@ -1062,14 +1079,22 @@ class TestCompiledStep:
                              ids=lambda g: f"{g.cells_x}x{g.cells_z}")
     def test_grids_match_the_numpy_step(self, p, grid):
         # row lengths odd and even, on and off the vector widths, move the C
-        # loops' remainders, the probe cell and the first deposit row; the four
-        # corners of the design box at the hottest and coldest preheats
+        # loops' remainders, the probe cell and the first deposit row
+        designs, inputs, expected = TestCompiledStep.grid_case(p, grid)
+        snaps = thermal.simulate_batch(designs, inputs, p, grid)
+        for a, b in zip(snaps, expected, strict=True):
+            assert_same(a, b)
+
+    @staticmethod
+    @functools.cache
+    def grid_case(p, grid):
+        """The four corners of the design box at the hottest and coldest
+        preheats, with the numpy step's snapshots on (p, grid): computed once
+        a session for this class and every build of TestClones."""
         designs = [DesignPoint(v, P) for v in thermal.DESIGN_BOUNDS["v"]
                    for P in thermal.DESIGN_BOUNDS["P"]] * 2
         inputs = [TestStepCeiling.CORNER[1]] * 4 + [RandomInputs(585.0, 825.0, 110.0, 673.2)] * 4
-        snaps = thermal.simulate_batch(designs, inputs, p, grid)
-        for a, b in zip(snaps, lockstep_batch(designs, inputs, p, grid), strict=True):
-            assert_same(a, b)
+        return designs, inputs, lockstep_batch(designs, inputs, p, grid)
 
     @staticmethod
     def chunk_args(nx=4, nz=4, j0=2, runs=2, v=0.5, dt=1.0, step=2):
@@ -1172,8 +1197,8 @@ class TestCompiledStep:
         assert cache.stat().st_mode & 0o777 == 0o700
 
     def test_fresh_interpreters_build_once(self, tmp_path):
-        # importing builds nothing; the first batch, over a pool of two, builds
-        # once in the parent, linking libm after the source; a second
+        # importing builds nothing; the first batch, over a pool of two threads,
+        # builds once, linking libm after the source; a second
         # interpreter finds the build and only asks the compiler for its version
         real = shutil.which("cc")
         assert real is not None
