@@ -22,20 +22,21 @@ or, at its end, its field is not finite or its peak is over the top; it is
 solved again with the 3 Tliq plan, under which a failure is final.  A run
 whose 3 Tliq plan would take over MAX_STEPS steps is rejected before any step.
 
-The probe (top-surface center) lies between four cells, and a step copies
-only those of each run.  After a chunk of steps they are blended as _bilinear
-blends, into the float64 probe trace, and checked against the band; a block
-whose runs have all failed stops at that chunk's end.  The trace is
-interpolated linearly between step ends to the 31 snapshot instants.
+The probe (top-surface center) lies between four cells.  After each step they
+are blended as _bilinear blends, into the float64 probe trace, and checked
+against the band; a block stops at the first multiple of CHUNK_STEPS (32) steps
+by which all its runs have failed.  The trace is interpolated linearly between
+step ends to the 31 snapshot instants.
 
-The step itself is C (_step.c), one call per chunk of CHUNK_STEPS (32) steps,
-row by row: kappa by Horner over the runs still stepping, then per run its
-beam's cell averages along x, exact erf integrals over one row of cell edges
-with libm's erf, and per cell row the x and z face fluxes into row buffers (the
-z faces below a row are the row below's, buffered before its update), the
-rate, the deposit, the top row's radiation, rho*Cp/dt by Horner in its run's
-three coefficients, the update in place and the peak, and last the probe
-corners.  Each cell takes the float operations of a numpy step in their order
+The step itself is C (_step.c), one call per block from its first step to its
+last.  Per run still stepping, a step takes its beam's cell averages along x,
+exact erf integrals over one row of cell edges with libm's erf, then flat
+passes over bands of the run's rows, 16 rows on the default grid: kappa by
+Horner, the x faces with those across a row end set to zero, the z faces with
+a zero row below and above, and the update, with the rate, the deposit on the
+rows the beam reaches, the top row's radiation, rho*Cp/dt by Horner in its
+run's three coefficients, T in place and the peak; and last the probe.  Each
+cell takes the float operations of a numpy step in their order
 (tests/oracles.py keeps that step, with math.erf, which is libm's), so its
 results are those bits on any machine whose libm has that erf: it is built
 without -march and without fused multiply-adds (_CFLAGS), and radiation's
@@ -53,15 +54,15 @@ unless a build of the same source, compiler version and flags is in
 $XDG_CACHE_HOME/pbfopt or ~/.cache/pbfopt, and loads it with ctypes.  ctypes
 releases the GIL for each call, so blocks on a thread pool step in parallel.
 
-The fields, 3 per-cell arrays (temperature, peak and kappa), are FIELD_DTYPE,
-float32, which halves the bytes that a step moves; the C step takes float32
-fields alone, and ctypes refuses an array of another dtype or layout.  The
-beam deposit is computed in float64, per cell as it is added, and cast there;
-no deposit is stored.  The per-run scalars, the beam positions and erf, the
-probe trace and the resampling stay float64, so every result is float64.
-Against float64 fields, over the 50 validation draws at the baseline optimum,
-the probe moves by at most 1.8e-3 degC and the peak field by 3.8e-3 degC,
-three orders under the step's own 4.8 degC time error there.
+The fields, the block's temperature and peak and one run's kappa and faces, are
+FIELD_DTYPE, float32, which halves the bytes that a step moves; the C step
+takes float32 fields alone, and ctypes refuses an array of another dtype or
+layout.  The beam deposit is computed in float64, per cell as it is added, and
+cast there; no deposit is stored.  The per-run scalars, the beam positions and
+erf, the probe trace and the resampling stay float64, so every result is
+float64.  Against float64 fields, over the 50 validation draws at the baseline
+optimum, the probe moves by at most 1.8e-3 degC and the peak field by 3.8e-3
+degC, three orders under the step's own 4.8 degC time error there.
 
 Units: mm, s, W, degC internally.  Conductivity is supplied in W/(m*K)
 and converted by 1e-3; density in kg/m^3 converted by 1e-9.
@@ -96,7 +97,7 @@ STEFAN_BOLTZMANN_MM = 5.67e-14  # W / (mm^2 K^4)
 KELVIN_OFFSET = 273.15
 BLOCK_RUNS = 16  # runs stepped together in one lockstep block
 FIELD_DTYPE = np.float32  # the fields' dtype, the C step's float; see the module docstring
-# steps per chunk: one call of the C step, then one probe check
+# a block whose runs have all failed stops at the first multiple of this many steps
 CHUNK_STEPS = 32
 # the C compiler that builds _step.c on first use, and its flags: no fused
 # multiply-adds, which would change the step's bits, and no -march, which would
@@ -423,18 +424,18 @@ def _build(source: Path, cache: Path) -> Path:
 
 @cache
 def _step_kernel():
-    """The compiled step, pbfopt_step_chunk of _step.c, built and loaded once per
+    """The compiled step, pbfopt_step_block of _step.c, built and loaded once per
     process; every array argument is checked for its dtype and C order."""
     import ctypes
 
     def array(dtype):
         return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
     lib = ctypes.CDLL(str(_build(Path(__file__).with_name("_step.c"), _cache_dir())))
-    fn = lib.pbfopt_step_chunk
-    fn.argtypes = ([ctypes.c_int64] * 7 + [array(np.int64)] + [array(FIELD_DTYPE)] * 5
-                   + [array(np.float64)] * 4 + [array(np.int64), array(FIELD_DTYPE)]
-                   + [ctypes.c_float] * 7 + [ctypes.c_double] * 2)
-    fn.restype = None
+    fn = lib.pbfopt_step_block
+    fn.argtypes = ([ctypes.c_int64] * 5 + [array(np.int64)] + [array(FIELD_DTYPE)] * 4
+                   + [array(np.float64)] * 4 + [array(np.int64)] + [array(np.float64)] * 2
+                   + [array(np.int64)] + [ctypes.c_float] * 7 + [ctypes.c_double] * 5)
+    fn.restype = ctypes.c_int64
     return fn
 
 
@@ -465,43 +466,25 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
     heat = np.array([a * rho / dt for a in (p.a0, p.a1, p.a2)], FIELD_DTYPE)
     cond = tuple(b * 1e-3 * 0.5 / dx**2 for b in (p.b0, p.b1, p.b2))
     T = np.repeat(t0.astype(FIELD_DTYPE), cells)
-    peak, kap = T.copy(), np.empty_like(T)
-    rows = np.empty(3 * nx + 1, FIELD_DTYPE)  # the C step's face buffers
-    gx = np.empty(nx + 1)  # and its beam row, float64
+    peak = T.copy()
+    scratch = np.empty(3 * cells + nx + 1, FIELD_DTYPE)  # one run's kappa and faces
+    gx = np.empty(nx + 1)  # the C step's beam row, float64
     T3, peak3 = T.reshape(-1, nz, nx), peak.reshape(-1, nz, nx)  # views
     gz = _depth_deposit(nz, dz, p.h, p.z0)  # per cell row, index 0 = bottom
     j0 = int(np.flatnonzero(gz)[0])  # the beam reaches rows j0 to the top
     gz_amp = gz[j0:] * amp[:, None]  # (runs, rows), float64
     tc_k4, rad = (p.Tc + KELVIN_OFFSET) ** 4, STEFAN_BOLTZMANN_MM * p.eps_s / dz
     # the probe keeps one cell and one set of bilinear weights throughout; a step
-    # copies only the cell's four corners (x, z offsets 00, 01, 10, 11) of each run
+    # blends only the cell's four corners (x, z offsets 00, 01, 10, 11) of each run
     i, j, wx, wz = _bilinear_cell((nx, nz), dx / 2, dx, dz / 2, dz, p.l / 2.0, p.h)
     corners = (j + np.array([0, 1, 0, 1])) * nx + i + np.array([0, 0, 1, 1])
-    chunk = np.empty((CHUNK_STEPS, 4, len(order)), FIELD_DTYPE)
-
-    def blend(rows):  # _bilinear's arithmetic on recorded corners, (steps, runs)
-        return _bilinear(np.moveaxis(rows.reshape(-1, 2, 2, len(order)), 0, 2), 0, 0, wx, wz)
     hi = TOP_CEILING * p.Tliq
-    trace = np.empty((n_steps[0] + 1, len(order)))  # probe at each step's end
-    trace[0] = blend(T.reshape(-1, cells)[:, corners].T[None])
-    fail = np.zeros(len(order), int)  # each run's first step out of the band, or 0
-    n, advance = len(order), _step_kernel()
-    with np.errstate(all="ignore"):  # a failed run steps on, never read
-        for start in range(1, n_steps[0] + 1, CHUNK_STEPS):
-            stop = min(start + CHUNK_STEPS, n_steps[0] + 1)
-            while n_steps[n - 1] < start:
-                n -= 1
-            advance(nx, nz, j0, len(order), n, start, stop, n_steps, T, peak, kap, rows,
-                    heat, v, dt, gz_amp, gx, corners, chunk, *cond, dx**2 / dz**2,
-                    KELVIN_OFFSET, tc_k4, rad, dx, p.r)
-            # the chunk's probe against the band; a run past its end repeats its
-            # last probe, so its first failure is at or before its own end
-            probe = trace[start:stop] = blend(chunk[: stop - start])
-            bad = ~((lo <= probe) & (probe <= hi))  # nan is out of the band
-            new = (fail == 0) & bad.any(0)
-            fail[new] = start + bad.argmax(0)[new]
-            if fail.all():  # every run has failed: no later step is read
-                break
+    trace = np.empty((n_steps[0] + 1, len(order)))  # each run's probe at its steps' ends
+    trace[0] = _bilinear(T3.T, i, j, wx, wz)
+    fail = np.zeros(len(order), np.int64)  # each run's first step out of the band, or 0
+    _step_kernel()(nx, nz, j0, len(order), CHUNK_STEPS, n_steps, T, peak, scratch, heat, v,
+                   dt, gz_amp, gx, corners, lo, trace, fail, *cond, dx**2 / dz**2,
+                   KELVIN_OFFSET, tc_k4, rad, dx, p.r, wx, wz, hi)
     # the peak field resampled to the 32x14 stress grid by clamped bilinear
     # interpolation, so it inherits the initial-condition floor T0
     xq, zq = np.meshgrid(np.linspace(0.0, p.l, STRESS_GRID_SHAPE[0]),

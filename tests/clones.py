@@ -42,7 +42,7 @@ def cut_source(target, folder: Path) -> Path:
 
 
 def load(source: Path, cache: Path):
-    """pbfopt_step_chunk of source, a file named _step.c, built by
+    """pbfopt_step_block of source, a file named _step.c, built by
     thermal._build into cache/pbfopt and loaded as thermal._step_kernel loads
     the package's own, argument checks included."""
     with pytest.MonkeyPatch.context() as patch:
@@ -57,7 +57,7 @@ class _DlInfo(ctypes.Structure):
 
 
 def dispatched(step):
-    """The clone that step, a loaded pbfopt_step_chunk, runs: its symbol's
+    """The clone that step, a loaded pbfopt_step_block, runs: its symbol's
     suffix in the library's symbol table ("arch_x86_64_v4" for the
     arch=x86-64-v4 clone, "default"), read with nm, or None for a build
     without clones."""
@@ -68,7 +68,7 @@ def dispatched(step):
                            check=True).stdout
     [name] = [name for value, kind, name in
               (line.split() for line in table.splitlines() if len(line.split()) == 3)
-              if kind in "tT" and name.startswith("pbfopt_step_chunk")
+              if kind in "tT" and name.startswith("pbfopt_step_block")
               and int(value, 16) == at - info.fbase]
     return name.partition(".")[2] or None
 

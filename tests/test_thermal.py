@@ -536,11 +536,11 @@ class TestLockstepBatch:
         block = planned(runs, p, grid, 3.0)
         chunks = -(-max(e.step for e in errors) // thermal.CHUNK_STEPS)
         assert chunks < -(-block[0][2][2] // thermal.CHUNK_STEPS)
-        kernel, calls = thermal._step_kernel(), []
+        kernel, taken = thermal._step_kernel(), []
         monkeypatch.setattr(thermal, "_step_kernel",
-                            lambda: lambda *a: calls.append(1) or kernel(*a))
+                            lambda: lambda *a: taken.append(kernel(*a)))
         raw = thermal._step_block(block, p, grid)
-        assert len(calls) == chunks
+        assert taken == [chunks * thermal.CHUNK_STEPS]  # steps the one call took
         for run, r, alone in zip(runs, raw, errors, strict=True):
             assert (str(r), r.step) == (str(alone), alone.step)
             assert (str(r), r.step) == self.probe_failure(run, p, grid)
@@ -573,6 +573,8 @@ class TestFlatBlock:
         (SimGridConfig(5, 9), ModelParams()),  # non-square, both orientations
         (SimGridConfig(9, 5), ModelParams()),
         (SimGridConfig(16, 8), ModelParams(z0=0.65)),  # the beam reaches every row
+        # three bands of rows in the C step, of 12, 12 and the top row, all lit
+        (SimGridConfig(80, 25), ModelParams(z0=0.65)),
     ])
     @pytest.mark.parametrize("v_hot, v_cold", [(250.0, 300.0), (300.0, 250.0)])
     def test_hot_and_cold_runs_share_a_block(self, grid, p, v_hot, v_cold):
@@ -1097,27 +1099,29 @@ class TestCompiledStep:
         return designs, inputs, lockstep_batch(designs, inputs, p, grid)
 
     @staticmethod
-    def chunk_args(nx=4, nz=4, j0=2, runs=2, v=0.5, dt=1.0, step=2):
-        """One valid call of the C step: a block of runs at 0 degC, so that no
-        bit of a deposit is lost in the sum, with no radiation and rho cp / dt
-        = 2, one step, on cells 0.125 mm wide, every beam of radius 0.2 mm at
-        x = v (step - 1) dt."""
+    def block_args(nx=4, nz=4, j0=2, runs=2, v=0.5, dt=1.0, steps=1):
+        """One valid call of the C step: a block of runs from 0 degC, so that no
+        bit of a first deposit is lost in the sum, with no conduction and no
+        radiation and with rho cp / dt = 2, of the given steps, on cells 0.125 mm
+        wide, every beam of radius 0.2 mm at x = v (step - 1) dt; the probe
+        blends cells 0 to 3, which no beam reaches, inside the band [-1, 1]."""
         f32 = np.float32
-        return dict(nx=nx, nz=nz, j0=j0, runs=runs, n=runs, start=step, stop=step + 1,
-                    n_steps=np.full(runs, step, np.int64), T=np.zeros(runs * nx * nz, f32),
+        return dict(nx=nx, nz=nz, j0=j0, runs=runs, chunk=thermal.CHUNK_STEPS,
+                    n_steps=np.full(runs, steps, np.int64), T=np.zeros(runs * nx * nz, f32),
                     peak=np.zeros(runs * nx * nz, f32),
-                    kap=np.empty(runs * nx * nz, f32), rows=np.empty(3 * nx + 1, f32),
+                    scratch=np.empty(3 * nx * nz + nx + 1, f32),
                     heat=np.repeat(np.array([[2.0], [0.0], [0.0]], f32), runs, 1),
                     v=np.full(runs, v), dt=np.full(runs, dt),
                     gz_amp=np.linspace(1e3, 9e3, runs * (nz - j0)).reshape(runs, nz - j0),
                     gx=np.empty(nx + 1), corners=np.arange(4, dtype=np.int64),
-                    chunk=np.empty((1, 4, runs), f32),
-                    consts=(1e-3, 0.0, 0.0, 1.0, 273.15, 0.0, 0.0, 0.125, 0.2))
+                    lo=np.full(runs, -1.0), trace=np.empty((steps + 1, runs)),
+                    fail=np.zeros(runs, np.int64),
+                    consts=(0.0, 0.0, 0.0, 1.0, 273.15, 0.0, 0.0, 0.125, 0.2, 0.5, 0.5, 1.0))
 
     def test_arrays_of_another_dtype_or_layout_are_refused(self):
-        step, args = thermal._step_kernel(), self.chunk_args()
+        step, args = thermal._step_kernel(), self.block_args()
         *head, consts = args.values()
-        step(*head, *consts)
+        assert step(*head, *consts) == 1
         assert args["T"][-1] > 0.0  # the top row's last cell takes the beam
 
         def strided(a):
@@ -1125,8 +1129,9 @@ class TestCompiledStep:
         for key, bad in (("T", args["T"].astype(np.float64)), ("T", strided(args["T"])),
                          ("n_steps", np.ones(2, np.int32)),
                          ("corners", args["corners"].astype(np.float32)),
+                         ("fail", args["fail"].astype(np.int32)),
                          *((key, args[key].astype(np.float32)) for key in
-                           ("v", "dt", "gz_amp", "gx")),
+                           ("v", "dt", "gz_amp", "gx", "lo", "trace")),
                          *((key, strided(args[key])) for key in ("v", "dt", "gz_amp"))):
             assert bad.shape == args[key].shape
             *head, consts = {**args, key: bad}.values()
@@ -1140,16 +1145,21 @@ class TestCompiledStep:
         (232.5, 2.0 / 232.5 / 481, 241),  # where v ((step - 1) dt) != (v (step - 1)) dt
     ], ids=["x=0", "x=l/2", "x=l", "an ulp off a cell edge", "mid-scan"])
     def test_one_step_deposit_matches_the_oracle(self, v, dt, step):
-        # one run at uniform T, so no face carries flux, and no radiation: each
-        # deposit row gains its deposit over rho cp / dt = 2, in the oracle's
-        # cell averages (math.erf), on 16 cells of 0.125 mm, l = 2 mm; the step
-        # leaves its beam's float64 cell averages in its gx row
+        # one run with no conduction and no radiation, so no face carries flux:
+        # at its last step each deposit row gains that step's deposit over rho
+        # cp / dt = 2, in the oracle's cell averages (math.erf), on 16 cells of
+        # 0.125 mm, l = 2 mm.  A block starts at step 1, whose beam is at x = 0,
+        # so the field before the last step is that of a block one step shorter
+        # (for step 2, a one-step block); the step leaves its beam's float64
+        # cell averages in its gx row
         nx, nz, j0 = 16, 6, 3
-        args = self.chunk_args(nx, nz, j0, runs=1, v=v, dt=dt, step=step)
-        *head, consts = args.values()
-        before = args["T"].reshape(nz, nx).copy()
-        thermal._step_kernel()(*head, *consts)
-        *_, dx, spot = consts
+        shorter = self.block_args(nx, nz, j0, runs=1, v=v, dt=dt, steps=step - 1)
+        args = self.block_args(nx, nz, j0, runs=1, v=v, dt=dt, steps=step)
+        for call in (shorter, args):
+            *head, consts = call.values()
+            thermal._step_kernel()(*head, *consts)
+        before = shorter["T"].reshape(nz, nx)
+        *_, dx, spot, _, _, _ = consts
         gx = gauss_deposit(np.arange(nx + 1) * dx, v * ((step - 1) * dt), spot, dx)
         assert np.array_equal(args["gx"][:nx], gx)
         deposit = np.outer(gx, args["gz_amp"][0]).T.astype(np.float32)
@@ -1170,7 +1180,7 @@ class TestCompiledStep:
 
     def test_compiler_error_is_raised_with_its_output(self, tmp_path):
         source, cache = tmp_path / "_step.c", tmp_path / "cache"
-        source.write_text("void pbfopt_step_chunk(void) { not C }\n")
+        source.write_text("void pbfopt_step_block(void) { not C }\n")
         with pytest.raises(OSError, match=r"(?s)failed on .*_step\.c:\n.*error"):
             thermal._build(source, cache)
         assert list(cache.iterdir()) == []  # no library, no temporary file
@@ -1184,9 +1194,9 @@ class TestCompiledStep:
             assert thermal._cache_dir() == tmp_path / "home" / ".cache" / "pbfopt"
 
     def test_changed_source_byte_builds_a_new_library(self, tmp_path):
-        source, cache = tmp_path / "_step.c", tmp_path / "cache"
-        text = Path(thermal.__file__).with_name("_step.c").read_bytes()
-        source.write_bytes(text)
+        # the clone-free cut of the source, which builds in a third of the time
+        source, cache = clones.cut_source(None, tmp_path), tmp_path / "cache"
+        text = source.read_bytes()
         first = thermal._build(source, cache)
         assert thermal._build(source, cache) == first
         at = text.index(b"The")
@@ -1234,11 +1244,13 @@ class TestCompiledStep:
 
 
 class TestClones:
-    """TestCompiledStep's grid and deposit cases, bit for bit against the
-    oracles, on each clone of the step: a copy of _step.c with its clone list
-    cut to one target and "default", built and loaded in place of
-    _step_kernel, which the loader must dispatch to that target's clone; and
-    on a copy without clones, the portable build of any other platform."""
+    """TestCompiledStep's grid and deposit cases and TestFlatBlock's hot and
+    cold runs, whose 10 cases include a beam reaching every row of one band of
+    rows and of two, bit for bit against the oracles, on each clone of the
+    step: a copy of _step.c with its clone list cut to one target and
+    "default", built and loaded in place of _step_kernel, which the loader
+    must dispatch to that target's clone; and on a copy without clones, the
+    portable build of any other platform."""
 
     @pytest.fixture(autouse=True, scope="class", params=[*clones.TARGETS, None],
                     ids=lambda target: target or "no clones")
@@ -1253,8 +1265,9 @@ class TestClones:
             patch.setattr(thermal, "_step_kernel", lambda: step)
             yield
 
-    chunk_args = staticmethod(TestCompiledStep.chunk_args)
+    block_args = staticmethod(TestCompiledStep.block_args)
     test_grids_match_the_numpy_step = TestCompiledStep.test_grids_match_the_numpy_step
+    test_hot_and_cold_runs_share_a_block = TestFlatBlock.test_hot_and_cold_runs_share_a_block
     test_one_step_deposit_matches_the_oracle = (
         TestCompiledStep.test_one_step_deposit_matches_the_oracle)
 
@@ -1263,11 +1276,14 @@ class TestAllocationPeak:
     """The memory one batch allocates at its peak, as tracemalloc traces it
     (numpy reports its array buffers there)."""
 
-    # 0.61 MiB on the seed-0 44-run training DOE at the default grid, with the
-    # deposit in the C step (2.77 MiB with a numpy erf on 32-step chunks)
+    # 0.55 MiB on the seed-0 44-run training DOE at the default grid, with a
+    # block stepped in one C call on one run's scratch (0.74 MiB with a call
+    # per 32-step chunk and a kappa array over the block, 2.77 MiB with a numpy
+    # erf on 32-step chunks)
     BOUND_MIB = 4.0
-    # 0.66 MiB on the 50 seed-3 validation draws at the baseline d*, in blocks
-    # of 12 and 13 runs of equal step count (2.54 MiB with the numpy erf)
+    # 0.52 MiB on the 50 seed-3 validation draws at the baseline d*, in blocks
+    # of 12 and 13 runs of equal step count (0.63 MiB with a call per chunk,
+    # 2.54 MiB with the numpy erf)
     VALIDATION_BOUND_MIB = 3.5
 
     @staticmethod
