@@ -1,13 +1,12 @@
 /* The thermal step of pbfopt.thermal, compiled on first use and loaded
- * through ctypes: one call steps a lockstep block of runs from step 1 to its
+ * through ctypes: one call steps a block of runs, each from step 1 to its own
  * last step, the beam deposit and the probe trace included.
  *
  * A block's fields are float, one run's (z, x) cells after another, x
- * fastest and row 0 at the bottom; the runs are sorted by step count, so
- * those still stepping are a leading prefix.  A run's step makes flat passes
- * over a band of its rows at a time: kappa, the x faces (those across a row
- * end then set to zero), the z faces (a zero row padded below and above the
- * run) and the update, one loop for the rows the beam misses, one per row it
+ * fastest and row 0 at the bottom.  A run's step makes flat passes over a
+ * band of its rows at a time: kappa, the x faces (those across a row end then
+ * set to zero), the z faces (a zero row padded below and above the run) and
+ * the update, one loop for the rows the beam misses, one per row it
  * reaches below the top and one for the top row.  Each cell takes the float
  * operations of the numpy step this replaces, in their order, so the bits do
  * not depend on the block, the band or the build: faces across a wall carry
@@ -115,20 +114,19 @@ static INLINE void step_band(int64_t nx, int64_t nz, int64_t j0, int64_t ja, int
     }
 }
 
-/* Steps 1 to n_steps[0] of a block of runs, and returns the steps taken: at a
- * multiple of chunk at which every run has failed it stops.  n_steps holds each
- * run's step count, heat the per-run rho cp / dt coefficients as (3, runs), v
- * and dt each run's speed and step, gz_amp its beam amplitude per row from j0
- * as (runs, rows), which reach the top row, and corners the probe's four cells
- * within a run, x and z offsets 00, 01, 10, 11.  Each step's probe of each run
- * still stepping, the corners blended with weights px along x and pz along z,
- * goes to trace as (step, runs), and a run's first step with its probe outside
- * [lo, hi] to fail, zero on entry.  scratch takes one run's kappa', x faces and
- * z faces, 3 nx nz + nx + 1 floats, and gx nx + 1 doubles of the beam's row: a
- * beam of radius spot at b puts sqrt(pi / 8) (spot / dx) (erf(sqrt 2 (x1 - b) /
- * spot) - erf(sqrt 2 (x0 - b) / spot)) on the cell [x0, x1]. */
+/* Steps each run r of a block from step 1 to its n_steps[r], or to its first
+ * step with its probe outside [lo[r], hi], which goes to fail[r], zero on
+ * entry; returns the run-steps taken.  heat holds the per-run rho cp / dt
+ * coefficients as (3, runs), v and dt each run's speed and step, gz_amp its
+ * beam amplitude per row from j0 as (runs, rows), which reach the top row, and
+ * corners the probe's four cells within a run, x and z offsets 00, 01, 10, 11.
+ * Each step's probe, the corners blended with weights px along x and pz along
+ * z, goes to trace as (step, runs).  scratch takes one run's kappa', x faces
+ * and z faces, 3 nx nz + nx + 1 floats, and gx nx + 1 doubles of the beam's
+ * row: a beam of radius spot at b puts sqrt(pi / 8) (spot / dx) (erf(sqrt 2
+ * (x1 - b) / spot) - erf(sqrt 2 (x0 - b) / spot)) on the cell [x0, x1]. */
 CLONES
-int64_t pbfopt_step_block(int64_t nx, int64_t nz, int64_t j0, int64_t runs, int64_t chunk,
+int64_t pbfopt_step_block(int64_t nx, int64_t nz, int64_t j0, int64_t runs,
                           const int64_t *n_steps, float *T, float *peak, float *scratch,
                           const float *heat, const double *v, const double *dt,
                           const double *gz_amp, double *gx, const int64_t *corners,
@@ -136,42 +134,35 @@ int64_t pbfopt_step_block(int64_t nx, int64_t nz, int64_t j0, int64_t runs, int6
                           float c0, float c1, float c2, float wz, float kelvin, float tc4,
                           float rad, double dx, double spot, double px, double pz, double hi)
 {
-    const int64_t cells = nx * nz, beam = nz - j0, last = n_steps[0];
+    const int64_t cells = nx * nz, beam = nz - j0;
     const int64_t band = BAND_CELLS / nx > 1 ? BAND_CELLS / nx : 1;
     const double gain = sqrt(3.14159265358979323846 / 8.0) * (spot / dx);
     const double qx = 1.0 - px, qz = 1.0 - pz;
     float *kap = scratch, *fx = kap + cells, *fz = fx + cells + 1;
     memset(fz, 0, (size_t)nx * sizeof *fz);
     memset(fz + cells, 0, (size_t)nx * sizeof *fz);
-    int64_t n = runs, failed = 0;
-    for (int64_t step = 1; step <= last; step++) {
-        while (n_steps[n - 1] < step)
-            n--;
-        for (int64_t r = 0; r < n; r++) {
+    int64_t taken = 0;
+    for (int64_t r = 0; r < runs; r++) {
+        float *t = T + r * cells, *pk = peak + r * cells;
+        struct coeffs c = {c0, c1, c2, wz, kelvin, tc4, rad,
+                           heat[r], heat[runs + r], heat[2 * runs + r]};
+        int64_t step = 1;
+        for (; step <= n_steps[r] && !fail[r]; step++) {
             double b = v[r] * ((double)(step - 1) * dt[r]);
             for (int64_t e = 0; e <= nx; e++)
                 gx[e] = erf((sqrt(2.0) * ((double)e * dx - b)) / spot);
             for (int64_t x = 0; x < nx; x++)
                 gx[x] = gain * (gx[x + 1] - gx[x]);
-            struct coeffs c = {c0, c1, c2, wz, kelvin, tc4, rad,
-                               heat[r], heat[runs + r], heat[2 * runs + r]};
             for (int64_t ja = 0; ja < nz; ja += band)
-                step_band(nx, nz, j0, ja, ja + band < nz ? ja + band : nz, T + r * cells,
-                          peak + r * cells, kap, fx, fz, gx, gz_amp + r * beam, c);
-        }
-        double *row = trace + step * runs;
-        for (int64_t r = 0; r < n; r++) {
-            const float *t = T + r * cells;
+                step_band(nx, nz, j0, ja, ja + band < nz ? ja + band : nz, t, pk, kap, fx,
+                          fz, gx, gz_amp + r * beam, c);
             double probe = (double)t[corners[0]] * qx * qz + (double)t[corners[2]] * px * qz
                            + (double)t[corners[1]] * qx * pz + (double)t[corners[3]] * px * pz;
-            row[r] = probe;
-            if (!fail[r] && !(lo[r] <= probe && probe <= hi)) {
+            trace[step * runs + r] = probe;
+            if (!(lo[r] <= probe && probe <= hi))
                 fail[r] = step;
-                failed++;
-            }
         }
-        if (failed == runs && step % chunk == 0)
-            return step;
+        taken += step - 1;
     }
-    return last;
+    return taken;
 }

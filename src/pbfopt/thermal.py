@@ -7,16 +7,15 @@ surface radiates per Stefan-Boltzmann (computed in Kelvin).  The beam is a
 volumetric Gaussian moving along the top surface at scanning speed v with
 a cubic depth profile vanishing at penetration depth z0.
 
-Runs step in lockstep blocks of up to BLOCK_RUNS, each field one flat array
-in z-major (run, z, x) order, so a cell row is one unit-stride loop, and
-faces across a wall or a run boundary carry zero flux.  Each run keeps
-its density, time step, step count, clamp range and beam; sorted by step
-count, those still stepping are a leading prefix.  Every element gets a
-single-run step's arithmetic in its order, so no result depends on the
-block.  The step is the grid's cfl_factor share of the largest one that
-keeps the explicit scheme's maximum principle (_stable_step): rho*min Cp(T)
-/ ((kappa(T) + kappa_max)*(1/dx^2 + 1/dz^2)) up to its plan's top, 1.5 Tliq,
-above every run in the design box.
+Runs step in blocks of up to BLOCK_RUNS, each field one flat array in
+z-major (run, z, x) order, so a cell row is one unit-stride loop, and faces
+across a wall or a run boundary carry zero flux.  Each run keeps its
+density, time step, step count, clamp range and beam, and steps to its own
+end.  Every element gets a single-run step's arithmetic in its order, so no
+result depends on the block.  The step is the grid's cfl_factor share of the
+largest one that keeps the explicit scheme's maximum principle
+(_stable_step): rho*min Cp(T) / ((kappa(T) + kappa_max)*(1/dx^2 + 1/dz^2))
+up to its plan's top, 1.5 Tliq, above every run in the design box.
 A run fails if its probe leaves [min(T0, Tc) - 50, 3 Tliq] by its last step
 or, at its end, its field is not finite or its peak is over the top; it is
 solved again with the 3 Tliq plan, under which a failure is final.  A run
@@ -24,19 +23,18 @@ whose 3 Tliq plan would take over MAX_STEPS steps is rejected before any step.
 
 The probe (top-surface center) lies between four cells.  After each step they
 are blended as _bilinear blends, into the float64 probe trace, and checked
-against the band; a block stops at the first multiple of CHUNK_STEPS (32) steps
-by which all its runs have failed.  The trace is interpolated linearly between
-step ends to the 31 snapshot instants.
+against the band; a run stops at its first step out of the band.  The trace is
+interpolated linearly between step ends to the 31 snapshot instants.
 
-The step itself is C (_step.c), one call per block from its first step to its
-last.  Per run still stepping, a step takes its beam's cell averages along x,
-exact erf integrals over one row of cell edges with libm's erf, then flat
-passes over bands of the run's rows, 16 rows on the default grid: kappa by
-Horner, the x faces with those across a row end set to zero, the z faces with
-a zero row below and above, and the update, with the rate, the deposit on the
-rows the beam reaches, the top row's radiation, rho*Cp/dt by Horner in its
-run's three coefficients, T in place and the peak; and last the probe.  Each
-cell takes the float operations of a numpy step in their order
+The step itself is C (_step.c), one call per block, which steps each run from
+its first step to its last in turn.  A run's step takes its beam's cell
+averages along x, exact erf integrals over one row of cell edges with libm's
+erf, then flat passes over bands of the run's rows, 16 rows on the default
+grid: kappa by Horner, the x faces with those across a row end set to zero,
+the z faces with a zero row below and above, and the update, with the rate,
+the deposit on the rows the beam reaches, the top row's radiation, rho*Cp/dt
+by Horner in its run's three coefficients, T in place and the peak; and last
+the probe.  Each cell takes the float operations of a numpy step in their order
 (tests/oracles.py keeps that step, with math.erf, which is libm's), so its
 results are those bits on any machine whose libm has that erf: it is built
 without -march and without fused multiply-adds (_CFLAGS), and radiation's
@@ -95,10 +93,8 @@ STRESS_GRID_SHAPE = (32, 14)
 
 STEFAN_BOLTZMANN_MM = 5.67e-14  # W / (mm^2 K^4)
 KELVIN_OFFSET = 273.15
-BLOCK_RUNS = 16  # runs stepped together in one lockstep block
+BLOCK_RUNS = 16  # runs stepped in one block, one call of the C step
 FIELD_DTYPE = np.float32  # the fields' dtype, the C step's float; see the module docstring
-# a block whose runs have all failed stops at the first multiple of this many steps
-CHUNK_STEPS = 32
 # the C compiler that builds _step.c on first use, and its flags: no fused
 # multiply-adds, which would change the step's bits, and no -march, which would
 # tie the build to one machine (_step.c's clones cover AVX2 and AVX-512)
@@ -432,7 +428,7 @@ def _step_kernel():
         return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
     lib = ctypes.CDLL(str(_build(Path(__file__).with_name("_step.c"), _cache_dir())))
     fn = lib.pbfopt_step_block
-    fn.argtypes = ([ctypes.c_int64] * 5 + [array(np.int64)] + [array(FIELD_DTYPE)] * 4
+    fn.argtypes = ([ctypes.c_int64] * 4 + [array(np.int64)] + [array(FIELD_DTYPE)] * 4
                    + [array(np.float64)] * 4 + [array(np.int64)] + [array(np.float64)] * 2
                    + [array(np.int64)] + [ctypes.c_float] * 7 + [ctypes.c_double] * 5)
     fn.restype = ctypes.c_int64
@@ -452,12 +448,11 @@ def _solve_field(runs, p: ModelParams, grid: SimGridConfig):
 
 
 def _step_block(runs, p: ModelParams, grid: SimGridConfig):
-    """The lockstep kernel: runs (design, random inputs, _plan) to snapshots or errors."""
+    """The block kernel: runs (design, random inputs, _plan) to snapshots or errors."""
     nx, nz = grid.cells_x, grid.cells_z
     dx, dz = p.l / nx, p.h / nz
-    order = sorted(range(len(runs)), key=lambda k: -runs[k][2][2])  # most steps first
     rho, dt, n_steps, lo, top, v, power, t0 = np.array(  # each row C-contiguous
-        [(*runs[k][2], runs[k][0].v, runs[k][0].P, runs[k][1].T0) for k in order], float).T.copy()
+        [(*plan, d.v, d.P, z.T0) for d, z, plan in runs], float).T.copy()
     n_steps = n_steps.astype(np.int64)
     amp = 2.0 * p.A * power / (np.pi * p.r**2 * p.z0)
     cells = nx * nz  # one run's (z, x) field after another, x fastest
@@ -479,19 +474,19 @@ def _step_block(runs, p: ModelParams, grid: SimGridConfig):
     i, j, wx, wz = _bilinear_cell((nx, nz), dx / 2, dx, dz / 2, dz, p.l / 2.0, p.h)
     corners = (j + np.array([0, 1, 0, 1])) * nx + i + np.array([0, 0, 1, 1])
     hi = TOP_CEILING * p.Tliq
-    trace = np.empty((n_steps[0] + 1, len(order)))  # each run's probe at its steps' ends
+    trace = np.empty((n_steps.max() + 1, len(runs)))  # each run's probe at its steps' ends
     trace[0] = _bilinear(T3.T, i, j, wx, wz)
-    fail = np.zeros(len(order), np.int64)  # each run's first step out of the band, or 0
-    _step_kernel()(nx, nz, j0, len(order), CHUNK_STEPS, n_steps, T, peak, scratch, heat, v,
-                   dt, gz_amp, gx, corners, lo, trace, fail, *cond, dx**2 / dz**2,
-                   KELVIN_OFFSET, tc_k4, rad, dx, p.r, wx, wz, hi)
+    fail = np.zeros(len(runs), np.int64)  # each run's first step out of the band, or 0
+    _step_kernel()(nx, nz, j0, len(runs), n_steps, T, peak, scratch, heat, v, dt, gz_amp,
+                   gx, corners, lo, trace, fail, *cond, dx**2 / dz**2, KELVIN_OFFSET, tc_k4,
+                   rad, dx, p.r, wx, wz, hi)
     # the peak field resampled to the 32x14 stress grid by clamped bilinear
     # interpolation, so it inherits the initial-condition floor T0
     xq, zq = np.meshgrid(np.linspace(0.0, p.l, STRESS_GRID_SHAPE[0]),
                          np.linspace(0.0, p.h, STRESS_GRID_SHAPE[1]), indexing="ij")
     stress_cell = _bilinear_cell((nx, nz), dx / 2, dx, dz / 2, dz, xq, zq)
     out = []
-    for s in np.argsort(order):  # in input order
+    for s in range(len(runs)):
         step, end = int(fail[s]), int(n_steps[s])
         if step:
             out.append(SimulationError(f"probe temperature {trace[step, s]:.1f} degC "
@@ -514,9 +509,10 @@ def simulate_batch(designs, inputs, p: ModelParams | None = None,
     """One scan per (design, random inputs) pair, snapshots in that order.
 
     Every run is checked and planned before any steps.  Sorted by step count,
-    the runs go in as many blocks as BLOCK_RUNS-run ones would take, of sizes
-    that differ by at most one, and every block goes to _solve_field; with
-    workers > 1 over a pool of that many threads, which changes no result.
+    most first, the runs go in as many blocks as BLOCK_RUNS-run ones would
+    take, of sizes that differ by at most one, and every block goes to
+    _solve_field; with workers > 1 over a pool of that many threads, which
+    starts the costliest blocks first and changes no result.
     The lowest-indexed failed run raises its SimulationError with .run set."""
     if workers < 1:
         raise ValueError("workers must be at least 1")

@@ -335,7 +335,7 @@ def folded_constants(p, dx, dz, rho, dt):
 
 def solve_field_per_run(d, z, p, grid, *ceiling, dtype=thermal.FIELD_DTYPE):
     """One run of the thermal solver stepped on its own, one field at a
-    time: the loop thermal._solve_field advances in lockstep blocks, with
+    time: the loop thermal._solve_field advances in blocks, with
     the step thermal._plan gives for its default or the given ceiling (a
     multiple of Tliq).  It steps with the kernel's arithmetic in its order:
     the folded_constants, Horner's form for kappa and for rho Cp / dt, and
@@ -412,6 +412,11 @@ def solve_field_per_run(d, z, p, grid, *ceiling, dtype=thermal.FIELD_DTYPE):
     return temps, peak, T, thermal._bilinear(peak, *cell)
 
 
+# the steps whose deposit lockstep_block computes at once, and after which it
+# checks the probe band
+DEPOSIT_STEPS = 32
+
+
 def lockstep_block(runs, p, grid, dtype=np.float32):
     """thermal._step_block with its step in numpy, on fields of the given dtype:
     the compiled step's float operations in their order, one whole-block array
@@ -443,13 +448,13 @@ def lockstep_block(runs, p, grid, dtype=np.float32):
     gz = thermal._depth_deposit(nz, dz, p.h, p.z0)
     j0 = int(np.flatnonzero(gz)[0])
     gz_amp = gz[j0:, None] * amp[:, None, None]
-    deposit = np.empty((thermal.CHUNK_STEPS, len(order), nz - j0, nx), dtype)
+    deposit = np.empty((DEPOSIT_STEPS, len(order), nz - j0, nx), dtype)
     tc_k4 = (p.Tc + thermal.KELVIN_OFFSET) ** 4
     rad = thermal.STEFAN_BOLTZMANN_MM * p.eps_s / dz
     i, j, wx, wz = thermal._bilinear_cell((nx, nz), dx / 2, dx, dz / 2, dz, p.l / 2.0, p.h)
     corners = (j + np.array([0, 1, 0, 1])) * nx + i + np.array([0, 0, 1, 1])
     corners = corners[:, None] + cells * np.arange(len(order))  # (4, runs), flat in T
-    chunk = np.empty((thermal.CHUNK_STEPS, 4, len(order)), dtype)
+    chunk = np.empty((DEPOSIT_STEPS, 4, len(order)), dtype)
 
     def blend(rows):
         return thermal._bilinear(np.moveaxis(rows.reshape(-1, 2, 2, len(order)), 0, 2),
@@ -460,8 +465,8 @@ def lockstep_block(runs, p, grid, dtype=np.float32):
     fail = np.zeros(len(order), int)
     n, built = len(order), 0
     with np.errstate(all="ignore"):
-        for start in range(1, n_steps[0] + 1, thermal.CHUNK_STEPS):
-            stop = min(start + thermal.CHUNK_STEPS, n_steps[0] + 1)
+        for start in range(1, n_steps[0] + 1, DEPOSIT_STEPS):
+            stop = min(start + DEPOSIT_STEPS, n_steps[0] + 1)
             while n_steps[n - 1] < start:
                 n -= 1
             ahead = np.arange(start - 1, stop - 1)

@@ -374,10 +374,10 @@ class TestSimulate:
 
 
 class TestLockstepBatch:
-    """The lockstep kernel against the per-run step loop it replaced."""
+    """The block kernel against the per-run step loop it replaced."""
 
     # coarse, so a run takes tens to hundreds of steps; a step below the default
-    # keeps the deposit-chunk runs' speeds in the design box
+    # keeps the 31- to 65-step runs' speeds in the design box
     GRID = SimGridConfig(16, 8, cfl_factor=0.5)
 
     @staticmethod
@@ -430,12 +430,10 @@ class TestLockstepBatch:
 
 
     def test_runs_ending_inside_a_deposit_chunk_match_per_run_loop(self):
-        # one block whose runs take CHUNK_STEPS - 1, CHUNK_STEPS,
-        # CHUNK_STEPS + 1 and 2 CHUNK_STEPS + 1 steps, so runs drop out
-        # of the block inside a chunk of steps and at its ends
+        # one block whose runs take 31, 32, 33 and 65 steps, so they end inside
+        # and at the ends of the numpy oracle's 32-step deposit chunks
         p, grid, z = ModelParams(), self.GRID, NOMINAL_Z
-        chunk = thermal.CHUNK_STEPS
-        targets = [chunk - 1, chunk, chunk + 1, 2 * chunk + 1]
+        targets = [31, 32, 33, 65]
 
         def steps(v):
             return thermal._plan(DesignPoint(v, 150.0), z, p, grid)[2]
@@ -457,35 +455,29 @@ class TestLockstepBatch:
             assert np.array_equal(raw.temps, temps)
             assert np.array_equal(raw.peak_field, peak_field)
 
-    def test_deposit_chunk_changes_no_result(self, monkeypatch):
-        # at the 3 Tliq plan, runs of 32, 35, 64, 65 and 97 steps end on and
-        # inside the edges of 7-, 32- and 64-step chunks, and the powered slow
-        # scan leaves the probe band inside a chunk of each while a run of its
-        # 282 steps goes on; 1-step chunks are the reference
-        p, grid, z = ModelParams(), self.GRID, NOMINAL_Z
-        dt = thermal._stable_step(thermal.bulk_density(z.rho), min(z.T0, p.Tc) - 50.0,
-                                  3.0 * p.Tliq, p, grid)  # no speed enters it
-        targets = [32, 35, 64, 65, 97]
-        runs = [(DesignPoint(p.l / (dt * (n - 0.5)), P), z)
-                for n, P in zip(targets, (150.0, 120.0, 180.0, 90.0, 60.0))]
-        runs += [(DesignPoint(100.0, 2000.0), z), (DesignPoint(100.0, 200.0), z)]
-        block = planned(runs, p, grid, 3.0)
-        assert [plan[2] for _, _, plan in block[:5]] == targets
-        results = {}
-        for chunk in (1, 7, 32, 64):
-            monkeypatch.setattr(thermal, "CHUNK_STEPS", chunk)
-            results[chunk] = thermal._step_block(block, p, grid)
-        error = results[1][5]
-        assert isinstance(error, SimulationError)
-        assert all(error.step % chunk not in (0, 1) for chunk in (7, 32, 64))
-        assert block[6][2][2] > error.step
-        for chunk in (7, 32, 64):
-            for a, b in zip(results[1], results[chunk], strict=True):
-                assert type(a) is type(b)
-                if isinstance(a, SimulationError):
-                    assert (str(b), b.step) == (str(a), a.step)
-                else:
-                    assert_same(a, b)
+    @pytest.mark.parametrize("order", ["ascending", "shuffled"])
+    def test_c_step_takes_a_blocks_runs_in_any_order(self, monkeypatch, order):
+        # the mixed runs' block in ascending step order or shuffled, as the C
+        # step receives it: each run stepped to its own end, bit for bit
+        p, grid = ModelParams(), self.GRID
+        runs = self.mixed_runs()
+        steps = [thermal._plan(d, z, p, grid)[2] for d, z in runs]
+        if order == "ascending":
+            runs = [runs[k] for k in np.argsort(steps, kind="stable")]
+        else:
+            runs = [runs[k] for k in np.random.default_rng(9).permutation(len(runs))]
+        block = planned(runs, p, grid)
+        kernel, given = thermal._step_kernel(), []  # the step counts it is given, a[4]
+        monkeypatch.setattr(thermal, "_step_kernel",
+                            lambda: lambda *a: given.append(a[4].tolist()) or kernel(*a))
+        raw = thermal._step_block(block, p, grid)
+        assert given == [[plan[2] for _, _, plan in block]]
+        assert given[0] != sorted(given[0], reverse=True)
+        for run, snap in zip(runs, raw, strict=True):
+            assert isinstance(snap, thermal.TemperatureSnapshot)
+            temps, _, _, peak_field = solve_field_per_run(*run, p, grid)
+            assert np.array_equal(snap.temps, temps)
+            assert np.array_equal(snap.peak_field, peak_field)
 
     @staticmethod
     def probe_failure(run, p, grid):
@@ -500,15 +492,15 @@ class TestLockstepBatch:
 
     def test_run_leaving_the_band_mid_chunk_is_checked_after_its_steps(self):
         # at the 3 Tliq plan the powered slow scan leaves the probe band at step
-        # 131, inside its third chunk; the others end at steps 52 and 71,
-        # before it, and 282, after it, and none fails
+        # 131, inside one of the numpy oracle's 32-step chunks; the others end
+        # at steps 52 and 71, before it, and 282, after it, and none fails
         p, grid, z = ModelParams(), self.GRID, NOMINAL_Z
         failing = (DesignPoint(100.0, 2000.0), z)
         runs = [(DesignPoint(550.0, 200.0), z), failing, (DesignPoint(100.0, 200.0), z),
                 (DesignPoint(400.0, 150.0), z)]
         with pytest.raises(SimulationError) as alone:
             thermal.simulate(*failing, p, grid)
-        assert alone.value.step % thermal.CHUNK_STEPS not in (0, 1)
+        assert alone.value.step % 32 not in (0, 1)
         block = planned(runs, p, grid, 3.0)
         assert sorted(plan[2] for _, _, plan in block)[-2] > alone.value.step
         raw = thermal._step_block(block, p, grid)
@@ -520,11 +512,10 @@ class TestLockstepBatch:
             assert np.array_equal(snap.temps, temps)
             assert np.array_equal(snap.peak_field, peak_field)
 
-    def test_block_of_failed_runs_stops_within_a_chunk_of_the_last_failure(
-        self, monkeypatch
-    ):
+    def test_each_failed_run_stops_at_its_own_failure_step(self, monkeypatch):
         # every run leaves the probe band at the 3 Tliq plan, the last at step
-        # 111 of the longest run's 282; stepping on would take 5 chunks
+        # 111 of the longest run's 282; the one call takes each run's steps up
+        # to its failure and none after it
         p, grid, z = ModelParams(), self.GRID, NOMINAL_Z
         runs = [(DesignPoint(v, P), z) for v, P in ((100.0, 5000.0), (120.0, 3000.0),
                                                     (300.0, 3000.0))]
@@ -534,13 +525,12 @@ class TestLockstepBatch:
                 thermal.simulate(*run, p, grid)
             errors.append(alone.value)
         block = planned(runs, p, grid, 3.0)
-        chunks = -(-max(e.step for e in errors) // thermal.CHUNK_STEPS)
-        assert chunks < -(-block[0][2][2] // thermal.CHUNK_STEPS)
+        assert all(e.step < plan[2] for e, (_, _, plan) in zip(errors, block))
         kernel, taken = thermal._step_kernel(), []
         monkeypatch.setattr(thermal, "_step_kernel",
                             lambda: lambda *a: taken.append(kernel(*a)))
         raw = thermal._step_block(block, p, grid)
-        assert taken == [chunks * thermal.CHUNK_STEPS]  # steps the one call took
+        assert taken == [sum(e.step for e in errors)]  # run-steps the one call took
         for run, r, alone in zip(runs, raw, errors, strict=True):
             assert (str(r), r.step) == (str(alone), alone.step)
             assert (str(r), r.step) == self.probe_failure(run, p, grid)
@@ -1106,9 +1096,8 @@ class TestCompiledStep:
         wide, every beam of radius 0.2 mm at x = v (step - 1) dt; the probe
         blends cells 0 to 3, which no beam reaches, inside the band [-1, 1]."""
         f32 = np.float32
-        return dict(nx=nx, nz=nz, j0=j0, runs=runs, chunk=thermal.CHUNK_STEPS,
-                    n_steps=np.full(runs, steps, np.int64), T=np.zeros(runs * nx * nz, f32),
-                    peak=np.zeros(runs * nx * nz, f32),
+        return dict(nx=nx, nz=nz, j0=j0, runs=runs, n_steps=np.full(runs, steps, np.int64),
+                    T=np.zeros(runs * nx * nz, f32), peak=np.zeros(runs * nx * nz, f32),
                     scratch=np.empty(3 * nx * nz + nx + 1, f32),
                     heat=np.repeat(np.array([[2.0], [0.0], [0.0]], f32), runs, 1),
                     v=np.full(runs, v), dt=np.full(runs, dt),
@@ -1121,7 +1110,7 @@ class TestCompiledStep:
     def test_arrays_of_another_dtype_or_layout_are_refused(self):
         step, args = thermal._step_kernel(), self.block_args()
         *head, consts = args.values()
-        assert step(*head, *consts) == 1
+        assert step(*head, *consts) == 2  # run-steps: two runs of one step
         assert args["T"][-1] > 0.0  # the top row's last cell takes the beam
 
         def strided(a):
@@ -1217,7 +1206,12 @@ class TestCompiledStep:
         wrapper = bin_dir / "cc"
         wrapper.write_text(f'#!/bin/sh\necho "$@" >> "{log}"\nexec "{real}" "$@"\n')
         wrapper.chmod(0o755)
-        src = Path(thermal.__file__).resolve().parents[1]
+        # a copy of the package with the clone-free cut of the source, which
+        # builds in a third of the time
+        src = tmp_path / "src"
+        shutil.copytree(Path(thermal.__file__).parent, src / "pbfopt",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        clones.cut_source(None, src / "pbfopt")
         env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
                "PATH": f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}",
                "PYTHONPATH": str(src)}
@@ -1282,7 +1276,7 @@ class TestAllocationPeak:
     # erf on 32-step chunks)
     BOUND_MIB = 4.0
     # 0.52 MiB on the 50 seed-3 validation draws at the baseline d*, in blocks
-    # of 12 and 13 runs of equal step count (0.63 MiB with a call per chunk,
+    # of 12 and 13 runs of 437 to 530 steps (0.63 MiB with a call per chunk,
     # 2.54 MiB with the numpy erf)
     VALIDATION_BOUND_MIB = 3.5
 
